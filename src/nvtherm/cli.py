@@ -14,10 +14,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.signal import find_peaks
 
 from . import fitting, lineshape, oracle, sensitivity
 from .lineshape import Spectrum, StrainDistribution
-from .spin import DriveConfig, PhysicalEnvironment, dressed_resonances
+from .spin import DriveConfig, PhysicalEnvironment, dressed_resonances, zero_field_splitting
 
 MODES = ("simulate", "fit", "sensitivity", "sweep", "oracle-check")
 
@@ -90,6 +91,7 @@ _POSITIVE = {
     ("rates", "gamma_d"),
     ("noise", "photon_rate"),
     ("noise", "dwell"),
+    ("sweep", "dwell"),
     ("budget", "photon_rate"),
     ("grid", "points"),
     ("lorentzian", "fwhm"),
@@ -137,9 +139,9 @@ def validate_config(doc: dict) -> list[str]:
                     diags.append(
                         f"unknown key {key!r}.{sub!r}{_suggest(sub, section)}"
                     )
-                elif section[sub] is float and not isinstance(sval, (int, float)):
+                elif section[sub] is float and not _is_number(sval):
                     diags.append(f"{key}.{sub} must be a number")
-                elif section[sub] is int and not isinstance(sval, int):
+                elif section[sub] is int and not _is_number(sval, int):
                     diags.append(f"{key}.{sub} must be an integer")
                 elif section[sub] in (str, bool, list) and not isinstance(
                     sval, section[sub]
@@ -147,9 +149,9 @@ def validate_config(doc: dict) -> list[str]:
                     diags.append(f"{key}.{sub} must be {section[sub].__name__}")
                 else:
                     diags.extend(_check_value(key, sub, sval))
-        elif want is float and not isinstance(value, (int, float)):
+        elif want is float and not _is_number(value):
             diags.append(f"{key} must be a number")
-        elif want is int and not isinstance(value, int):
+        elif want is int and not _is_number(value, int):
             diags.append(f"{key} must be an integer")
         elif want is str and not isinstance(value, str):
             diags.append(f"{key} must be a string")
@@ -161,6 +163,11 @@ def validate_config(doc: dict) -> list[str]:
     diags.extend(_check_mode_requirements(doc))
     diags.extend(_check_sweep(doc.get("sweep")))
     return diags
+
+
+def _is_number(value, kind=(int, float)) -> bool:
+    """A JSON number of the given kind; JSON true/false are bools, not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _check_value(section: str, key: str, value) -> list[str]:
@@ -224,9 +231,7 @@ def _check_sweep(sweep_doc) -> list[str]:
         values = axis["values"]
         if not isinstance(values, list) or not values:
             diags.append(f"sweep.axes[{i}].values must be a nonempty list")
-        elif not all(
-            isinstance(v, (int, float)) and np.isfinite(v) for v in values
-        ):
+        elif not all(_is_number(v) and np.isfinite(v) for v in values):
             diags.append(f"sweep.axes[{i}].values must be finite numbers")
     return diags
 
@@ -336,8 +341,6 @@ def run_simulate(doc: dict, args) -> str:
 
 
 def _count_dips(spec: Spectrum) -> int:
-    from scipy.signal import find_peaks
-
     depth = 1.0 - fitting._smooth(spec.signal)
     if depth.max() <= 0:
         return 0
@@ -397,14 +400,12 @@ def run_sensitivity(doc: dict, args) -> str:
     gamma_b, gamma_d = _rates(doc)
     if env.b_parallel != 0.0:
         fwhm = doc.get("lorentzian", {}).get("fwhm", 8.0)
-        curve = lineshape.conventional_spectrum(env, grid, fwhm, contrast)
 
         def curve_fn(g):
             return lineshape.conventional_spectrum(env, g, fwhm, contrast).signal
 
     else:
         drive = _build_drive(doc)
-        curve = lineshape.spectrum(env, drive, grid, gamma_b, gamma_d, contrast)
 
         def curve_fn(g):
             return lineshape.spectrum(env, drive, g, gamma_b, gamma_d, contrast).signal
@@ -474,10 +475,7 @@ def run_oracle_check(doc: dict, args) -> str:
     rms = float(np.sqrt(np.mean((a - b) ** 2)) / scale)
     mx = float(np.max(np.abs(a - b)) / np.max(np.abs(a)))
     expected = dressed_resonances(
-        env.d0 + env.dd_dt * (env.temperature - env.t0),
-        env.ex,
-        drive.omega_rf,
-        drive.rabi_rf,
+        zero_field_splitting(env), env.ex, drive.omega_rf, drive.rabi_rf
     )
     doc_out = {
         "schema_version": 1,

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.signal import find_peaks, peak_widths
 
-from .lineshape import Spectrum, dressed_depletion
+from .lineshape import Spectrum, dressed_depletion, strain_average
 
 MAX_ITERATIONS = 500
 COST_RTOL = 1e-10
@@ -120,20 +120,13 @@ class DressedDip:
         d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast = params[:7]
         sigma_ex = params[7] if self.fit_sigma_ex else 0.0
 
-        def one(ex_i):
+        def signal(ex_i):
             dep = dressed_depletion(
                 d, ex_i, self.omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d
             )
             return 1.0 - contrast * dep
 
-        if sigma_ex == 0.0:
-            return one(ex)
-        x, w = np.polynomial.hermite.hermgauss(self.quadrature_nodes)
-        w = w / np.sqrt(np.pi)
-        acc = np.zeros_like(grid, dtype=float)
-        for xi, wi in zip(x, w):
-            acc = acc + wi * one(ex + np.sqrt(2.0) * sigma_ex * xi)
-        return acc
+        return strain_average(signal, ex, sigma_ex, self.quadrature_nodes)
 
 
 @dataclass
@@ -415,13 +408,40 @@ def _covariance(model, params, free, grid, w, weighted, cost, n_points):
     return cov
 
 
+def half_depth_width(curve_fn, grid: np.ndarray, curve: np.ndarray, m: int):
+    """Full width at half depth of the dip at ``grid[m]`` of a sampled curve.
+
+    ``curve`` is ``curve_fn(grid)`` on a baseline of 1.  From ``m`` each side
+    walks outward to the first sample at or above half depth, and the
+    crossing is then refined by root-finding on ``curve_fn``.  Returns None
+    when a side has no crossing.
+    """
+    half = 1.0 - (1.0 - curve[m]) / 2.0
+
+    def above_half(nu):
+        return float(curve_fn(np.array([nu]))[0]) - half
+
+    left = right = None
+    for i in range(m, 0, -1):
+        if curve[i - 1] >= half:
+            left = brentq(above_half, grid[i - 1], grid[m])
+            break
+    for i in range(m, len(grid) - 1):
+        if curve[i + 1] >= half:
+            right = brentq(above_half, grid[m], grid[i + 1])
+            break
+    if left is None or right is None:
+        return None
+    return float(right - left)
+
+
 def peak_properties(model, params, spec: Spectrum, refine: int = 8):
     """FWHM and depth of each resolved dip of the fitted model curve.
 
     For MultiLorentzian the fitted widths/depths are returned directly.
     For DressedDip each dip's full width is measured at half depth on a
-    refined model curve; a missing half-depth crossing between overlapping
-    dips yields None with a reason.
+    refined model curve (``half_depth_width``); a missing half-depth
+    crossing between overlapping dips yields None with a reason.
     """
     if isinstance(model, MultiLorentzian):
         fwhm = [float(params[2 + 3 * k]) for k in range(model.n_peaks)]
@@ -432,35 +452,18 @@ def peak_properties(model, params, spec: Spectrum, refine: int = 8):
         spec.frequencies[0], spec.frequencies[-1], refine * len(spec) + 1
     )
     curve = model.evaluate(params, grid)
-    baseline = 1.0
-    depth = baseline - curve
-    floor = 1e-6 * max(depth.max(), 1e-12)
+    depth = 1.0 - curve
     idx, _ = find_peaks(depth, prominence=0.05 * depth.max())
     fwhm, reasons, contrasts = [], [], []
-
-    def level(nu):
-        return float(model.evaluate(params, np.array([nu]))[0])
-
     for m in idx:
-        d_m = depth[m]
-        half = baseline - d_m / 2.0
-        contrasts.append(float(d_m))
-        left = None
-        for i in range(m, 0, -1):
-            if curve[i - 1] >= half:
-                left = brentq(lambda nu: level(nu) - half, grid[i - 1], grid[m])
-                break
-        right = None
-        for i in range(m, len(grid) - 1):
-            if curve[i + 1] >= half:
-                right = brentq(lambda nu: level(nu) - half, grid[m], grid[i + 1])
-                break
-        if left is None or right is None:
-            fwhm.append(None)
-            reasons.append("unresolved: no half-depth crossing")
-        else:
-            fwhm.append(float(right - left))
-            reasons.append("ok")
+        contrasts.append(float(depth[m]))
+        width = half_depth_width(
+            lambda g: model.evaluate(params, g), grid, curve, m
+        )
+        fwhm.append(width)
+        reasons.append(
+            "ok" if width is not None else "unresolved: no half-depth crossing"
+        )
     if not fwhm:
         return [None], ["no dip found in fitted curve"], [0.0]
     return fwhm, reasons, contrasts

@@ -9,11 +9,18 @@ signal through a single optical contrast factor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .spin import DriveConfig, PhysicalEnvironment, drive_detunings
+from .spin import (
+    DriveConfig,
+    PhysicalEnvironment,
+    branch_detunings,
+    drive_detunings,
+    zero_field_splitting,
+)
 
 DEFAULT_CONTRAST = 0.05
 DEFAULT_GAMMA_B = 1.0
@@ -180,23 +187,38 @@ def dressed_depletion(
 
     The closed-form response covers one RF sideband; the experimental
     spectrum shows both dressed branches, obtained here by adding the
-    mirrored response (ex -> -ex, omega_rf -> -omega_rf).  ``branches`` is
+    mirrored response (see ``spin.branch_detunings``).  ``branches`` is
     "both" or "upper".
     """
-    if branches not in ("both", "upper"):
-        raise ValueError(f"branches must be 'both' or 'upper', got {branches!r}")
     j = rabi_rf / 2.0
     lam = rabi_mw / 2.0
-
-    def one(ex_i, omega_rf_i):
-        omega_b = d + ex_i - grid
-        omega_d = d + dark_strain_sign * ex_i - grid + omega_rf_i
-        return 1.0 - _p0_arrays(omega_b, omega_d, j, lam, gamma_b, gamma_d)
-
-    dep = one(ex, omega_rf)
-    if branches == "both":
-        dep = dep + one(-ex, -omega_rf)
+    upper, *mirror = branch_detunings(d, ex, omega_rf, grid, branches, dark_strain_sign)
+    dep = 1.0 - _p0_arrays(*upper, j, lam, gamma_b, gamma_d)
+    for omega_b, omega_d in mirror:
+        dep = dep + (1.0 - _p0_arrays(omega_b, omega_d, j, lam, gamma_b, gamma_d))
     return dep
+
+
+@lru_cache(maxsize=32)
+def _hermite_nodes(nodes: int) -> tuple:
+    """Gauss-Hermite abscissae and weights normalized to the unit Gaussian."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    return tuple(x), tuple(w / np.sqrt(np.pi))
+
+
+def strain_average(fn, mean_ex: float, sigma_ex: float, nodes: int):
+    """Average ``fn(ex)`` over E_x ~ Normal(mean_ex, sigma_ex).
+
+    Gauss-Hermite quadrature with ``nodes`` nodes, summed in fixed order for
+    bit-reproducibility; a zero spread returns ``fn(mean_ex)``, and so does a
+    single node, whose weight is exactly 1.
+    """
+    if sigma_ex == 0.0:
+        return fn(mean_ex)
+    acc = 0.0
+    for xi, wi in zip(*_hermite_nodes(nodes)):
+        acc = acc + wi * fn(mean_ex + np.sqrt(2.0) * sigma_ex * xi)
+    return acc
 
 
 def spectrum(
@@ -214,38 +236,10 @@ def spectrum(
     signal(nu) = 1 - contrast * (1 - p0(nu)), summed over the dressed
     branches (see ``dressed_depletion``).
     """
-    if not env.is_transverse_mode:
-        raise ValueError("dressed-state model requires transverse mode")
-    grid = np.asarray(grid, dtype=float)
-    from .spin import zero_field_splitting
-
-    d = zero_field_splitting(env)
-    dep = dressed_depletion(
-        d,
-        env.ex,
-        drive.omega_rf,
-        grid,
-        drive.rabi_rf,
-        drive.rabi_mw,
-        gamma_b,
-        gamma_d,
-        branches,
-        dark_strain_sign,
+    grid, signal, meta = _dressed_signal(
+        env, drive, grid, gamma_b, gamma_d, contrast, branches, dark_strain_sign
     )
-    sig = 1.0 - contrast * dep
-    meta = {
-        "model": "dressed",
-        "branches": branches,
-        "d": float(d),
-        "ex": env.ex,
-        "omega_rf": drive.omega_rf,
-        "rabi_rf": drive.rabi_rf,
-        "rabi_mw": drive.rabi_mw,
-        "gamma_b": gamma_b,
-        "gamma_d": gamma_d,
-        "contrast": contrast,
-    }
-    return Spectrum(grid, sig, np.zeros_like(grid), meta)
+    return Spectrum(grid, signal(env.ex), np.zeros_like(grid), meta)
 
 
 def ensemble_spectrum(
@@ -258,47 +252,59 @@ def ensemble_spectrum(
     strain: StrainDistribution | None = None,
     branches: str = "both",
 ) -> Spectrum:
-    """Spectrum averaged over a Gaussian strain ensemble.
+    """Spectrum averaged over a Gaussian strain ensemble (``strain_average``).
 
-    Gauss-Hermite quadrature over E_x ~ Normal(mean_ex, sigma_ex); a zero
-    spread or a single node reduces exactly to the homogeneous spectrum.
-    Nodes are summed in fixed order for bit-reproducibility.
+    A zero spread or a single node reduces exactly to the homogeneous
+    spectrum at ``strain.mean_ex``.
     """
     if strain is None:
         strain = StrainDistribution(mean_ex=env.ex)
-    base_env = _with_ex(env, strain.mean_ex)
-    if strain.sigma_ex == 0.0 or strain.nodes == 1:
-        out = spectrum(base_env, drive, grid, gamma_b, gamma_d, contrast, branches)
-        out.metadata["sigma_ex"] = strain.sigma_ex
-        out.metadata["nodes"] = strain.nodes
-        return out
-    x, w = np.polynomial.hermite.hermgauss(strain.nodes)
-    w = w / np.sqrt(np.pi)
-    grid = np.asarray(grid, dtype=float)
-    acc = np.zeros_like(grid)
-    for xi, wi in zip(x, w):
-        ex_i = strain.mean_ex + np.sqrt(2.0) * strain.sigma_ex * xi
-        env_i = _with_ex(env, ex_i)
-        acc = acc + wi * spectrum(
-            env_i, drive, grid, gamma_b, gamma_d, contrast, branches
-        ).signal
-    meta = spectrum(base_env, drive, grid, gamma_b, gamma_d, contrast, branches).metadata
-    meta["sigma_ex"] = strain.sigma_ex
-    meta["nodes"] = strain.nodes
-    return Spectrum(grid, acc, np.zeros_like(grid), meta)
-
-
-def _with_ex(env: PhysicalEnvironment, ex: float) -> PhysicalEnvironment:
-    return PhysicalEnvironment(
-        d0=env.d0,
-        t0=env.t0,
-        dd_dt=env.dd_dt,
-        ex=ex,
-        ey=env.ey,
-        b_transverse=env.b_transverse,
-        b_parallel=env.b_parallel,
-        temperature=env.temperature,
+    mean_env = replace(env, ex=strain.mean_ex)
+    grid, signal, meta = _dressed_signal(
+        mean_env, drive, grid, gamma_b, gamma_d, contrast, branches
     )
+    sig = strain_average(signal, strain.mean_ex, strain.sigma_ex, strain.nodes)
+    meta.update(sigma_ex=strain.sigma_ex, nodes=strain.nodes)
+    return Spectrum(grid, sig, np.zeros_like(grid), meta)
+
+
+def _dressed_signal(
+    env, drive, grid, gamma_b, gamma_d, contrast, branches, dark_strain_sign=-1.0
+):
+    """Grid, signal as a function of E_x, and metadata of a dressed spectrum."""
+    if not env.is_transverse_mode:
+        raise ValueError("dressed-state model requires transverse mode")
+    grid = np.asarray(grid, dtype=float)
+    d = zero_field_splitting(env)
+
+    def signal(ex):
+        dep = dressed_depletion(
+            d,
+            ex,
+            drive.omega_rf,
+            grid,
+            drive.rabi_rf,
+            drive.rabi_mw,
+            gamma_b,
+            gamma_d,
+            branches,
+            dark_strain_sign,
+        )
+        return 1.0 - contrast * dep
+
+    meta = {
+        "model": "dressed",
+        "branches": branches,
+        "d": float(d),
+        "ex": env.ex,
+        "omega_rf": drive.omega_rf,
+        "rabi_rf": drive.rabi_rf,
+        "rabi_mw": drive.rabi_mw,
+        "gamma_b": gamma_b,
+        "gamma_d": gamma_d,
+        "contrast": contrast,
+    }
+    return grid, signal, meta
 
 
 def lorentzian_spectrum(
@@ -342,8 +348,6 @@ def conventional_spectrum(
 
     With b_parallel = 0 a single dip sits at D.
     """
-    from .spin import zero_field_splitting
-
     d = zero_field_splitting(env)
     if env.b_parallel != 0.0:
         centers = [d - env.b_parallel, d + env.b_parallel]

@@ -20,6 +20,7 @@ from .spin import (
     DriveConfig,
     PhysicalEnvironment,
     SpinMatrix,
+    branch_detunings,
     rotating_hamiltonian_from_params,
     zero_field_splitting,
 )
@@ -118,24 +119,20 @@ def oracle_spectrum(
     mirror) are solved independently and added, matching the closed-form
     spectrum's branch structure.
     """
-    if branches not in ("both", "upper"):
-        raise ValueError(f"branches must be 'both' or 'upper', got {branches!r}")
     if not env.is_transverse_mode:
         raise ValueError("oracle requires transverse mode")
     grid = np.asarray(grid, dtype=float)
     d = zero_field_splitting(env)
+    detunings = branch_detunings(
+        d, env.ex, drive.omega_rf, grid, branches, dark_strain_sign
+    )
     j = drive.rabi_rf / 2.0
     lam = drive.rabi_mw / 2.0
-    branch_params = [(env.ex, drive.omega_rf)]
-    if branches == "both":
-        branch_params.append((-env.ex, -drive.omega_rf))
     sig = np.empty_like(grid)
-    for i, nu in enumerate(grid):
+    for i in range(len(grid)):
         depletion = 0.0
-        for ex_i, omega_rf_i in branch_params:
-            omega_b = d + ex_i - nu
-            omega_d = d + dark_strain_sign * ex_i - nu + omega_rf_i
-            h = rotating_hamiltonian_from_params(omega_b, omega_d, j, lam)
+        for omega_b, omega_d in detunings:
+            h = rotating_hamiltonian_from_params(omega_b[i], omega_d[i], j, lam)
             rho = steady_state(LindbladModel(h, pump_rate, dephase_b, dephase_d))
             depletion += 1.0 - float(np.real(rho[0, 0]))
         sig[i] = 1.0 - contrast * depletion

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import fitting, lineshape
+from . import fitting, lineshape, oracle
 from .lineshape import Spectrum, StrainDistribution
 from .spin import DriveConfig, PhysicalEnvironment
 
@@ -71,13 +71,19 @@ class SensitivityReport:
         return json.dumps(
             {
                 "schema_version": 1,
-                "eta_slope_k_per_rthz": self.eta_slope,
-                "eta_linewidth_k_per_rthz": self.eta_linewidth,
+                "eta_slope_k_per_rthz": _nan_to_null(self.eta_slope),
+                "eta_linewidth_k_per_rthz": _nan_to_null(self.eta_linewidth),
                 "best_frequency_mhz": self.best_frequency,
                 "inputs": self.inputs,
             },
             indent=2,
+            allow_nan=False,
         )
+
+
+def _nan_to_null(value):
+    """NaN -> None, so JSON artifacts stay strict; other values pass through."""
+    return None if isinstance(value, float) and value != value else value
 
 
 def linewidth_sensitivity(
@@ -99,30 +105,6 @@ def linewidth_sensitivity(
         * fwhm
         / (contrast * np.sqrt(budget.photon_rate) * abs(dd_dt))
     )
-
-
-def _curve_fwhm_contrast(grid: np.ndarray, curve: np.ndarray):
-    """FWHM and depth of the deepest dip of a sampled curve, or (None, depth)."""
-    depth = 1.0 - curve
-    m = int(np.argmax(depth))
-    d_m = float(depth[m])
-    if d_m <= 0:
-        return None, 0.0
-    half = 1.0 - d_m / 2.0
-    left = right = None
-    for i in range(m, 0, -1):
-        if curve[i - 1] >= half:
-            f = (half - curve[i]) / (curve[i - 1] - curve[i])
-            left = grid[i] + f * (grid[i - 1] - grid[i])
-            break
-    for i in range(m, len(grid) - 1):
-        if curve[i + 1] >= half:
-            f = (half - curve[i]) / (curve[i + 1] - curve[i])
-            right = grid[i] + f * (grid[i + 1] - grid[i])
-            break
-    if left is None or right is None:
-        return None, d_m
-    return float(abs(right - left)), d_m
 
 
 def slope_sensitivity(
@@ -152,11 +134,12 @@ def slope_sensitivity(
     eta_slope = float(
         np.sqrt(curve[k] / budget.photon_rate) / (max_slope * abs(dd_dt))
     )
-    fwhm, depth = _curve_fwhm_contrast(grid, curve)
-    if fwhm is not None and depth > 0:
+    m = int(np.argmax(1.0 - curve))
+    depth = max(float(1.0 - curve[m]), 0.0)
+    fwhm = fitting.half_depth_width(curve_fn, grid, curve, m) if depth > 0 else None
+    eta_lw = float("nan")
+    if fwhm is not None:
         eta_lw = linewidth_sensitivity(fwhm, depth, budget, dd_dt)
-    else:
-        eta_lw = float("nan")
     return SensitivityReport(
         eta_slope=eta_slope,
         eta_linewidth=eta_lw,
@@ -274,9 +257,12 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        """Strict JSON: a NaN cell (a failed row) is written as null."""
+        rows = [{k: _nan_to_null(v) for k, v in row.items()} for row in self.rows]
         return json.dumps(
-            {"schema_version": 1, "columns": self.columns, "rows": self.rows},
+            {"schema_version": 1, "columns": self.columns, "rows": rows},
             indent=2,
+            allow_nan=False,
         )
 
 
@@ -318,12 +304,8 @@ def sweep(config: SweepConfig, budget: NoiseBudget) -> SweepTable:
 
 def _sweep_point(config: SweepConfig, budget: NoiseBudget, point: dict, index: int):
     env = config.environment
-    drive = DriveConfig(
-        omega_mw=config.drive.omega_mw,
-        rabi_mw=point.get("rabi_mw", config.drive.rabi_mw),
-        omega_rf=config.drive.omega_rf,
-        rabi_rf=point.get("rabi_rf", config.drive.rabi_rf),
-    )
+    amplitudes = {k: v for k, v in point.items() if k in ("rabi_mw", "rabi_rf")}
+    drive = replace(config.drive, **amplitudes)
     gamma_b, gamma_d = config.gamma_b, config.gamma_d
     contrast = config.contrast
     rate = budget.photon_rate
@@ -337,11 +319,9 @@ def _sweep_point(config: SweepConfig, budget: NoiseBudget, point: dict, index: i
         if config.generator == "lindblad":
             # Saturating three-level generator; damping-rate mapping
             # gamma = pump/2 + dephasing.
-            from . import oracle as oracle_mod
-
             g_lo = min(gamma_b, gamma_d)
             pump = 2.0 * g_lo
-            clean = oracle_mod.oracle_spectrum(
+            clean = oracle.oracle_spectrum(
                 env,
                 drive,
                 config.grid,
@@ -374,13 +354,7 @@ def _sweep_point(config: SweepConfig, budget: NoiseBudget, point: dict, index: i
     fwhm = float(np.mean(resolved)) if resolved else float("nan")
     depth = float(max(result.contrast_per_peak)) if result.contrast_per_peak else 0.0
 
-    point_budget = NoiseBudget(
-        photon_rate=rate,
-        contrast=contrast,
-        rate_per_mw=budget.rate_per_mw,
-        pump_per_mw=budget.pump_per_mw,
-        gamma_sat=budget.gamma_sat,
-    )
+    point_budget = replace(budget, photon_rate=rate, contrast=contrast)
     span = (float(config.grid[0]), float(config.grid[-1]))
     try:
         report = slope_sensitivity(

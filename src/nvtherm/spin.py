@@ -1,9 +1,7 @@
 """Ground-state spin physics of the NV center under microwave and RF drive.
 
 All energies and frequencies are linear MHz.  Drive amplitudes are stored
-directly as Rabi frequencies (gamma_e * B already applied); the constant
-``GAMMA_E_MHZ_PER_MT`` is provided for converting field amplitudes at the
-I/O boundary only.
+directly as Rabi frequencies (gamma_e * B already applied).
 """
 
 from __future__ import annotations
@@ -12,9 +10,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-# Electron gyromagnetic ratio, MHz per mT, for I/O conversion convenience.
-GAMMA_E_MHZ_PER_MT = 28.025
 
 # Default zero-field-splitting temperature slope, MHz/K.
 DEFAULT_DD_DT = -0.0742
@@ -152,22 +147,42 @@ def build_lab_hamiltonian(
     return SpinMatrix(h, BASIS_ZEEMAN)
 
 
+def branch_detunings(
+    d: float,
+    ex: float,
+    omega_rf: float,
+    omega_mw: float | np.ndarray,
+    branches: str = "both",
+    dark_strain_sign: float = -1.0,
+) -> list:
+    """Bright- and dark-mode detunings ``(omega_b, omega_d)`` of each branch.
+
+    The first pair is the upper dressed branch (the RF sideband itself);
+    ``branches="both"`` adds its mirror (ex -> -ex, omega_rf -> -omega_rf).
+    The dark level sits at D - E_x, so its detuning carries the opposite
+    strain sign from the bright one (``dark_strain_sign = -1``); the flag
+    exists so the oracle tests can discriminate against the +1 variant.
+    """
+    if branches not in ("both", "upper"):
+        raise ValueError(f"branches must be 'both' or 'upper', got {branches!r}")
+    pairs = ((ex, omega_rf), (-ex, -omega_rf)) if branches == "both" else ((ex, omega_rf),)
+    return [
+        (d + ex_i - omega_mw, d + dark_strain_sign * ex_i - omega_mw + omega_rf_i)
+        for ex_i, omega_rf_i in pairs
+    ]
+
+
 def drive_detunings(
     env: PhysicalEnvironment,
     drive: DriveConfig,
     omega_mw: float | np.ndarray,
     dark_strain_sign: float = -1.0,
 ):
-    """Bright- and dark-mode detunings for a given MW frequency.
-
-    The dark level sits at D - E_x, so its detuning carries the opposite
-    strain sign from the bright one (``dark_strain_sign = -1``); the flag
-    exists so the oracle tests can discriminate against the +1 variant.
-    """
+    """Bright- and dark-mode detunings of the upper branch for a MW frequency."""
     d = zero_field_splitting(env)
-    omega_b = d + env.ex - omega_mw
-    omega_d = d + dark_strain_sign * env.ex - omega_mw + drive.omega_rf
-    return omega_b, omega_d
+    return branch_detunings(
+        d, env.ex, drive.omega_rf, omega_mw, "upper", dark_strain_sign
+    )[0]
 
 
 def rotating_hamiltonian_from_params(
@@ -233,7 +248,10 @@ def residual_broadening(delta_ex: float, rabi_rf: float, exact: bool = True) -> 
     if delta_ex < 0 or rabi_rf < 0:
         raise ValueError("delta_ex and rabi_rf must be >= 0")
     if exact:
-        return 0.5 * (np.hypot(delta_ex, rabi_rf) - rabi_rf)
+        if delta_ex == 0.0:
+            return 0.0
+        # The same value, rationalised so delta_ex << rabi_rf does not cancel.
+        return 0.5 * delta_ex**2 / (np.hypot(delta_ex, rabi_rf) + rabi_rf)
     if rabi_rf == 0.0:
         raise ZeroDivisionError(
             "Taylor regime violated: rabi_rf must be > 0 for the expansion"

@@ -48,6 +48,22 @@ class TestValidation:
         assert "unknown key 'bogus'" in text
         assert len(diags) >= 4
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("sweep.dwell=0", "sweep.dwell must be > 0"),
+            ("grid.points=true", "grid.points must be an integer"),
+            ("strain.nodes=true", "strain.nodes must be an integer"),
+            ("rates.gamma_b=true", "rates.gamma_b must be a number"),
+            ("seed=false", "seed must be an integer"),
+        ],
+    )
+    def test_dwell_and_json_booleans_rejected(self, override, message, capsys):
+        # JSON true/false are Python bools, and bool is an int subclass.
+        preset = str(PRESET_DIR / "fig5_narrowing.json")
+        assert main(["validate", "--config", preset, "--set", override]) == 1
+        assert message in capsys.readouterr().out
+
     def test_missing_mode_is_reported(self):
         assert any("mode" in d for d in validate_config({}))
 

@@ -17,7 +17,9 @@ from nvtherm.fitting import (
 )
 from nvtherm.lineshape import (
     Spectrum,
+    StrainDistribution,
     conventional_spectrum,
+    ensemble_spectrum,
     lorentzian_spectrum,
     spectrum,
     synthesize_measurement,
@@ -166,6 +168,19 @@ class TestDressedDipModel:
         assert res.converged
         assert res.param("rabi_mw") == 0.8
         assert res.param("contrast") == pytest.approx(0.1, rel=1e-3)
+
+
+    def test_strain_model_equals_ensemble_generator(self):
+        # The fit model and the generator share one strain average, so the
+        # fig2 geometry with a 2 MHz spread agrees bit for bit.
+        env = PhysicalEnvironment(d0=2885.5, ex=8.0, b_transverse=80.0)
+        drive = DriveConfig(rabi_mw=0.5, omega_rf=16.0, rabi_rf=5.0)
+        grid = np.linspace(2866.0, 2905.0, 781)
+        strain = StrainDistribution(mean_ex=8.0, sigma_ex=2.0)
+        generated = ensemble_spectrum(env, drive, grid, 1.0, 0.1, 0.05, strain)
+        params = np.array([2885.5, 8.0, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0])
+        model = DressedDip(omega_rf=16.0, fit_sigma_ex=True)
+        assert np.array_equal(model.evaluate(params, grid), generated.signal)
 
 
 class TestPeakProperties:

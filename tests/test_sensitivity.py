@@ -1,5 +1,7 @@
 """Tests for sensitivity figures, temperature estimation, and sweeps."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,13 @@ from nvtherm.sensitivity import (
 from nvtherm.spin import DriveConfig, PhysicalEnvironment
 
 BUDGET = NoiseBudget(photon_rate=1e6)
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def _lorentz_curve(fwhm=7.92, contrast=0.05, center=2870.0):
@@ -93,6 +102,19 @@ class TestSlopeSensitivity:
     def test_flat_spectrum_rejected(self):
         with pytest.raises(ValueError, match="no spectral sensitivity"):
             slope_sensitivity(lambda g: np.ones_like(g), self.SPAN, BUDGET)
+
+    def test_linewidth_is_exact_half_depth_width(self):
+        # Root-finding on the curve, not interpolation between grid samples.
+        report = slope_sensitivity(_lorentz_curve(), self.SPAN, BUDGET, points=601)
+        assert report.inputs["fwhm_mhz"] == pytest.approx(7.92, rel=1e-9)
+
+    def test_unresolved_width_is_null_in_json(self):
+        # The dip sits on the span edge, so it has no left half-depth crossing.
+        report = slope_sensitivity(_lorentz_curve(center=2840.0), self.SPAN, BUDGET)
+        assert np.isnan(report.eta_linewidth)
+        doc = _strict_json(report.to_json())
+        assert doc["eta_linewidth_k_per_rthz"] is None
+        assert doc["inputs"]["fwhm_mhz"] is None
 
     def test_best_frequency_on_dip_flank(self):
         report = slope_sensitivity(_lorentz_curve(), self.SPAN, BUDGET)
@@ -229,6 +251,10 @@ class TestSweep:
         row = table.rows[0]
         assert row["status"].startswith("error:")
         assert np.isnan(row["fwhm_mhz"])
+        assert ",nan," in table.to_csv()
+        json_row = _strict_json(table.to_json())["rows"][0]
+        assert json_row["fwhm_mhz"] is None
+        assert json_row["status"] == row["status"]
 
     def test_laser_power_axis(self):
         config = SweepConfig(
