@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -166,8 +167,14 @@ def validate_config(doc: dict) -> list[str]:
 
 
 def _is_number(value, kind=(int, float)) -> bool:
-    """A JSON number of the given kind; JSON true/false are bools, not numbers."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """A finite JSON number of the given kind.
+
+    JSON true/false are bools, not numbers; ``json.loads`` turns the
+    non-standard NaN and Infinity into floats, which are not accepted either.
+    """
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 def _check_value(section: str, key: str, value) -> list[str]:
@@ -231,7 +238,7 @@ def _check_sweep(sweep_doc) -> list[str]:
         values = axis["values"]
         if not isinstance(values, list) or not values:
             diags.append(f"sweep.axes[{i}].values must be a nonempty list")
-        elif not all(_is_number(v) and np.isfinite(v) for v in values):
+        elif not all(_is_number(v) for v in values):
             diags.append(f"sweep.axes[{i}].values must be finite numbers")
     return diags
 
@@ -344,7 +351,8 @@ def _count_dips(spec: Spectrum) -> int:
     depth = 1.0 - fitting._smooth(spec.signal)
     if depth.max() <= 0:
         return 0
-    idx, _ = find_peaks(depth, prominence=0.2 * depth.max())
+    floor = fitting.noise_floor(spec.signal)  # the fit's dip floor, so noise is no dip
+    idx, _ = find_peaks(depth, prominence=max(0.2 * depth.max(), floor))
     return len(idx)
 
 
@@ -486,7 +494,7 @@ def run_oracle_check(doc: dict, args) -> str:
         "gamma_d": gamma_d,
     }
     out = _out_path(doc, args, "oracle_check.json")
-    _write(out, json.dumps(doc_out, indent=2))
+    _write(out, lineshape.strict_json(doc_out))
     return f"oracle-check ok: rel_rms={rms:.3e} rel_max={mx:.3e} out={out}"
 
 

@@ -9,14 +9,13 @@ parameters are fitted in log space so the internal problem is unconstrained.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.signal import find_peaks, peak_widths
 
-from .lineshape import Spectrum, dressed_depletion, strain_average
+from .lineshape import Spectrum, dressed_depletion, strain_average, strict_json
 
 MAX_ITERATIONS = 500
 COST_RTOL = 1e-10
@@ -172,7 +171,7 @@ class FitResult:
             "fwhm_reasons": self.fwhm_reasons,
             "contrast_per_peak": self.contrast_per_peak,
         }
-        return json.dumps(doc, indent=2)
+        return strict_json(doc)
 
 
 def _smooth(signal: np.ndarray) -> np.ndarray:
@@ -183,6 +182,16 @@ def _smooth(signal: np.ndarray) -> np.ndarray:
     pad = win // 2
     padded = np.concatenate([signal[:pad][::-1], signal, signal[-pad:][::-1]])
     return np.convolve(padded, kernel, mode="valid")
+
+
+def noise_floor(signal: np.ndarray) -> float:
+    """Smallest smoothed dip depth that stands out of the noise.
+
+    Five times the point-to-point noise, reduced by the averaging of the
+    ``_smooth`` window (about n/50 samples).
+    """
+    noise_est = float(np.std(np.diff(signal)) / np.sqrt(2.0))
+    return max(5.0 * noise_est / np.sqrt(max(len(signal) // 50, 1)), 1e-12)
 
 
 def _detect_dips(spec: Spectrum, n_required: int):
@@ -196,8 +205,7 @@ def _detect_dips(spec: Spectrum, n_required: int):
     smooth = _smooth(spec.signal)
     baseline = float(np.quantile(smooth, 0.75))
     depth = baseline - smooth
-    noise_est = float(np.std(np.diff(spec.signal)) / np.sqrt(2.0))
-    floor = max(5.0 * noise_est / np.sqrt(max(len(spec) // 50, 1)), 1e-12)
+    floor = noise_floor(spec.signal)
     if depth.max() <= floor:
         raise FitError(f"detected 0 dips, need {n_required} (spectrum looks flat)")
     idx, props = find_peaks(depth, prominence=0.2 * depth.max())

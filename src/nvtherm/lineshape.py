@@ -9,6 +9,7 @@ signal through a single optical contrast factor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -29,6 +30,21 @@ DEFAULT_QUADRATURE_NODES = 21
 
 CSV_HEADER = "frequency_mhz,signal,sigma"
 SCHEMA_VERSION = 1
+
+
+def strict_json(doc) -> str:
+    """Indented strict JSON: every non-finite float is written as null."""
+    return json.dumps(_finite_or_null(doc), indent=2, allow_nan=False)
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -97,22 +113,37 @@ class Spectrum:
 
     @classmethod
     def from_csv(cls, text: str, metadata: dict | None = None) -> "Spectrum":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != CSV_HEADER:
+        """Parse ``to_csv`` output; every row needs three finite numbers."""
+        numbered = enumerate(text.splitlines(), 1)
+        lines = [(n, ln.strip()) for n, ln in numbered if ln.strip()]
+        if not lines or lines[0][1] != CSV_HEADER:
             raise ValueError(f"expected CSV header {CSV_HEADER!r}")
-        rows = [tuple(float(x) for x in ln.split(",")) for ln in lines[1:]]
+        if len(lines) == 1:
+            raise ValueError(f"line {lines[0][0]}: header has no data rows below it")
+        rows = []
+        for n, ln in lines[1:]:
+            try:
+                row = tuple(float(x) for x in ln.split(","))
+            except ValueError:
+                raise ValueError(f"line {n}: not a number in {ln!r}") from None
+            if len(row) != 3:
+                raise ValueError(f"line {n}: expected 3 values, got {len(row)}")
+            if not all(math.isfinite(x) for x in row):
+                raise ValueError(f"line {n}: non-finite value in {ln!r}")
+            rows.append(row)
         freqs, sig, err = (np.array(col) for col in zip(*rows))
         return cls(freqs, sig, err, metadata or {})
 
     def to_json(self) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "metadata": self.metadata,
-            "frequency_mhz": self.frequencies.tolist(),
-            "signal": self.signal.tolist(),
-            "sigma": self.sigma.tolist(),
-        }
-        return json.dumps(doc, indent=2)
+        return strict_json(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "metadata": self.metadata,
+                "frequency_mhz": self.frequencies.tolist(),
+                "signal": self.signal.tolist(),
+                "sigma": self.sigma.tolist(),
+            }
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "Spectrum":

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .lineshape import Spectrum
 from .spin import (
@@ -25,7 +24,8 @@ from .spin import (
     zero_field_splitting,
 )
 
-ZERO_EIGENVALUE_TOL = 1e-10
+# Relative singular-value cutoff of the Liouvillian null space.
+NULL_SPACE_RCOND = 1e-12
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -50,8 +50,9 @@ class LindbladModel:
     def __post_init__(self):
         if self.hamiltonian.basis != BASIS_BRIGHT_DARK:
             raise ValueError("hamiltonian must be in the {|0>,|B>,|D>} basis")
-        if self.pump_rate < 0 or self.dephase_b < 0 or self.dephase_d < 0:
-            raise ValueError("all rates must be >= 0")
+        rates = (self.pump_rate, self.dephase_b, self.dephase_d)
+        if not all(0.0 <= r < np.inf for r in rates):
+            raise ValueError("all rates must be finite and >= 0")
         if self.pump_rate == 0 and self.dephase_b == 0 and self.dephase_d == 0:
             raise ValueError("at least one dissipative channel must be > 0")
 
@@ -70,36 +71,60 @@ class LindbladModel:
         return ops
 
 
-def build_liouvillian(model: LindbladModel) -> np.ndarray:
-    """9x9 generator L with d vec(rho)/dt = L vec(rho), row-major vec."""
-    h = model.hamiltonian.matrix
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the last two axes, broadcast over the leading ones.
+
+    Equal to ``np.kron`` element for element for 3x3 operands.
+    """
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (9, 9))
+
+
+def _liouvillians(hamiltonians: np.ndarray, model: LindbladModel) -> np.ndarray:
+    """(..., 9, 9) generators of a (..., 3, 3) Hamiltonian stack.
+
+    Every Hamiltonian shares the collapse operators of ``model``; row-major
+    vec, so d vec(rho)/dt = L vec(rho).
+    """
     eye = np.eye(3, dtype=complex)
-    liouv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    h_t = np.swapaxes(hamiltonians, -1, -2)
+    liouv = -1j * (_kron(hamiltonians, eye) - _kron(eye, h_t))
     for c in model.collapse_operators():
         cdc = c.conj().T @ c
-        liouv = liouv + np.kron(c, c.conj())
-        liouv = liouv - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+        liouv = liouv + _kron(c, c.conj())
+        liouv = liouv - 0.5 * (_kron(cdc, eye) + _kron(eye, cdc.T))
     return liouv
+
+
+def _steady_states(liouv: np.ndarray) -> np.ndarray:
+    """(..., 3, 3) unique steady states of a (..., 9, 9) generator stack.
+
+    The null vector is the last right-singular vector of one batched SVD.
+    Its multiplicity is the number of singular values at or below
+    ``NULL_SPACE_RCOND`` times the largest, a scale-free test.
+    """
+    _, s, vh = np.linalg.svd(liouv)
+    multiplicity = np.sum(s <= NULL_SPACE_RCOND * s[..., :1], axis=-1)
+    degenerate = multiplicity != 1
+    if np.any(degenerate):
+        raise DegenerateSteadyStateError(int(multiplicity[degenerate].flat[0]))
+    rho = vh[..., -1, :].conj().reshape(liouv.shape[:-2] + (3, 3))
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+    return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
+
+
+def build_liouvillian(model: LindbladModel) -> np.ndarray:
+    """9x9 generator L with d vec(rho)/dt = L vec(rho), row-major vec."""
+    return _liouvillians(model.hamiltonian.matrix, model)
 
 
 def steady_state(model: LindbladModel) -> np.ndarray:
     """Unique steady-state density matrix of the Lindblad generator.
 
-    Solved by null-space extraction of the 9x9 Liouvillian with trace
-    normalization; uniqueness is checked via the zero-eigenvalue count.
+    The trace-normalized null vector of the 9x9 Liouvillian; raises
+    ``DegenerateSteadyStateError`` when the null space is not one-dimensional.
     """
-    liouv = build_liouvillian(model)
-    eigvals = np.linalg.eigvals(liouv)
-    multiplicity = int(np.sum(np.abs(eigvals) < ZERO_EIGENVALUE_TOL))
-    if multiplicity != 1:
-        raise DegenerateSteadyStateError(multiplicity)
-    null = scipy.linalg.null_space(liouv, rcond=1e-12)
-    if null.shape[1] != 1:
-        raise DegenerateSteadyStateError(null.shape[1])
-    rho = null[:, 0].reshape(3, 3)
-    rho = rho / np.trace(rho)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho
+    return _steady_states(build_liouvillian(model))
 
 
 def oracle_spectrum(
@@ -126,16 +151,20 @@ def oracle_spectrum(
     detunings = branch_detunings(
         d, env.ex, drive.omega_rf, grid, branches, dark_strain_sign
     )
-    j = drive.rabi_rf / 2.0
-    lam = drive.rabi_mw / 2.0
-    sig = np.empty_like(grid)
-    for i in range(len(grid)):
-        depletion = 0.0
-        for omega_b, omega_d in detunings:
-            h = rotating_hamiltonian_from_params(omega_b[i], omega_d[i], j, lam)
-            rho = steady_state(LindbladModel(h, pump_rate, dephase_b, dephase_d))
-            depletion += 1.0 - float(np.real(rho[0, 0]))
-        sig[i] = 1.0 - contrast * depletion
+    # Validates the rates once and carries the shared J, lambda and
+    # collapse operators; each branch then sets the detuning diagonal.
+    h0 = rotating_hamiltonian_from_params(
+        0.0, 0.0, drive.rabi_rf / 2.0, drive.rabi_mw / 2.0
+    )
+    base = LindbladModel(h0, pump_rate, dephase_b, dephase_d)
+    depletion = np.zeros_like(grid)
+    for omega_b, omega_d in detunings:
+        h = np.repeat(base.hamiltonian.matrix[None], len(grid), axis=0)
+        h[:, 1, 1] = omega_b
+        h[:, 2, 2] = omega_d
+        rho = _steady_states(_liouvillians(h, base))
+        depletion = depletion + (1.0 - rho[:, 0, 0].real)
+    sig = 1.0 - contrast * depletion
     meta = {
         "model": "lindblad_oracle",
         "branches": branches,

@@ -10,7 +10,6 @@ per-point seeding.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,22 +67,15 @@ class SensitivityReport:
     inputs: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return lineshape.strict_json(
             {
                 "schema_version": 1,
-                "eta_slope_k_per_rthz": _nan_to_null(self.eta_slope),
-                "eta_linewidth_k_per_rthz": _nan_to_null(self.eta_linewidth),
+                "eta_slope_k_per_rthz": self.eta_slope,
+                "eta_linewidth_k_per_rthz": self.eta_linewidth,
                 "best_frequency_mhz": self.best_frequency,
                 "inputs": self.inputs,
-            },
-            indent=2,
-            allow_nan=False,
+            }
         )
-
-
-def _nan_to_null(value):
-    """NaN -> None, so JSON artifacts stay strict; other values pass through."""
-    return None if isinstance(value, float) and value != value else value
 
 
 def linewidth_sensitivity(
@@ -258,11 +250,8 @@ class SweepTable:
 
     def to_json(self) -> str:
         """Strict JSON: a NaN cell (a failed row) is written as null."""
-        rows = [{k: _nan_to_null(v) for k, v in row.items()} for row in self.rows]
-        return json.dumps(
-            {"schema_version": 1, "columns": self.columns, "rows": rows},
-            indent=2,
-            allow_nan=False,
+        return lineshape.strict_json(
+            {"schema_version": 1, "columns": self.columns, "rows": self.rows}
         )
 
 

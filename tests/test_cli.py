@@ -12,6 +12,13 @@ PRESET_DIR = Path(str(files("nvtherm") / "presets"))
 PRESETS = sorted(PRESET_DIR.glob("*.json"))
 
 
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def _write_config(tmp_path, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -63,6 +70,16 @@ class TestValidation:
         preset = str(PRESET_DIR / "fig5_narrowing.json")
         assert main(["validate", "--config", preset, "--set", override]) == 1
         assert message in capsys.readouterr().out
+
+    def test_json_nan_and_infinity_rejected(self, capsys):
+        # json.loads accepts the non-standard NaN and Infinity tokens.
+        preset = str(PRESET_DIR / "fig5_narrowing.json")
+        argv = ["validate", "--config", preset]
+        argv += ["--set", "budget.photon_rate=NaN", "--set", "rates.gamma_b=Infinity"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "budget.photon_rate must be a number" in out
+        assert "rates.gamma_b must be a number" in out
 
     def test_missing_mode_is_reported(self):
         assert any("mode" in d for d in validate_config({}))
@@ -124,6 +141,14 @@ class TestSimulate:
         text = capsys.readouterr().out
         assert text.startswith("simulate ok:")
         assert "dips=4" in text
+
+    def test_fig2_shot_noise_wiggle_is_not_a_dip(self, tmp_path, capsys):
+        # At the preset's photon rate, one smoothed noise wiggle is deeper
+        # than a fifth of the deepest dip but below the noise floor.
+        out = tmp_path / "spec.csv"
+        preset = str(PRESET_DIR / "fig2_dressed.json")
+        assert main(["simulate", "--config", preset, "--out", str(out)]) == 0
+        assert "dips=4" in capsys.readouterr().out
 
     def test_parallel_field_preset(self, tmp_path, capsys):
         out = tmp_path / "conv.csv"
@@ -203,6 +228,23 @@ class TestSweep:
             main(["validate", "--config", str(PRESET_DIR / "sensitivity_map.json")])
             == 0
         )
+
+
+    def test_sensitivity_map_preset_runs(self, tmp_path, capsys):
+        out = tmp_path / "map.csv"
+        preset = str(PRESET_DIR / "sensitivity_map.json")
+        assert main(["sweep", "--config", preset, "--out", str(out)]) == 0
+        assert "points=25 fitted=25" in capsys.readouterr().out
+        rows = _strict_loads(out.with_suffix(".json").read_text())["rows"]
+        assert len(rows) == 25
+        # The optimum drive is interior on both axes, as the preset states.
+        # Single rows are not pinned: the closed-form fit at rabi_rf=2,
+        # rabi_mw=3.2 has two local minima.
+        best = min(rows, key=lambda r: r["eta_slope_k_per_rthz"])
+        rf = sorted({r["rabi_rf"] for r in rows})
+        mw = sorted({r["rabi_mw"] for r in rows})
+        assert rf[0] < best["rabi_rf"] < rf[-1]
+        assert mw[0] < best["rabi_mw"] < mw[-1]
 
 
 class TestOracleCheck:

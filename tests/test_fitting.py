@@ -239,3 +239,11 @@ class TestFitResultSerialization:
         names = [p["name"] for p in doc["parameters"]]
         assert names == ["baseline", "center_1", "width_1", "depth_1"]
         assert all("sigma" in p for p in doc["parameters"])
+
+    def test_non_finite_values_written_as_null(self):
+        res = fit(_lorentz_clean(), MultiLorentzian(1))
+        res.covariance[1, 1] = np.inf
+        res.contrast_per_peak[0] = float("nan")
+        doc = json.loads(res.to_json(), parse_constant=pytest.fail)
+        assert doc["parameters"][1]["sigma"] is None
+        assert doc["contrast_per_peak"] == [None]

@@ -1,5 +1,7 @@
 """Tests for the closed-form lineshape, spectra, strain averaging, and noise."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,32 @@ class TestSpectrumContainer:
         with pytest.raises(ValueError, match="header"):
             Spectrum.from_csv("a,b,c\n1,2,3\n")
         assert CSV_HEADER == "frequency_mhz,signal,sigma"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("", "line 1: header has no data rows"),
+            ("\n\n", "line 1: header has no data rows"),
+            ("2870,nan,0.001\n", "line 2: non-finite"),
+            ("2870,1.0,0.001\n2871,1.0,inf\n", "line 3: non-finite"),
+            ("2870,1.0\n", "line 2: expected 3 values, got 2"),
+            ("2870,one,0.001\n", "line 2: not a number"),
+        ],
+    )
+    def test_csv_bad_body_names_line(self, body, message):
+        with pytest.raises(ValueError, match=message):
+            Spectrum.from_csv(CSV_HEADER + "\n" + body)
+
+    def test_json_writes_non_finite_as_null(self):
+        s = self._sample()
+        s.signal[3] = np.nan
+        s.sigma[4] = np.inf
+        text = s.to_json()
+        doc = json.loads(text, parse_constant=pytest.fail)
+        assert doc["signal"][3] is None
+        assert doc["sigma"][4] is None
+        assert doc["signal"][2] == s.signal[2]
+        assert np.isnan(Spectrum.from_json(text).signal[3])
 
     def test_validation(self):
         with pytest.raises(ValueError, match="ascending"):
