@@ -2,12 +2,15 @@
 
 Configs are strict JSON documents: unknown keys are rejected with a
 nearest-key suggestion, and ``validate`` reports every violation at once.
-Dotted-path ``--set`` overrides are applied before validation.
+Dotted-path ``--set`` overrides are applied before validation.  The CLI
+checks JSON shape and the sections no library type holds; every other value
+rule lives in the library types, which ``validate`` builds as the runners do.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import json
 import math
@@ -19,52 +22,32 @@ from scipy.signal import find_peaks
 
 from . import fitting, lineshape, oracle, sensitivity
 from .lineshape import Spectrum, StrainDistribution
-from .spin import DriveConfig, PhysicalEnvironment, dressed_resonances, zero_field_splitting
+from .spin import (
+    ConfigError,
+    DriveConfig,
+    PhysicalEnvironment,
+    dressed_resonances,
+    zero_field_splitting,
+)
 
 MODES = ("simulate", "fit", "sensitivity", "sweep", "oracle-check")
 
-# section -> {key: expected type}
+
+def _keys(cls) -> dict:
+    """Config keys of a library type: its fields, ``int`` where annotated so."""
+    return {f.name: int if f.type in (int, "int") else float for f in dataclasses.fields(cls)}
+
+
+# section -> {key: expected type}; the top level "" also holds each section
 _SCHEMA = {
-    "": {
-        "mode": str,
-        "description": str,
-        "seed": int,
-        "contrast": float,
-        "environment": dict,
-        "drive": dict,
-        "grid": dict,
-        "rates": dict,
-        "strain": dict,
-        "noise": dict,
-        "budget": dict,
-        "fit": dict,
-        "oracle": dict,
-        "sweep": dict,
-        "lorentzian": dict,
-        "output": dict,
-    },
-    "environment": {
-        "d0": float,
-        "t0": float,
-        "dd_dt": float,
-        "ex": float,
-        "ey": float,
-        "b_transverse": float,
-        "b_parallel": float,
-        "temperature": float,
-    },
-    "drive": {"omega_mw": float, "rabi_mw": float, "omega_rf": float, "rabi_rf": float},
+    "": {"mode": str, "description": str, "seed": int, "contrast": float},
+    "environment": _keys(PhysicalEnvironment),
+    "drive": _keys(DriveConfig),
     "grid": {"start_mhz": float, "stop_mhz": float, "points": int},
     "rates": {"gamma_b": float, "gamma_d": float},
-    "strain": {"mean_ex": float, "sigma_ex": float, "nodes": int},
+    "strain": _keys(StrainDistribution),
     "noise": {"photon_rate": float, "dwell": float},
-    "budget": {
-        "photon_rate": float,
-        "contrast": float,
-        "rate_per_mw": float,
-        "pump_per_mw": float,
-        "gamma_sat": float,
-    },
+    "budget": _keys(sensitivity.NoiseBudget),
     "fit": {
         "model": str,
         "peaks": int,
@@ -86,32 +69,25 @@ _SCHEMA = {
     "lorentzian": {"fwhm": float},
     "output": {"path": str},
 }
+_SCHEMA[""].update(dict.fromkeys([s for s in _SCHEMA if s], dict))
 
 _POSITIVE = {
-    ("rates", "gamma_b"),
-    ("rates", "gamma_d"),
-    ("noise", "photon_rate"),
-    ("noise", "dwell"),
-    ("sweep", "dwell"),
-    ("budget", "photon_rate"),
-    ("grid", "points"),
-    ("lorentzian", "fwhm"),
+    "rates.gamma_b",
+    "rates.gamma_d",
+    "noise.photon_rate",
+    "noise.dwell",
+    "grid.points",
+    "lorentzian.fwhm",
 }
 
-_NONNEGATIVE = {
-    ("drive", "rabi_mw"),
-    ("drive", "rabi_rf"),
-    ("drive", "omega_rf"),
-    ("strain", "sigma_ex"),
+_GRID = ["grid", "grid.start_mhz", "grid.stop_mhz", "grid.points"]
+_REQUIRED = {
+    "simulate": ["environment", *_GRID],
+    "fit": ["fit", "fit.input"],
+    "sensitivity": ["environment", "drive", *_GRID, "budget"],
+    "sweep": ["environment", "drive", *_GRID, "sweep", "sweep.axes", "budget"],
+    "oracle-check": ["environment", "drive", *_GRID, "oracle"],
 }
-
-
-class ConfigError(ValueError):
-    """Configuration failed strict validation."""
-
-    def __init__(self, diagnostics: list[str]):
-        self.diagnostics = diagnostics
-        super().__init__("; ".join(diagnostics))
 
 
 def _suggest(key: str, known) -> str:
@@ -121,49 +97,36 @@ def _suggest(key: str, known) -> str:
 
 def validate_config(doc: dict) -> list[str]:
     """Full strict validation; returns every diagnostic, not just the first."""
-    diags = []
     if not isinstance(doc, dict):
         return ["config root must be a JSON object"]
+    diags = []
+    bad = set()  # top-level keys whose shape failed
     top = _SCHEMA[""]
     for key, value in doc.items():
         if key not in top:
-            diags.append(f"unknown key {key!r}{_suggest(key, top)}")
-            continue
-        want = top[key]
-        if want is dict:
-            if not isinstance(value, dict):
-                diags.append(f"section {key!r} must be an object")
-                continue
-            section = _SCHEMA[key]
-            for sub, sval in value.items():
-                if sub not in section:
-                    diags.append(
-                        f"unknown key {key!r}.{sub!r}{_suggest(sub, section)}"
-                    )
-                elif section[sub] is float and not _is_number(sval):
-                    diags.append(f"{key}.{sub} must be a number")
-                elif section[sub] is int and not _is_number(sval, int):
-                    diags.append(f"{key}.{sub} must be an integer")
-                elif section[sub] in (str, bool, list) and not isinstance(
-                    sval, section[sub]
-                ):
-                    diags.append(f"{key}.{sub} must be {section[sub].__name__}")
-                else:
-                    diags.extend(_check_value(key, sub, sval))
-        elif want is float and not _is_number(value):
-            diags.append(f"{key} must be a number")
-        elif want is int and not _is_number(value, int):
-            diags.append(f"{key} must be an integer")
-        elif want is str and not isinstance(value, str):
-            diags.append(f"{key} must be a string")
+            found = [f"unknown key {key!r}{_suggest(key, top)}"]
+        elif top[key] is dict:
+            found = _check_section(key, value)
+        else:
+            found = _check_type(key, top[key], value)
+        if found:
+            diags += found
+            bad.add(key)
     mode = doc.get("mode")
     if mode is None:
         diags.append("missing required key 'mode'")
     elif mode not in MODES:
         diags.append(f"mode must be one of {', '.join(MODES)}; got {mode!r}")
-    diags.extend(_check_mode_requirements(doc))
-    diags.extend(_check_sweep(doc.get("sweep")))
-    return diags
+    else:
+        for path in _REQUIRED[mode]:
+            section, _, key = path.partition(".")
+            node = doc.get(section)
+            if (key and isinstance(node, dict) and key not in node) or (
+                not key and section not in doc
+            ):
+                diags.append(f"mode {mode!r} requires {'key' if key else 'section'} {path!r}")
+                bad.add(section)
+    return diags + _check_values(doc, bad)
 
 
 def _is_number(value, kind=(int, float)) -> bool:
@@ -177,69 +140,76 @@ def _is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, int) or math.isfinite(value)
 
 
-def _check_value(section: str, key: str, value) -> list[str]:
-    if (section, key) in _POSITIVE and isinstance(value, (int, float)) and value <= 0:
-        return [f"{section}.{key} must be > 0, got {value}"]
-    if (section, key) in _NONNEGATIVE and isinstance(value, (int, float)) and value < 0:
-        return [f"{section}.{key} must be >= 0, got {value}"]
-    if section == "strain" and key == "nodes" and isinstance(value, int):
-        if value < 1 or value % 2 == 0:
-            return [f"strain.nodes must be odd and >= 1, got {value}"]
-    if section == "fit" and key == "model" and value not in ("dressed", "lorentzian"):
-        return [f"fit.model must be 'dressed' or 'lorentzian', got {value!r}"]
+def _check_type(name: str, want: type, value) -> list[str]:
+    if want is float and not _is_number(value):
+        return [f"{name} must be a number"]
+    if want is int and not _is_number(value, int):
+        return [f"{name} must be an integer"]
+    if want in (str, bool, list) and not isinstance(value, want):
+        return [f"{name} must be {want.__name__}"]
     return []
 
 
-def _check_mode_requirements(doc: dict) -> list[str]:
-    mode = doc.get("mode")
-    required = {
-        "simulate": ["environment", "grid"],
-        "fit": ["fit"],
-        "sensitivity": ["environment", "drive", "grid", "budget"],
-        "sweep": ["environment", "drive", "grid", "sweep", "budget"],
-        "oracle-check": ["environment", "drive", "grid", "oracle"],
-    }.get(mode, [])
-    diags = [f"mode {mode!r} requires section {sec!r}" for sec in required if sec not in doc]
-    env = doc.get("environment", {})
-    if isinstance(env, dict):
-        bt = env.get("b_transverse", 0.0)
-        bp = env.get("b_parallel", 0.0)
-        if bt and bp:
-            diags.append(
-                "environment: exactly one of b_transverse, b_parallel may be nonzero"
-            )
-    grid = doc.get("grid", {})
-    if isinstance(grid, dict) and "start_mhz" in grid and "stop_mhz" in grid:
-        if not grid["start_mhz"] < grid["stop_mhz"]:
-            diags.append("grid.start_mhz must be < grid.stop_mhz")
+def _check_section(section: str, value) -> list[str]:
+    if not isinstance(value, dict):
+        return [f"section {section!r} must be an object"]
+    known = _SCHEMA[section]
+    diags = []
+    for key, v in value.items():
+        if key not in known:
+            diags.append(f"unknown key {section!r}.{key!r}{_suggest(key, known)}")
+        else:
+            name = f"{section}.{key}"
+            diags += _check_type(name, known[key], v) or _check_value(name, v)
+    lo, hi = value.get("start_mhz"), value.get("stop_mhz")
+    if section == "grid" and _is_number(lo) and _is_number(hi) and not lo < hi:
+        diags.append("grid.start_mhz must be < grid.stop_mhz")
     return diags
 
 
-def _check_sweep(sweep_doc) -> list[str]:
-    if not isinstance(sweep_doc, dict) or "axes" not in sweep_doc:
-        return []
-    diags = []
-    axes = sweep_doc["axes"]
-    if not isinstance(axes, list) or not axes:
-        return ["sweep.axes must be a nonempty list"]
-    if len(axes) > 2:
-        diags.append("sweep supports at most two axes")
-    for i, axis in enumerate(axes):
-        if not isinstance(axis, dict) or set(axis) != {"name", "values"}:
-            diags.append(f"sweep.axes[{i}] must have exactly 'name' and 'values'")
-            continue
-        name = axis["name"]
-        if name not in sensitivity.SWEEP_PARAMETER_WHITELIST:
-            diags.append(
-                f"sweep.axes[{i}].name {name!r} not allowed; choose from "
-                f"{', '.join(sensitivity.SWEEP_PARAMETER_WHITELIST)}"
-                f"{_suggest(name, sensitivity.SWEEP_PARAMETER_WHITELIST)}"
+def _check_value(name: str, value) -> list[str]:
+    """Sweep-axis shape, and the value rules of sections no library type holds."""
+    if name in _POSITIVE and value <= 0:
+        return [f"{name} must be > 0, got {value}"]
+    if name == "fit.model" and value not in ("dressed", "lorentzian"):
+        return [f"fit.model must be 'dressed' or 'lorentzian', got {value!r}"]
+    if name == "sweep.axes":
+        return [
+            f"sweep.axes[{i}] must be {{name, values}} with a list of finite numbers"
+            for i, axis in enumerate(value)
+            if not (
+                isinstance(axis, dict)
+                and set(axis) == {"name", "values"}
+                and isinstance(axis["values"], list)
+                and all(_is_number(v) for v in axis["values"])
             )
-        values = axis["values"]
-        if not isinstance(values, list) or not values:
-            diags.append(f"sweep.axes[{i}].values must be a nonempty list")
-        elif not all(_is_number(v) for v in values):
-            diags.append(f"sweep.axes[{i}].values must be finite numbers")
+        ]
+    return []
+
+
+def _check_values(doc: dict, bad: set) -> list[str]:
+    """One ``<section>.<problem>`` diagnostic per problem a library type finds.
+
+    Keys whose shape failed are left out, so the builds see their defaults,
+    and a type whose values fail is replaced by its defaults in the builds
+    that take it: every type's own checks run, and none reports twice.
+    """
+    doc = {k: v for k, v in doc.items() if k not in bad}
+    diags = []
+
+    def judge(section, build, *args):
+        try:
+            return build(doc, *args)
+        except ConfigError as exc:
+            diags.extend(f"{section}.{problem}" for problem in exc.diagnostics)
+            return None
+
+    env = judge("environment", _build_environment) or PhysicalEnvironment()
+    drive = judge("drive", _build_drive) or DriveConfig()
+    strain = judge("strain", _build_strain, env.ex) or StrainDistribution(env.ex)
+    judge("budget", _build_budget)
+    if doc.get("mode") == "sweep" and {"sweep", "grid"} <= doc.keys():
+        judge("sweep", _build_sweep, env, drive, strain, 0)
     return diags
 
 
@@ -288,6 +258,11 @@ def _build_drive(doc: dict) -> DriveConfig:
     return DriveConfig(**doc.get("drive", {}))
 
 
+def _build_strain(doc: dict, ex: float) -> StrainDistribution:
+    """The strain spread; its mean defaults to the environment's E_x."""
+    return StrainDistribution(**{"mean_ex": ex, **doc.get("strain", {})})
+
+
 def _build_grid(doc: dict) -> np.ndarray:
     g = doc["grid"]
     return np.linspace(g["start_mhz"], g["stop_mhz"], g["points"])
@@ -322,12 +297,7 @@ def run_simulate(doc: dict, args) -> str:
         spec = lineshape.conventional_spectrum(env, grid, fwhm, contrast)
     else:
         drive = _build_drive(doc)
-        strain_doc = doc.get("strain", {})
-        strain = StrainDistribution(
-            mean_ex=strain_doc.get("mean_ex", env.ex),
-            sigma_ex=strain_doc.get("sigma_ex", 0.0),
-            nodes=strain_doc.get("nodes", lineshape.DEFAULT_QUADRATURE_NODES),
-        )
+        strain = _build_strain(doc, env.ex)
         spec = lineshape.ensemble_spectrum(
             env, drive, grid, gamma_b, gamma_d, contrast, strain
         )
@@ -371,9 +341,7 @@ def _build_fit_model(doc: dict):
 
 
 def run_fit(doc: dict, args) -> str:
-    fd = doc.get("fit", {})
-    if "input" not in fd:
-        raise ConfigError(["fit.input (spectrum CSV path) is required"])
+    fd = doc["fit"]
     spec = Spectrum.from_csv(Path(fd["input"]).read_text())
     model = _build_fit_model(doc)
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
@@ -390,13 +358,9 @@ def run_fit(doc: dict, args) -> str:
 
 
 def _build_budget(doc: dict) -> sensitivity.NoiseBudget:
-    b = doc.get("budget", {})
+    contrast = doc.get("contrast", lineshape.DEFAULT_CONTRAST)
     return sensitivity.NoiseBudget(
-        photon_rate=b.get("photon_rate", 1e6),
-        contrast=b.get("contrast", doc.get("contrast", lineshape.DEFAULT_CONTRAST)),
-        rate_per_mw=b.get("rate_per_mw"),
-        pump_per_mw=b.get("pump_per_mw"),
-        gamma_sat=b.get("gamma_sat", 1.0),
+        **{"photon_rate": 1e6, "contrast": contrast, **doc.get("budget", {})}
     )
 
 
@@ -429,31 +393,27 @@ def run_sensitivity(doc: dict, args) -> str:
     )
 
 
-def run_sweep(doc: dict, args) -> str:
-    env = _build_environment(doc)
-    drive = _build_drive(doc)
-    grid = _build_grid(doc)
+def _build_sweep(doc: dict, env, drive, strain, seed: int) -> sensitivity.SweepConfig:
     sd = doc["sweep"]
-    gamma_b, gamma_d = _rates(doc)
-    strain_doc = doc.get("strain", {})
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    config = sensitivity.SweepConfig(
+    return sensitivity.SweepConfig(
         axes=tuple((a["name"], tuple(a["values"])) for a in sd["axes"]),
         environment=env,
         drive=drive,
-        grid=grid,
-        gamma_b=gamma_b,
-        gamma_d=gamma_d,
+        grid=_build_grid(doc),
         contrast=doc.get("contrast", lineshape.DEFAULT_CONTRAST),
-        sigma_ex=strain_doc.get("sigma_ex", 0.0),
-        quadrature_nodes=strain_doc.get("nodes", lineshape.DEFAULT_QUADRATURE_NODES),
-        dwell=sd.get("dwell", 1.0),
+        sigma_ex=strain.sigma_ex,
+        quadrature_nodes=strain.nodes,
         seed=seed,
-        fit_model=sd.get("fit_model", "dressed"),
-        lorentzian_peaks=sd.get("lorentzian_peaks", 2),
-        lorentzian_fwhm=sd.get("lorentzian_fwhm", 8.0),
-        generator=sd.get("generator", "closed_form"),
+        **doc.get("rates", {}),
+        **{k: v for k, v in sd.items() if k != "axes"},
     )
+
+
+def run_sweep(doc: dict, args) -> str:
+    env = _build_environment(doc)
+    strain = _build_strain(doc, env.ex)
+    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    config = _build_sweep(doc, env, _build_drive(doc), strain, seed)
     table = sensitivity.sweep(config, _build_budget(doc))
     out = _out_path(doc, args, "sweep.csv")
     _write(out, table.to_csv())

@@ -19,6 +19,7 @@ from .spin import (
     DriveConfig,
     PhysicalEnvironment,
     branch_detunings,
+    check_fields,
     drive_detunings,
     zero_field_splitting,
 )
@@ -59,11 +60,7 @@ class BosonicModelParams:
     gamma_d: float
 
     def __post_init__(self):
-        if self.gamma_b <= 0 or self.gamma_d <= 0:
-            raise ValueError(
-                "gamma_b and gamma_d must be > 0 "
-                f"(got {self.gamma_b}, {self.gamma_d})"
-            )
+        check_fields(self, positive=("gamma_b", "gamma_d"))
 
 
 @dataclass(frozen=True)
@@ -75,10 +72,10 @@ class StrainDistribution:
     nodes: int = DEFAULT_QUADRATURE_NODES
 
     def __post_init__(self):
-        if self.sigma_ex < 0:
-            raise ValueError("sigma_ex must be >= 0")
+        problems = []
         if self.nodes < 1 or self.nodes % 2 == 0:
-            raise ValueError(f"nodes must be odd and >= 1, got {self.nodes}")
+            problems.append(f"nodes must be odd and >= 1, got {self.nodes}")
+        check_fields(self, nonnegative=("sigma_ex",), problems=problems)
 
 
 @dataclass
@@ -398,8 +395,10 @@ def synthesize_measurement(clean: Spectrum, photon_rate: float, dwell: float, se
     relative shot noise of N = rate*dwell*signal detected counts.
     Deterministic under a fixed seed.
     """
-    if photon_rate <= 0 or dwell <= 0:
+    if not (photon_rate > 0 and dwell > 0):
         raise ValueError("photon_rate and dwell must be > 0")
+    if not np.all(clean.signal > 0):
+        raise ValueError(f"clean signal must be > 0 for shot noise, got {clean.signal.min()}")
     rng = np.random.default_rng(seed)
     sigma = clean.signal / np.sqrt(photon_rate * dwell * clean.signal)
     noisy = clean.signal + rng.normal(0.0, 1.0, size=len(clean)) * sigma

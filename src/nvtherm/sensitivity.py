@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fitting, lineshape, oracle
 from .lineshape import Spectrum, StrainDistribution
-from .spin import DriveConfig, PhysicalEnvironment
+from .spin import DriveConfig, PhysicalEnvironment, check_fields
 
 # Analytic max-slope constant of a Lorentzian dip.
 LORENTZIAN_SLOPE_CONSTANT = 4.0 / (3.0 * np.sqrt(3.0))
@@ -42,8 +42,7 @@ class NoiseBudget:
     gamma_sat: float = 1.0
 
     def __post_init__(self):
-        if self.photon_rate <= 0:
-            raise ValueError("photon_rate must be > 0")
+        check_fields(self, positive=("photon_rate",))
 
     def at_laser_power(self, power_mw: float):
         """(photon_rate, pump_rate, contrast) at a given laser power in mW."""
@@ -123,6 +122,8 @@ def slope_sensitivity(
     max_slope = float(np.abs(slope[k]))
     if max_slope * (hi - lo) < 1e-12:
         raise ValueError("no spectral sensitivity: spectrum is flat")
+    if not curve[k] > 0:
+        raise ValueError(f"signal at the steepest point must be > 0, got {curve[k]}")
     eta_slope = float(
         np.sqrt(curve[k] / budget.photon_rate) / (max_slope * abs(dd_dt))
     )
@@ -207,25 +208,30 @@ class SweepConfig:
     generator: str = "closed_form"
 
     def __post_init__(self):
-        if not self.axes or len(self.axes) > 2:
-            raise ValueError("sweep needs one or two axes")
-        for name, values in self.axes:
+        problems = []
+        if not 1 <= len(self.axes) <= 2:
+            problems.append(f"axes: a sweep has one or two axes, got {len(self.axes)}")
+        for i, (name, values) in enumerate(self.axes):
             if name not in SWEEP_PARAMETER_WHITELIST:
-                raise ValueError(
-                    f"parameter {name!r} not sweepable; allowed: "
-                    f"{', '.join(SWEEP_PARAMETER_WHITELIST)}"
+                problems.append(
+                    f"axes[{i}] name {name!r} not allowed (not sweepable); "
+                    f"choose from {', '.join(SWEEP_PARAMETER_WHITELIST)}"
                 )
             vals = np.asarray(values, dtype=float)
             if vals.size == 0:
-                raise ValueError(f"axis {name!r} has no values")
-            if not np.all(np.isfinite(vals)):
-                raise ValueError(f"axis {name!r} has non-finite values")
+                problems.append(f"axes[{i}] {name!r} has no values")
+            elif not np.all(np.isfinite(vals)):
+                problems.append(f"axes[{i}] {name!r} has non-finite values")
         if self.fit_model not in ("dressed", "lorentzian"):
-            raise ValueError(f"unknown fit_model {self.fit_model!r}")
+            problems.append(f"fit_model must be dressed or lorentzian, got {self.fit_model!r}")
         if self.generator not in ("closed_form", "lindblad"):
-            raise ValueError(f"unknown generator {self.generator!r}")
-        if self.generator == "lindblad" and self.sigma_ex != 0.0:
-            raise ValueError("lindblad generator does not support strain averaging")
+            problems.append(f"generator must be closed_form or lindblad, got {self.generator!r}")
+        elif self.generator == "lindblad" and self.sigma_ex != 0.0:
+            problems.append(
+                "generator 'lindblad' does not support strain averaging, "
+                f"got sigma_ex = {self.sigma_ex}"
+            )
+        check_fields(self, positive=("dwell",), problems=problems)
 
 
 @dataclass

@@ -6,8 +6,10 @@ directly as Rabi frequencies (gamma_e * B already applied).
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +28,35 @@ SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 class RegimeWarning(UserWarning):
     """Hierarchy of scales required for the dressed-state reduction is violated."""
+
+
+class ConfigError(ValueError):
+    """Invalid configuration; ``diagnostics`` holds one message per problem."""
+
+    def __init__(self, diagnostics: list[str]):
+        self.diagnostics = diagnostics
+        super().__init__("; ".join(diagnostics))
+
+
+def check_fields(obj, positive=(), nonnegative=(), problems=()) -> None:
+    """Raise one ``ConfigError`` naming every bad field of dataclass ``obj``.
+
+    Numeric fields must be finite, those in ``positive`` > 0 and those in
+    ``nonnegative`` >= 0; ``problems`` are the caller's own findings.  Each
+    message starts with its field name.
+    """
+    found = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            found.append(f"{f.name} must be finite, got {value}")
+        elif f.name in positive and value <= 0:
+            found.append(f"{f.name} must be > 0, got {value}")
+        elif f.name in nonnegative and value < 0:
+            found.append(f"{f.name} must be >= 0, got {value}")
+    found += problems
+    if found:
+        raise ConfigError(found)
 
 
 @dataclass(frozen=True)
@@ -48,13 +79,13 @@ class PhysicalEnvironment:
     temperature: float = 300.0
 
     def __post_init__(self):
-        if self.d0 <= 0:
-            raise ValueError(f"d0 must be positive, got {self.d0}")
+        problems = []
         if self.b_transverse != 0.0 and self.b_parallel != 0.0:
-            raise ValueError(
-                "exactly one of b_transverse, b_parallel may be nonzero "
-                f"(got {self.b_transverse} and {self.b_parallel})"
+            problems.append(
+                "b_parallel: exactly one of b_transverse, b_parallel may be "
+                f"nonzero, got {self.b_transverse} and {self.b_parallel}"
             )
+        check_fields(self, positive=("d0",), problems=problems)
 
     @property
     def is_transverse_mode(self) -> bool:
@@ -91,10 +122,7 @@ class DriveConfig:
     rabi_rf: float = 0.0
 
     def __post_init__(self):
-        if self.rabi_mw < 0 or self.rabi_rf < 0:
-            raise ValueError("Rabi amplitudes must be >= 0")
-        if self.omega_rf < 0:
-            raise ValueError("omega_rf must be >= 0")
+        check_fields(self, nonnegative=("rabi_mw", "omega_rf", "rabi_rf"))
 
 
 BASIS_ZEEMAN = "zeeman"  # {|+1>, |0>, |-1>}

@@ -81,6 +81,62 @@ class TestValidation:
         assert "budget.photon_rate must be a number" in out
         assert "rates.gamma_b must be a number" in out
 
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ("sweep.generator=bogus", "sweep.generator"),
+            ("sweep.fit_model=bogus", "sweep.fit_model"),
+            ("environment.d0=-1", "environment.d0"),
+            ("strain.sigma_ex=1.0", "sigma_ex"),
+        ],
+    )
+    def test_library_rules_judged_by_validate(self, override, field, capsys):
+        # Each of these builds no sweep; validate must not call it valid.
+        preset = str(PRESET_DIR / "sensitivity_map.json")
+        assert main(["validate", "--config", preset, "--set", override]) == 1
+        assert field in capsys.readouterr().out
+
+    def test_library_and_shape_problems_reported_in_one_pass(self, capsys):
+        preset = str(PRESET_DIR / "fig5_narrowing.json")
+        argv = ["validate", "--config", preset]
+        for override in (
+            "drive.rabi_mw=-1",
+            "drive.omega_rf=-2",
+            "sweep.dwell=0",
+            "environment.d0=-1",
+            "bogus=1",
+        ):
+            argv += ["--set", override]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        for message in (
+            "drive.rabi_mw must be >= 0",
+            "drive.omega_rf must be >= 0",
+            "sweep.dwell must be > 0",
+            "unknown key 'bogus'",
+        ):
+            assert message in out
+        assert out.count("d0 must be > 0") == 1
+
+    def test_fit_requires_input(self, tmp_path):
+        cfg = _write_config(tmp_path, {"mode": "fit", "fit": {"model": "dressed"}})
+        with pytest.raises(ConfigError, match="fit.input"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize(
+        "preset, override, message",
+        [
+            ("fig2_dressed", 'grid={"start_mhz": 2866, "stop_mhz": 2905}', "grid.points"),
+            ("fig5_narrowing", 'sweep={"dwell": 1.0}', "sweep.axes"),
+            ("fig2_dressed", 'grid.start_mhz="a"', "grid.start_mhz must be a number"),
+        ],
+    )
+    def test_incomplete_grid_and_sweep_rejected(self, preset, override, message, capsys):
+        # The runners index these keys; a config without them cannot run.
+        path = str(PRESET_DIR / f"{preset}.json")
+        assert main(["validate", "--config", path, "--set", override]) == 1
+        assert message in capsys.readouterr().out
+
     def test_missing_mode_is_reported(self):
         assert any("mode" in d for d in validate_config({}))
 

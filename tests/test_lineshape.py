@@ -278,6 +278,15 @@ class TestSynthesizeMeasurement:
         with pytest.raises(ValueError):
             synthesize_measurement(clean, 1e6, 0.0, seed=0)
 
+    def test_rejects_nonpositive_clean_signal(self):
+        # Linear response does not saturate: a strong drive and a large
+        # contrast push the clean signal below zero, where shot noise is NaN.
+        drive = DriveConfig(omega_mw=2870.0, rabi_mw=5.0, omega_rf=16.0, rabi_rf=5.0)
+        grid = np.linspace(2866.0, 2905.0, 781)
+        clean = spectrum(ENV, drive, grid, 1.0, 0.1, 0.9)
+        with pytest.raises(ValueError, match="clean signal must be > 0"):
+            synthesize_measurement(clean, 1e6, 1.0, seed=0)
+
 
 class TestSpectrumContainer:
     def _sample(self):

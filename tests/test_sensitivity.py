@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from nvtherm.fitting import DressedDip, MultiLorentzian, fit
-from nvtherm.lineshape import conventional_spectrum, lorentzian_spectrum, spectrum
+from nvtherm.lineshape import (
+    StrainDistribution,
+    conventional_spectrum,
+    lorentzian_spectrum,
+    spectrum,
+)
 from nvtherm.sensitivity import (
     LORENTZIAN_SLOPE_CONSTANT,
     NoiseBudget,
@@ -102,6 +107,12 @@ class TestSlopeSensitivity:
     def test_flat_spectrum_rejected(self):
         with pytest.raises(ValueError, match="no spectral sensitivity"):
             slope_sensitivity(lambda g: np.ones_like(g), self.SPAN, BUDGET)
+
+    def test_nonpositive_signal_at_steepest_point_rejected(self):
+        # A dip deeper than the baseline has no shot-noise figure.
+        curve = _lorentz_curve(contrast=1.5)
+        with pytest.raises(ValueError, match="steepest point must be > 0"):
+            slope_sensitivity(curve, self.SPAN, BUDGET)
 
     def test_linewidth_is_exact_half_depth_width(self):
         # Root-finding on the curve, not interpolation between grid samples.
@@ -200,6 +211,52 @@ class TestSweepConfig:
     def test_lindblad_generator_excludes_strain(self):
         with pytest.raises(ValueError, match="strain"):
             self._config(generator="lindblad", sigma_ex=0.3)
+
+
+_ENV = PhysicalEnvironment(ex=8.0, b_transverse=80.0)
+_GRID = np.linspace(2850.0, 2890.0, 41)
+
+
+class TestNonFiniteFields:
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (
+                lambda: spectrum(
+                    _ENV,
+                    DriveConfig(rabi_mw=float("nan"), omega_rf=16.0, rabi_rf=4.0),
+                    _GRID, 1.0, 0.1, 0.05,
+                ),
+                "rabi_mw",
+            ),
+            (lambda: PhysicalEnvironment(d0=float("inf")), "d0"),
+            (lambda: NoiseBudget(photon_rate=float("nan")), "photon_rate"),
+            (lambda: StrainDistribution(0.0, sigma_ex=float("nan")), "sigma_ex"),
+            (
+                lambda: SweepConfig(
+                    axes=(("rabi_rf", (3.0,)),),
+                    environment=_ENV,
+                    drive=DriveConfig(),
+                    grid=_GRID,
+                    dwell=float("nan"),
+                ),
+                "dwell",
+            ),
+        ],
+        ids=["spectrum", "environment", "budget", "strain", "sweep"],
+    )
+    def test_non_finite_field_rejected(self, build, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build()
+
+    def test_every_bad_field_named_in_one_error(self):
+        with pytest.raises(ValueError) as err:
+            DriveConfig(rabi_mw=-1.0, omega_rf=float("nan"), rabi_rf=-2.0)
+        assert err.value.diagnostics == [
+            "rabi_mw must be >= 0, got -1.0",
+            "omega_rf must be finite, got nan",
+            "rabi_rf must be >= 0, got -2.0",
+        ]
 
 
 class TestSweep:
