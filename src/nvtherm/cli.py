@@ -27,6 +27,7 @@ from .spin import (
     DriveConfig,
     PhysicalEnvironment,
     dressed_resonances,
+    rotating_hamiltonian_from_params,
     zero_field_splitting,
 )
 
@@ -208,6 +209,7 @@ def _check_values(doc: dict, bad: set) -> list[str]:
     drive = judge("drive", _build_drive) or DriveConfig()
     strain = judge("strain", _build_strain, env.ex) or StrainDistribution(env.ex)
     judge("budget", _build_budget)
+    judge("oracle", _build_oracle)
     if doc.get("mode") == "sweep" and {"sweep", "grid"} <= doc.keys():
         judge("sweep", _build_sweep, env, drive, strain, 0)
     return diags
@@ -263,6 +265,12 @@ def _build_strain(doc: dict, ex: float) -> StrainDistribution:
     return StrainDistribution(**{"mean_ex": ex, **doc.get("strain", {})})
 
 
+def _build_oracle(doc: dict) -> oracle.LindbladModel:
+    """The oracle's rates as the Lindblad model ``oracle_spectrum`` builds, undriven."""
+    h0 = rotating_hamiltonian_from_params(0.0, 0.0, 0.0, 0.0)
+    return oracle.LindbladModel(h0, **{"pump_rate": 2.0, **doc.get("oracle", {})})
+
+
 def _build_grid(doc: dict) -> np.ndarray:
     g = doc["grid"]
     return np.linspace(g["start_mhz"], g["stop_mhz"], g["points"])
@@ -293,7 +301,7 @@ def run_simulate(doc: dict, args) -> str:
     contrast = doc.get("contrast", lineshape.DEFAULT_CONTRAST)
     gamma_b, gamma_d = _rates(doc)
     if env.b_parallel != 0.0:
-        fwhm = doc.get("lorentzian", {}).get("fwhm", 8.0)
+        fwhm = doc.get("lorentzian", {}).get("fwhm", lineshape.DEFAULT_FWHM)
         spec = lineshape.conventional_spectrum(env, grid, fwhm, contrast)
     else:
         drive = _build_drive(doc)
@@ -368,19 +376,25 @@ def run_sensitivity(doc: dict, args) -> str:
     env = _build_environment(doc)
     grid = _build_grid(doc)
     budget = _build_budget(doc)
-    contrast = doc.get("contrast", lineshape.DEFAULT_CONTRAST)
+    contrast = budget.contrast
     gamma_b, gamma_d = _rates(doc)
     if env.b_parallel != 0.0:
-        fwhm = doc.get("lorentzian", {}).get("fwhm", 8.0)
+        fwhm = doc.get("lorentzian", {}).get("fwhm", lineshape.DEFAULT_FWHM)
+        meta = lineshape.conventional_spectrum(env, grid, fwhm, contrast).metadata
+        dips = meta["centers"], meta["widths"], meta["depths"]
 
         def curve_fn(g):
-            return lineshape.conventional_spectrum(env, g, fwhm, contrast).signal
+            return lineshape.lorentzian_dips(1.0, *dips, g)
 
     else:
         drive = _build_drive(doc)
+        d = zero_field_splitting(env)
 
         def curve_fn(g):
-            return lineshape.spectrum(env, drive, g, gamma_b, gamma_d, contrast).signal
+            return lineshape.dressed_signal(
+                d, env.ex, drive.omega_rf, g, drive.rabi_rf, drive.rabi_mw,
+                gamma_b, gamma_d, contrast,
+            )
 
     span = (float(grid[0]), float(grid[-1]))
     report = sensitivity.slope_sensitivity(curve_fn, span, budget, env.dd_dt)
@@ -400,9 +414,7 @@ def _build_sweep(doc: dict, env, drive, strain, seed: int) -> sensitivity.SweepC
         environment=env,
         drive=drive,
         grid=_build_grid(doc),
-        contrast=doc.get("contrast", lineshape.DEFAULT_CONTRAST),
-        sigma_ex=strain.sigma_ex,
-        quadrature_nodes=strain.nodes,
+        strain=strain,
         seed=seed,
         **doc.get("rates", {}),
         **{k: v for k, v in sd.items() if k != "axes"},
@@ -427,10 +439,8 @@ def run_oracle_check(doc: dict, args) -> str:
     drive = _build_drive(doc)
     grid = _build_grid(doc)
     contrast = doc.get("contrast", lineshape.DEFAULT_CONTRAST)
-    od = doc["oracle"]
-    pump = od.get("pump_rate", 2.0)
-    deph_b = od.get("dephase_b", 0.0)
-    deph_d = od.get("dephase_d", 0.0)
+    rates = _build_oracle(doc)
+    pump, deph_b, deph_d = rates.pump_rate, rates.dephase_b, rates.dephase_d
     gamma_b = pump / 2.0 + deph_b
     gamma_d = pump / 2.0 + deph_d
     closed = lineshape.spectrum(env, drive, grid, gamma_b, gamma_d, contrast)

@@ -15,7 +15,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.signal import find_peaks, peak_widths
 
-from .lineshape import Spectrum, dressed_depletion, strain_average, strict_json
+from . import lineshape
+from .lineshape import Spectrum, strict_json
+from .lineshape import dressed_depletion  # noqa: F401  (benchmarks/tracing.py wraps it here)
 
 MAX_ITERATIONS = 500
 COST_RTOL = 1e-10
@@ -57,12 +59,9 @@ class MultiLorentzian:
         return [1 + 3 * k for k in range(self.n_peaks)]
 
     def evaluate(self, params: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        sig = np.full_like(grid, params[0], dtype=float)
-        for k in range(self.n_peaks):
-            c, w, a = params[1 + 3 * k : 4 + 3 * k]
-            half = w / 2.0
-            sig = sig - a * half**2 / ((grid - c) ** 2 + half**2)
-        return sig
+        return lineshape.lorentzian_dips(
+            params[0], params[1::3], params[2::3], params[3::3], grid
+        )
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,9 @@ class DressedDip:
     """Dressed-state dip model built on the two-mode response.
 
     Parameter layout: [d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast]
-    plus a trailing sigma_ex when ``fit_sigma_ex`` is set.  The RF frequency
-    is a fixed attribute of the model, not a fitted parameter.
+    plus a trailing sigma_ex when ``fit_sigma_ex`` is set (averaged on the
+    default quadrature nodes).  The RF frequency is a fixed attribute of the
+    model, not a fitted parameter.
 
     The signal is exactly proportional to contrast * rabi_mw**2, so the two
     cannot be fitted jointly; by default the contrast is frozen at
@@ -81,8 +81,7 @@ class DressedDip:
 
     omega_rf: float
     fit_sigma_ex: bool = False
-    quadrature_nodes: int = 21
-    fixed_contrast: float | None = 0.05
+    fixed_contrast: float | None = lineshape.DEFAULT_CONTRAST
     fixed_rabi_mw: float | None = None
 
     def __post_init__(self):
@@ -118,14 +117,10 @@ class DressedDip:
     def evaluate(self, params: np.ndarray, grid: np.ndarray) -> np.ndarray:
         d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast = params[:7]
         sigma_ex = params[7] if self.fit_sigma_ex else 0.0
-
-        def signal(ex_i):
-            dep = dressed_depletion(
-                d, ex_i, self.omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d
-            )
-            return 1.0 - contrast * dep
-
-        return strain_average(signal, ex, sigma_ex, self.quadrature_nodes)
+        return lineshape.dressed_signal(
+            d, ex, self.omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d,
+            contrast, sigma_ex,
+        )
 
 
 @dataclass
@@ -197,8 +192,8 @@ def noise_floor(signal: np.ndarray) -> float:
 def _detect_dips(spec: Spectrum, n_required: int):
     """Local-minima detection on the smoothed signal.
 
-    Returns (baseline, centers, widths, depths) for the ``n_required`` most
-    prominent dips, sorted by center frequency.
+    Returns the baseline and one (center, width, depth) row per dip, most
+    prominent first; fewer than ``n_required`` dips is an error.
     """
     if len(spec) < 10:
         raise FitError(f"need at least 10 points, got {len(spec)}")
@@ -211,32 +206,28 @@ def _detect_dips(spec: Spectrum, n_required: int):
     idx, props = find_peaks(depth, prominence=0.2 * depth.max())
     if len(idx) < n_required:
         raise FitError(f"detected {len(idx)} dips, need {n_required}")
-    order = np.argsort(props["prominences"])[::-1][:n_required]
-    idx = np.sort(idx[order])
+    idx = idx[np.argsort(props["prominences"])[::-1]]
     w_samples = peak_widths(depth, idx, rel_height=0.5)[0]
     dnu = float(np.mean(np.diff(spec.frequencies)))
-    centers = spec.frequencies[idx]
     widths = np.maximum(w_samples * dnu, dnu)
-    depths = depth[idx]
-    return baseline, centers, widths, depths
+    return baseline, np.column_stack([spec.frequencies[idx], widths, depth[idx]])
+
+
+def _strongest(dips: np.ndarray, n: int) -> np.ndarray:
+    """The ``n`` most prominent of ``_detect_dips``' rows, sorted by center."""
+    return dips[:n][np.argsort(dips[:n, 0])]
 
 
 def initial_guess(spec: Spectrum, model) -> np.ndarray:
     """Heuristic starting vector for a fit of ``model`` to ``spec``."""
     if isinstance(model, MultiLorentzian):
-        baseline, centers, widths, depths = _detect_dips(spec, model.n_peaks)
-        params = [baseline]
-        for c, w, a in zip(centers, widths, depths):
-            params += [float(c), float(w), float(a)]
-        return np.array(params)
+        baseline, dips = _detect_dips(spec, model.n_peaks)
+        return np.concatenate([[baseline], _strongest(dips, model.n_peaks).ravel()])
     if isinstance(model, DressedDip):
-        baseline, centers, widths, depths = _detect_dips(spec, 1)
-        for n in (4, 2):
-            try:
-                _, centers, widths, depths = _detect_dips(spec, n)
-            except FitError:
-                continue
-            break
+        # All four dressed dips if resolved, else the strongest pair, else one.
+        _, dips = _detect_dips(spec, 1)
+        n = next(k for k in (4, 2, 1) if len(dips) >= k)
+        centers, widths, depths = _strongest(dips, n).T
         dnu = float(np.mean(np.diff(spec.frequencies)))
         d = float(np.mean(centers))
         ex = max(model.omega_rf / 2.0, dnu)
@@ -326,7 +317,7 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
     iterations = 0
 
     for iterations in range(1, MAX_ITERATIONS + 1):
-        jac = _numeric_jacobian(residuals, x)
+        jac = _numeric_jacobian(residuals, x, len(data))
         jtj = jac.T @ jac
         jtr = jac.T @ r
         diag = np.diag(jtj).copy()
@@ -382,9 +373,8 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
     )
 
 
-def _numeric_jacobian(residuals, x):
-    r0 = residuals(x)
-    jac = np.empty((len(r0), len(x)))
+def _numeric_jacobian(residuals, x, n_rows: int):
+    jac = np.empty((n_rows, len(x)))
     for i in range(len(x)):
         h = JACOBIAN_REL_STEP * max(abs(x[i]), 1.0)
         xp = x.copy()
@@ -403,7 +393,7 @@ def _covariance(model, params, free, grid, w, weighted, cost, n_points):
         p[free] = p_free
         return w * model.evaluate(p, grid)
 
-    jac = _numeric_jacobian(residuals_ext, params[free])
+    jac = _numeric_jacobian(residuals_ext, params[free], n_points)
     jtj = jac.T @ jac
     cov_free = np.linalg.pinv(jtj)
     n_free = int(np.sum(free))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +28,7 @@ DEFAULT_CONTRAST = 0.05
 DEFAULT_GAMMA_B = 1.0
 DEFAULT_GAMMA_D = 0.1
 DEFAULT_QUADRATURE_NODES = 21
+DEFAULT_FWHM = 8.0  # MHz, the conventional generator's Lorentzian width
 
 CSV_HEADER = "frequency_mhz,signal,sigma"
 SCHEMA_VERSION = 1
@@ -159,12 +160,11 @@ def map_drive_to_model(
     omega_mw: float,
     gamma_b: float = DEFAULT_GAMMA_B,
     gamma_d: float = DEFAULT_GAMMA_D,
-    dark_strain_sign: float = -1.0,
 ) -> BosonicModelParams:
     """Map physical drive settings to the two-mode response parameters."""
     if not env.is_transverse_mode:
         raise ValueError("dressed-state model requires transverse mode")
-    omega_b, omega_d = drive_detunings(env, drive, omega_mw, dark_strain_sign)
+    omega_b, omega_d = drive_detunings(env, drive, omega_mw)
     return BosonicModelParams(
         omega_b=omega_b,
         omega_d=omega_d,
@@ -209,7 +209,6 @@ def dressed_depletion(
     gamma_b: float,
     gamma_d: float,
     branches: str = "both",
-    dark_strain_sign: float = -1.0,
 ) -> np.ndarray:
     """Total |0>-depletion 1 - p0 over the MW grid.
 
@@ -220,7 +219,7 @@ def dressed_depletion(
     """
     j = rabi_rf / 2.0
     lam = rabi_mw / 2.0
-    upper, *mirror = branch_detunings(d, ex, omega_rf, grid, branches, dark_strain_sign)
+    upper, *mirror = branch_detunings(d, ex, omega_rf, grid, branches)
     dep = 1.0 - _p0_arrays(*upper, j, lam, gamma_b, gamma_d)
     for omega_b, omega_d in mirror:
         dep = dep + (1.0 - _p0_arrays(omega_b, omega_d, j, lam, gamma_b, gamma_d))
@@ -249,6 +248,26 @@ def strain_average(fn, mean_ex: float, sigma_ex: float, nodes: int):
     return acc
 
 
+def dressed_signal(
+    d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast,
+    sigma_ex=0.0, nodes: int = DEFAULT_QUADRATURE_NODES, branches: str = "both",
+) -> np.ndarray:
+    """Normalized PL signal 1 - contrast * (1 - p0) of the dressed branches.
+
+    The depletion (``dressed_depletion``) is averaged over E_x ~ Normal(ex,
+    sigma_ex) by ``strain_average``.  The one dressed signal: the generators,
+    the ``DressedDip`` fit model and the CLI's sensitivity curve all call it.
+    """
+
+    def signal(ex_i):
+        dep = dressed_depletion(
+            d, ex_i, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, branches
+        )
+        return 1.0 - contrast * dep
+
+    return strain_average(signal, ex, sigma_ex, nodes)
+
+
 def spectrum(
     env: PhysicalEnvironment,
     drive: DriveConfig,
@@ -257,17 +276,13 @@ def spectrum(
     gamma_d: float = DEFAULT_GAMMA_D,
     contrast: float = DEFAULT_CONTRAST,
     branches: str = "both",
-    dark_strain_sign: float = -1.0,
 ) -> Spectrum:
     """CW-ODMR spectrum over an ascending MW-frequency grid.
 
     signal(nu) = 1 - contrast * (1 - p0(nu)), summed over the dressed
-    branches (see ``dressed_depletion``).
+    branches (see ``dressed_signal``): the ensemble spectrum of no spread.
     """
-    grid, signal, meta = _dressed_signal(
-        env, drive, grid, gamma_b, gamma_d, contrast, branches, dark_strain_sign
-    )
-    return Spectrum(grid, signal(env.ex), np.zeros_like(grid), meta)
+    return ensemble_spectrum(env, drive, grid, gamma_b, gamma_d, contrast, None, branches)
 
 
 def ensemble_spectrum(
@@ -283,56 +298,46 @@ def ensemble_spectrum(
     """Spectrum averaged over a Gaussian strain ensemble (``strain_average``).
 
     A zero spread or a single node reduces exactly to the homogeneous
-    spectrum at ``strain.mean_ex``.
+    spectrum at ``strain.mean_ex``; no ``strain`` means no spread at env.ex.
     """
     if strain is None:
         strain = StrainDistribution(mean_ex=env.ex)
-    mean_env = replace(env, ex=strain.mean_ex)
-    grid, signal, meta = _dressed_signal(
-        mean_env, drive, grid, gamma_b, gamma_d, contrast, branches
-    )
-    sig = strain_average(signal, strain.mean_ex, strain.sigma_ex, strain.nodes)
-    meta.update(sigma_ex=strain.sigma_ex, nodes=strain.nodes)
-    return Spectrum(grid, sig, np.zeros_like(grid), meta)
-
-
-def _dressed_signal(
-    env, drive, grid, gamma_b, gamma_d, contrast, branches, dark_strain_sign=-1.0
-):
-    """Grid, signal as a function of E_x, and metadata of a dressed spectrum."""
     if not env.is_transverse_mode:
         raise ValueError("dressed-state model requires transverse mode")
     grid = np.asarray(grid, dtype=float)
     d = zero_field_splitting(env)
-
-    def signal(ex):
-        dep = dressed_depletion(
-            d,
-            ex,
-            drive.omega_rf,
-            grid,
-            drive.rabi_rf,
-            drive.rabi_mw,
-            gamma_b,
-            gamma_d,
-            branches,
-            dark_strain_sign,
-        )
-        return 1.0 - contrast * dep
-
+    sig = dressed_signal(
+        d, strain.mean_ex, drive.omega_rf, grid, drive.rabi_rf, drive.rabi_mw,
+        gamma_b, gamma_d, contrast, strain.sigma_ex, strain.nodes, branches,
+    )
     meta = {
         "model": "dressed",
         "branches": branches,
         "d": float(d),
-        "ex": env.ex,
+        "ex": strain.mean_ex,
         "omega_rf": drive.omega_rf,
         "rabi_rf": drive.rabi_rf,
         "rabi_mw": drive.rabi_mw,
         "gamma_b": gamma_b,
         "gamma_d": gamma_d,
         "contrast": contrast,
+        "sigma_ex": strain.sigma_ex,
+        "nodes": strain.nodes,
     }
-    return grid, signal, meta
+    return Spectrum(grid, sig, np.zeros_like(grid), meta)
+
+
+def lorentzian_dips(baseline, centers, widths, depths, grid) -> np.ndarray:
+    """baseline - sum_k depth_k * (w_k/2)^2 / ((nu - c_k)^2 + (w_k/2)^2).
+
+    The one Lorentzian signal: the conventional generators and the
+    ``MultiLorentzian`` fit model both call it.
+    """
+    sig = np.full_like(grid, baseline, dtype=float)
+    for c, w, a in zip(centers, widths, depths):
+        half = w / 2.0
+        sig = sig - a * half**2 / ((grid - c) ** 2 + half**2)
+    return sig
 
 
 def lorentzian_spectrum(
@@ -341,10 +346,7 @@ def lorentzian_spectrum(
     depths,
     grid: np.ndarray,
 ) -> Spectrum:
-    """Multi-Lorentzian dip spectrum: the conventional parallel-field model.
-
-    signal(nu) = 1 - sum_k depth_k * (w_k/2)^2 / ((nu - c_k)^2 + (w_k/2)^2)
-    """
+    """Multi-Lorentzian dip spectrum on a unit baseline (``lorentzian_dips``)."""
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
     widths = np.atleast_1d(np.asarray(widths, dtype=float))
     depths = np.atleast_1d(np.asarray(depths, dtype=float))
@@ -353,10 +355,7 @@ def lorentzian_spectrum(
     if np.any(widths <= 0):
         raise ValueError("widths must be > 0")
     grid = np.asarray(grid, dtype=float)
-    sig = np.ones_like(grid)
-    for c, w, a in zip(centers, widths, depths):
-        half = w / 2.0
-        sig = sig - a * half**2 / ((grid - c) ** 2 + half**2)
+    sig = lorentzian_dips(1.0, centers, widths, depths, grid)
     meta = {
         "model": "lorentzian",
         "centers": centers.tolist(),

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lineshape import Spectrum
+from .lineshape import DEFAULT_CONTRAST, Spectrum
 from .spin import (
     BASIS_BRIGHT_DARK,
+    ConfigError,
     DriveConfig,
     PhysicalEnvironment,
     SpinMatrix,
@@ -50,11 +51,16 @@ class LindbladModel:
     def __post_init__(self):
         if self.hamiltonian.basis != BASIS_BRIGHT_DARK:
             raise ValueError("hamiltonian must be in the {|0>,|B>,|D>} basis")
-        rates = (self.pump_rate, self.dephase_b, self.dephase_d)
-        if not all(0.0 <= r < np.inf for r in rates):
-            raise ValueError("all rates must be finite and >= 0")
-        if self.pump_rate == 0 and self.dephase_b == 0 and self.dephase_d == 0:
-            raise ValueError("at least one dissipative channel must be > 0")
+        rates = {n: getattr(self, n) for n in ("pump_rate", "dephase_b", "dephase_d")}
+        problems = [
+            f"{n}: all rates must be finite and >= 0, got {r}"
+            for n, r in rates.items()
+            if not 0.0 <= r < np.inf
+        ]
+        if not any(rates.values()):
+            problems.append("pump_rate: at least one dissipative channel must be > 0")
+        if problems:
+            raise ConfigError(problems)
 
     def collapse_operators(self) -> list[np.ndarray]:
         ops = []
@@ -134,7 +140,7 @@ def oracle_spectrum(
     pump_rate: float,
     dephase_b: float = 0.0,
     dephase_d: float = 0.0,
-    contrast: float = 0.05,
+    contrast: float = DEFAULT_CONTRAST,
     branches: str = "both",
     dark_strain_sign: float = -1.0,
 ) -> Spectrum:

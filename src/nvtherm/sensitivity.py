@@ -15,13 +15,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fitting, lineshape, oracle
-from .lineshape import Spectrum, StrainDistribution
-from .spin import DriveConfig, PhysicalEnvironment, check_fields
+from .lineshape import StrainDistribution
+from .spin import DEFAULT_DD_DT, DriveConfig, PhysicalEnvironment, check_fields
 
 # Analytic max-slope constant of a Lorentzian dip.
 LORENTZIAN_SLOPE_CONSTANT = 4.0 / (3.0 * np.sqrt(3.0))
-
-DEFAULT_ABS_DD_DT = 0.0742  # MHz/K
 
 SWEEP_PARAMETER_WHITELIST = ("rabi_rf", "rabi_mw", "laser_power_mw")
 
@@ -36,7 +34,7 @@ class NoiseBudget:
     """
 
     photon_rate: float
-    contrast: float = 0.05
+    contrast: float = lineshape.DEFAULT_CONTRAST
     rate_per_mw: float | None = None
     pump_per_mw: float | None = None
     gamma_sat: float = 1.0
@@ -81,7 +79,7 @@ def linewidth_sensitivity(
     fwhm: float,
     contrast: float,
     budget: NoiseBudget,
-    dd_dt: float = -DEFAULT_ABS_DD_DT,
+    dd_dt: float = DEFAULT_DD_DT,
 ) -> float:
     """Conventional CW-ODMR figure of merit for a Lorentzian line.
 
@@ -102,7 +100,7 @@ def slope_sensitivity(
     curve_fn,
     span: tuple[float, float],
     budget: NoiseBudget,
-    dd_dt: float = -DEFAULT_ABS_DD_DT,
+    dd_dt: float = DEFAULT_DD_DT,
     points: int = 20001,
 ) -> SensitivityReport:
     """Max-slope temperature sensitivity of a model spectrum.
@@ -195,16 +193,14 @@ class SweepConfig:
     environment: PhysicalEnvironment
     drive: DriveConfig
     grid: np.ndarray
-    gamma_b: float = 1.0
-    gamma_d: float = 0.1
-    contrast: float = 0.05
-    sigma_ex: float = 0.0
-    quadrature_nodes: int = 21
+    strain: StrainDistribution
+    gamma_b: float = lineshape.DEFAULT_GAMMA_B
+    gamma_d: float = lineshape.DEFAULT_GAMMA_D
     dwell: float = 1.0
     seed: int = 0
     fit_model: str = "dressed"
     lorentzian_peaks: int = 2
-    lorentzian_fwhm: float = 8.0
+    lorentzian_fwhm: float = lineshape.DEFAULT_FWHM
     generator: str = "closed_form"
 
     def __post_init__(self):
@@ -226,10 +222,10 @@ class SweepConfig:
             problems.append(f"fit_model must be dressed or lorentzian, got {self.fit_model!r}")
         if self.generator not in ("closed_form", "lindblad"):
             problems.append(f"generator must be closed_form or lindblad, got {self.generator!r}")
-        elif self.generator == "lindblad" and self.sigma_ex != 0.0:
+        elif self.generator == "lindblad" and self.strain.sigma_ex != 0.0:
             problems.append(
                 "generator 'lindblad' does not support strain averaging, "
-                f"got sigma_ex = {self.sigma_ex}"
+                f"got sigma_ex = {self.strain.sigma_ex}"
             )
         check_fields(self, positive=("dwell",), problems=problems)
 
@@ -264,9 +260,9 @@ class SweepTable:
 def sweep(config: SweepConfig, budget: NoiseBudget) -> SweepTable:
     """Generate, fit, and score a spectrum at every sweep grid point.
 
-    Per-point seeds derive deterministically from (seed, point index); rows
-    appear in grid order.  Failed fits are recorded with a reason, never
-    dropped.
+    The budget sets the photon rate and the contrast.  Per-point seeds derive
+    deterministically from (seed, point index); rows appear in grid order.
+    Failed fits are recorded with a reason, never dropped.
     """
     axis_names = [name for name, _ in config.axes]
     axis_values = [np.asarray(vals, dtype=float) for _, vals in config.axes]
@@ -302,8 +298,7 @@ def _sweep_point(config: SweepConfig, budget: NoiseBudget, point: dict, index: i
     amplitudes = {k: v for k, v in point.items() if k in ("rabi_mw", "rabi_rf")}
     drive = replace(config.drive, **amplitudes)
     gamma_b, gamma_d = config.gamma_b, config.gamma_d
-    contrast = config.contrast
-    rate = budget.photon_rate
+    rate, contrast = budget.photon_rate, budget.contrast
     if "laser_power_mw" in point:
         rate, pump, contrast = budget.at_laser_power(point["laser_power_mw"])
         gamma_b = pump / 2.0
@@ -317,7 +312,7 @@ def _sweep_point(config: SweepConfig, budget: NoiseBudget, point: dict, index: i
             g_lo = min(gamma_b, gamma_d)
             pump = 2.0 * g_lo
             clean = oracle.oracle_spectrum(
-                env,
+                replace(env, ex=config.strain.mean_ex),
                 drive,
                 config.grid,
                 pump,
@@ -326,11 +321,8 @@ def _sweep_point(config: SweepConfig, budget: NoiseBudget, point: dict, index: i
                 contrast=contrast,
             )
         else:
-            strain = StrainDistribution(
-                mean_ex=env.ex, sigma_ex=config.sigma_ex, nodes=config.quadrature_nodes
-            )
             clean = lineshape.ensemble_spectrum(
-                env, drive, config.grid, gamma_b, gamma_d, contrast, strain
+                env, drive, config.grid, gamma_b, gamma_d, contrast, config.strain
             )
         model = fitting.DressedDip(
             omega_rf=drive.omega_rf, fixed_contrast=contrast

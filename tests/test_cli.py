@@ -118,6 +118,19 @@ class TestValidation:
             assert message in out
         assert out.count("d0 must be > 0") == 1
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("oracle.pump_rate=-1", "oracle.pump_rate: all rates must be finite"),
+            ("oracle.pump_rate=0", "oracle.pump_rate: at least one dissipative"),
+        ],
+    )
+    def test_oracle_rates_judged_by_validate(self, override, message, capsys):
+        # oracle-check builds the same Lindblad model and would fail on it.
+        preset = str(PRESET_DIR / "oracle_weak_drive.json")
+        assert main(["validate", "--config", preset, "--set", override]) == 1
+        assert message in capsys.readouterr().out
+
     def test_fit_requires_input(self, tmp_path):
         cfg = _write_config(tmp_path, {"mode": "fit", "fit": {"model": "dressed"}})
         with pytest.raises(ConfigError, match="fit.input"):
@@ -278,6 +291,26 @@ class TestSweep:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert out_a.with_suffix(".json").exists()
 
+    @pytest.mark.parametrize(
+        "override, same_as",
+        [
+            ("strain.mean_ex=20", "environment.ex=20"),
+            ("budget.contrast=0.02", "contrast=0.02"),
+        ],
+    )
+    def test_strain_and_budget_reach_the_sweep(self, override, same_as, tmp_path):
+        # The sweep reads the run's strain distribution and noise budget:
+        # each key changes the table exactly as the key it defaults from.
+        preset = str(PRESET_DIR / "fig5_narrowing.json")
+        tables = []
+        for i, extra in enumerate([[], ["--set", override], ["--set", same_as]]):
+            out = tmp_path / f"{i}.csv"
+            assert main(["sweep", "--config", preset, "--out", str(out), *extra]) == 0
+            tables.append(out.read_bytes())
+        plain, overridden, reference = tables
+        assert overridden == reference
+        assert overridden != plain
+
     def test_sensitivity_map_preset_validates(self):
         # The full map is expensive; strict validation still covers it.
         assert (
@@ -301,6 +334,25 @@ class TestSweep:
         mw = sorted({r["rabi_mw"] for r in rows})
         assert rf[0] < best["rabi_rf"] < rf[-1]
         assert mw[0] < best["rabi_mw"] < mw[-1]
+
+
+class TestSensitivity:
+    def test_budget_contrast_reaches_the_curve(self, tmp_path):
+        # As in a sweep, the budget's contrast sets the model curve.
+        preset = str(PRESET_DIR / "fig2_dressed.json")
+        base = ["--set", 'mode="sensitivity"', "--set", "budget.photon_rate=1e6"]
+        reports = []
+        overrides = ["budget.contrast=0.05", "budget.contrast=0.02", "contrast=0.02"]
+        for i, override in enumerate(overrides):
+            out = tmp_path / f"{i}.json"
+            argv = ["sensitivity", "--config", preset, "--out", str(out), *base]
+            assert main([*argv, "--set", override]) == 0
+            reports.append(_strict_loads(out.read_text()))
+        plain, overridden, reference = reports
+        assert overridden == reference
+        # The dip depth is linear in the contrast.
+        depth = plain["inputs"]["contrast"]
+        assert overridden["inputs"]["contrast"] == pytest.approx(0.4 * depth, rel=1e-9)
 
 
 class TestOracleCheck:

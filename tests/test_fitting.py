@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from nvtherm import fitting
 from nvtherm.fitting import (
     DressedDip,
     FitError,
     MultiLorentzian,
+    _numeric_jacobian,
     extract_linewidth,
     fit,
     initial_guess,
@@ -60,6 +62,22 @@ class TestInitialGuess:
     def test_missing_peaks_named(self):
         with pytest.raises(FitError, match="need 3"):
             initial_guess(_lorentz_clean(), MultiLorentzian(3))
+
+    def test_dips_detected_once_per_guess(self, monkeypatch):
+        # A two-dip spectrum: the dressed guess falls back from four dips to
+        # two without detecting again.
+        calls = []
+        find_peaks = fitting.find_peaks
+
+        def counting_find_peaks(*args, **kwargs):
+            calls.append(1)
+            return find_peaks(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "find_peaks", counting_find_peaks)
+        two = lorentzian_spectrum([2860.0, 2880.0], [4.0, 4.0], [0.05, 0.05], GRID)
+        guess = initial_guess(two, DressedDip(omega_rf=8.0))
+        assert len(calls) == 1
+        assert guess[0] == pytest.approx(2870.0, abs=0.1)
 
     def test_four_dip_dressed_centroid(self):
         guess = initial_guess(_dressed_clean(), DressedDip(omega_rf=8.0))
@@ -181,6 +199,37 @@ class TestDressedDipModel:
         params = np.array([2885.5, 8.0, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0])
         model = DressedDip(omega_rf=16.0, fit_sigma_ex=True)
         assert np.array_equal(model.evaluate(params, grid), generated.signal)
+
+
+class TestMultiLorentzianModel:
+    def test_model_equals_lorentzian_generators(self):
+        # The fit model and both Lorentzian generators share one signal.
+        grid = np.linspace(2700.0, 3040.0, 721)
+        conventional = conventional_spectrum(
+            PhysicalEnvironment(b_parallel=150.0), grid, 7.92, 0.05
+        )
+        params = np.array([1.0, 2720.0, 7.92, 0.05, 3020.0, 7.92, 0.05])
+        assert np.array_equal(
+            MultiLorentzian(2).evaluate(params, grid), conventional.signal
+        )
+        two = lorentzian_spectrum([2861.3, 2883.7], [4.1, 6.3], [0.05, 0.021], grid)
+        params = np.array([1.0, 2861.3, 4.1, 0.05, 2883.7, 6.3, 0.021])
+        assert np.array_equal(MultiLorentzian(2).evaluate(params, grid), two.signal)
+
+
+class TestNumericJacobian:
+    def test_two_residual_evaluations_per_parameter(self):
+        calls = []
+
+        def residuals(x):
+            calls.append(1)
+            return np.array([x[0] ** 2, x[0] * x[1], np.sin(x[1])])
+
+        jac = _numeric_jacobian(residuals, np.array([1.5, 0.3]), 3)
+        assert len(calls) == 4
+        np.testing.assert_allclose(
+            jac, [[3.0, 0.0], [0.3, 1.5], [0.0, np.cos(0.3)]], rtol=1e-8, atol=1e-10
+        )
 
 
 class TestPeakProperties:

@@ -178,9 +178,9 @@ class TestSweepConfig:
         kw = dict(
             axes=(("rabi_rf", (3.0, 6.0)),),
             environment=self.ENV,
+            strain=StrainDistribution(8.0),
             drive=self.DRIVE,
             grid=self.GRID,
-            contrast=0.1,
             gamma_d=0.3,
         )
         kw.update(overrides)
@@ -210,7 +210,7 @@ class TestSweepConfig:
 
     def test_lindblad_generator_excludes_strain(self):
         with pytest.raises(ValueError, match="strain"):
-            self._config(generator="lindblad", sigma_ex=0.3)
+            self._config(generator="lindblad", strain=StrainDistribution(8.0, sigma_ex=0.3))
 
 
 _ENV = PhysicalEnvironment(ex=8.0, b_transverse=80.0)
@@ -236,6 +236,7 @@ class TestNonFiniteFields:
                 lambda: SweepConfig(
                     axes=(("rabi_rf", (3.0,)),),
                     environment=_ENV,
+                    strain=StrainDistribution(8.0),
                     drive=DriveConfig(),
                     grid=_GRID,
                     dwell=float("nan"),
@@ -272,11 +273,10 @@ class TestSweep:
             grid=np.linspace(2845.0, 2895.0, 501),
             gamma_b=1.0,
             gamma_d=1.0,
-            contrast=0.1,
-            sigma_ex=1.5,
+            strain=StrainDistribution(8.0, sigma_ex=1.5),
             seed=3,
         )
-        table = sweep(config, NoiseBudget(photon_rate=1e8))
+        table = sweep(config, NoiseBudget(photon_rate=1e8, contrast=0.1))
         assert all(r["status"] == "ok" for r in table.rows)
         fwhm = [r["fwhm_mhz"] for r in table.rows]
         assert fwhm[0] > fwhm[1] > fwhm[2]
@@ -285,20 +285,22 @@ class TestSweep:
         config = SweepConfig(
             axes=(("rabi_mw", (0.5, 0.8)),),
             environment=self.ENV,
+            strain=StrainDistribution(8.0),
             drive=DriveConfig(omega_rf=8.0, rabi_rf=6.0),
             grid=np.linspace(2850.0, 2890.0, 401),
             gamma_d=0.3,
-            contrast=0.1,
             seed=12,
         )
-        a = sweep(config, BUDGET).to_csv()
-        b = sweep(config, BUDGET).to_csv()
+        budget = NoiseBudget(photon_rate=1e6, contrast=0.1)
+        a = sweep(config, budget).to_csv()
+        b = sweep(config, budget).to_csv()
         assert a == b
 
     def test_failed_fit_recorded_not_dropped(self):
         config = SweepConfig(
             axes=(("rabi_mw", (1e-9,)),),  # immeasurably shallow dips
             environment=self.ENV,
+            strain=StrainDistribution(8.0),
             drive=DriveConfig(omega_rf=8.0, rabi_rf=6.0),
             grid=np.linspace(2850.0, 2890.0, 401),
             seed=1,
@@ -313,13 +315,29 @@ class TestSweep:
         assert json_row["fwhm_mhz"] is None
         assert json_row["status"] == row["status"]
 
+    def test_lindblad_generator_sits_at_strain_mean(self):
+        def table(env_ex, mean_ex):
+            config = SweepConfig(
+                axes=(("rabi_mw", (0.8,)),),
+                environment=PhysicalEnvironment(ex=env_ex, b_transverse=80.0),
+                strain=StrainDistribution(mean_ex),
+                drive=DriveConfig(omega_rf=8.0, rabi_rf=6.0),
+                grid=np.linspace(2850.0, 2890.0, 201),
+                gamma_d=0.3,
+                generator="lindblad",
+                seed=4,
+            )
+            return sweep(config, BUDGET).to_csv()
+
+        assert table(8.0, 9.0) == table(9.0, 9.0) != table(8.0, 8.0)
+
     def test_laser_power_axis(self):
         config = SweepConfig(
             axes=(("laser_power_mw", (0.5, 1.0)),),
             environment=self.ENV,
+            strain=StrainDistribution(8.0),
             drive=DriveConfig(rabi_mw=0.8, omega_rf=8.0, rabi_rf=6.0),
             grid=np.linspace(2850.0, 2890.0, 401),
-            contrast=0.1,
             seed=2,
         )
         budget = NoiseBudget(
@@ -334,12 +352,12 @@ class TestSweep:
         config = SweepConfig(
             axes=(("rabi_mw", (0.8,)),),
             environment=self.ENV,
+            strain=StrainDistribution(8.0),
             drive=DriveConfig(omega_rf=8.0, rabi_rf=6.0),
             grid=np.linspace(2850.0, 2890.0, 401),
             gamma_d=0.3,
-            contrast=0.1,
         )
-        text = sweep(config, BUDGET).to_csv()
+        text = sweep(config, NoiseBudget(photon_rate=1e6, contrast=0.1)).to_csv()
         lines = text.strip().splitlines()
         assert lines[0].startswith("rabi_mw,fwhm_mhz,")
         assert len(lines) == 2
