@@ -6,12 +6,10 @@ sensitivity estimation.
 """
 
 from .lineshape import (
-    BosonicModelParams,
     Spectrum,
     StrainDistribution,
     ensemble_spectrum,
     lorentzian_spectrum,
-    map_drive_to_model,
     p0,
     spectrum,
     synthesize_measurement,
@@ -30,7 +28,6 @@ from .spin import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BosonicModelParams",
     "DriveConfig",
     "PhysicalEnvironment",
     "SpinMatrix",
@@ -41,7 +38,6 @@ __all__ = [
     "dressed_resonances",
     "ensemble_spectrum",
     "lorentzian_spectrum",
-    "map_drive_to_model",
     "p0",
     "residual_broadening",
     "spectrum",

@@ -295,20 +295,20 @@ def _out_path(doc: dict, args, default_name: str) -> Path:
     return Path(configured) if configured else Path(default_name)
 
 
-def run_simulate(doc: dict, args) -> str:
-    env = _build_environment(doc)
-    grid = _build_grid(doc)
-    contrast = doc.get("contrast", lineshape.DEFAULT_CONTRAST)
-    gamma_b, gamma_d = _rates(doc)
+def _clean_spectrum(doc: dict, env, grid: np.ndarray, contrast: float) -> Spectrum:
+    """The run's noiseless spectrum: Lorentzian in parallel mode, else dressed."""
     if env.b_parallel != 0.0:
         fwhm = doc.get("lorentzian", {}).get("fwhm", lineshape.DEFAULT_FWHM)
-        spec = lineshape.conventional_spectrum(env, grid, fwhm, contrast)
-    else:
-        drive = _build_drive(doc)
-        strain = _build_strain(doc, env.ex)
-        spec = lineshape.ensemble_spectrum(
-            env, drive, grid, gamma_b, gamma_d, contrast, strain
-        )
+        return lineshape.conventional_spectrum(env, grid, fwhm, contrast)
+    return lineshape.ensemble_spectrum(
+        env, _build_drive(doc), grid, *_rates(doc), contrast, _build_strain(doc, env.ex)
+    )
+
+
+def run_simulate(doc: dict, args) -> str:
+    env = _build_environment(doc)
+    contrast = doc.get("contrast", lineshape.DEFAULT_CONTRAST)
+    spec = _clean_spectrum(doc, env, _build_grid(doc), contrast)
     noise = doc.get("noise")
     if noise:
         seed = args.seed if args.seed is not None else doc.get("seed", 0)
@@ -376,25 +376,9 @@ def run_sensitivity(doc: dict, args) -> str:
     env = _build_environment(doc)
     grid = _build_grid(doc)
     budget = _build_budget(doc)
-    contrast = budget.contrast
-    gamma_b, gamma_d = _rates(doc)
-    if env.b_parallel != 0.0:
-        fwhm = doc.get("lorentzian", {}).get("fwhm", lineshape.DEFAULT_FWHM)
-        meta = lineshape.conventional_spectrum(env, grid, fwhm, contrast).metadata
-        dips = meta["centers"], meta["widths"], meta["depths"]
 
-        def curve_fn(g):
-            return lineshape.lorentzian_dips(1.0, *dips, g)
-
-    else:
-        drive = _build_drive(doc)
-        d = zero_field_splitting(env)
-
-        def curve_fn(g):
-            return lineshape.dressed_signal(
-                d, env.ex, drive.omega_rf, g, drive.rabi_rf, drive.rabi_mw,
-                gamma_b, gamma_d, contrast,
-            )
+    def curve_fn(g):
+        return _clean_spectrum(doc, env, g, budget.contrast).signal
 
     span = (float(grid[0]), float(grid[-1]))
     report = sensitivity.slope_sensitivity(curve_fn, span, budget, env.dd_dt)

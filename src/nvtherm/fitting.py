@@ -74,19 +74,13 @@ class DressedDip:
     model, not a fitted parameter.
 
     The signal is exactly proportional to contrast * rabi_mw**2, so the two
-    cannot be fitted jointly; by default the contrast is frozen at
-    ``fixed_contrast`` and excluded from optimization (pass None to fit it
-    and freeze rabi_mw instead via ``fixed_rabi_mw``).
+    cannot be fitted jointly; the contrast is frozen at ``fixed_contrast``
+    and excluded from optimization.
     """
 
     omega_rf: float
     fit_sigma_ex: bool = False
-    fixed_contrast: float | None = lineshape.DEFAULT_CONTRAST
-    fixed_rabi_mw: float | None = None
-
-    def __post_init__(self):
-        if self.fixed_contrast is not None and self.fixed_rabi_mw is not None:
-            raise ValueError("freeze at most one of contrast, rabi_mw")
+    fixed_contrast: float = lineshape.DEFAULT_CONTRAST
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -104,11 +98,7 @@ class DressedDip:
 
     @property
     def frozen(self) -> dict[str, float]:
-        if self.fixed_contrast is not None:
-            return {"contrast": self.fixed_contrast}
-        if self.fixed_rabi_mw is not None:
-            return {"rabi_mw": self.fixed_rabi_mw}
-        return {}
+        return {"contrast": self.fixed_contrast}
 
     @property
     def center_indices(self) -> list[int]:
@@ -235,11 +225,8 @@ def initial_guess(spec: Spectrum, model) -> np.ndarray:
         rabi_rf = max(span - model.omega_rf, dnu)
         gamma_b = max(float(np.mean(widths)) / 2.0, dnu / 2.0)
         gamma_d = gamma_b / 10.0
-        contrast = model.frozen.get("contrast", min(2.0 * float(depths.max()), 0.5))
-        rabi_mw = model.frozen.get(
-            "rabi_mw",
-            2.0 * gamma_b * np.sqrt(max(float(depths.max()), 1e-6) / contrast),
-        )
+        contrast = model.fixed_contrast
+        rabi_mw = 2.0 * gamma_b * np.sqrt(max(float(depths.max()), 1e-6) / contrast)
         params = [d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast]
         if model.fit_sigma_ex:
             params.append(max(float(np.mean(widths)) / 10.0, dnu / 10.0))
@@ -354,8 +341,7 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
 
     params = full.copy()
     params[free] = _to_external(x, pos_free)
-    resid = model.evaluate(params, grid) - data
-    residual_rms = float(np.sqrt(np.mean(resid**2)))
+    residual_rms = float(np.sqrt(np.mean((r / w) ** 2)))  # r: the weighted residual at params
     cov = _covariance(model, params, free, grid, w, weighted, cost, len(data))
     fwhm, reasons, contrasts = peak_properties(model, params, spec)
     return FitResult(
@@ -465,14 +451,6 @@ def peak_properties(model, params, spec: Spectrum, refine: int = 8):
     if not fwhm:
         return [None], ["no dip found in fitted curve"], [0.0]
     return fwhm, reasons, contrasts
-
-
-def extract_linewidth(result: FitResult, model, spec: Spectrum) -> list:
-    """Per-peak FWHM (MHz) of a converged fit; None entries are unresolved."""
-    if not result.converged:
-        raise FitError("linewidth extraction requires a converged fit")
-    fwhm, _, _ = peak_properties(model, result.params, spec)
-    return fwhm
 
 
 def multistart_fit(

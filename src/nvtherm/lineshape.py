@@ -20,7 +20,7 @@ from .spin import (
     PhysicalEnvironment,
     branch_detunings,
     check_fields,
-    drive_detunings,
+    require_dressed_mode,
     zero_field_splitting,
 )
 
@@ -28,6 +28,8 @@ DEFAULT_CONTRAST = 0.05
 DEFAULT_GAMMA_B = 1.0
 DEFAULT_GAMMA_D = 0.1
 DEFAULT_QUADRATURE_NODES = 21
+# hermgauss weights overflow to inf/NaN from 373 nodes on (numpy 2.4).
+MAX_QUADRATURE_NODES = 371
 DEFAULT_FWHM = 8.0  # MHz, the conventional generator's Lorentzian width
 
 CSV_HEADER = "frequency_mhz,signal,sigma"
@@ -50,21 +52,6 @@ def _finite_or_null(value):
 
 
 @dataclass(frozen=True)
-class BosonicModelParams:
-    """The six parameters of the two-mode response, all MHz."""
-
-    omega_b: float
-    omega_d: float
-    j: float
-    lambda_b: float
-    gamma_b: float
-    gamma_d: float
-
-    def __post_init__(self):
-        check_fields(self, positive=("gamma_b", "gamma_d"))
-
-
-@dataclass(frozen=True)
 class StrainDistribution:
     """Gaussian spread of the strain splitting E_x, averaged by quadrature."""
 
@@ -74,8 +61,10 @@ class StrainDistribution:
 
     def __post_init__(self):
         problems = []
-        if self.nodes < 1 or self.nodes % 2 == 0:
-            problems.append(f"nodes must be odd and >= 1, got {self.nodes}")
+        if not (1 <= self.nodes <= MAX_QUADRATURE_NODES and self.nodes % 2 == 1):
+            problems.append(
+                f"nodes must be odd and in [1, {MAX_QUADRATURE_NODES}], got {self.nodes}"
+            )
         check_fields(self, nonnegative=("sigma_ex",), problems=problems)
 
 
@@ -154,43 +143,11 @@ class Spectrum:
         )
 
 
-def map_drive_to_model(
-    env: PhysicalEnvironment,
-    drive: DriveConfig,
-    omega_mw: float,
-    gamma_b: float = DEFAULT_GAMMA_B,
-    gamma_d: float = DEFAULT_GAMMA_D,
-) -> BosonicModelParams:
-    """Map physical drive settings to the two-mode response parameters."""
-    if not env.is_transverse_mode:
-        raise ValueError("dressed-state model requires transverse mode")
-    omega_b, omega_d = drive_detunings(env, drive, omega_mw)
-    return BosonicModelParams(
-        omega_b=omega_b,
-        omega_d=omega_d,
-        j=drive.rabi_rf / 2.0,
-        lambda_b=drive.rabi_mw / 2.0,
-        gamma_b=gamma_b,
-        gamma_d=gamma_d,
-    )
+def p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d):
+    """Steady-state |0> population of the two-mode response, all MHz.
 
-
-def p0(model: BosonicModelParams) -> float:
-    """Steady-state probability of remaining in |0> under drive."""
-    return float(
-        _p0_arrays(
-            model.omega_b,
-            model.omega_d,
-            model.j,
-            model.lambda_b,
-            model.gamma_b,
-            model.gamma_d,
-        )
-    )
-
-
-def _p0_arrays(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d):
-    """Vectorized |0> population; omega_b / omega_d may be arrays."""
+    Vectorised: the detunings ``omega_b`` and ``omega_d`` may be arrays.
+    """
     zb = omega_b - 1j * gamma_b
     zd = omega_d - 1j * gamma_d
     det = zb * zd - j**2
@@ -208,22 +165,19 @@ def dressed_depletion(
     rabi_mw: float,
     gamma_b: float,
     gamma_d: float,
-    branches: str = "both",
 ) -> np.ndarray:
-    """Total |0>-depletion 1 - p0 over the MW grid.
+    """Total |0>-depletion 1 - p0 over the MW grid: the one way into ``p0``.
 
     The closed-form response covers one RF sideband; the experimental
-    spectrum shows both dressed branches, obtained here by adding the
-    mirrored response (see ``spin.branch_detunings``).  ``branches`` is
-    "both" or "upper".
+    spectrum shows its mirror as well, obtained here by adding the
+    mirrored response (see ``spin.branch_detunings``).  J = rabi_rf/2 and
+    lambda_b = rabi_mw/2.
     """
     j = rabi_rf / 2.0
     lam = rabi_mw / 2.0
-    upper, *mirror = branch_detunings(d, ex, omega_rf, grid, branches)
-    dep = 1.0 - _p0_arrays(*upper, j, lam, gamma_b, gamma_d)
-    for omega_b, omega_d in mirror:
-        dep = dep + (1.0 - _p0_arrays(omega_b, omega_d, j, lam, gamma_b, gamma_d))
-    return dep
+    upper, mirror = branch_detunings(d, ex, omega_rf, grid)
+    dep = 1.0 - p0(*upper, j, lam, gamma_b, gamma_d)
+    return dep + (1.0 - p0(*mirror, j, lam, gamma_b, gamma_d))
 
 
 @lru_cache(maxsize=32)
@@ -250,19 +204,17 @@ def strain_average(fn, mean_ex: float, sigma_ex: float, nodes: int):
 
 def dressed_signal(
     d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast,
-    sigma_ex=0.0, nodes: int = DEFAULT_QUADRATURE_NODES, branches: str = "both",
+    sigma_ex=0.0, nodes: int = DEFAULT_QUADRATURE_NODES,
 ) -> np.ndarray:
-    """Normalized PL signal 1 - contrast * (1 - p0) of the dressed branches.
+    """Normalized PL signal 1 - contrast * depletion (branch plus mirror).
 
     The depletion (``dressed_depletion``) is averaged over E_x ~ Normal(ex,
-    sigma_ex) by ``strain_average``.  The one dressed signal: the generators,
-    the ``DressedDip`` fit model and the CLI's sensitivity curve all call it.
+    sigma_ex) by ``strain_average``.  The one dressed signal: the generators
+    (and through them the CLI's curves) and the ``DressedDip`` fit model call it.
     """
 
     def signal(ex_i):
-        dep = dressed_depletion(
-            d, ex_i, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, branches
-        )
+        dep = dressed_depletion(d, ex_i, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d)
         return 1.0 - contrast * dep
 
     return strain_average(signal, ex, sigma_ex, nodes)
@@ -275,14 +227,13 @@ def spectrum(
     gamma_b: float = DEFAULT_GAMMA_B,
     gamma_d: float = DEFAULT_GAMMA_D,
     contrast: float = DEFAULT_CONTRAST,
-    branches: str = "both",
 ) -> Spectrum:
     """CW-ODMR spectrum over an ascending MW-frequency grid.
 
-    signal(nu) = 1 - contrast * (1 - p0(nu)), summed over the dressed
-    branches (see ``dressed_signal``): the ensemble spectrum of no spread.
+    signal(nu) = 1 - contrast * (1 - p0(nu)), summed over the branch and its
+    mirror (see ``dressed_signal``): the ensemble spectrum of no spread.
     """
-    return ensemble_spectrum(env, drive, grid, gamma_b, gamma_d, contrast, None, branches)
+    return ensemble_spectrum(env, drive, grid, gamma_b, gamma_d, contrast)
 
 
 def ensemble_spectrum(
@@ -293,26 +244,23 @@ def ensemble_spectrum(
     gamma_d: float = DEFAULT_GAMMA_D,
     contrast: float = DEFAULT_CONTRAST,
     strain: StrainDistribution | None = None,
-    branches: str = "both",
 ) -> Spectrum:
     """Spectrum averaged over a Gaussian strain ensemble (``strain_average``).
 
     A zero spread or a single node reduces exactly to the homogeneous
     spectrum at ``strain.mean_ex``; no ``strain`` means no spread at env.ex.
     """
+    require_dressed_mode(env)
     if strain is None:
         strain = StrainDistribution(mean_ex=env.ex)
-    if not env.is_transverse_mode:
-        raise ValueError("dressed-state model requires transverse mode")
     grid = np.asarray(grid, dtype=float)
     d = zero_field_splitting(env)
     sig = dressed_signal(
         d, strain.mean_ex, drive.omega_rf, grid, drive.rabi_rf, drive.rabi_mw,
-        gamma_b, gamma_d, contrast, strain.sigma_ex, strain.nodes, branches,
+        gamma_b, gamma_d, contrast, strain.sigma_ex, strain.nodes,
     )
     meta = {
         "model": "dressed",
-        "branches": branches,
         "d": float(d),
         "ex": strain.mean_ex,
         "omega_rf": drive.omega_rf,

@@ -21,6 +21,7 @@ from .spin import (
     PhysicalEnvironment,
     SpinMatrix,
     branch_detunings,
+    require_dressed_mode,
     rotating_hamiltonian_from_params,
     zero_field_splitting,
 )
@@ -141,22 +142,15 @@ def oracle_spectrum(
     dephase_b: float = 0.0,
     dephase_d: float = 0.0,
     contrast: float = DEFAULT_CONTRAST,
-    branches: str = "both",
-    dark_strain_sign: float = -1.0,
 ) -> Spectrum:
     """Spectrum from the master-equation steady state at each MW frequency.
 
-    The |0>-depletions of the two dressed branches (RF sideband and its
-    mirror) are solved independently and added, matching the closed-form
-    spectrum's branch structure.
+    The |0>-depletions of the upper dressed branch (the RF sideband) and of
+    its mirror are solved independently and added, as in the closed form.
     """
-    if not env.is_transverse_mode:
-        raise ValueError("oracle requires transverse mode")
+    require_dressed_mode(env)
     grid = np.asarray(grid, dtype=float)
-    d = zero_field_splitting(env)
-    detunings = branch_detunings(
-        d, env.ex, drive.omega_rf, grid, branches, dark_strain_sign
-    )
+    detunings = branch_detunings(zero_field_splitting(env), env.ex, drive.omega_rf, grid)
     # Validates the rates once and carries the shared J, lambda and
     # collapse operators; each branch then sets the detuning diagonal.
     h0 = rotating_hamiltonian_from_params(
@@ -173,7 +167,6 @@ def oracle_spectrum(
     sig = 1.0 - contrast * depletion
     meta = {
         "model": "lindblad_oracle",
-        "branches": branches,
         "pump_rate": pump_rate,
         "dephase_b": dephase_b,
         "dephase_d": dephase_d,

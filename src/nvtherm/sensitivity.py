@@ -227,7 +227,7 @@ class SweepConfig:
                 "generator 'lindblad' does not support strain averaging, "
                 f"got sigma_ex = {self.strain.sigma_ex}"
             )
-        check_fields(self, positive=("dwell",), problems=problems)
+        check_fields(self, positive=("gamma_b", "gamma_d", "dwell"), problems=problems)
 
 
 @dataclass

@@ -176,41 +176,32 @@ def build_lab_hamiltonian(
 
 
 def branch_detunings(
-    d: float,
-    ex: float,
-    omega_rf: float,
-    omega_mw: float | np.ndarray,
-    branches: str = "both",
-    dark_strain_sign: float = -1.0,
+    d: float, ex: float, omega_rf: float, omega_mw: float | np.ndarray
 ) -> list:
     """Bright- and dark-mode detunings ``(omega_b, omega_d)`` of each branch.
 
-    The first pair is the upper dressed branch (the RF sideband itself);
-    ``branches="both"`` adds its mirror (ex -> -ex, omega_rf -> -omega_rf).
-    The dark level sits at D - E_x, so its detuning carries the opposite
-    strain sign from the bright one (``dark_strain_sign = -1``); the flag
-    exists so the oracle tests can discriminate against the +1 variant.
+    The first pair is the upper dressed branch (the RF sideband itself), the
+    second its mirror (ex -> -ex, omega_rf -> -omega_rf).  The dark level
+    sits at D - E_x, so its detuning carries the opposite strain sign from
+    the bright one.
     """
-    if branches not in ("both", "upper"):
-        raise ValueError(f"branches must be 'both' or 'upper', got {branches!r}")
-    pairs = ((ex, omega_rf), (-ex, -omega_rf)) if branches == "both" else ((ex, omega_rf),)
     return [
-        (d + ex_i - omega_mw, d + dark_strain_sign * ex_i - omega_mw + omega_rf_i)
-        for ex_i, omega_rf_i in pairs
+        (d + ex_i - omega_mw, d - ex_i - omega_mw + omega_rf_i)
+        for ex_i, omega_rf_i in ((ex, omega_rf), (-ex, -omega_rf))
     ]
 
 
-def drive_detunings(
-    env: PhysicalEnvironment,
-    drive: DriveConfig,
-    omega_mw: float | np.ndarray,
-    dark_strain_sign: float = -1.0,
-):
-    """Bright- and dark-mode detunings of the upper branch for a MW frequency."""
-    d = zero_field_splitting(env)
-    return branch_detunings(
-        d, env.ex, drive.omega_rf, omega_mw, "upper", dark_strain_sign
-    )[0]
+def require_dressed_mode(env: PhysicalEnvironment) -> None:
+    """Gate of every dressed-state model: refuse parallel mode, then warn.
+
+    Raises ``ValueError`` in parallel mode and emits one ``RegimeWarning``
+    per violation that ``check_dressed_regime`` reports, attributed to the
+    caller of the model function.
+    """
+    if not env.is_transverse_mode:
+        raise ValueError("the dressed-state model requires transverse mode")
+    for problem in env.check_dressed_regime():
+        warnings.warn(problem, RegimeWarning, stacklevel=3)
 
 
 def rotating_hamiltonian_from_params(
@@ -228,21 +219,16 @@ def rotating_hamiltonian_from_params(
     return SpinMatrix(h, BASIS_BRIGHT_DARK)
 
 
-def build_rotating_hamiltonian(
-    env: PhysicalEnvironment,
-    drive: DriveConfig,
-    dark_strain_sign: float = -1.0,
-) -> SpinMatrix:
+def build_rotating_hamiltonian(env: PhysicalEnvironment, drive: DriveConfig) -> SpinMatrix:
     """Static rotating-frame Hamiltonian in the {|0>, |B>, |D>} basis.
 
     diag(0, omega_b, omega_d) + J(|B><D| + h.c.) + lambda_b(|0><B| + h.c.)
-    with J = rabi_rf/2 and lambda_b = rabi_mw/2.
+    with J = rabi_rf/2 and lambda_b = rabi_mw/2, on the upper branch.
     """
-    if not env.is_transverse_mode:
-        raise ValueError("rotating-frame reduction requires transverse mode")
-    for problem in env.check_dressed_regime():
-        warnings.warn(problem, RegimeWarning, stacklevel=2)
-    omega_b, omega_d = drive_detunings(env, drive, drive.omega_mw, dark_strain_sign)
+    require_dressed_mode(env)
+    omega_b, omega_d = branch_detunings(
+        zero_field_splitting(env), env.ex, drive.omega_rf, drive.omega_mw
+    )[0]
     return rotating_hamiltonian_from_params(
         omega_b, omega_d, drive.rabi_rf / 2.0, drive.rabi_mw / 2.0
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from nvtherm.cli import ConfigError, load_config, main, validate_config
+from nvtherm.spin import RegimeWarning
 
 PRESET_DIR = Path(str(files("nvtherm") / "presets"))
 PRESETS = sorted(PRESET_DIR.glob("*.json"))
@@ -95,6 +96,12 @@ class TestValidation:
         preset = str(PRESET_DIR / "sensitivity_map.json")
         assert main(["validate", "--config", preset, "--set", override]) == 1
         assert field in capsys.readouterr().out
+
+    def test_quadrature_node_cap_judged_by_validate(self, capsys):
+        # Past the cap the Gauss-Hermite weights overflow and every fit fails.
+        preset = str(PRESET_DIR / "fig5_narrowing.json")
+        assert main(["validate", "--config", preset, "--set", "strain.nodes=381"]) == 1
+        assert "strain.nodes must be odd and in [1, 371]" in capsys.readouterr().out
 
     def test_library_and_shape_problems_reported_in_one_pass(self, capsys):
         preset = str(PRESET_DIR / "fig5_narrowing.json")
@@ -233,6 +240,15 @@ class TestSimulate:
         assert code == 0
         assert "dips=2" in capsys.readouterr().out
 
+    def test_regime_violation_warns(self, tmp_path):
+        # b_transverse is not small against d0, nor ey against b_transverse.
+        argv = ["simulate", "--config", str(PRESET_DIR / "fig2_dressed.json")]
+        argv += ["--out", str(tmp_path / "spec.csv")]
+        argv += ["--set", "environment.b_transverse=2000", "--set", "environment.ey=300"]
+        with pytest.warns(RegimeWarning) as caught:
+            assert main(argv) == 0
+        assert len(caught) == 2
+
     def test_mode_subcommand_mismatch(self, tmp_path, capsys):
         code = main(["sweep", "--config", str(PRESET_DIR / "fig2_dressed.json")])
         assert code == 1
@@ -353,6 +369,18 @@ class TestSensitivity:
         # The dip depth is linear in the contrast.
         depth = plain["inputs"]["contrast"]
         assert overridden["inputs"]["contrast"] == pytest.approx(0.4 * depth, rel=1e-9)
+
+    def test_strain_reaches_the_curve(self, tmp_path):
+        # As in simulate, the curve is averaged over the strain spread.
+        preset = str(PRESET_DIR / "fig2_dressed.json")
+        base = ["--set", 'mode="sensitivity"', "--set", "budget.photon_rate=1e6"]
+        eta = []
+        for i, sigma in enumerate((0.0, 2.0)):
+            out = tmp_path / f"{i}.json"
+            argv = ["sensitivity", "--config", preset, "--out", str(out), *base]
+            assert main([*argv, "--set", f"strain.sigma_ex={sigma}"]) == 0
+            eta.append(_strict_loads(out.read_text())["eta_slope_k_per_rthz"])
+        assert eta == [pytest.approx(2.21482, rel=1e-5), pytest.approx(3.14261, rel=1e-5)]
 
 
 class TestOracleCheck:

@@ -7,19 +7,24 @@ import pytest
 
 from nvtherm.lineshape import (
     CSV_HEADER,
-    BosonicModelParams,
+    MAX_QUADRATURE_NODES,
     Spectrum,
     StrainDistribution,
     conventional_spectrum,
     dressed_depletion,
     ensemble_spectrum,
     lorentzian_spectrum,
-    map_drive_to_model,
     p0,
     spectrum,
     synthesize_measurement,
 )
-from nvtherm.spin import DriveConfig, PhysicalEnvironment, dressed_resonances
+from nvtherm.spin import (
+    DriveConfig,
+    PhysicalEnvironment,
+    branch_detunings,
+    dressed_resonances,
+    zero_field_splitting,
+)
 
 ENV = PhysicalEnvironment(ex=8.0, b_transverse=80.0)
 DRIVE = DriveConfig(omega_mw=2870.0, rabi_mw=0.5, omega_rf=16.0, rabi_rf=5.0)
@@ -45,60 +50,58 @@ def _fwhm_of_deepest_dip(grid, signal):
     return right - left
 
 
-class TestBosonicModelParams:
-    def test_rejects_nonpositive_rates(self):
-        with pytest.raises(ValueError, match="gamma"):
-            BosonicModelParams(0.0, 0.0, 1.0, 0.1, 0.0, 0.1)
-        with pytest.raises(ValueError, match="gamma"):
-            BosonicModelParams(0.0, 0.0, 1.0, 0.1, 1.0, -0.1)
-
-
 class TestMapDriveToModel:
+    """How drive settings map onto the six two-mode parameters."""
+
+    def _upper(self, omega_mw):
+        d = zero_field_splitting(ENV)
+        return branch_detunings(d, ENV.ex, DRIVE.omega_rf, omega_mw)[0]
+
     def test_on_bright_resonance(self):
-        m = map_drive_to_model(ENV, DRIVE, omega_mw=2878.0)
-        assert m.omega_b == pytest.approx(0.0)
+        omega_b, _ = self._upper(2878.0)
+        assert omega_b == pytest.approx(0.0)
 
     def test_two_photon_resonance(self):
-        m = map_drive_to_model(ENV, DRIVE, omega_mw=2878.0)
+        _, omega_d = self._upper(2878.0)
         # omega_rf = 2*ex makes the dark mode resonant simultaneously.
-        assert m.omega_d == pytest.approx(0.0)
+        assert omega_d == pytest.approx(0.0)
 
     def test_half_factors(self):
-        m = map_drive_to_model(ENV, DriveConfig(rabi_mw=0.2, rabi_rf=2.0), 2870.0)
-        assert m.j == pytest.approx(1.0)
-        assert m.lambda_b == pytest.approx(0.1)
+        # J = rabi_rf/2 and lambda_b = rabi_mw/2 on each branch.
+        grid = np.linspace(2860.0, 2880.0, 41)
+        dep = dressed_depletion(2870.0, 8.0, 16.0, grid, 2.0, 0.2, 1.0, 0.1)
+        (ob, od), (mb, md) = branch_detunings(2870.0, 8.0, 16.0, grid)
+        ref = (1.0 - p0(ob, od, 1.0, 0.1, 1.0, 0.1)) + (1.0 - p0(mb, md, 1.0, 0.1, 1.0, 0.1))
+        assert np.array_equal(dep, ref)
 
     def test_requires_transverse_mode(self):
         with pytest.raises(ValueError, match="transverse"):
-            map_drive_to_model(
-                PhysicalEnvironment(b_parallel=150.0), DRIVE, 2870.0
-            )
+            spectrum(PhysicalEnvironment(b_parallel=150.0), DRIVE, np.array([2870.0]))
 
 
 class TestP0:
     def test_no_drive_full_population(self):
-        m = BosonicModelParams(0.0, 0.0, 1.0, 0.0, 1.0, 0.1)
-        assert p0(m) == 1.0
+        assert p0(0.0, 0.0, 1.0, 0.0, 1.0, 0.1) == 1.0
 
     def test_single_mode_on_resonance(self):
-        m = BosonicModelParams(0.0, 5.0, 0.0, 0.1, 1.0, 0.1)
-        assert p0(m) == pytest.approx(0.99)
+        assert p0(0.0, 5.0, 0.0, 0.1, 1.0, 0.1) == pytest.approx(0.99)
 
     def test_coupled_on_resonance_value(self):
         # Frozen from direct complex evaluation: the RF coupling protects
         # the population relative to plain broadening of the j=0 dip.
-        m = BosonicModelParams(0.0, 0.0, 1.0, 0.1, 1.0, 0.01)
-        assert p0(m) == pytest.approx(0.9901960592098427, rel=1e-12)
+        assert p0(0.0, 0.0, 1.0, 0.1, 1.0, 0.01) == pytest.approx(
+            0.9901960592098427, rel=1e-12
+        )
 
     def test_sharp_dip_protection(self):
-        no_rf = BosonicModelParams(0.0, 0.0, 0.0, 0.05, 1.0, 0.01)
-        with_rf = BosonicModelParams(0.0, 0.0, 2.0, 0.05, 1.0, 0.01)
-        assert p0(with_rf) > p0(no_rf)
+        no_rf = p0(0.0, 0.0, 0.0, 0.05, 1.0, 0.01)
+        with_rf = p0(0.0, 0.0, 2.0, 0.05, 1.0, 0.01)
+        assert with_rf > no_rf
 
     def test_quadratic_in_drive(self):
-        weak = BosonicModelParams(0.3, -0.2, 1.0, 0.01, 1.0, 0.1)
-        strong = BosonicModelParams(0.3, -0.2, 1.0, 0.02, 1.0, 0.1)
-        assert (1.0 - p0(strong)) == pytest.approx(4.0 * (1.0 - p0(weak)))
+        weak = p0(0.3, -0.2, 1.0, 0.01, 1.0, 0.1)
+        strong = p0(0.3, -0.2, 1.0, 0.02, 1.0, 0.1)
+        assert (1.0 - strong) == pytest.approx(4.0 * (1.0 - weak))
 
 
 class TestSpectrum:
@@ -121,8 +124,8 @@ class TestSpectrum:
 
     def test_upper_branch_has_two_dips(self):
         grid = np.linspace(2855.0, 2885.0, 6001)
-        s = spectrum(ENV, DRIVE, grid, gamma_b=0.2, gamma_d=0.02, branches="upper")
-        depth = 1.0 - s.signal
+        upper = branch_detunings(2870.0, 8.0, 16.0, grid)[0]
+        depth = 1.0 - p0(*upper, 2.5, 0.25, 0.2, 0.02)
         from scipy.signal import find_peaks
 
         idx, _ = find_peaks(depth, prominence=0.1 * depth.max())
@@ -139,13 +142,6 @@ class TestSpectrum:
         np.testing.assert_allclose(
             1.0 - strong.signal, 4.0 * (1.0 - weak.signal), rtol=1e-12
         )
-
-    def test_invalid_branches_rejected(self):
-        with pytest.raises(ValueError, match="branches"):
-            dressed_depletion(
-                2870.0, 8.0, 16.0, np.linspace(2860, 2880, 11), 5.0, 0.5, 1.0, 0.1,
-                branches="lower",
-            )
 
 
 class TestEnsembleSpectrum:
@@ -198,6 +194,15 @@ class TestEnsembleSpectrum:
             StrainDistribution(mean_ex=8.0, sigma_ex=-0.1)
         with pytest.raises(ValueError, match="nodes"):
             StrainDistribution(mean_ex=8.0, sigma_ex=0.1, nodes=4)
+
+    def test_node_cap_is_the_largest_finite_quadrature(self):
+        # Past the cap hermgauss weights overflow and spectra turn to NaN.
+        with np.errstate(over="ignore"):
+            rule = np.polynomial.hermite.hermgauss(MAX_QUADRATURE_NODES)
+        assert np.all(np.isfinite(rule))
+        StrainDistribution(mean_ex=8.0, sigma_ex=2.0, nodes=MAX_QUADRATURE_NODES)
+        with pytest.raises(ValueError, match="nodes"):
+            StrainDistribution(mean_ex=8.0, sigma_ex=2.0, nodes=381)
 
 
 class TestLorentzianSpectrum:

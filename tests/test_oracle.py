@@ -148,15 +148,13 @@ class TestSteadyState:
             np.testing.assert_allclose(scaled, rho, rtol=0, atol=1e-12)
 
     def test_weak_drive_matches_closed_form(self):
-        from nvtherm.lineshape import BosonicModelParams, p0
+        from nvtherm.lineshape import p0
 
         pump = 2.0  # gamma_b = gamma_d = 1 under the pump-only mapping
         for omega_b, omega_d in [(0.0, 0.0), (1.0, -2.0), (3.0, 0.5)]:
             rho = steady_state(_model(omega_b, omega_d, 1.0, 0.01, pump))
             depletion = 1.0 - rho[0, 0].real
-            ref = 1.0 - p0(
-                BosonicModelParams(omega_b, omega_d, 1.0, 0.01, 1.0, 1.0)
-            )
+            ref = 1.0 - p0(omega_b, omega_d, 1.0, 0.01, 1.0, 1.0)
             assert depletion == pytest.approx(ref, rel=0.01)
 
 
@@ -222,18 +220,21 @@ class TestOracleSpectrum:
         np.testing.assert_allclose(grid[idx], expected, atol=0.05)
 
     def test_dark_sign_discrimination(self):
-        # The corrected dark-mode detuning reproduces the dressed
-        # resonances; the flipped sign does not.  This arbitration is the
+        # The corrected dark-mode detuning (D - E_x) reproduces the dressed
+        # resonances (test_four_minima_at_dressed_resonances); the flipped
+        # sign, built here by hand, does not.  This arbitration is the
         # oracle's reason to exist.
         from scipy.signal import find_peaks
 
         grid = np.linspace(2855.0, 2885.0, 1501)
-        drive = DriveConfig(rabi_mw=0.05, omega_rf=16.0, rabi_rf=5.0)
         expected = dressed_resonances(2870.0, 8.0, 16.0, 5.0)
-        wrong = oracle_spectrum(
-            ENV, drive, grid, pump_rate=0.2, dark_strain_sign=+1.0
-        )
-        depth = 1.0 - wrong.signal
+        depth = np.zeros_like(grid)
+        for ex, omega_rf in ((8.0, 16.0), (-8.0, -16.0)):
+            for i, nu in enumerate(grid):
+                omega_b = 2870.0 + ex - nu
+                flipped = omega_b + omega_rf  # D + E_x - nu + omega_rf
+                rho = steady_state(_model(omega_b, flipped, 2.5, 0.025, 0.2))
+                depth[i] += 1.0 - rho[0, 0].real
         idx, _ = find_peaks(depth, prominence=0.1 * depth.max())
         found = grid[idx]
         # At least one expected resonance has no dip anywhere near it.

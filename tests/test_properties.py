@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nvtherm.lineshape import BosonicModelParams, Spectrum, p0
+from nvtherm.lineshape import Spectrum, p0
 from nvtherm.spin import (
     PhysicalEnvironment,
     dressed_resonances,
@@ -26,20 +26,20 @@ nonneg = st.floats(
 class TestSteadyStatePopulation:
     @given(finite, finite, finite, finite, positive, positive)
     def test_never_exceeds_one(self, ob, od, j, lam, gb, gd):
-        value = p0(BosonicModelParams(ob, od, j, lam, gb, gd))
+        value = p0(ob, od, j, lam, gb, gd)
         assert value <= 1.0 + 1e-12
 
     @given(finite, finite, finite, positive, positive, positive)
     def test_depletion_scales_exactly_quadratically(self, ob, od, j, lam, gb, gd):
-        base = 1.0 - p0(BosonicModelParams(ob, od, j, lam, gb, gd))
-        doubled = 1.0 - p0(BosonicModelParams(ob, od, j, 2.0 * lam, gb, gd))
+        base = 1.0 - p0(ob, od, j, lam, gb, gd)
+        doubled = 1.0 - p0(ob, od, j, 2.0 * lam, gb, gd)
         # 1 - (1 - s) loses a few bits for tiny depletions s, hence the atol.
         np.testing.assert_allclose(doubled, 4.0 * base, rtol=1e-6, atol=1e-12)
 
     @given(finite, finite, finite, finite, positive, positive)
     def test_invariant_under_coupling_sign(self, ob, od, j, lam, gb, gd):
-        plus = p0(BosonicModelParams(ob, od, j, lam, gb, gd))
-        minus = p0(BosonicModelParams(ob, od, -j, lam, gb, gd))
+        plus = p0(ob, od, j, lam, gb, gd)
+        minus = p0(ob, od, -j, lam, gb, gd)
         assert plus == minus
 
 

@@ -208,6 +208,13 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="non-finite"):
             self._config(axes=(("rabi_rf", (1.0, float("nan"))),))
 
+    def test_rejects_nonpositive_rates(self):
+        # A zero damping rate divides by zero in the two-mode response.
+        with pytest.raises(ValueError, match="gamma_b must be > 0"):
+            self._config(gamma_b=0.0)
+        with pytest.raises(ValueError, match="gamma_d must be > 0"):
+            self._config(gamma_d=-0.1)
+
     def test_lindblad_generator_excludes_strain(self):
         with pytest.raises(ValueError, match="strain"):
             self._config(generator="lindblad", strain=StrainDistribution(8.0, sigma_ex=0.3))

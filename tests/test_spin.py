@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from nvtherm.lineshape import ensemble_spectrum
+from nvtherm.oracle import oracle_spectrum
 from nvtherm.spin import (
     BASIS_BRIGHT_DARK,
     BASIS_ZEEMAN,
@@ -12,8 +14,8 @@ from nvtherm.spin import (
     SpinMatrix,
     build_lab_hamiltonian,
     build_rotating_hamiltonian,
+    branch_detunings,
     dressed_resonances,
-    drive_detunings,
     residual_broadening,
     zero_field_splitting,
 )
@@ -48,6 +50,21 @@ class TestPhysicalEnvironment:
         env = PhysicalEnvironment(b_transverse=80.0, ey=40.0)
         with pytest.warns(RegimeWarning):
             build_rotating_hamiltonian(env, DriveConfig())
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            lambda env: ensemble_spectrum(env, DriveConfig(), np.array([2870.0])),
+            lambda env: oracle_spectrum(env, DriveConfig(), np.array([2870.0]), 2.0),
+        ],
+        ids=["ensemble_spectrum", "oracle_spectrum"],
+    )
+    def test_spectra_share_the_regime_gate(self, model):
+        # The same gate as build_rotating_hamiltonian's (tests above).
+        with pytest.raises(ValueError, match="transverse"):
+            model(PhysicalEnvironment(b_parallel=150.0))
+        with pytest.warns(RegimeWarning, match="ey"):
+            model(PhysicalEnvironment(b_transverse=80.0, ey=40.0))
 
 
 class TestDriveConfig:
@@ -163,19 +180,9 @@ class TestRotatingHamiltonian:
 
 class TestDriveDetunings:
     def test_sign_convention(self):
-        env = PhysicalEnvironment(ex=8.0, b_transverse=80.0)
-        drive = DriveConfig(omega_rf=16.0)
-        omega_b, omega_d = drive_detunings(env, drive, 2878.0)
+        (omega_b, omega_d), _ = branch_detunings(2870.0, 8.0, 16.0, 2878.0)
         assert omega_b == pytest.approx(0.0)  # on bright resonance D + ex
         assert omega_d == pytest.approx(0.0)  # two-photon resonance at 2ex
-
-    def test_dark_sign_flag(self):
-        env = PhysicalEnvironment(ex=8.0, b_transverse=80.0)
-        drive = DriveConfig(omega_rf=0.0)
-        _, minus = drive_detunings(env, drive, 2870.0, dark_strain_sign=-1.0)
-        _, plus = drive_detunings(env, drive, 2870.0, dark_strain_sign=+1.0)
-        assert minus == pytest.approx(-8.0)
-        assert plus == pytest.approx(+8.0)
 
 
 class TestDressedResonances:
