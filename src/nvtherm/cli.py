@@ -212,6 +212,8 @@ def _check_values(doc: dict, bad: set) -> list[str]:
     judge("oracle", _build_oracle)
     if doc.get("mode") == "sweep" and {"sweep", "grid"} <= doc.keys():
         judge("sweep", _build_sweep, env, drive, strain, 0)
+    if doc.get("mode") == "fit":
+        judge("fit", _build_fit_model)
     return diags
 
 

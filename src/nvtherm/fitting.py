@@ -18,6 +18,7 @@ from scipy.signal import find_peaks, peak_widths
 from . import lineshape
 from .lineshape import Spectrum, strict_json
 from .lineshape import dressed_depletion  # noqa: F401  (benchmarks/tracing.py wraps it here)
+from .spin import check_fields
 
 MAX_ITERATIONS = 500
 COST_RTOL = 1e-10
@@ -81,6 +82,9 @@ class DressedDip:
     omega_rf: float
     fit_sigma_ex: bool = False
     fixed_contrast: float = lineshape.DEFAULT_CONTRAST
+
+    def __post_init__(self):
+        check_fields(self, positive=("fixed_contrast",))
 
     @property
     def param_names(self) -> tuple[str, ...]:

@@ -158,7 +158,7 @@ def oracle_spectrum(
     )
     base = LindbladModel(h0, pump_rate, dephase_b, dephase_d)
     depletion = np.zeros_like(grid)
-    for omega_b, omega_d in detunings:
+    for omega_b, omega_d in zip(*detunings):
         h = np.repeat(base.hamiltonian.matrix[None], len(grid), axis=0)
         h[:, 1, 1] = omega_b
         h[:, 2, 2] = omega_d

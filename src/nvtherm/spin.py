@@ -176,19 +176,19 @@ def build_lab_hamiltonian(
 
 
 def branch_detunings(
-    d: float, ex: float, omega_rf: float, omega_mw: float | np.ndarray
-) -> list:
-    """Bright- and dark-mode detunings ``(omega_b, omega_d)`` of each branch.
+    d: float, ex: float | np.ndarray, omega_rf: float, omega_mw: float | np.ndarray
+) -> tuple:
+    """Bright- and dark-mode detunings ``(omega_b, omega_d)`` of both branches.
 
-    The first pair is the upper dressed branch (the RF sideband itself), the
-    second its mirror (ex -> -ex, omega_rf -> -omega_rf).  The dark level
-    sits at D - E_x, so its detuning carries the opposite strain sign from
-    the bright one.
+    The branch is axis -2 of each array: first the upper dressed branch (the
+    RF sideband itself), then its mirror (ex -> -ex, omega_rf -> -omega_rf),
+    with ``ex``'s own axes before it and ``omega_mw``'s after.  The dark
+    level sits at D - E_x, so its detuning carries the opposite strain sign
+    from the bright one.
     """
-    return [
-        (d + ex_i - omega_mw, d - ex_i - omega_mw + omega_rf_i)
-        for ex_i, omega_rf_i in ((ex, omega_rf), (-ex, -omega_rf))
-    ]
+    sign = np.array([[1.0], [-1.0]])  # upper branch, mirror
+    exb = np.asarray(ex)[..., None] * sign
+    return (d + exb) - omega_mw, ((d - exb) - omega_mw) + omega_rf * sign
 
 
 def require_dressed_mode(env: PhysicalEnvironment) -> None:
@@ -228,9 +228,9 @@ def build_rotating_hamiltonian(env: PhysicalEnvironment, drive: DriveConfig) -> 
     require_dressed_mode(env)
     omega_b, omega_d = branch_detunings(
         zero_field_splitting(env), env.ex, drive.omega_rf, drive.omega_mw
-    )[0]
+    )
     return rotating_hamiltonian_from_params(
-        omega_b, omega_d, drive.rabi_rf / 2.0, drive.rabi_mw / 2.0
+        omega_b[0, 0], omega_d[0, 0], drive.rabi_rf / 2.0, drive.rabi_mw / 2.0
     )
 
 

@@ -98,10 +98,25 @@ class TestValidation:
         assert field in capsys.readouterr().out
 
     def test_quadrature_node_cap_judged_by_validate(self, capsys):
-        # Past the cap the Gauss-Hermite weights overflow and every fit fails.
+        # Past the cap the Gauss-Hermite weights sum to 0 (371) or overflow
+        # (from 373), and every spectrum or fit fails.
         preset = str(PRESET_DIR / "fig5_narrowing.json")
-        assert main(["validate", "--config", preset, "--set", "strain.nodes=381"]) == 1
-        assert "strain.nodes must be odd and in [1, 371]" in capsys.readouterr().out
+        assert main(["validate", "--config", preset, "--set", "strain.nodes=371"]) == 1
+        assert "strain.nodes must be odd and in [1, 369]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("override", ["fit.contrast=0", "contrast=-0.05"])
+    def test_fit_contrast_judged_by_validate(self, override, tmp_path, capsys):
+        # The fit's initial guess divides by the frozen contrast.
+        spec_out = tmp_path / "measured.csv"
+        fig2 = str(PRESET_DIR / "fig2_dressed.json")
+        assert main(["simulate", "--config", fig2, "--out", str(spec_out)]) == 0
+        fit_doc = {"mode": "fit", "fit": {"input": str(spec_out), "omega_rf": 16.0}}
+        cfg = _write_config(tmp_path, fit_doc)
+        capsys.readouterr()
+        assert main(["validate", "--config", cfg, "--set", override]) == 1
+        assert "fit.fixed_contrast must be > 0" in capsys.readouterr().out
+        assert main(["fit", "--config", cfg, "--set", override]) == 1
+        assert "fixed_contrast must be > 0" in capsys.readouterr().err
 
     def test_library_and_shape_problems_reported_in_one_pass(self, capsys):
         preset = str(PRESET_DIR / "fig5_narrowing.json")

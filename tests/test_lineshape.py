@@ -5,13 +5,17 @@ import json
 import numpy as np
 import pytest
 
+from nvtherm import lineshape
 from nvtherm.lineshape import (
+    BLOCK_POINTS,
     CSV_HEADER,
+    DEFAULT_QUADRATURE_NODES,
     MAX_QUADRATURE_NODES,
     Spectrum,
     StrainDistribution,
     conventional_spectrum,
     dressed_depletion,
+    dressed_signal,
     ensemble_spectrum,
     lorentzian_spectrum,
     p0,
@@ -55,7 +59,8 @@ class TestMapDriveToModel:
 
     def _upper(self, omega_mw):
         d = zero_field_splitting(ENV)
-        return branch_detunings(d, ENV.ex, DRIVE.omega_rf, omega_mw)[0]
+        omega_b, omega_d = branch_detunings(d, ENV.ex, DRIVE.omega_rf, omega_mw)
+        return omega_b[0, 0], omega_d[0, 0]
 
     def test_on_bright_resonance(self):
         omega_b, _ = self._upper(2878.0)
@@ -70,7 +75,7 @@ class TestMapDriveToModel:
         # J = rabi_rf/2 and lambda_b = rabi_mw/2 on each branch.
         grid = np.linspace(2860.0, 2880.0, 41)
         dep = dressed_depletion(2870.0, 8.0, 16.0, grid, 2.0, 0.2, 1.0, 0.1)
-        (ob, od), (mb, md) = branch_detunings(2870.0, 8.0, 16.0, grid)
+        (ob, mb), (od, md) = branch_detunings(2870.0, 8.0, 16.0, grid)
         ref = (1.0 - p0(ob, od, 1.0, 0.1, 1.0, 0.1)) + (1.0 - p0(mb, md, 1.0, 0.1, 1.0, 0.1))
         assert np.array_equal(dep, ref)
 
@@ -124,8 +129,8 @@ class TestSpectrum:
 
     def test_upper_branch_has_two_dips(self):
         grid = np.linspace(2855.0, 2885.0, 6001)
-        upper = branch_detunings(2870.0, 8.0, 16.0, grid)[0]
-        depth = 1.0 - p0(*upper, 2.5, 0.25, 0.2, 0.02)
+        omega_b, omega_d = branch_detunings(2870.0, 8.0, 16.0, grid)
+        depth = 1.0 - p0(omega_b[0], omega_d[0], 2.5, 0.25, 0.2, 0.02)
         from scipy.signal import find_peaks
 
         idx, _ = find_peaks(depth, prominence=0.1 * depth.max())
@@ -196,13 +201,61 @@ class TestEnsembleSpectrum:
             StrainDistribution(mean_ex=8.0, sigma_ex=0.1, nodes=4)
 
     def test_node_cap_is_the_largest_finite_quadrature(self):
-        # Past the cap hermgauss weights overflow and spectra turn to NaN.
-        with np.errstate(over="ignore"):
-            rule = np.polynomial.hermite.hermgauss(MAX_QUADRATURE_NODES)
-        assert np.all(np.isfinite(rule))
+        # Past the cap hermgauss weights sum to 0.0 (371 nodes) or overflow
+        # (from 373), and spectra turn to 1 or NaN.
+        for nodes in (DEFAULT_QUADRATURE_NODES, MAX_QUADRATURE_NODES):
+            _, w = np.polynomial.hermite.hermgauss(nodes)
+            assert abs(np.sum(w / np.sqrt(np.pi)) - 1.0) <= 1e-12
         StrainDistribution(mean_ex=8.0, sigma_ex=2.0, nodes=MAX_QUADRATURE_NODES)
-        with pytest.raises(ValueError, match="nodes"):
-            StrainDistribution(mean_ex=8.0, sigma_ex=2.0, nodes=381)
+        for nodes in (MAX_QUADRATURE_NODES + 2, 381):
+            with pytest.raises(ValueError, match="nodes"):
+                StrainDistribution(mean_ex=8.0, sigma_ex=2.0, nodes=nodes)
+
+
+def _per_node_signal(
+    d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast, sigma_ex, nodes
+):
+    """The strain-averaged signal from one ``p0`` call per node and branch.
+
+    The same operations in the same order as the blocked ``dressed_signal``,
+    node by node: the reference it must equal bit for bit.
+    """
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    rule = zip(x, w / np.sqrt(np.pi)) if sigma_ex != 0.0 else [(0.0, 1.0)]
+    acc = 0.0
+    for xi, wi in rule:
+        ex_i = ex + np.sqrt(2.0) * sigma_ex * xi
+        dep = 0.0
+        for s in (1.0, -1.0):  # the upper branch, then its mirror
+            omega_b = (d + s * ex_i) - grid
+            omega_d = ((d - s * ex_i) - grid) + s * omega_rf
+            dep = dep + (1.0 - p0(omega_b, omega_d, rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d))
+        acc = acc + wi * (1.0 - contrast * dep)
+    return acc
+
+
+class TestBlockedSignal:
+    @pytest.mark.parametrize("nodes", [1, 3, 21, 369])
+    @pytest.mark.parametrize("sigma_ex", [0.0, 0.3, 2.0, 5.0])
+    def test_bit_identical_to_per_node_loop(self, sigma_ex, nodes):
+        rng = np.random.default_rng([nodes, int(10 * sigma_ex)])
+        block = BLOCK_POINTS // (nodes if sigma_ex else 1)  # grid points per call
+        for length in (1, 2, block - 1, block, block + 1, 781, 6249, 20001):
+            grid = np.sort(rng.uniform(2840.0, 2900.0, length))
+            args = (
+                2870.0 + rng.normal(), rng.uniform(2.0, 12.0), rng.uniform(0.0, 30.0), grid,
+                rng.uniform(0.5, 8.0), rng.uniform(0.05, 1.0), rng.uniform(0.2, 2.0),
+                rng.uniform(0.01, 0.5), rng.uniform(0.01, 0.3), sigma_ex, nodes,
+            )
+            assert np.array_equal(dressed_signal(*args), _per_node_signal(*args))
+
+    def test_one_point_takes_one_depletion_call(self, monkeypatch):
+        real, calls = lineshape.dressed_depletion, []
+        monkeypatch.setattr(
+            lineshape, "dressed_depletion", lambda *a: calls.append(a) or real(*a)
+        )
+        dressed_signal(2870.0, 8.0, 16.0, np.array([2878.0]), 5.0, 0.5, 1.0, 0.1, 0.05, 2.0, 21)
+        assert len(calls) == 1
 
 
 class TestLorentzianSpectrum:

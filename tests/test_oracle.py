@@ -44,7 +44,7 @@ def _reference_spectrum(drive, grid, pump, db=0.0, dd=0.0, contrast=0.05):
     sig = np.empty_like(grid)
     for i in range(len(grid)):
         depletion = 0.0
-        for omega_b, omega_d in branch_detunings(2870.0, ENV.ex, drive.omega_rf, grid):
+        for omega_b, omega_d in zip(*branch_detunings(2870.0, ENV.ex, drive.omega_rf, grid)):
             h = rotating_hamiltonian_from_params(
                 omega_b[i], omega_d[i], drive.rabi_rf / 2.0, drive.rabi_mw / 2.0
             )

@@ -180,9 +180,11 @@ class TestRotatingHamiltonian:
 
 class TestDriveDetunings:
     def test_sign_convention(self):
-        (omega_b, omega_d), _ = branch_detunings(2870.0, 8.0, 16.0, 2878.0)
-        assert omega_b == pytest.approx(0.0)  # on bright resonance D + ex
-        assert omega_d == pytest.approx(0.0)  # two-photon resonance at 2ex
+        omega_b, omega_d = branch_detunings(2870.0, 8.0, 16.0, 2878.0)
+        assert omega_b[0, 0] == pytest.approx(0.0)  # on bright resonance D + ex
+        assert omega_d[0, 0] == pytest.approx(0.0)  # two-photon resonance at 2ex
+        # The mirror branch (ex -> -ex, omega_rf -> -omega_rf) comes second.
+        assert (omega_b[1, 0], omega_d[1, 0]) == pytest.approx((-16.0, -16.0))
 
 
 class TestDressedResonances:
