@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import fitting, lineshape, oracle, sensitivity
 from .lineshape import Spectrum, StrainDistribution
@@ -26,6 +25,7 @@ from .spin import (
     ConfigError,
     DriveConfig,
     PhysicalEnvironment,
+    contrast_problems,
     dressed_resonances,
     rotating_hamiltonian_from_params,
     zero_field_splitting,
@@ -208,7 +208,12 @@ def _check_values(doc: dict, bad: set) -> list[str]:
     env = judge("environment", _build_environment) or PhysicalEnvironment()
     drive = judge("drive", _build_drive) or DriveConfig()
     strain = judge("strain", _build_strain, env.ex) or StrainDistribution(env.ex)
-    judge("budget", _build_budget)
+    # A bad top-level contrast is reported under its own name, and the budget
+    # that would inherit it sees the default instead.
+    contrast = _contrast(doc)
+    top = contrast_problems("contrast", contrast)
+    diags += top
+    judge("budget", _build_budget, lineshape.DEFAULT_CONTRAST if top else contrast)
     judge("oracle", _build_oracle)
     if doc.get("mode") == "sweep" and {"sweep", "grid"} <= doc.keys():
         judge("sweep", _build_sweep, env, drive, strain, 0)
@@ -273,6 +278,11 @@ def _build_oracle(doc: dict) -> oracle.LindbladModel:
     return oracle.LindbladModel(h0, **{"pump_rate": 2.0, **doc.get("oracle", {})})
 
 
+def _contrast(doc: dict) -> float:
+    """The top-level contrast: the generators', and the budget's and fit's default."""
+    return doc.get("contrast", lineshape.DEFAULT_CONTRAST)
+
+
 def _build_grid(doc: dict) -> np.ndarray:
     g = doc["grid"]
     return np.linspace(g["start_mhz"], g["stop_mhz"], g["points"])
@@ -309,8 +319,7 @@ def _clean_spectrum(doc: dict, env, grid: np.ndarray, contrast: float) -> Spectr
 
 def run_simulate(doc: dict, args) -> str:
     env = _build_environment(doc)
-    contrast = doc.get("contrast", lineshape.DEFAULT_CONTRAST)
-    spec = _clean_spectrum(doc, env, _build_grid(doc), contrast)
+    spec = _clean_spectrum(doc, env, _build_grid(doc), _contrast(doc))
     noise = doc.get("noise")
     if noise:
         seed = args.seed if args.seed is not None else doc.get("seed", 0)
@@ -332,8 +341,7 @@ def _count_dips(spec: Spectrum) -> int:
     if depth.max() <= 0:
         return 0
     floor = fitting.noise_floor(spec.signal)  # the fit's dip floor, so noise is no dip
-    idx, _ = find_peaks(depth, prominence=max(0.2 * depth.max(), floor))
-    return len(idx)
+    return len(fitting.find_peaks(depth, max(0.2 * depth.max(), floor)).indices)
 
 
 def _build_fit_model(doc: dict):
@@ -342,11 +350,10 @@ def _build_fit_model(doc: dict):
     if kind == "lorentzian":
         return fitting.MultiLorentzian(fd.get("peaks", 2))
     omega_rf = fd.get("omega_rf", doc.get("drive", {}).get("omega_rf", 0.0))
-    contrast = fd.get("contrast", doc.get("contrast", lineshape.DEFAULT_CONTRAST))
     return fitting.DressedDip(
         omega_rf=omega_rf,
         fit_sigma_ex=fd.get("fit_sigma_ex", False),
-        fixed_contrast=contrast,
+        fixed_contrast=fd.get("contrast", _contrast(doc)),
     )
 
 
@@ -367,8 +374,8 @@ def run_fit(doc: dict, args) -> str:
     )
 
 
-def _build_budget(doc: dict) -> sensitivity.NoiseBudget:
-    contrast = doc.get("contrast", lineshape.DEFAULT_CONTRAST)
+def _build_budget(doc: dict, contrast: float) -> sensitivity.NoiseBudget:
+    """The noise budget; its contrast defaults to ``contrast``."""
     return sensitivity.NoiseBudget(
         **{"photon_rate": 1e6, "contrast": contrast, **doc.get("budget", {})}
     )
@@ -377,7 +384,7 @@ def _build_budget(doc: dict) -> sensitivity.NoiseBudget:
 def run_sensitivity(doc: dict, args) -> str:
     env = _build_environment(doc)
     grid = _build_grid(doc)
-    budget = _build_budget(doc)
+    budget = _build_budget(doc, _contrast(doc))
 
     def curve_fn(g):
         return _clean_spectrum(doc, env, g, budget.contrast).signal
@@ -412,7 +419,7 @@ def run_sweep(doc: dict, args) -> str:
     strain = _build_strain(doc, env.ex)
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     config = _build_sweep(doc, env, _build_drive(doc), strain, seed)
-    table = sensitivity.sweep(config, _build_budget(doc))
+    table = sensitivity.sweep(config, _build_budget(doc, _contrast(doc)))
     out = _out_path(doc, args, "sweep.csv")
     _write(out, table.to_csv())
     _write(out.with_suffix(".json"), table.to_json())
@@ -424,7 +431,7 @@ def run_oracle_check(doc: dict, args) -> str:
     env = _build_environment(doc)
     drive = _build_drive(doc)
     grid = _build_grid(doc)
-    contrast = doc.get("contrast", lineshape.DEFAULT_CONTRAST)
+    contrast = _contrast(doc)
     rates = _build_oracle(doc)
     pump, deph_b, deph_d = rates.pump_rate, rates.dephase_b, rates.dephase_d
     gamma_b = pump / 2.0 + deph_b

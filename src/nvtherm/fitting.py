@@ -9,11 +9,13 @@ parameters are fitted in log space so the internal problem is unconstrained.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import neg
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.signal import find_peaks, peak_widths
 
 from . import lineshape
 from .lineshape import Spectrum, strict_json
@@ -183,6 +185,122 @@ def noise_floor(signal: np.ndarray) -> float:
     return max(5.0 * noise_est / np.sqrt(max(len(signal) // 50, 1)), 1e-12)
 
 
+class Peaks(NamedTuple):
+    """Peaks of a sampled curve, as ``scipy.signal`` reports them.
+
+    The fields are those of ``find_peaks(x, prominence=...)`` and the widths
+    those of ``peak_widths(x, indices, rel_height=0.5)``.
+    """
+
+    indices: np.ndarray
+    prominences: np.ndarray
+    left_bases: np.ndarray
+    right_bases: np.ndarray
+    widths: np.ndarray  # full width at half prominence, in samples
+
+
+def _lowest_valleys(values: list) -> list:
+    """Position of each maximum's base: the lowest valley its walk passes.
+
+    ``values`` alternate valley, maximum, ..., maximum, valley.  The walk
+    from a maximum goes left over maxima no higher than it and stops at the
+    first strictly higher one; on ties the valley nearest the maximum wins.
+    """
+    stack = [-1]  # maxima whose walks are still open, strictly falling
+    base = [0] * len(values)
+    for e in range(1, len(values), 2):
+        h = values[e]
+        p = e - 1
+        s = stack[-1]
+        while s >= 0 and values[s] <= h:
+            if values[base[s]] < values[p]:
+                p = base[s]
+            stack.pop()
+            s = stack[-1]
+        stack.append(e)
+        base[e] = p
+    return base[1::2]
+
+
+def find_peaks(x: np.ndarray, prominence: float) -> Peaks:
+    """Peaks of ``x`` with a prominence of at least ``prominence``, and their widths.
+
+    Gives exactly what scipy 1.17's ``find_peaks`` and ``peak_widths`` give:
+
+    - A peak is a maximal run of equal samples, strictly higher than the
+      samples on either side; a run at an end of ``x`` is none.  Its index
+      is the middle of the run, ``(first + last) // 2``.
+    - Each side walks out from the peak while samples are no higher than
+      it.  Its base is the lowest sample passed, nearest the peak on ties.
+      The prominence is the peak less the higher of the two bases.
+    - The width is taken at the peak less half its prominence: each side
+      walks out from the peak to the first sample at or below that height,
+      going no further than its base, and the crossing is interpolated
+      linearly from there.
+
+    The walks run over the turning points of ``x``, not its samples.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("find_peaks needs finite samples")
+    n = len(x)
+    no_index = np.zeros(0, dtype=np.intp)
+    no_peaks = Peaks(no_index, np.zeros(0), no_index, no_index, np.zeros(0))
+    if n < 3:
+        return no_peaks
+    # Between endless maxima beyond the ends, x turns alternately at a valley
+    # and at a peak, starting and ending with a valley.
+    dx = np.diff(np.concatenate(([np.inf], x, [np.inf])))
+    steps = (dx != 0).nonzero()[0]
+    rising = dx[steps] > 0
+    turns = (rising[1:] != rising[:-1]).nonzero()[0]
+    if len(turns) < 3:
+        return no_peaks
+    first = steps[turns]  # turn k is the run x[first[k]:last[k] + 1]
+    last = steps[turns + 1] - 1
+    values = x[first].tolist()
+    first, last = first.tolist(), last.tolist()
+    left = _lowest_valleys(values)
+    right = [len(values) - 1 - p for p in reversed(_lowest_valleys(values[::-1]))]
+    rows = []
+    for e, lp, rp in zip(range(1, len(values), 2), left, right):
+        h = values[e]
+        prom = h - max(values[lp], values[rp])
+        if not prom >= prominence:
+            continue
+        peak = (first[e] + last[e]) // 2
+        height = h - prom * 0.5
+        # The first sample at or below the height on each side lies on the
+        # monotone slope next to the nearest valley that low, or the base.
+        a = e - 1
+        while a > lp and values[a] > height:
+            a -= 2
+        stop = first[a + 1] if a + 1 < e else peak
+        i = max(bisect_right(x, height, last[a], stop + 1) - 1, last[lp])
+        left_ip = float(i)
+        if x[i] < height:
+            left_ip += (height - x[i]) / (x[i + 1] - x[i])
+        b = e + 1
+        while b < rp and values[b] > height:
+            b += 2
+        start = last[b - 1] if b - 1 > e else peak
+        j = min(bisect_left(x, -height, start, first[b] + 1, key=neg), first[rp])
+        right_ip = float(j)
+        if x[j] < height:
+            right_ip -= (height - x[j]) / (x[j - 1] - x[j])
+        rows.append((peak, prom, last[lp], first[rp], right_ip - left_ip))
+    if not rows:
+        return no_peaks
+    peaks, prominences, left_bases, right_bases, widths = zip(*rows)
+    return Peaks(
+        np.array(peaks, dtype=np.intp),
+        np.array(prominences),
+        np.array(left_bases, dtype=np.intp),
+        np.array(right_bases, dtype=np.intp),
+        np.array(widths),
+    )
+
+
 def _detect_dips(spec: Spectrum, n_required: int):
     """Local-minima detection on the smoothed signal.
 
@@ -197,13 +315,13 @@ def _detect_dips(spec: Spectrum, n_required: int):
     floor = noise_floor(spec.signal)
     if depth.max() <= floor:
         raise FitError(f"detected 0 dips, need {n_required} (spectrum looks flat)")
-    idx, props = find_peaks(depth, prominence=0.2 * depth.max())
-    if len(idx) < n_required:
-        raise FitError(f"detected {len(idx)} dips, need {n_required}")
-    idx = idx[np.argsort(props["prominences"])[::-1]]
-    w_samples = peak_widths(depth, idx, rel_height=0.5)[0]
+    peaks = find_peaks(depth, 0.2 * depth.max())
+    if len(peaks.indices) < n_required:
+        raise FitError(f"detected {len(peaks.indices)} dips, need {n_required}")
+    order = np.argsort(peaks.prominences)[::-1]
+    idx = peaks.indices[order]
     dnu = float(np.mean(np.diff(spec.frequencies)))
-    widths = np.maximum(w_samples * dnu, dnu)
+    widths = np.maximum(peaks.widths[order] * dnu, dnu)
     return baseline, np.column_stack([spec.frequencies[idx], widths, depth[idx]])
 
 
@@ -396,27 +514,44 @@ def _covariance(model, params, free, grid, w, weighted, cost, n_points):
     return cov
 
 
+def _half_crossing(curve_fn, grid, curve, half, i: int, k: int):
+    """Root of ``curve_fn(nu) - half`` between samples ``i`` and ``k``.
+
+    ``brentq`` probes both ends first; those probes are answered from
+    ``curve``.  The probe function holds only the two end values.
+    """
+    a, b = grid[i], grid[k]
+    at_a, at_b = curve[i] - half, curve[k] - half
+
+    def above_half(nu):
+        if nu == a:
+            return at_a
+        if nu == b:
+            return at_b
+        return float(curve_fn(np.array([nu]))[0]) - half
+
+    return brentq(above_half, a, b)
+
+
 def half_depth_width(curve_fn, grid: np.ndarray, curve: np.ndarray, m: int):
     """Full width at half depth of the dip at ``grid[m]`` of a sampled curve.
 
     ``curve`` is ``curve_fn(grid)`` on a baseline of 1.  From ``m`` each side
     walks outward to the first sample at or above half depth, and the
-    crossing is then refined by root-finding on ``curve_fn``.  Returns None
-    when a side has no crossing.
+    crossing is then refined by root-finding on ``curve_fn``; the samples
+    bracketing it are not evaluated again.  Returns None when a side has no
+    crossing.
     """
     half = 1.0 - (1.0 - curve[m]) / 2.0
-
-    def above_half(nu):
-        return float(curve_fn(np.array([nu]))[0]) - half
 
     left = right = None
     for i in range(m, 0, -1):
         if curve[i - 1] >= half:
-            left = brentq(above_half, grid[i - 1], grid[m])
+            left = _half_crossing(curve_fn, grid, curve, half, i - 1, m)
             break
     for i in range(m, len(grid) - 1):
         if curve[i + 1] >= half:
-            right = brentq(above_half, grid[m], grid[i + 1])
+            right = _half_crossing(curve_fn, grid, curve, half, m, i + 1)
             break
     if left is None or right is None:
         return None
@@ -441,7 +576,7 @@ def peak_properties(model, params, spec: Spectrum, refine: int = 8):
     )
     curve = model.evaluate(params, grid)
     depth = 1.0 - curve
-    idx, _ = find_peaks(depth, prominence=0.05 * depth.max())
+    idx = find_peaks(depth, 0.05 * depth.max()).indices
     fwhm, reasons, contrasts = [], [], []
     for m in idx:
         contrasts.append(float(depth[m]))

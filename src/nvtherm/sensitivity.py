@@ -40,7 +40,7 @@ class NoiseBudget:
     gamma_sat: float = 1.0
 
     def __post_init__(self):
-        check_fields(self, positive=("photon_rate",))
+        check_fields(self, positive=("photon_rate",), contrasts=("contrast",))
 
     def at_laser_power(self, power_mw: float):
         """(photon_rate, pump_rate, contrast) at a given laser power in mW."""

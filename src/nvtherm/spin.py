@@ -38,12 +38,25 @@ class ConfigError(ValueError):
         super().__init__("; ".join(diagnostics))
 
 
-def check_fields(obj, positive=(), nonnegative=(), problems=()) -> None:
+# The exact depletion of |0> by each branch is below 1, so a contrast of at
+# most 1/2 keeps the two-branch signal 1 - contrast * (depletion + mirror) > 0.
+MAX_CONTRAST = 0.5
+
+
+def contrast_problems(name: str, value: float) -> list[str]:
+    """Why ``value`` is no optical contrast: a contrast is in (0, MAX_CONTRAST]."""
+    if 0.0 < value <= MAX_CONTRAST:
+        return []
+    return [f"{name} must be in (0, {MAX_CONTRAST}], got {value}"]
+
+
+def check_fields(obj, positive=(), nonnegative=(), contrasts=(), problems=()) -> None:
     """Raise one ``ConfigError`` naming every bad field of dataclass ``obj``.
 
-    Numeric fields must be finite, those in ``positive`` > 0 and those in
-    ``nonnegative`` >= 0; ``problems`` are the caller's own findings.  Each
-    message starts with its field name.
+    Numeric fields must be finite, those in ``positive`` > 0, those in
+    ``nonnegative`` >= 0 and those in ``contrasts`` in (0, MAX_CONTRAST];
+    ``problems`` are the caller's own findings.  Each message starts with
+    its field name.
     """
     found = []
     for f in fields(obj):
@@ -54,6 +67,8 @@ def check_fields(obj, positive=(), nonnegative=(), problems=()) -> None:
             found.append(f"{f.name} must be > 0, got {value}")
         elif f.name in nonnegative and value < 0:
             found.append(f"{f.name} must be >= 0, got {value}")
+        elif f.name in contrasts:
+            found += contrast_problems(f.name, value)
     found += problems
     if found:
         raise ConfigError(found)

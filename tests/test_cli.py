@@ -1,6 +1,9 @@
 """Tests for the command-line interface: validation, runners, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -118,6 +121,24 @@ class TestValidation:
         assert main(["fit", "--config", cfg, "--set", override]) == 1
         assert "fixed_contrast must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "preset, override, message",
+        [
+            ("fig5_narrowing", "budget.contrast=0", "budget.contrast must be in (0, 0.5], got 0"),
+            ("fig5_narrowing", "budget.contrast=0.9", "budget.contrast must be in (0, 0.5], got 0.9"),
+            ("fig2_dressed", "contrast=0", "contrast must be in (0, 0.5], got 0"),
+            ("fig5_narrowing", "contrast=0.9", "contrast must be in (0, 0.5], got 0.9"),
+        ],
+    )
+    def test_contrast_bounds_judged_by_validate(self, preset, override, message, capsys):
+        # Reported once, under the key that holds it: a budget that inherits
+        # a bad top-level contrast does not report it again.
+        argv = ["--config", str(PRESET_DIR / f"{preset}.json"), "--set", override]
+        assert main(["validate", *argv]) == 1
+        assert capsys.readouterr().out == f"invalid: {message}\n"
+        assert main([json.loads(PRESET_DIR.joinpath(f"{preset}.json").read_text())["mode"], *argv]) == 1
+        assert message in capsys.readouterr().err
+
     def test_library_and_shape_problems_reported_in_one_pass(self, capsys):
         preset = str(PRESET_DIR / "fig5_narrowing.json")
         argv = ["validate", "--config", preset]
@@ -190,6 +211,15 @@ class TestValidation:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "nope.json"))
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # scipy.signal (and the scipy.stats it imports) was most of the start-up.
+    code = "import sys, nvtherm.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestOverrides:

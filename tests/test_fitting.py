@@ -4,16 +4,23 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.signal import find_peaks as scipy_find_peaks
+from scipy.signal import peak_widths as scipy_peak_widths
 
 from nvtherm import fitting
 from nvtherm.fitting import (
     DressedDip,
     FitError,
     MultiLorentzian,
+    Peaks,
     _numeric_jacobian,
+    find_peaks,
     fit,
+    half_depth_width,
     initial_guess,
     multistart_fit,
+    noise_floor,
     peak_properties,
 )
 from nvtherm.lineshape import (
@@ -273,6 +280,151 @@ class TestPeakProperties:
         fwhm, reasons, _ = peak_properties(model, params, _dressed_clean())
         assert fwhm == [None]
         assert "no dip" in reasons[0]
+
+
+def _scipy_peaks(x, prominence):
+    idx, props = scipy_find_peaks(x, prominence=prominence)
+    widths = scipy_peak_widths(x, idx, rel_height=0.5)[0]
+    return idx, props["prominences"], props["left_bases"], props["right_bases"], widths
+
+
+def _assert_same_as_scipy(x, prominence):
+    for name, ours, theirs in zip(
+        Peaks._fields, find_peaks(x, prominence), _scipy_peaks(x, prominence)
+    ):
+        np.testing.assert_array_equal(ours, theirs, err_msg=f"{name}, n={len(x)}")
+
+
+def _thresholds(x):
+    """0, the finder's three uses (0.05 and 0.2 of the maximum, and the
+    noise floor of ``cli._count_dips``), and the maximum itself."""
+    if len(x) == 0:
+        return [0.0]
+    top = x.max()
+    floor = noise_floor(x) if len(x) > 1 else 0.0
+    return [0.0, 0.05 * top, 0.2 * top, max(0.2 * top, floor), top]
+
+
+def _random_array(rng, k):
+    """Noise, plateaus, ties and end runs, 0 to 1000 samples."""
+    n = int(rng.integers(0, 1001))
+    kind = k % 5
+    if kind == 0:
+        return rng.normal(size=n)
+    if kind == 1:  # rounded: ties between peaks and valleys
+        return np.round(2.0 * rng.normal(size=n))
+    if kind == 2:  # three levels: long plateaus and end runs
+        return rng.integers(0, 3, size=n).astype(float)
+    if kind == 3:  # runs of 1-4 equal samples
+        runs = max(n // 3, 1)
+        return np.repeat(rng.normal(size=runs), rng.integers(1, 5, size=runs))[:n]
+    return np.round(np.cumsum(rng.normal(size=n)), 1)  # rounded random walk
+
+
+def _fig5_spectrum(rabi_mw, grid, seed=None):
+    """The fig5_narrowing preset's strain ensemble, noisy when seeded."""
+    env = PhysicalEnvironment(ex=8.0, b_transverse=80.0)
+    drive = DriveConfig(rabi_mw=rabi_mw, omega_rf=16.0, rabi_rf=6.0)
+    clean = ensemble_spectrum(env, drive, grid, 1.0, 1.0, 0.05, StrainDistribution(8.0, 0.3))
+    return clean if seed is None else synthesize_measurement(clean, 1e6, 1.0, seed=seed)
+
+
+class TestFindPeaks:
+    def test_random_arrays_match_scipy(self):
+        rng = np.random.default_rng(20260)
+        for k in range(300):
+            x = _random_array(rng, k)
+            for prominence in _thresholds(x):
+                _assert_same_as_scipy(x, prominence)
+
+    @pytest.mark.parametrize("rabi_mw", [0.2, 0.6, 1.5])
+    def test_noisy_fig5_depths_match_scipy(self, rabi_mw):
+        # The smoothed depth _detect_dips searches: 75-135 local maxima.
+        grid = np.linspace(2845.0, 2895.0, 501)
+        for seed in range(4):
+            smooth = fitting._smooth(_fig5_spectrum(rabi_mw, grid, seed).signal)
+            depth = np.quantile(smooth, 0.75) - smooth
+            for prominence in _thresholds(depth):
+                _assert_same_as_scipy(depth, prominence)
+
+    def test_refined_model_curve_matches_scipy(self):
+        # peak_properties' curve: 8 points per sample of a 501-point grid.
+        grid = np.linspace(2845.0, 2895.0, 4009)
+        for rabi_mw in (0.6, 1.5):
+            depth = 1.0 - _fig5_spectrum(rabi_mw, grid).signal
+            for prominence in _thresholds(depth):
+                _assert_same_as_scipy(depth, prominence)
+
+    def test_plateau_walks_and_widths(self):
+        x = np.array([0.0, 1.0, 3.0, 3.0, 3.0, 1.0, 2.0, 0.5, 2.5, 0.0])
+        peaks = find_peaks(x, 1.6)
+        # The plateau's middle; the peak at 6 has prominence 2 - 1 < 1.6.
+        np.testing.assert_array_equal(peaks.indices, [3, 8])
+        np.testing.assert_array_equal(peaks.prominences, [3.0, 2.0])
+        np.testing.assert_array_equal(peaks.left_bases, [0, 7])
+        np.testing.assert_array_equal(peaks.right_bases, [9, 9])
+        # Both at height 1.5: crossings 1.25 and 4.75, then 7.5 and 8.4.
+        np.testing.assert_array_equal(peaks.widths, [4.75 - 1.25, (9 - 1.5 / 2.5) - 7.5])
+
+    def test_walk_starts_at_the_plateau_middle(self):
+        # Half the smallest subnormal rounds to 0, so the width is taken at
+        # the peak's own height: both walks stop at once, as in scipy
+        # (which warns that the width is 0).
+        tiny = 5e-324
+        peaks = find_peaks(np.array([0.0, tiny, tiny, tiny, 0.0]), 0.0)
+        np.testing.assert_array_equal(peaks.indices, [2])
+        np.testing.assert_array_equal(peaks.widths, [0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_refused(self, bad):
+        x = np.array([0.0, 1.0, 0.0, bad, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            find_peaks(x, 0.0)
+
+
+def _half_depth_width_evaluating_every_probe(curve_fn, grid, curve, m):
+    """half_depth_width as it was, with curve_fn behind every brentq probe."""
+    half = 1.0 - (1.0 - curve[m]) / 2.0
+
+    def above_half(nu):
+        return float(curve_fn(np.array([nu]))[0]) - half
+
+    left = right = None
+    for i in range(m, 0, -1):
+        if curve[i - 1] >= half:
+            left = brentq(above_half, grid[i - 1], grid[m])
+            break
+    for i in range(m, len(grid) - 1):
+        if curve[i + 1] >= half:
+            right = brentq(above_half, grid[m], grid[i + 1])
+            break
+    if left is None or right is None:
+        return None
+    return float(right - left)
+
+
+class TestHalfDepthWidth:
+    def test_bracket_samples_not_evaluated_again(self):
+        # Each side's two bracket ends are samples of the curve already.
+        model = DressedDip(omega_rf=8.0, fixed_contrast=0.1)
+        params = np.array([2870.0, 8.0, 6.0, 0.8, 1.0, 0.3, 0.1])
+        grid = np.linspace(GRID[0], GRID[-1], 8 * len(GRID) + 1)
+        probes = []
+
+        def curve_fn(g):
+            probes.append(g)
+            return model.evaluate(params, g)
+
+        curve = curve_fn(grid)
+        dips = find_peaks(1.0 - curve, 0.05 * (1.0 - curve).max()).indices
+        assert len(dips) == 4
+        for m in dips:
+            probes.clear()
+            width = half_depth_width(curve_fn, grid, curve, m)
+            n_probes = len(probes)
+            probes.clear()
+            assert width == _half_depth_width_evaluating_every_probe(curve_fn, grid, curve, m)
+            assert n_probes == len(probes) - 4
 
 
 class TestMultistart:

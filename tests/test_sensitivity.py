@@ -21,7 +21,7 @@ from nvtherm.sensitivity import (
     slope_sensitivity,
     sweep,
 )
-from nvtherm.spin import DriveConfig, PhysicalEnvironment
+from nvtherm.spin import ConfigError, DriveConfig, PhysicalEnvironment
 
 BUDGET = NoiseBudget(photon_rate=1e6)
 
@@ -44,6 +44,15 @@ class TestNoiseBudget:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError, match="photon_rate"):
             NoiseBudget(photon_rate=0.0)
+
+    @pytest.mark.parametrize("contrast", [0.0, -0.05, 0.51, 0.9])
+    def test_contrast_outside_zero_to_one_half_rejected(self, contrast):
+        # Above 1/2 the two branches can take the signal below zero.
+        with pytest.raises(ConfigError, match=r"contrast must be in \(0, 0.5\]"):
+            NoiseBudget(photon_rate=1e6, contrast=contrast)
+
+    def test_contrast_of_one_half_accepted(self):
+        assert NoiseBudget(photon_rate=1e6, contrast=0.5).contrast == 0.5
 
     def test_laser_power_model(self):
         budget = NoiseBudget(
