@@ -9,13 +9,13 @@ parameters are fitted in log space so the internal problem is unconstrained.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import neg
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import lineshape
 from .lineshape import Spectrum, strict_json
@@ -27,6 +27,10 @@ COST_RTOL = 1e-10
 STEP_ATOL = 1e-12
 MAX_DAMPING = 1e12
 JACOBIAN_REL_STEP = 1e-6
+# scipy.optimize.brentq's defaults.
+BRENTQ_XTOL = 2e-12
+BRENTQ_RTOL = 4 * math.ulp(1.0)  # 4 machine epsilons
+BRENTQ_MAXITER = 100
 
 
 class FitError(RuntimeError):
@@ -86,7 +90,7 @@ class DressedDip:
     fixed_contrast: float = lineshape.DEFAULT_CONTRAST
 
     def __post_init__(self):
-        check_fields(self, positive=("fixed_contrast",))
+        check_fields(self, contrasts=("fixed_contrast",))
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -512,6 +516,80 @@ def _covariance(model, params, free, grid, w, weighted, cost, n_points):
     ix = np.where(free)[0]
     cov[np.ix_(ix, ix)] = cov_free
     return cov
+
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
+
+
+def brentq(f, a: float, b: float) -> float:
+    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    The same steps, operations and errors as ``scipy.optimize.brentq`` at
+    its defaults (scipy 1.17's ``Zeros/brentq.c``), so roots are equal to
+    the last bit.  ``f(a)`` and ``f(b)`` must differ in sign; a NaN value
+    stops the search.
+    """
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return float(fx)
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (BRENTQ_XTOL + BRENTQ_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate; a zero denominator gives C an inf or NaN step,
+                # which fails the test below just as math.inf does
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {BRENTQ_MAXITER} iterations.")
 
 
 def _half_crossing(curve_fn, grid, curve, half, i: int, k: int):

@@ -89,6 +89,11 @@ class Spectrum:
         n = len(self.frequencies)
         if len(self.signal) != n or len(self.sigma) != n:
             raise ValueError("frequencies, signal, sigma must have equal length")
+        for name in ("frequencies", "signal", "sigma"):
+            values = getattr(self, name)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got {values[bad[0]]} at index {bad[0]}")
         if n > 1 and not np.all(np.diff(self.frequencies) > 0):
             raise ValueError("frequencies must be strictly ascending")
         if np.any(self.sigma < 0):
@@ -152,13 +157,26 @@ def p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d):
     """Steady-state |0> population of the two-mode response, all MHz.
 
     Vectorised: the detunings ``omega_b`` and ``omega_d`` may be arrays.
+    Evaluates 1 - |amp_b|^2 - |amp_d|^2 with amp_b = -lambda_b*zd/det,
+    amp_d = lambda_b*j/det and det = zb*zd - j^2, operation for operation,
+    in two complex and two real work arrays.  glibc hands a large free heap
+    top back to the kernel (unless something, such as importing scipy, has
+    raised its trim threshold), so a temporary per operation made a warm
+    strain fit page-fault tens of thousands of times.
     """
-    zb = omega_b - 1j * gamma_b
-    zd = omega_d - 1j * gamma_d
-    det = zb * zd - j**2
-    amp_b = -lambda_b * zd / det
-    amp_d = lambda_b * j / det
-    return 1.0 - np.abs(amp_b) ** 2 - np.abs(amp_d) ** 2
+    shape = np.broadcast(omega_b, omega_d).shape
+    zb = np.subtract(omega_b, 1j * gamma_b, out=np.empty(shape, complex))
+    zd = np.subtract(omega_d, 1j * gamma_d, out=np.empty(shape, complex))
+    det = np.multiply(zb, zd, out=zb)
+    np.subtract(det, j**2, out=det)
+    amp_b = np.divide(np.multiply(-lambda_b, zd, out=zd), det, out=zd)
+    amp_d = np.divide(lambda_b * j, det, out=det)
+    lost_b = np.abs(amp_b, out=np.empty(shape))
+    lost_d = np.abs(amp_d, out=np.empty(shape))
+    np.square(lost_b, out=lost_b)
+    np.square(lost_d, out=lost_d)
+    pop = np.subtract(1.0, lost_b, out=lost_b)
+    return np.subtract(pop, lost_d, out=pop)[()]
 
 
 def dressed_depletion(
@@ -174,7 +192,8 @@ def dressed_depletion(
     column of E_x values gives one row per value, from one ``p0`` call.
     """
     omega_b, omega_d = branch_detunings(d, ex, omega_rf, grid)
-    dep = 1.0 - p0(omega_b, omega_d, rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d)
+    dep = p0(omega_b, omega_d, rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d)
+    np.subtract(1.0, dep, out=dep)
     return dep[..., 0, :] + dep[..., 1, :]
 
 

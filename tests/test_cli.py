@@ -107,9 +107,10 @@ class TestValidation:
         assert main(["validate", "--config", preset, "--set", "strain.nodes=371"]) == 1
         assert "strain.nodes must be odd and in [1, 369]" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("override", ["fit.contrast=0", "contrast=-0.05"])
+    @pytest.mark.parametrize("override", ["fit.contrast=0", "contrast=-0.05", "fit.contrast=0.9"])
     def test_fit_contrast_judged_by_validate(self, override, tmp_path, capsys):
-        # The fit's initial guess divides by the frozen contrast.
+        # The fit's initial guess divides by the frozen contrast, and a
+        # contrast above 0.5 fits rabi_mw too small by sqrt(contrast / 0.05).
         spec_out = tmp_path / "measured.csv"
         fig2 = str(PRESET_DIR / "fig2_dressed.json")
         assert main(["simulate", "--config", fig2, "--out", str(spec_out)]) == 0
@@ -117,9 +118,9 @@ class TestValidation:
         cfg = _write_config(tmp_path, fit_doc)
         capsys.readouterr()
         assert main(["validate", "--config", cfg, "--set", override]) == 1
-        assert "fit.fixed_contrast must be > 0" in capsys.readouterr().out
+        assert "fit.fixed_contrast must be in (0, 0.5]" in capsys.readouterr().out
         assert main(["fit", "--config", cfg, "--set", override]) == 1
-        assert "fixed_contrast must be > 0" in capsys.readouterr().err
+        assert "fixed_contrast must be in (0, 0.5]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "preset, override, message",
@@ -213,13 +214,41 @@ class TestValidation:
             load_config(str(tmp_path / "nope.json"))
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    # scipy.signal (and the scipy.stats it imports) was most of the start-up.
-    code = "import sys, nvtherm.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+_SCIPY_FREE_RUN = """
+import sys
+import nvtherm.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+print(scipy_modules())
+import numpy as np
+from nvtherm import fitting, lineshape
+from nvtherm.spin import DriveConfig, PhysicalEnvironment
+
+env = PhysicalEnvironment(d0=2885.5, ex=8.0, b_transverse=80.0)
+drive = DriveConfig(rabi_mw=0.5, omega_rf=16.0, rabi_rf=5.0)
+strain = lineshape.StrainDistribution(mean_ex=8.0, sigma_ex=2.0)
+clean = lineshape.ensemble_spectrum(env, drive, np.linspace(2866.0, 2905.0, 391), 1.0, 0.1, 0.05, strain)
+noisy = lineshape.synthesize_measurement(clean, 1e8, 1.0, 0)
+assert fitting.fit(noisy, fitting.DressedDip(omega_rf=16.0, fit_sigma_ex=True)).converged
+fig5, out = sys.argv[1:]
+one_point = 'sweep.axes=[{"name": "rabi_rf", "values": [6.0]}]'
+assert nvtherm.cli.main(["sweep", "--config", fig5, "--out", out, "--set", one_point]) == 0
+print(scipy_modules())
+"""
+
+
+def test_cli_import_leaves_scipy_signal_out(tmp_path):
+    # scipy.signal (and the scipy.stats it imports) was most of the start-up,
+    # and scipy.optimize most of the rest: no run loads any scipy module.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    argv = [sys.executable, "-c", _SCIPY_FREE_RUN, str(PRESET_DIR / "fig5_narrowing.json"), str(tmp_path / "one.csv")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
+    assert lines[1].startswith("sweep ok: points=1 fitted=1")
 
 
 class TestOverrides:

@@ -1,6 +1,7 @@
 """Tests for the fitting module: guesses, optimizer behavior, extraction."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -425,6 +426,104 @@ class TestHalfDepthWidth:
             probes.clear()
             assert width == _half_depth_width_evaluating_every_probe(curve_fn, grid, curve, m)
             assert n_probes == len(probes) - 4
+
+
+def _root_or_error(solver, f, a, b):
+    try:
+        return solver(f, a, b)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBrentq:
+    """``fitting.brentq`` is scipy's ``brentq`` at its defaults, to the bit."""
+
+    def _assert_same_as_scipy(self, f, a, b):
+        ours, theirs = _root_or_error(fitting.brentq, f, a, b), _root_or_error(brentq, f, a, b)
+        assert ours == theirs
+        if isinstance(theirs, float):
+            assert type(ours) is float and math.copysign(1.0, ours) == math.copysign(1.0, theirs)
+
+    def test_random_functions_and_brackets(self):
+        rng = np.random.default_rng(11)
+        families = [
+            lambda c: (lambda x: np.polyval(c, x)),
+            lambda c: (lambda x: math.tanh(c[0] * (x - c[1])) + 0.5 * c[2]),
+            lambda c: (lambda x: math.sin(3.0 * c[0] * x) + c[1] * x + c[2]),
+            lambda c: (lambda x: c[1] * (x - c[0]) ** 3 + 1e-9 * c[2]),
+            lambda c: (lambda x: np.float64(c[0]) * (x - c[1]) ** 2 - 0.1 * abs(c[2])),
+        ]
+        for k in range(2000):
+            f = families[k % len(families)](rng.normal(size=6))
+            a, b = rng.normal(size=2) * 3.0
+            self._assert_same_as_scipy(f, a, b)
+
+    def test_piecewise_constant_functions(self):
+        # Ties |f(blk)| == |f(cur)| decide whether the bracket ends swap.
+        rng = np.random.default_rng(12)
+        for _ in range(1000):
+            c = rng.normal(size=2)
+            offset = 0.25 * round(4.0 * c[0]) - 0.125 * (c[1] > 0)
+            a, b = rng.normal(size=2) * 3.0
+            self._assert_same_as_scipy(lambda x: math.floor(4.0 * x) / 4.0 - offset, a, b)
+
+    def test_brackets_a_few_xtol_wide(self):
+        # Near the tolerance the step test 2|step| < 3|half bracket| - tol
+        # decides between interpolation and bisection.
+        rng = np.random.default_rng(13)
+        for _ in range(3000):
+            r, slope, wiggle = rng.normal(size=3)
+            scale = 10 ** rng.uniform(-12, -10)
+
+            def f(x):
+                t = (x - r) / scale
+                return math.exp(slope * t) - 1.0 + 0.3 * wiggle * math.sin(5.0 * t)
+
+            a, b = r + rng.uniform(-5.0, 5.0, 2) * scale
+            self._assert_same_as_scipy(f, a, b)
+
+    def test_dip_flanks_of_a_model_curve(self):
+        # The crossings half_depth_width looks for, on both flanks of each dip.
+        model = DressedDip(omega_rf=8.0, fixed_contrast=0.1)
+        params = np.array([2870.0, 8.0, 6.0, 0.8, 1.0, 0.3, 0.1])
+        grid = np.linspace(GRID[0], GRID[-1], 8 * len(GRID) + 1)
+        curve = model.evaluate(params, grid)
+        for m in find_peaks(1.0 - curve, 0.05 * (1.0 - curve).max()).indices:
+            half = 1.0 - (1.0 - curve[m]) / 2.0
+
+            def above_half(nu):
+                return float(model.evaluate(params, np.array([nu]))[0]) - half
+
+            for i in range(m - 40, m + 41):
+                self._assert_same_as_scipy(above_half, grid[i], grid[m])
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: x - 1.0, 1.0, 3.0),  # root at a
+            (lambda x: x - 3.0, 1.0, 3.0),  # root at b
+            (lambda x: -0.0 if x == 1.0 else x - 2.0, 1.0, 3.0),  # f(a) = -0.0
+            (lambda x: -0.0 if x == 3.0 else x - 2.0, 1.0, 3.0),  # f(b) = -0.0
+            (lambda x: x * (x - 1.0), 0.0, 0.0),  # a == b at a root
+            (lambda x: x - 2.0, 3.0, 1.0),  # reversed bracket
+        ],
+    )
+    def test_bracket_ends_and_signed_zeros(self, f, a, b):
+        self._assert_same_as_scipy(f, a, b)
+
+    @pytest.mark.parametrize(
+        "f, a, b, error, message",
+        [
+            (lambda x: x * x + 1.0, -1.0, 1.0, ValueError, "f(a) and f(b) must have different signs"),
+            (lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, ValueError, "is NaN; solver cannot continue"),
+            (lambda x: math.nan, 0.0, 1.0, ValueError, "The function value at x=0.0 is NaN"),
+            (lambda x: math.copysign(1.0, x - 0.3), -1e300, 1e300, RuntimeError, "Failed to converge after 100 iterations."),
+        ],
+    )
+    def test_errors_as_scipy_raises_them(self, f, a, b, error, message):
+        theirs = _root_or_error(brentq, f, a, b)
+        assert theirs[0] is error and message in theirs[1]
+        assert _root_or_error(fitting.brentq, f, a, b) == theirs
 
 
 class TestMultistart:

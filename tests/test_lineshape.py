@@ -1,6 +1,10 @@
 """Tests for the closed-form lineshape, spectra, strain averaging, and noise."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +111,66 @@ class TestP0:
         weak = p0(0.3, -0.2, 1.0, 0.01, 1.0, 0.1)
         strong = p0(0.3, -0.2, 1.0, 0.02, 1.0, 0.1)
         assert (1.0 - strong) == pytest.approx(4.0 * (1.0 - weak))
+
+    def test_equals_plain_expression_bit_for_bit(self):
+        # The work arrays change where p0's values are stored, not how they
+        # are computed.
+        rng = np.random.default_rng(3)
+        ob, od = rng.normal(0.0, 10.0, (2, 21, 2, 97))
+        for j, lam, gb, gd in rng.uniform(0.01, 5.0, (20, 4)):
+            zb, zd = ob - 1j * gb, od - 1j * gd
+            det = zb * zd - j**2
+            plain = 1.0 - np.abs(-lam * zd / det) ** 2 - np.abs(lam * j / det) ** 2
+            assert np.array_equal(p0(ob, od, j, lam, gb, gd), plain)
+
+    def test_scalars_in_scalar_out(self):
+        value = p0(0.3, -0.2, 1.0, 0.1, 1.0, 0.1)
+        assert isinstance(value, np.float64)
+        assert p0(np.full((3, 1), 0.3), np.full(4, -0.2), 1.0, 0.1, 1.0, 0.1).shape == (3, 4)
+
+
+_WARM_STRAIN_FITS = """
+import resource, sys
+import numpy as np
+import nvtherm.cli
+from nvtherm import fitting, lineshape
+from nvtherm.spin import DriveConfig, PhysicalEnvironment
+
+env = PhysicalEnvironment(d0=2885.5, ex=8.0, b_transverse=80.0)
+drive = DriveConfig(rabi_mw=0.5, omega_rf=16.0, rabi_rf=5.0)
+strain = lineshape.StrainDistribution(mean_ex=8.0, sigma_ex=2.0)
+clean = lineshape.ensemble_spectrum(env, drive, np.linspace(2866.0, 2905.0, 781), 1.0, 0.1, 0.05, strain)
+model = fitting.DressedDip(omega_rf=16.0, fit_sigma_ex=True)
+for seed in range(4):
+    if seed == 1:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fitting.fit(lineshape.synthesize_measurement(clean, 1e8, 1.0, seed), model)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
+print(any(m.startswith("scipy") for m in sys.modules))
+"""
+
+
+def test_warm_strain_fits_take_no_page_faults():
+    # glibc gives the free top of its heap back to the kernel once it exceeds
+    # the trim threshold.  Importing scipy raises that threshold as a side
+    # effect; a numpy-only process keeps the one its start-up left, which
+    # varies with the environment (the faults of a shell-started process on a
+    # 2-core Xeon, glibc 2.36, matched 512 KiB), so the test fixes it there.
+    # A p0 with a temporary per operation then took 50,000-100,000 minor
+    # faults per warm strain_thermometry-style fit; with its work arrays a
+    # fit takes tens.
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        "MALLOC_TRIM_THRESHOLD_": str(512 * 1024),
+    }
+    argv = [sys.executable, "-c", _WARM_STRAIN_FITS]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    faults_per_fit, scipy_loaded = out.stdout.split()
+    assert scipy_loaded == "False"
+    assert float(faults_per_fit) < 5000
 
 
 class TestSpectrum:
@@ -396,7 +460,32 @@ class TestSpectrumContainer:
         assert doc["signal"][3] is None
         assert doc["sigma"][4] is None
         assert doc["signal"][2] == s.signal[2]
-        assert np.isnan(Spectrum.from_json(text).signal[3])
+        # ... and reading a null back is refused, not turned into NaN.
+        with pytest.raises(ValueError, match="signal must be finite, got nan at index 3"):
+            Spectrum.from_json(text)
+
+    @pytest.mark.parametrize(
+        "key, token, message",
+        [
+            ("signal", "null", "signal must be finite, got nan at index 1"),
+            ("sigma", "NaN", "sigma must be finite, got nan at index 1"),
+            ("frequency_mhz", "Infinity", "frequencies must be finite, got inf at index 1"),
+            ("signal", "-Infinity", "signal must be finite, got -inf at index 1"),
+        ],
+    )
+    def test_json_non_finite_refused(self, key, token, message):
+        doc = {"frequency_mhz": [2870.0, 2871.0], "signal": [1.0, 0.99], "sigma": [0.0, 0.0]}
+        text = json.dumps(doc).replace(json.dumps(doc[key]), f"[{doc[key][0]}, {token}]")
+        with pytest.raises(ValueError, match=message):
+            Spectrum.from_json(text)
+
+    @pytest.mark.parametrize("name", ["frequencies", "signal", "sigma"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_at_construction(self, name, bad):
+        arrays = {"frequencies": [1.0, 2.0, 3.0], "signal": [1.0, 1.0, 1.0], "sigma": [0.0, 0.0, 0.0]}
+        arrays[name][2] = bad
+        with pytest.raises(ValueError, match=rf"{name} must be finite, got {bad} at index 2"):
+            Spectrum(**arrays)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="ascending"):
