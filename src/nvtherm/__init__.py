@@ -11,15 +11,11 @@ from .lineshape import (
     ensemble_spectrum,
     lorentzian_spectrum,
     p0,
-    spectrum,
     synthesize_measurement,
 )
 from .spin import (
     DriveConfig,
     PhysicalEnvironment,
-    SpinMatrix,
-    build_lab_hamiltonian,
-    build_rotating_hamiltonian,
     dressed_resonances,
     residual_broadening,
     zero_field_splitting,
@@ -30,17 +26,13 @@ __version__ = "0.1.0"
 __all__ = [
     "DriveConfig",
     "PhysicalEnvironment",
-    "SpinMatrix",
     "Spectrum",
     "StrainDistribution",
-    "build_lab_hamiltonian",
-    "build_rotating_hamiltonian",
     "dressed_resonances",
     "ensemble_spectrum",
     "lorentzian_spectrum",
     "p0",
     "residual_broadening",
-    "spectrum",
     "synthesize_measurement",
     "zero_field_splitting",
 ]

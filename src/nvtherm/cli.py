@@ -209,11 +209,12 @@ def _check_values(doc: dict, bad: set) -> list[str]:
     drive = judge("drive", _build_drive) or DriveConfig()
     strain = judge("strain", _build_strain, env.ex) or StrainDistribution(env.ex)
     # A bad top-level contrast is reported under its own name, and the budget
-    # that would inherit it sees the default instead.
-    contrast = _contrast(doc)
-    top = contrast_problems("contrast", contrast)
+    # and fit that would inherit it see the default instead.
+    top = contrast_problems("contrast", _contrast(doc))
+    if top:
+        del doc["contrast"]
     diags += top
-    judge("budget", _build_budget, lineshape.DEFAULT_CONTRAST if top else contrast)
+    judge("budget", _build_budget, _contrast(doc))
     judge("oracle", _build_oracle)
     if doc.get("mode") == "sweep" and {"sweep", "grid"} <= doc.keys():
         judge("sweep", _build_sweep, env, drive, strain, 0)
@@ -436,7 +437,7 @@ def run_oracle_check(doc: dict, args) -> str:
     pump, deph_b, deph_d = rates.pump_rate, rates.dephase_b, rates.dephase_d
     gamma_b = pump / 2.0 + deph_b
     gamma_d = pump / 2.0 + deph_d
-    closed = lineshape.spectrum(env, drive, grid, gamma_b, gamma_d, contrast)
+    closed = lineshape.ensemble_spectrum(env, drive, grid, gamma_b, gamma_d, contrast)
     brute = oracle.oracle_spectrum(
         env, drive, grid, pump, deph_b, deph_d, contrast
     )

@@ -27,6 +27,8 @@ COST_RTOL = 1e-10
 STEP_ATOL = 1e-12
 MAX_DAMPING = 1e12
 JACOBIAN_REL_STEP = 1e-6
+PEAK_REFINE = 8  # dressed FWHMs are measured on a grid this many times finer
+MULTISTART_SPREAD = 0.1  # relative spread of multistart_fit's perturbed guesses
 # scipy.optimize.brentq's defaults.
 BRENTQ_XTOL = 2e-12
 BRENTQ_RTOL = 4 * math.ulp(1.0)  # 4 machine epsilons
@@ -46,6 +48,9 @@ class MultiLorentzian:
     """
 
     n_peaks: int
+
+    def __post_init__(self):
+        check_fields(self, positive=("n_peaks",))
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -636,7 +641,7 @@ def half_depth_width(curve_fn, grid: np.ndarray, curve: np.ndarray, m: int):
     return float(right - left)
 
 
-def peak_properties(model, params, spec: Spectrum, refine: int = 8):
+def peak_properties(model, params, spec: Spectrum):
     """FWHM and depth of each resolved dip of the fitted model curve.
 
     For MultiLorentzian the fitted widths/depths are returned directly.
@@ -650,7 +655,7 @@ def peak_properties(model, params, spec: Spectrum, refine: int = 8):
         return fwhm, ["ok"] * model.n_peaks, contrasts
 
     grid = np.linspace(
-        spec.frequencies[0], spec.frequencies[-1], refine * len(spec) + 1
+        spec.frequencies[0], spec.frequencies[-1], PEAK_REFINE * len(spec) + 1
     )
     curve = model.evaluate(params, grid)
     depth = 1.0 - curve
@@ -670,9 +675,7 @@ def peak_properties(model, params, spec: Spectrum, refine: int = 8):
     return fwhm, reasons, contrasts
 
 
-def multistart_fit(
-    spec: Spectrum, model, n_starts: int = 1, seed: int = 0, spread: float = 0.1
-) -> FitResult:
+def multistart_fit(spec: Spectrum, model, n_starts: int = 1, seed: int = 0) -> FitResult:
     """Best of ``n_starts`` fits from randomly perturbed initial guesses."""
     base = initial_guess(spec, model)
     rng = np.random.default_rng(seed)
@@ -680,7 +683,7 @@ def multistart_fit(
     for k in range(max(n_starts, 1)):
         guess = base.copy()
         if k > 0:
-            factor = 1.0 + spread * rng.standard_normal(len(base))
+            factor = 1.0 + MULTISTART_SPREAD * rng.standard_normal(len(base))
             guess = base * np.clip(factor, 0.5, 1.5)
         try:
             res = fit(spec, model, guess)

@@ -109,7 +109,7 @@ class Spectrum:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str, metadata: dict | None = None) -> "Spectrum":
+    def from_csv(cls, text: str) -> "Spectrum":
         """Parse ``to_csv`` output; every row needs three finite numbers."""
         numbered = enumerate(text.splitlines(), 1)
         lines = [(n, ln.strip()) for n, ln in numbered if ln.strip()]
@@ -129,7 +129,7 @@ class Spectrum:
                 raise ValueError(f"line {n}: non-finite value in {ln!r}")
             rows.append(row)
         freqs, sig, err = (np.array(col) for col in zip(*rows))
-        return cls(freqs, sig, err, metadata or {})
+        return cls(freqs, sig, err)
 
     def to_json(self) -> str:
         return strict_json(
@@ -230,22 +230,6 @@ def dressed_signal(
         # cumsum keeps node order; np.sum would add one-point blocks pairwise.
         out[lo : lo + step] = np.cumsum(w * sig, axis=0)[-1] if sigma_ex != 0.0 else sig
     return out
-
-
-def spectrum(
-    env: PhysicalEnvironment,
-    drive: DriveConfig,
-    grid: np.ndarray,
-    gamma_b: float = DEFAULT_GAMMA_B,
-    gamma_d: float = DEFAULT_GAMMA_D,
-    contrast: float = DEFAULT_CONTRAST,
-) -> Spectrum:
-    """CW-ODMR spectrum over an ascending MW-frequency grid.
-
-    signal(nu) = 1 - contrast * (1 - p0(nu)), summed over the branch and its
-    mirror (see ``dressed_signal``): the ensemble spectrum of no spread.
-    """
-    return ensemble_spectrum(env, drive, grid, gamma_b, gamma_d, contrast)
 
 
 def ensemble_spectrum(

@@ -15,11 +15,9 @@ import numpy as np
 
 from .lineshape import DEFAULT_CONTRAST, Spectrum
 from .spin import (
-    BASIS_BRIGHT_DARK,
     ConfigError,
     DriveConfig,
     PhysicalEnvironment,
-    SpinMatrix,
     branch_detunings,
     require_dressed_mode,
     rotating_hamiltonian_from_params,
@@ -42,16 +40,14 @@ class DegenerateSteadyStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Rotating-frame Hamiltonian plus dissipation rates (MHz)."""
+    """A 3x3 rotating-frame Hamiltonian in {|0>, |B>, |D>} plus dissipation rates (MHz)."""
 
-    hamiltonian: SpinMatrix
+    hamiltonian: np.ndarray
     pump_rate: float
     dephase_b: float = 0.0
     dephase_d: float = 0.0
 
     def __post_init__(self):
-        if self.hamiltonian.basis != BASIS_BRIGHT_DARK:
-            raise ValueError("hamiltonian must be in the {|0>,|B>,|D>} basis")
         rates = {n: getattr(self, n) for n in ("pump_rate", "dephase_b", "dephase_d")}
         problems = [
             f"{n}: all rates must be finite and >= 0, got {r}"
@@ -122,7 +118,7 @@ def _steady_states(liouv: np.ndarray) -> np.ndarray:
 
 def build_liouvillian(model: LindbladModel) -> np.ndarray:
     """9x9 generator L with d vec(rho)/dt = L vec(rho), row-major vec."""
-    return _liouvillians(model.hamiltonian.matrix, model)
+    return _liouvillians(model.hamiltonian, model)
 
 
 def steady_state(model: LindbladModel) -> np.ndarray:
@@ -159,7 +155,7 @@ def oracle_spectrum(
     base = LindbladModel(h0, pump_rate, dephase_b, dephase_d)
     depletion = np.zeros_like(grid)
     for omega_b, omega_d in zip(*detunings):
-        h = np.repeat(base.hamiltonian.matrix[None], len(grid), axis=0)
+        h = np.repeat(base.hamiltonian[None], len(grid), axis=0)
         h[:, 1, 1] = omega_b
         h[:, 2, 2] = omega_d
         rho = _steady_states(_liouvillians(h, base))

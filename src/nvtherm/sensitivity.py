@@ -227,7 +227,8 @@ class SweepConfig:
                 "generator 'lindblad' does not support strain averaging, "
                 f"got sigma_ex = {self.strain.sigma_ex}"
             )
-        check_fields(self, positive=("gamma_b", "gamma_d", "dwell"), problems=problems)
+        positive = ("gamma_b", "gamma_d", "dwell", "lorentzian_peaks", "lorentzian_fwhm")
+        check_fields(self, positive=positive, problems=problems)
 
 
 @dataclass

@@ -16,15 +16,6 @@ import numpy as np
 # Default zero-field-splitting temperature slope, MHz/K.
 DEFAULT_DD_DT = -0.0742
 
-HERMITICITY_TOL = 1e-12
-
-_SQRT2 = np.sqrt(2.0)
-
-# Spin-1 operators in the {|+1>, |0>, |-1>} basis.
-SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQRT2
-SY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQRT2
-SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
-
 
 class RegimeWarning(UserWarning):
     """Hierarchy of scales required for the dressed-state reduction is violated."""
@@ -140,54 +131,9 @@ class DriveConfig:
         check_fields(self, nonnegative=("rabi_mw", "omega_rf", "rabi_rf"))
 
 
-BASIS_ZEEMAN = "zeeman"  # {|+1>, |0>, |-1>}
-BASIS_BRIGHT_DARK = "bright_dark"  # {|0>, |B>, |D>}
-
-
-@dataclass(frozen=True)
-class SpinMatrix:
-    """A 3x3 Hermitian matrix with a basis tag."""
-
-    matrix: np.ndarray
-    basis: str
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        if self.basis not in (BASIS_ZEEMAN, BASIS_BRIGHT_DARK):
-            raise ValueError(f"unknown basis tag {self.basis!r}")
-        object.__setattr__(self, "matrix", m)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-
-def zero_field_splitting(env: PhysicalEnvironment, temperature: float | None = None) -> float:
-    """Temperature-dependent zero-field splitting, linear in T around t0."""
-    t = env.temperature if temperature is None else temperature
-    return env.d0 + env.dd_dt * (t - env.t0)
-
-
-def build_lab_hamiltonian(
-    env: PhysicalEnvironment, drive: DriveConfig, t: float
-) -> SpinMatrix:
-    """Instantaneous lab-frame Hamiltonian at time ``t`` (microseconds).
-
-    Includes zero-field, strain, Zeeman, and the cosine drive terms; the
-    drive phase is 2*pi*f*t with f in MHz and t in microseconds.
-    """
-    d = zero_field_splitting(env)
-    h = d * (SZ @ SZ)
-    h = h + env.ex * (SX @ SX - SY @ SY)
-    h = h + env.ey * (SX @ SY + SY @ SX)
-    h = h + env.b_transverse * SX
-    h = h + env.b_parallel * SZ
-    h = h + drive.rabi_mw * np.cos(2.0 * np.pi * drive.omega_mw * t) * SX
-    h = h + drive.rabi_rf * np.cos(2.0 * np.pi * drive.omega_rf * t) * SZ
-    return SpinMatrix(h, BASIS_ZEEMAN)
+def zero_field_splitting(env: PhysicalEnvironment) -> float:
+    """Zero-field splitting at ``env.temperature``, linear in T around t0."""
+    return env.d0 + env.dd_dt * (env.temperature - env.t0)
 
 
 def branch_detunings(
@@ -221,31 +167,18 @@ def require_dressed_mode(env: PhysicalEnvironment) -> None:
 
 def rotating_hamiltonian_from_params(
     omega_b: float, omega_d: float, j: float, lam: float
-) -> SpinMatrix:
-    """Assemble the single-excitation rotating-frame matrix in {|0>,|B>,|D>}."""
-    h = np.array(
+) -> np.ndarray:
+    """The single-excitation rotating-frame matrix in {|0>, |B>, |D>}.
+
+    diag(0, omega_b, omega_d) + j(|B><D| + h.c.) + lam(|0><B| + h.c.).
+    """
+    return np.array(
         [
             [0.0, lam, 0.0],
             [lam, omega_b, j],
             [0.0, j, omega_d],
         ],
         dtype=complex,
-    )
-    return SpinMatrix(h, BASIS_BRIGHT_DARK)
-
-
-def build_rotating_hamiltonian(env: PhysicalEnvironment, drive: DriveConfig) -> SpinMatrix:
-    """Static rotating-frame Hamiltonian in the {|0>, |B>, |D>} basis.
-
-    diag(0, omega_b, omega_d) + J(|B><D| + h.c.) + lambda_b(|0><B| + h.c.)
-    with J = rabi_rf/2 and lambda_b = rabi_mw/2, on the upper branch.
-    """
-    require_dressed_mode(env)
-    omega_b, omega_d = branch_detunings(
-        zero_field_splitting(env), env.ex, drive.omega_rf, drive.omega_mw
-    )
-    return rotating_hamiltonian_from_params(
-        omega_b[0, 0], omega_d[0, 0], drive.rabi_rf / 2.0, drive.rabi_mw / 2.0
     )
 
 
@@ -268,21 +201,15 @@ def dressed_resonances(
     return out
 
 
-def residual_broadening(delta_ex: float, rabi_rf: float, exact: bool = True) -> float:
+def residual_broadening(delta_ex: float, rabi_rf: float) -> float:
     """Residual resonance-frequency spread left after RF dressing, MHz.
 
-    exact: (1/2) * [sqrt(delta_ex^2 + rabi_rf^2) - rabi_rf]
-    Taylor (strong-drive) form: delta_ex^2 / (4 * rabi_rf)
+    (1/2) * [sqrt(delta_ex^2 + rabi_rf^2) - rabi_rf], which tends to
+    delta_ex^2 / (4 * rabi_rf) in strong drive.
     """
     if delta_ex < 0 or rabi_rf < 0:
         raise ValueError("delta_ex and rabi_rf must be >= 0")
-    if exact:
-        if delta_ex == 0.0:
-            return 0.0
-        # The same value, rationalised so delta_ex << rabi_rf does not cancel.
-        return 0.5 * delta_ex**2 / (np.hypot(delta_ex, rabi_rf) + rabi_rf)
-    if rabi_rf == 0.0:
-        raise ZeroDivisionError(
-            "Taylor regime violated: rabi_rf must be > 0 for the expansion"
-        )
-    return 0.25 * delta_ex**2 / rabi_rf
+    if delta_ex == 0.0:
+        return 0.0
+    # The same value, rationalised so delta_ex << rabi_rf does not cancel.
+    return 0.5 * delta_ex**2 / (np.hypot(delta_ex, rabi_rf) + rabi_rf)

@@ -88,7 +88,7 @@ def test_acceptance_2_lindblad_oracle_equivalence():
         pump = doc["oracle"]["pump_rate"]
         contrast = doc.get("contrast", 0.05)
         start = time.perf_counter()
-        closed = lineshape.spectrum(
+        closed = lineshape.ensemble_spectrum(
             env, drive, grid, pump / 2.0, pump / 2.0, contrast
         )
         brute = oracle.oracle_spectrum(env, drive, grid, pump, contrast=contrast)
@@ -169,7 +169,7 @@ def test_acceptance_4_sensitivity_ratio_regime():
         contrast = 0.05
 
         def dressed_curve(grid):
-            return lineshape.spectrum(
+            return lineshape.ensemble_spectrum(
                 env, drive, grid, 1.0, 0.01, contrast
             ).signal
 
@@ -186,7 +186,7 @@ def _dressed_trial_spectrum():
     env = PhysicalEnvironment(ex=8.0, b_transverse=80.0)
     drive = DriveConfig(rabi_mw=0.8, omega_rf=8.0, rabi_rf=6.0)
     grid = np.linspace(2850.0, 2890.0, 801)
-    return lineshape.spectrum(env, drive, grid, 1.0, 0.3, 0.1)
+    return lineshape.ensemble_spectrum(env, drive, grid, 1.0, 0.3, 0.1)
 
 
 def test_acceptance_5_temperature_round_trip():
@@ -200,7 +200,7 @@ def test_acceptance_5_temperature_round_trip():
             env = PhysicalEnvironment(
                 ex=8.0, b_transverse=80.0, temperature=temperature
             )
-            clean = lineshape.spectrum(env, drive, grid, 1.0, 0.3, 0.1)
+            clean = lineshape.ensemble_spectrum(env, drive, grid, 1.0, 0.3, 0.1)
             return lineshape.synthesize_measurement(clean, 1e6, 1.0, seed)
 
         hits = 0

@@ -92,12 +92,19 @@ class TestValidation:
             ("sweep.fit_model=bogus", "sweep.fit_model"),
             ("environment.d0=-1", "environment.d0"),
             ("strain.sigma_ex=1.0", "sigma_ex"),
+            ("sweep.lorentzian_peaks=0", "sweep.lorentzian_peaks must be > 0"),
+            ("sweep.lorentzian_fwhm=-1", "sweep.lorentzian_fwhm must be > 0"),
+            ("fit.peaks=0", "fit.n_peaks must be > 0"),
         ],
     )
-    def test_library_rules_judged_by_validate(self, override, field, capsys):
-        # Each of these builds no sweep; validate must not call it valid.
-        preset = str(PRESET_DIR / "sensitivity_map.json")
-        assert main(["validate", "--config", preset, "--set", override]) == 1
+    def test_library_rules_judged_by_validate(self, override, field, tmp_path, capsys):
+        # Each of these builds no sweep (or, under fit., no fit model);
+        # validate must not call it valid.
+        config = str(PRESET_DIR / "sensitivity_map.json")
+        if override.startswith("fit."):
+            fit_doc = {"mode": "fit", "fit": {"model": "lorentzian", "input": "measured.csv"}}
+            config = _write_config(tmp_path, fit_doc)
+        assert main(["validate", "--config", config, "--set", override]) == 1
         assert field in capsys.readouterr().out
 
     def test_quadrature_node_cap_judged_by_validate(self, capsys):
@@ -107,10 +114,17 @@ class TestValidation:
         assert main(["validate", "--config", preset, "--set", "strain.nodes=371"]) == 1
         assert "strain.nodes must be odd and in [1, 369]" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("override", ["fit.contrast=0", "contrast=-0.05", "fit.contrast=0.9"])
+    @pytest.mark.parametrize(
+        "override", ["fit.contrast=0", "contrast=-0.05", "contrast=0.9", "fit.contrast=0.9"]
+    )
     def test_fit_contrast_judged_by_validate(self, override, tmp_path, capsys):
         # The fit's initial guess divides by the frozen contrast, and a
         # contrast above 0.5 fits rabi_mw too small by sqrt(contrast / 0.05).
+        # Reported once, under the key that holds it: the fit model that
+        # inherits a bad top-level contrast does not report it again.
+        key, _, value = override.partition("=")
+        name = "fit.fixed_contrast" if key == "fit.contrast" else "contrast"
+        message = f"{name} must be in (0, 0.5], got {value}"
         spec_out = tmp_path / "measured.csv"
         fig2 = str(PRESET_DIR / "fig2_dressed.json")
         assert main(["simulate", "--config", fig2, "--out", str(spec_out)]) == 0
@@ -118,9 +132,9 @@ class TestValidation:
         cfg = _write_config(tmp_path, fit_doc)
         capsys.readouterr()
         assert main(["validate", "--config", cfg, "--set", override]) == 1
-        assert "fit.fixed_contrast must be in (0, 0.5]" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"invalid: {message}\n"
         assert main(["fit", "--config", cfg, "--set", override]) == 1
-        assert "fixed_contrast must be in (0, 0.5]" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: config: {message}\n"
 
     @pytest.mark.parametrize(
         "preset, override, message",

@@ -30,10 +30,9 @@ from nvtherm.lineshape import (
     conventional_spectrum,
     ensemble_spectrum,
     lorentzian_spectrum,
-    spectrum,
     synthesize_measurement,
 )
-from nvtherm.spin import DriveConfig, PhysicalEnvironment
+from nvtherm.spin import ConfigError, DriveConfig, PhysicalEnvironment
 
 ENV = PhysicalEnvironment(ex=8.0, b_transverse=80.0)
 DRIVE = DriveConfig(rabi_mw=0.8, omega_rf=8.0, rabi_rf=6.0)
@@ -41,7 +40,7 @@ GRID = np.linspace(2850.0, 2890.0, 801)
 
 
 def _dressed_clean(contrast=0.1, gamma_b=1.0, gamma_d=0.3):
-    return spectrum(ENV, DRIVE, GRID, gamma_b, gamma_d, contrast)
+    return ensemble_spectrum(ENV, DRIVE, GRID, gamma_b, gamma_d, contrast)
 
 
 def _lorentz_clean():
@@ -209,6 +208,12 @@ class TestMultiLorentzianModel:
         two = lorentzian_spectrum([2861.3, 2883.7], [4.1, 6.3], [0.05, 0.021], grid)
         params = np.array([1.0, 2861.3, 4.1, 0.05, 2883.7, 6.3, 0.021])
         assert np.array_equal(MultiLorentzian(2).evaluate(params, grid), two.signal)
+
+    @pytest.mark.parametrize("n_peaks", [0, -1])
+    def test_needs_a_peak(self, n_peaks):
+        # Without one, a fit "converged" to the baseline alone.
+        with pytest.raises(ConfigError, match="n_peaks must be > 0"):
+            MultiLorentzian(n_peaks)
 
 
 class TestNumericJacobian:

@@ -23,7 +23,6 @@ from nvtherm.lineshape import (
     ensemble_spectrum,
     lorentzian_spectrum,
     p0,
-    spectrum,
     synthesize_measurement,
 )
 from nvtherm.spin import (
@@ -85,7 +84,7 @@ class TestMapDriveToModel:
 
     def test_requires_transverse_mode(self):
         with pytest.raises(ValueError, match="transverse"):
-            spectrum(PhysicalEnvironment(b_parallel=150.0), DRIVE, np.array([2870.0]))
+            ensemble_spectrum(PhysicalEnvironment(b_parallel=150.0), DRIVE, np.array([2870.0]))
 
 
 class TestP0:
@@ -176,12 +175,12 @@ def test_warm_strain_fits_take_no_page_faults():
 class TestSpectrum:
     def test_zero_contrast_is_flat(self):
         grid = np.linspace(2860.0, 2880.0, 101)
-        s = spectrum(ENV, DRIVE, grid, contrast=0.0)
+        s = ensemble_spectrum(ENV, DRIVE, grid, contrast=0.0)
         np.testing.assert_array_equal(s.signal, np.ones_like(grid))
 
     def test_minima_at_dressed_resonances(self):
         grid = np.linspace(2855.0, 2885.0, 6001)
-        s = spectrum(ENV, DRIVE, grid, gamma_b=0.2, gamma_d=0.02)
+        s = ensemble_spectrum(ENV, DRIVE, grid, gamma_b=0.2, gamma_d=0.02)
         expected = dressed_resonances(2870.0, 8.0, 16.0, 5.0)
         depth = 1.0 - s.signal
         from scipy.signal import find_peaks
@@ -202,8 +201,8 @@ class TestSpectrum:
 
     def test_depletion_quadratic_in_mw_drive(self):
         grid = np.linspace(2860.0, 2880.0, 301)
-        weak = spectrum(ENV, DRIVE, grid)
-        strong = spectrum(
+        weak = ensemble_spectrum(ENV, DRIVE, grid)
+        strong = ensemble_spectrum(
             ENV,
             DriveConfig(rabi_mw=1.0, omega_rf=16.0, rabi_rf=5.0),
             grid,
@@ -216,7 +215,7 @@ class TestSpectrum:
 class TestEnsembleSpectrum:
     def test_zero_spread_reduces_exactly(self):
         grid = np.linspace(2860.0, 2880.0, 301)
-        plain = spectrum(ENV, DRIVE, grid)
+        plain = ensemble_spectrum(ENV, DRIVE, grid)
         ens = ensemble_spectrum(
             ENV, DRIVE, grid, strain=StrainDistribution(mean_ex=8.0, sigma_ex=0.0)
         )
@@ -224,7 +223,7 @@ class TestEnsembleSpectrum:
 
     def test_single_node_reduces_exactly(self):
         grid = np.linspace(2860.0, 2880.0, 301)
-        plain = spectrum(ENV, DRIVE, grid)
+        plain = ensemble_spectrum(ENV, DRIVE, grid)
         ens = ensemble_spectrum(
             ENV, DRIVE, grid,
             strain=StrainDistribution(mean_ex=8.0, sigma_ex=0.5, nodes=1),
@@ -405,7 +404,7 @@ class TestSynthesizeMeasurement:
         # contrast push the clean signal below zero, where shot noise is NaN.
         drive = DriveConfig(omega_mw=2870.0, rabi_mw=5.0, omega_rf=16.0, rabi_rf=5.0)
         grid = np.linspace(2866.0, 2905.0, 781)
-        clean = spectrum(ENV, drive, grid, 1.0, 0.1, 0.9)
+        clean = ensemble_spectrum(ENV, drive, grid, 1.0, 0.1, 0.9)
         with pytest.raises(ValueError, match="clean signal must be > 0"):
             synthesize_measurement(clean, 1e6, 1.0, seed=0)
 

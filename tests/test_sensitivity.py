@@ -9,8 +9,8 @@ from nvtherm.fitting import DressedDip, MultiLorentzian, fit
 from nvtherm.lineshape import (
     StrainDistribution,
     conventional_spectrum,
+    ensemble_spectrum,
     lorentzian_spectrum,
-    spectrum,
 )
 from nvtherm.sensitivity import (
     LORENTZIAN_SLOPE_CONSTANT,
@@ -164,7 +164,7 @@ class TestEstimateTemperature:
         drive = DriveConfig(rabi_mw=0.8, omega_rf=8.0, rabi_rf=6.0)
         grid = np.linspace(2850.0, 2890.0, 801)
         dressed = fit(
-            spectrum(env, drive, grid, 1.0, 0.3, 0.1),
+            ensemble_spectrum(env, drive, grid, 1.0, 0.3, 0.1),
             DressedDip(omega_rf=8.0, fixed_contrast=0.1),
         )
         with pytest.raises(ValueError, match="model-family mismatch"):
@@ -238,7 +238,7 @@ class TestNonFiniteFields:
         "build, field",
         [
             (
-                lambda: spectrum(
+                lambda: ensemble_spectrum(
                     _ENV,
                     DriveConfig(rabi_mw=float("nan"), omega_rf=16.0, rabi_rf=4.0),
                     _GRID, 1.0, 0.1, 0.05,

@@ -1,22 +1,21 @@
 """Tests for the spin-physics module: Hamiltonians, resonances, broadening."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nvtherm.lineshape import ensemble_spectrum
 from nvtherm.oracle import oracle_spectrum
 from nvtherm.spin import (
-    BASIS_BRIGHT_DARK,
-    BASIS_ZEEMAN,
     DriveConfig,
     PhysicalEnvironment,
     RegimeWarning,
-    SpinMatrix,
-    build_lab_hamiltonian,
-    build_rotating_hamiltonian,
     branch_detunings,
     dressed_resonances,
+    require_dressed_mode,
     residual_broadening,
+    rotating_hamiltonian_from_params,
     zero_field_splitting,
 )
 
@@ -49,7 +48,7 @@ class TestPhysicalEnvironment:
     def test_regime_violation_warns_not_raises(self):
         env = PhysicalEnvironment(b_transverse=80.0, ey=40.0)
         with pytest.warns(RegimeWarning):
-            build_rotating_hamiltonian(env, DriveConfig())
+            require_dressed_mode(env)
 
     @pytest.mark.parametrize(
         "model",
@@ -60,7 +59,7 @@ class TestPhysicalEnvironment:
         ids=["ensemble_spectrum", "oracle_spectrum"],
     )
     def test_spectra_share_the_regime_gate(self, model):
-        # The same gate as build_rotating_hamiltonian's (tests above).
+        # The same gate as require_dressed_mode's (tests above and below).
         with pytest.raises(ValueError, match="transverse"):
             model(PhysicalEnvironment(b_parallel=150.0))
         with pytest.warns(RegimeWarning, match="ey"):
@@ -77,103 +76,57 @@ class TestDriveConfig:
             DriveConfig(omega_rf=-5.0)
 
 
-class TestSpinMatrix:
-    def test_rejects_non_hermitian(self):
-        m = np.zeros((3, 3), dtype=complex)
-        m[0, 1] = 1.0  # no conjugate partner
-        with pytest.raises(ValueError, match="Hermitian"):
-            SpinMatrix(m, BASIS_ZEEMAN)
-
-    def test_rejects_bad_shape_and_basis(self):
-        with pytest.raises(ValueError, match="3x3"):
-            SpinMatrix(np.eye(2), BASIS_ZEEMAN)
-        with pytest.raises(ValueError, match="basis"):
-            SpinMatrix(np.eye(3), "computational")
-
-
 class TestZeroFieldSplitting:
     def test_reference_point(self):
-        env = PhysicalEnvironment()
-        assert zero_field_splitting(env, 300.0) == 2870.0
+        env = PhysicalEnvironment(temperature=300.0)
+        assert zero_field_splitting(env) == 2870.0
 
     def test_linear_shift(self):
         env = PhysicalEnvironment()
-        assert zero_field_splitting(env, 301.0) == pytest.approx(2870.0 - 0.0742)
-        assert zero_field_splitting(env, 290.0) == pytest.approx(2870.0 + 0.742)
+        assert zero_field_splitting(replace(env, temperature=301.0)) == pytest.approx(
+            2870.0 - 0.0742
+        )
+        assert zero_field_splitting(replace(env, temperature=290.0)) == pytest.approx(
+            2870.0 + 0.742
+        )
 
     def test_uses_env_temperature_by_default(self):
         env = PhysicalEnvironment(temperature=310.0)
         assert zero_field_splitting(env) == pytest.approx(2870.0 - 0.742)
 
 
-class TestLabHamiltonian:
-    def test_bare_zero_field(self):
-        env = PhysicalEnvironment()
-        h = build_lab_hamiltonian(env, DriveConfig(), t=0.0)
-        assert h.basis == BASIS_ZEEMAN
-        np.testing.assert_allclose(h.matrix, np.diag([2870.0, 0.0, 2870.0]))
-
-    def test_strain_splits_upper_levels(self):
-        env = PhysicalEnvironment(ex=5.0)
-        h = build_lab_hamiltonian(env, DriveConfig(rabi_mw=0.0), t=0.0)
-        np.testing.assert_allclose(
-            h.eigenvalues(), [0.0, 2865.0, 2875.0], atol=1e-9
-        )
-
-    def test_parallel_field_splits_upper_levels(self):
-        env = PhysicalEnvironment(b_parallel=10.0)
-        h = build_lab_hamiltonian(env, DriveConfig(), t=0.0)
-        np.testing.assert_allclose(
-            h.eigenvalues(), [0.0, 2860.0, 2880.0], atol=1e-9
-        )
-
-    def test_hermitian_with_all_terms(self):
-        env = PhysicalEnvironment(ex=3.0, ey=0.5, b_transverse=80.0)
-        drive = DriveConfig(omega_mw=2870.0, rabi_mw=1.0, omega_rf=6.0, rabi_rf=2.0)
-        for t in (0.0, 0.123, 7.7):
-            h = build_lab_hamiltonian(env, drive, t).matrix
-            assert np.max(np.abs(h - h.conj().T)) < 1e-12
-
-    def test_drive_phase_oscillates(self):
-        env = PhysicalEnvironment()
-        drive = DriveConfig(omega_mw=1.0, rabi_mw=2.0)
-        h0 = build_lab_hamiltonian(env, drive, t=0.0).matrix
-        h_half = build_lab_hamiltonian(env, drive, t=0.5).matrix
-        # cos phase flips sign after half a period (f = 1 MHz, t in us).
-        assert h0[0, 1] == pytest.approx(-h_half[0, 1])
+def _upper_branch_hamiltonian(d, ex, omega_mw, rabi_mw, omega_rf, rabi_rf):
+    """The rotating-frame matrix of the upper dressed branch, as the oracle builds it."""
+    omega_b, omega_d = branch_detunings(d, ex, omega_rf, omega_mw)
+    return rotating_hamiltonian_from_params(
+        omega_b[0, 0], omega_d[0, 0], rabi_rf / 2.0, rabi_mw / 2.0
+    )
 
 
 class TestRotatingHamiltonian:
     def test_off_diagonals_are_half_rabi(self):
-        env = PhysicalEnvironment(ex=8.0, b_transverse=80.0)
-        drive = DriveConfig(omega_mw=2878.0, rabi_mw=0.2, omega_rf=16.0, rabi_rf=2.0)
-        h = build_rotating_hamiltonian(env, drive)
-        assert h.basis == BASIS_BRIGHT_DARK
-        assert h.matrix[0, 1] == pytest.approx(0.1)  # lambda_b = rabi_mw/2
-        assert h.matrix[1, 2] == pytest.approx(1.0)  # j = rabi_rf/2
-        assert h.matrix[0, 2] == 0.0
+        h = _upper_branch_hamiltonian(2870.0, 8.0, 2878.0, 0.2, 16.0, 2.0)
+        assert h.shape == (3, 3)
+        assert h[0, 1] == h[1, 0] == pytest.approx(0.1)  # lambda_b = rabi_mw/2
+        assert h[1, 2] == h[2, 1] == pytest.approx(1.0)  # j = rabi_rf/2
+        assert h[0, 2] == h[2, 0] == 0.0
 
     def test_undriven_diagonal(self):
-        env = PhysicalEnvironment(ex=8.0, b_transverse=80.0)
-        drive = DriveConfig(omega_mw=2878.0, omega_rf=10.0)  # on bright resonance
-        h = build_rotating_hamiltonian(env, drive).matrix
+        # MW on the bright resonance D + ex, RF 6 MHz short of two-photon resonance.
+        h = _upper_branch_hamiltonian(2870.0, 8.0, 2878.0, 0.0, 10.0, 0.0)
         np.testing.assert_allclose(np.diag(h).real, [0.0, 0.0, 10.0 - 16.0])
 
     def test_requires_transverse_mode(self):
         env = PhysicalEnvironment(b_parallel=150.0)
         with pytest.raises(ValueError, match="transverse"):
-            build_rotating_hamiltonian(env, DriveConfig())
+            require_dressed_mode(env)
 
     def test_zero_block_eigenvalue_at_dressed_resonance(self):
         # With no MW drive, the {|B>,|D>} block acquires a zero eigenvalue
         # exactly when the MW frequency hits a dressed resonance.
-        env = PhysicalEnvironment(ex=8.0, b_transverse=80.0)
         d, ex, omega_rf, rabi_rf = 2870.0, 8.0, 16.0, 5.0
         for nu in dressed_resonances(d, ex, omega_rf, rabi_rf)[2:]:
-            drive = DriveConfig(
-                omega_mw=float(nu), omega_rf=omega_rf, rabi_rf=rabi_rf
-            )
-            h = build_rotating_hamiltonian(env, drive).matrix
+            h = _upper_branch_hamiltonian(d, ex, float(nu), 0.0, omega_rf, rabi_rf)
             block = h[1:, 1:].real
             assert np.min(np.abs(np.linalg.eigvalsh(block))) < 1e-9
 
@@ -219,23 +172,17 @@ class TestDressedResonances:
 class TestResidualBroadening:
     def test_zero_spread_is_zero(self):
         assert residual_broadening(0.0, 3.0) == 0.0
-        assert residual_broadening(0.0, 3.0, exact=False) == 0.0
 
     def test_no_drive_no_suppression(self):
         assert residual_broadening(1.0, 0.0) == pytest.approx(0.5)
 
     def test_exact_and_taylor_agree_in_strong_drive(self):
-        # Frozen value of 0.5*(hypot(0.2, 2) - 2); Taylor gives exactly 0.005
-        # and the two agree within 0.25%.
+        # Frozen value of 0.5*(hypot(0.2, 2) - 2); the Taylor form
+        # 0.2**2 / (4 * 2) gives 0.005, and the two agree within 0.25%.
         exact = residual_broadening(0.2, 2.0)
         assert exact == pytest.approx(0.004987562112089027, rel=1e-12)
-        taylor = residual_broadening(0.2, 2.0, exact=False)
-        assert taylor == pytest.approx(0.005)
+        taylor = 0.25 * 0.2**2 / 2.0
         assert abs(exact - taylor) / taylor < 0.0025
-
-    def test_taylor_requires_drive(self):
-        with pytest.raises(ZeroDivisionError, match="Taylor"):
-            residual_broadening(0.3, 0.0, exact=False)
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):
