@@ -4,7 +4,10 @@ Configs are strict JSON documents: unknown keys are rejected with a
 nearest-key suggestion, and ``validate`` reports every violation at once.
 Dotted-path ``--set`` overrides are applied before validation.  The CLI
 checks JSON shape and the sections no library type holds; every other value
-rule lives in the library types, which ``validate`` builds as the runners do.
+rule lives in the library types.  One function, ``_build``, makes every
+object a run uses: ``validate`` calls it, and so does each run before its
+runner.  It builds every section that is present, whatever the mode, and
+each diagnostic names the config key that holds the problem.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
+import functools
 import json
 import math
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +132,12 @@ def validate_config(doc: dict) -> list[str]:
             ):
                 diags.append(f"mode {mode!r} requires {'key' if key else 'section'} {path!r}")
                 bad.add(section)
-    return diags + _check_values(doc, bad)
+    doc = {k: v for k, v in doc.items() if k not in bad}
+    try:
+        _build(doc, doc.get("seed", 0))
+    except ConfigError as exc:
+        diags += exc.diagnostics
+    return diags
 
 
 def _is_number(value, kind=(int, float)) -> bool:
@@ -188,39 +198,96 @@ def _check_value(name: str, value) -> list[str]:
     return []
 
 
-def _check_values(doc: dict, bad: set) -> list[str]:
-    """One ``<section>.<problem>`` diagnostic per problem a library type finds.
+# fit config keys that name their fit-model field differently
+_FIT_FIELDS = {"peaks": "n_peaks", "contrast": "fixed_contrast"}
 
-    Keys whose shape failed are left out, so the builds see their defaults,
-    and a type whose values fail is replaced by its defaults in the builds
-    that take it: every type's own checks run, and none reports twice.
+
+class _Run(types.SimpleNamespace):
+    """The objects ``_build`` made for one run."""
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray | None:
+        """The MW grid, made on first use: ``validate`` makes one only for a sweep."""
+        g = self.grid_section
+        if {"start_mhz", "stop_mhz", "points"} <= g.keys():
+            return np.linspace(g["start_mhz"], g["stop_mhz"], g["points"])
+        return None
+
+
+def _build(doc: dict, seed: int) -> _Run:
+    """Every object a run uses, built once from a document of valid shape.
+
+    Each present section is built whatever the mode, and a ``ConfigError``
+    names every problem once, under the config key that holds it: a type
+    whose values fail is replaced by its defaults in the builds that take it.
     """
-    doc = {k: v for k, v in doc.items() if k not in bad}
     diags = []
 
-    def judge(section, build, *args):
+    def judge(section, build, kwargs, keys={}):
         try:
-            return build(doc, *args)
+            return build(**kwargs)
         except ConfigError as exc:
-            diags.extend(f"{section}.{problem}" for problem in exc.diagnostics)
+            for problem in exc.diagnostics:
+                field, _, rest = problem.partition(" ")
+                diags.append(f"{section}.{keys.get(field, field)} {rest}")
             return None
 
-    env = judge("environment", _build_environment) or PhysicalEnvironment()
-    drive = judge("drive", _build_drive) or DriveConfig()
-    strain = judge("strain", _build_strain, env.ex) or StrainDistribution(env.ex)
-    # A bad top-level contrast is reported under its own name, and the budget
-    # and fit that would inherit it see the default instead.
-    top = contrast_problems("contrast", _contrast(doc))
-    if top:
-        del doc["contrast"]
-    diags += top
-    judge("budget", _build_budget, _contrast(doc))
-    judge("oracle", _build_oracle)
-    if doc.get("mode") == "sweep" and {"sweep", "grid"} <= doc.keys():
-        judge("sweep", _build_sweep, env, drive, strain, 0)
-    if doc.get("mode") == "fit":
-        judge("fit", _build_fit_model)
-    return diags
+    env = judge("environment", PhysicalEnvironment, doc.get("environment", {}))
+    env = env or PhysicalEnvironment()
+    drive = judge("drive", DriveConfig, doc.get("drive", {})) or DriveConfig()
+    # The strain's mean defaults to the environment's E_x.
+    strain = judge("strain", StrainDistribution, {"mean_ex": env.ex, **doc.get("strain", {})})
+    strain = strain or StrainDistribution(env.ex)
+    # The top-level contrast is the generators', and the budget's and fit's
+    # default: a bad one is reported under its own name, and they see the default.
+    contrast = doc.get("contrast", lineshape.DEFAULT_CONTRAST)
+    if problems := contrast_problems("contrast", contrast):
+        diags += problems
+        contrast = lineshape.DEFAULT_CONTRAST
+    budget = judge(
+        "budget",
+        sensitivity.NoiseBudget,
+        {"photon_rate": 1e6, "contrast": contrast, **doc.get("budget", {})},
+    )
+    # The oracle's rates as the Lindblad model ``oracle_spectrum`` builds, undriven.
+    h0 = rotating_hamiltonian_from_params(0.0, 0.0, 0.0, 0.0)
+    lindblad = {"hamiltonian": h0, "pump_rate": 2.0, **doc.get("oracle", {})}
+    run = _Run(
+        seed=seed,
+        env=env,
+        drive=drive,
+        strain=strain,
+        contrast=contrast,
+        budget=budget,
+        lindblad=judge("oracle", oracle.LindbladModel, lindblad),
+        rates=doc.get("rates", {}),
+        fwhm=doc.get("lorentzian", {}).get("fwhm", lineshape.DEFAULT_FWHM),
+        grid_section=doc.get("grid", {}),
+        sweep=None,
+    )
+    if "sweep" in doc:
+        sd = doc["sweep"]
+        axes = tuple((a["name"], tuple(a["values"])) for a in sd.get("axes", []))
+        config = dict(sd, axes=axes, environment=env, drive=drive, grid=run.grid, strain=strain)
+        run.sweep = judge("sweep", sensitivity.SweepConfig, dict(config, seed=seed, **run.rates))
+    # Each laser power is judged by the budget's own rule; one problem per axis.
+    for i, (name, values) in enumerate(run.sweep.axes if run.sweep and budget else ()):
+        for power in values if name == "laser_power_mw" else ():
+            try:
+                budget.at_laser_power(power)
+            except ValueError as exc:
+                diags.append(f"sweep.axes[{i}] {name}: {exc}")
+                break
+    fd = doc.get("fit", {})
+    model = fitting.MultiLorentzian if fd.get("model") == "lorentzian" else fitting.DressedDip
+    names = {f.name for f in dataclasses.fields(model)}
+    given = {"n_peaks": 2, "omega_rf": drive.omega_rf, "fixed_contrast": contrast}
+    given.update((_FIT_FIELDS.get(k, k), v) for k, v in fd.items())
+    kwargs = {k: v for k, v in given.items() if k in names}
+    run.fit_model = judge("fit", model, kwargs, {f: k for k, f in _FIT_FIELDS.items()})
+    if diags:
+        raise ConfigError(diags)
+    return run
 
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
@@ -260,42 +327,6 @@ def _apply_override(doc: dict, dotted: str, raw: str):
     node[keys[-1]] = value
 
 
-def _build_environment(doc: dict) -> PhysicalEnvironment:
-    return PhysicalEnvironment(**doc.get("environment", {}))
-
-
-def _build_drive(doc: dict) -> DriveConfig:
-    return DriveConfig(**doc.get("drive", {}))
-
-
-def _build_strain(doc: dict, ex: float) -> StrainDistribution:
-    """The strain spread; its mean defaults to the environment's E_x."""
-    return StrainDistribution(**{"mean_ex": ex, **doc.get("strain", {})})
-
-
-def _build_oracle(doc: dict) -> oracle.LindbladModel:
-    """The oracle's rates as the Lindblad model ``oracle_spectrum`` builds, undriven."""
-    h0 = rotating_hamiltonian_from_params(0.0, 0.0, 0.0, 0.0)
-    return oracle.LindbladModel(h0, **{"pump_rate": 2.0, **doc.get("oracle", {})})
-
-
-def _contrast(doc: dict) -> float:
-    """The top-level contrast: the generators', and the budget's and fit's default."""
-    return doc.get("contrast", lineshape.DEFAULT_CONTRAST)
-
-
-def _build_grid(doc: dict) -> np.ndarray:
-    g = doc["grid"]
-    return np.linspace(g["start_mhz"], g["stop_mhz"], g["points"])
-
-
-def _rates(doc: dict):
-    r = doc.get("rates", {})
-    return r.get("gamma_b", lineshape.DEFAULT_GAMMA_B), r.get(
-        "gamma_d", lineshape.DEFAULT_GAMMA_D
-    )
-
-
 def _write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -308,24 +339,21 @@ def _out_path(doc: dict, args, default_name: str) -> Path:
     return Path(configured) if configured else Path(default_name)
 
 
-def _clean_spectrum(doc: dict, env, grid: np.ndarray, contrast: float) -> Spectrum:
+def _clean_spectrum(run: _Run, grid: np.ndarray, contrast: float) -> Spectrum:
     """The run's noiseless spectrum: Lorentzian in parallel mode, else dressed."""
-    if env.b_parallel != 0.0:
-        fwhm = doc.get("lorentzian", {}).get("fwhm", lineshape.DEFAULT_FWHM)
-        return lineshape.conventional_spectrum(env, grid, fwhm, contrast)
+    if run.env.b_parallel != 0.0:
+        return lineshape.conventional_spectrum(run.env, grid, run.fwhm, contrast)
     return lineshape.ensemble_spectrum(
-        env, _build_drive(doc), grid, *_rates(doc), contrast, _build_strain(doc, env.ex)
+        run.env, run.drive, grid, contrast=contrast, strain=run.strain, **run.rates
     )
 
 
-def run_simulate(doc: dict, args) -> str:
-    env = _build_environment(doc)
-    spec = _clean_spectrum(doc, env, _build_grid(doc), _contrast(doc))
+def run_simulate(run: _Run, doc: dict, args) -> str:
+    spec = _clean_spectrum(run, run.grid, run.contrast)
     noise = doc.get("noise")
     if noise:
-        seed = args.seed if args.seed is not None else doc.get("seed", 0)
         spec = lineshape.synthesize_measurement(
-            spec, noise["photon_rate"], noise.get("dwell", 1.0), seed
+            spec, noise["photon_rate"], noise.get("dwell", 1.0), run.seed
         )
     out = _out_path(doc, args, "spectrum.csv")
     _write(out, spec.to_csv())
@@ -345,26 +373,11 @@ def _count_dips(spec: Spectrum) -> int:
     return len(fitting.find_peaks(depth, max(0.2 * depth.max(), floor)).indices)
 
 
-def _build_fit_model(doc: dict):
-    fd = doc.get("fit", {})
-    kind = fd.get("model", "dressed")
-    if kind == "lorentzian":
-        return fitting.MultiLorentzian(fd.get("peaks", 2))
-    omega_rf = fd.get("omega_rf", doc.get("drive", {}).get("omega_rf", 0.0))
-    return fitting.DressedDip(
-        omega_rf=omega_rf,
-        fit_sigma_ex=fd.get("fit_sigma_ex", False),
-        fixed_contrast=fd.get("contrast", _contrast(doc)),
-    )
-
-
-def run_fit(doc: dict, args) -> str:
+def run_fit(run: _Run, doc: dict, args) -> str:
     fd = doc["fit"]
     spec = Spectrum.from_csv(Path(fd["input"]).read_text())
-    model = _build_fit_model(doc)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
     result = fitting.multistart_fit(
-        spec, model, n_starts=fd.get("multistart", 1), seed=seed
+        spec, run.fit_model, n_starts=fd.get("multistart", 1), seed=run.seed
     )
     out = _out_path(doc, args, "fit_result.json")
     _write(out, result.to_json())
@@ -375,23 +388,12 @@ def run_fit(doc: dict, args) -> str:
     )
 
 
-def _build_budget(doc: dict, contrast: float) -> sensitivity.NoiseBudget:
-    """The noise budget; its contrast defaults to ``contrast``."""
-    return sensitivity.NoiseBudget(
-        **{"photon_rate": 1e6, "contrast": contrast, **doc.get("budget", {})}
-    )
-
-
-def run_sensitivity(doc: dict, args) -> str:
-    env = _build_environment(doc)
-    grid = _build_grid(doc)
-    budget = _build_budget(doc, _contrast(doc))
-
+def run_sensitivity(run: _Run, doc: dict, args) -> str:
     def curve_fn(g):
-        return _clean_spectrum(doc, env, g, budget.contrast).signal
+        return _clean_spectrum(run, g, run.budget.contrast).signal
 
-    span = (float(grid[0]), float(grid[-1]))
-    report = sensitivity.slope_sensitivity(curve_fn, span, budget, env.dd_dt)
+    span = (float(run.grid[0]), float(run.grid[-1]))
+    report = sensitivity.slope_sensitivity(curve_fn, span, run.budget, run.env.dd_dt)
     out = _out_path(doc, args, "sensitivity.json")
     _write(out, report.to_json())
     return (
@@ -401,26 +403,8 @@ def run_sensitivity(doc: dict, args) -> str:
     )
 
 
-def _build_sweep(doc: dict, env, drive, strain, seed: int) -> sensitivity.SweepConfig:
-    sd = doc["sweep"]
-    return sensitivity.SweepConfig(
-        axes=tuple((a["name"], tuple(a["values"])) for a in sd["axes"]),
-        environment=env,
-        drive=drive,
-        grid=_build_grid(doc),
-        strain=strain,
-        seed=seed,
-        **doc.get("rates", {}),
-        **{k: v for k, v in sd.items() if k != "axes"},
-    )
-
-
-def run_sweep(doc: dict, args) -> str:
-    env = _build_environment(doc)
-    strain = _build_strain(doc, env.ex)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    config = _build_sweep(doc, env, _build_drive(doc), strain, seed)
-    table = sensitivity.sweep(config, _build_budget(doc, _contrast(doc)))
+def run_sweep(run: _Run, doc: dict, args) -> str:
+    table = sensitivity.sweep(run.sweep, run.budget)
     out = _out_path(doc, args, "sweep.csv")
     _write(out, table.to_csv())
     _write(out.with_suffix(".json"), table.to_json())
@@ -428,13 +412,9 @@ def run_sweep(doc: dict, args) -> str:
     return f"sweep ok: points={len(table.rows)} fitted={ok} out={out}"
 
 
-def run_oracle_check(doc: dict, args) -> str:
-    env = _build_environment(doc)
-    drive = _build_drive(doc)
-    grid = _build_grid(doc)
-    contrast = _contrast(doc)
-    rates = _build_oracle(doc)
-    pump, deph_b, deph_d = rates.pump_rate, rates.dephase_b, rates.dephase_d
+def run_oracle_check(run: _Run, doc: dict, args) -> str:
+    env, drive, grid, contrast = run.env, run.drive, run.grid, run.contrast
+    pump, deph_b, deph_d = run.lindblad.pump_rate, run.lindblad.dephase_b, run.lindblad.dephase_d
     gamma_b = pump / 2.0 + deph_b
     gamma_d = pump / 2.0 + deph_d
     closed = lineshape.ensemble_spectrum(env, drive, grid, gamma_b, gamma_d, contrast)
@@ -511,7 +491,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 [f"config mode {mode!r} does not match subcommand {args.command!r}"]
             )
-        print(_RUNNERS[mode](doc, args))
+        seed = args.seed if args.seed is not None else doc.get("seed", 0)
+        print(_RUNNERS[mode](_build(doc, seed), doc, args))
         return 0
     except ConfigError as exc:
         for d in exc.diagnostics:

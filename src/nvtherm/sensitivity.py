@@ -23,6 +23,9 @@ LORENTZIAN_SLOPE_CONSTANT = 4.0 / (3.0 * np.sqrt(3.0))
 
 SWEEP_PARAMETER_WHITELIST = ("rabi_rf", "rabi_mw", "laser_power_mw")
 
+# Points of the refined grid on which ``slope_sensitivity`` finds the steepest point.
+SLOPE_POINTS = 20001
+
 
 @dataclass(frozen=True)
 class NoiseBudget:
@@ -47,7 +50,7 @@ class NoiseBudget:
         if self.rate_per_mw is None or self.pump_per_mw is None:
             raise ValueError("laser-power model not configured")
         if power_mw <= 0:
-            raise ValueError("laser power must be > 0")
+            raise ValueError(f"laser power must be > 0, got {power_mw}")
         rate = self.rate_per_mw * power_mw
         pump = self.pump_per_mw * power_mw
         contrast = self.contrast * pump / (pump + self.gamma_sat)
@@ -101,18 +104,17 @@ def slope_sensitivity(
     span: tuple[float, float],
     budget: NoiseBudget,
     dd_dt: float = DEFAULT_DD_DT,
-    points: int = 20001,
 ) -> SensitivityReport:
     """Max-slope temperature sensitivity of a model spectrum.
 
     eta = sqrt(S(nu*) / rate) / (|dS/dnu|(nu*) * |dd_dt|), with nu* the
-    steepest point of the normalized signal found on a refined grid and the
-    derivative taken by central differences.
+    steepest point of the normalized signal on a ``SLOPE_POINTS`` grid and
+    the derivative taken by central differences.
     """
     if dd_dt == 0:
         raise ValueError("dd_dt must be nonzero")
     lo, hi = span
-    grid = np.linspace(lo, hi, points)
+    grid = np.linspace(lo, hi, SLOPE_POINTS)
     curve = np.asarray(curve_fn(grid), dtype=float)
     dnu = grid[1] - grid[0]
     slope = np.gradient(curve, dnu)
@@ -220,6 +222,11 @@ class SweepConfig:
                 problems.append(f"axes[{i}] {name!r} has non-finite values")
         if self.fit_model not in ("dressed", "lorentzian"):
             problems.append(f"fit_model must be dressed or lorentzian, got {self.fit_model!r}")
+        elif self.fit_model == "dressed" and not self.environment.is_transverse_mode:
+            problems.append(
+                "fit_model 'dressed' requires a transverse-mode environment, "
+                f"got b_parallel = {self.environment.b_parallel}"
+            )
         if self.generator not in ("closed_form", "lindblad"):
             problems.append(f"generator must be closed_form or lindblad, got {self.generator!r}")
         elif self.generator == "lindblad" and self.strain.sigma_ex != 0.0:

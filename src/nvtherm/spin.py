@@ -122,7 +122,6 @@ class DriveConfig:
     expressed as Rabi frequencies.
     """
 
-    omega_mw: float = 2870.0
     rabi_mw: float = 0.0
     omega_rf: float = 0.0
     rabi_rf: float = 0.0

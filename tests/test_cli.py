@@ -94,17 +94,33 @@ class TestValidation:
             ("strain.sigma_ex=1.0", "sigma_ex"),
             ("sweep.lorentzian_peaks=0", "sweep.lorentzian_peaks must be > 0"),
             ("sweep.lorentzian_fwhm=-1", "sweep.lorentzian_fwhm must be > 0"),
-            ("fit.peaks=0", "fit.n_peaks must be > 0"),
+            (
+                'mode="fit" fit.input=measured.csv fit.model="lorentzian" fit.peaks=0',
+                "fit.peaks must be > 0, got 0",
+            ),
+            ('fit.model="lorentzian" fit.peaks=0', "fit.peaks must be > 0, got 0"),
+            (
+                "environment.b_transverse=0 environment.b_parallel=150",
+                "sweep.fit_model 'dressed' requires a transverse-mode environment",
+            ),
+            (
+                'sweep.axes=[{"name":"laser_power_mw","values":[1.0]}]',
+                "sweep.axes[0] laser_power_mw: laser-power model not configured",
+            ),
+            (
+                "budget.rate_per_mw=2e5 budget.pump_per_mw=1 "
+                'sweep.axes=[{"name":"laser_power_mw","values":[2.0,-1.0]}]',
+                "sweep.axes[0] laser_power_mw: laser power must be > 0, got -1.0",
+            ),
         ],
     )
-    def test_library_rules_judged_by_validate(self, override, field, tmp_path, capsys):
-        # Each of these builds no sweep (or, under fit., no fit model);
-        # validate must not call it valid.
-        config = str(PRESET_DIR / "sensitivity_map.json")
-        if override.startswith("fit."):
-            fit_doc = {"mode": "fit", "fit": {"model": "lorentzian", "input": "measured.csv"}}
-            config = _write_config(tmp_path, fit_doc)
-        assert main(["validate", "--config", config, "--set", override]) == 1
+    def test_library_rules_judged_by_validate(self, override, field, capsys):
+        # Each of these builds no sweep or no fit model, whatever the mode,
+        # and names the config key; validate must not call it valid.
+        argv = ["validate", "--config", str(PRESET_DIR / "sensitivity_map.json")]
+        for item in override.split():
+            argv += ["--set", item]
+        assert main(argv) == 1
         assert field in capsys.readouterr().out
 
     def test_quadrature_node_cap_judged_by_validate(self, capsys):
@@ -123,8 +139,7 @@ class TestValidation:
         # Reported once, under the key that holds it: the fit model that
         # inherits a bad top-level contrast does not report it again.
         key, _, value = override.partition("=")
-        name = "fit.fixed_contrast" if key == "fit.contrast" else "contrast"
-        message = f"{name} must be in (0, 0.5], got {value}"
+        message = f"{key} must be in (0, 0.5], got {value}"
         spec_out = tmp_path / "measured.csv"
         fig2 = str(PRESET_DIR / "fig2_dressed.json")
         assert main(["simulate", "--config", fig2, "--out", str(spec_out)]) == 0
@@ -143,11 +158,13 @@ class TestValidation:
             ("fig5_narrowing", "budget.contrast=0.9", "budget.contrast must be in (0, 0.5], got 0.9"),
             ("fig2_dressed", "contrast=0", "contrast must be in (0, 0.5], got 0"),
             ("fig5_narrowing", "contrast=0.9", "contrast must be in (0, 0.5], got 0.9"),
+            ("sensitivity_map", "fit.contrast=0.9", "fit.contrast must be in (0, 0.5], got 0.9"),
         ],
     )
     def test_contrast_bounds_judged_by_validate(self, preset, override, message, capsys):
         # Reported once, under the key that holds it: a budget that inherits
-        # a bad top-level contrast does not report it again.
+        # a bad top-level contrast does not report it again.  A fit section
+        # is judged whatever the mode.
         argv = ["--config", str(PRESET_DIR / f"{preset}.json"), "--set", override]
         assert main(["validate", *argv]) == 1
         assert capsys.readouterr().out == f"invalid: {message}\n"

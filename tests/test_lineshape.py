@@ -34,7 +34,7 @@ from nvtherm.spin import (
 )
 
 ENV = PhysicalEnvironment(ex=8.0, b_transverse=80.0)
-DRIVE = DriveConfig(omega_mw=2870.0, rabi_mw=0.5, omega_rf=16.0, rabi_rf=5.0)
+DRIVE = DriveConfig(rabi_mw=0.5, omega_rf=16.0, rabi_rf=5.0)
 
 
 def _fwhm_of_deepest_dip(grid, signal):
@@ -402,7 +402,7 @@ class TestSynthesizeMeasurement:
     def test_rejects_nonpositive_clean_signal(self):
         # Linear response does not saturate: a strong drive and a large
         # contrast push the clean signal below zero, where shot noise is NaN.
-        drive = DriveConfig(omega_mw=2870.0, rabi_mw=5.0, omega_rf=16.0, rabi_rf=5.0)
+        drive = DriveConfig(rabi_mw=5.0, omega_rf=16.0, rabi_rf=5.0)
         grid = np.linspace(2866.0, 2905.0, 781)
         clean = ensemble_spectrum(ENV, drive, grid, 1.0, 0.1, 0.9)
         with pytest.raises(ValueError, match="clean signal must be > 0"):

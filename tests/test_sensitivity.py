@@ -125,7 +125,7 @@ class TestSlopeSensitivity:
 
     def test_linewidth_is_exact_half_depth_width(self):
         # Root-finding on the curve, not interpolation between grid samples.
-        report = slope_sensitivity(_lorentz_curve(), self.SPAN, BUDGET, points=601)
+        report = slope_sensitivity(_lorentz_curve(), self.SPAN, BUDGET)
         assert report.inputs["fwhm_mhz"] == pytest.approx(7.92, rel=1e-9)
 
     def test_unresolved_width_is_null_in_json(self):
