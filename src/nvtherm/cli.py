@@ -83,6 +83,7 @@ _POSITIVE = {
     "noise.photon_rate",
     "noise.dwell",
     "grid.points",
+    "fit.multistart",
     "lorentzian.fwhm",
 }
 
@@ -200,6 +201,8 @@ def _check_value(name: str, value) -> list[str]:
 
 # fit config keys that name their fit-model field differently
 _FIT_FIELDS = {"peaks": "n_peaks", "contrast": "fixed_contrast"}
+# fit config keys the fit runner reads, whatever the model
+_FIT_RUN_KEYS = ("model", "input", "multistart")
 
 
 class _Run(types.SimpleNamespace):
@@ -279,11 +282,16 @@ def _build(doc: dict, seed: int) -> _Run:
                 diags.append(f"sweep.axes[{i}] {name}: {exc}")
                 break
     fd = doc.get("fit", {})
-    model = fitting.MultiLorentzian if fd.get("model") == "lorentzian" else fitting.DressedDip
+    kind = fd.get("model", "dressed")
+    model = fitting.MultiLorentzian if kind == "lorentzian" else fitting.DressedDip
     names = {f.name for f in dataclasses.fields(model)}
     given = {"n_peaks": 2, "omega_rf": drive.omega_rf, "fixed_contrast": contrast}
-    given.update((_FIT_FIELDS.get(k, k), v) for k, v in fd.items())
     kwargs = {k: v for k, v in given.items() if k in names}
+    for key, value in fd.items():
+        if _FIT_FIELDS.get(key, key) in names:
+            kwargs[_FIT_FIELDS.get(key, key)] = value
+        elif key not in _FIT_RUN_KEYS:
+            diags.append(f"fit.{key} is not read by fit.model {kind!r}")
     run.fit_model = judge("fit", model, kwargs, {f: k for k, f in _FIT_FIELDS.items()})
     if diags:
         raise ConfigError(diags)

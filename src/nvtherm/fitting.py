@@ -5,6 +5,12 @@ spectra) and the dressed-state dip model (transverse-field spectra with RF
 drive).  The optimizer is a damped least-squares (Levenberg-Marquardt style)
 loop with a numerical central-difference Jacobian; strictly positive
 parameters are fitted in log space so the internal problem is unconstrained.
+
+Each model's ``evaluate`` takes one parameter vector or a stack of them as
+rows, and gives each row the bits its own call gives.  A fit therefore makes
+one model call per Jacobian (all 2n perturbed vectors as rows), and the
+half-depth crossings of every dip advance ``brentq`` in lockstep, one model
+call per step for all of them.
 """
 
 from __future__ import annotations
@@ -71,9 +77,9 @@ class MultiLorentzian:
         return [1 + 3 * k for k in range(self.n_peaks)]
 
     def evaluate(self, params: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        return lineshape.lorentzian_dips(
-            params[0], params[1::3], params[2::3], params[3::3], grid
-        )
+        """The signal of ``params``, shape (n,), or of each row of shape (rows, n)."""
+        p = params.T
+        return lineshape.lorentzian_dips(p[0], p[1::3], p[2::3], p[3::3], grid)
 
 
 @dataclass(frozen=True)
@@ -120,8 +126,9 @@ class DressedDip:
         return [0]
 
     def evaluate(self, params: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast = params[:7]
-        sigma_ex = params[7] if self.fit_sigma_ex else 0.0
+        """The signal of ``params``, shape (n,), or of each row of shape (rows, n)."""
+        d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast = params.T[:7]
+        sigma_ex = params.T[7] if self.fit_sigma_ex else 0.0
         return lineshape.dressed_signal(
             d, ex, self.omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d,
             contrast, sigma_ex,
@@ -393,9 +400,10 @@ def _to_internal(p, pos):
 
 
 def _to_external(x, pos):
+    """External parameters of an internal vector, or of each row of a stack."""
     p = np.array(x, dtype=float)
     # Clip so a wild trial step cannot overflow; such steps get rejected anyway.
-    p[pos] = np.exp(np.clip(p[pos], -300.0, 300.0))
+    p[..., pos] = np.exp(np.clip(p[..., pos], -300.0, 300.0))
     return p
 
 
@@ -405,7 +413,9 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
     Converges when the relative cost change drops below 1e-10 or the step
     norm below 1e-12, within 500 iterations.  Rejected steps raise the
     damping; damping beyond 1e12 is an error.  Per-point weights are
-    1/sigma when every sigma is positive, otherwise unit weights.
+    1/sigma when every sigma is positive, otherwise unit weights.  The
+    Jacobian is a numerical central difference, its 2n perturbed vectors
+    evaluated as the rows of one model call (``_numeric_jacobian``).
     """
     if guess is None:
         guess = initial_guess(spec, model)
@@ -422,9 +432,9 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
     pos_free = pos[free]
     full = guess.copy()
 
-    def residuals(x_free):
-        p = full.copy()
-        p[free] = _to_external(x_free, pos_free)
+    def residuals(x_free):  # of one internal vector, or of each row of a stack
+        p = np.tile(full, x_free.shape[:-1] + (1,))
+        p[..., free] = _to_external(x_free, pos_free)
         return w * (model.evaluate(p, grid) - data)
 
     x = _to_internal(guess[free], pos_free)
@@ -491,14 +501,23 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
 
 
 def _numeric_jacobian(residuals, x, n_rows: int):
-    jac = np.empty((n_rows, len(x)))
-    for i in range(len(x)):
-        h = JACOBIAN_REL_STEP * max(abs(x[i]), 1.0)
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        jac[:, i] = (residuals(xp) - residuals(xm)) / (2.0 * h)
+    """Central-difference Jacobian of ``residuals`` at ``x``, C-contiguous.
+
+    Column i steps x_i by h_i = 1e-6 * max(|x_i|, 1) both ways; the 2n
+    stepped vectors (x + h_i e_i in row 2i, x - h_i e_i in row 2i + 1) go
+    to ``residuals`` as the rows of one call.  Each column holds the bits a
+    call per stepped vector gives, and the layout keeps the summation order
+    of ``jac.T @ jac``.
+    """
+    n = len(x)
+    h = JACOBIAN_REL_STEP * np.maximum(np.abs(x), 1.0)
+    stepped = np.tile(x, (2 * n, 1))
+    i = np.arange(n)
+    stepped[2 * i, i] += h
+    stepped[2 * i + 1, i] -= h
+    r = residuals(stepped)
+    jac = np.empty((n_rows, n))
+    jac[...] = ((r[0::2] - r[1::2]) / (2.0 * h)[:, None]).T
     return jac
 
 
@@ -506,8 +525,8 @@ def _covariance(model, params, free, grid, w, weighted, cost, n_points):
     """Covariance of the full parameter vector in external coordinates."""
 
     def residuals_ext(p_free):
-        p = params.copy()
-        p[free] = p_free
+        p = np.tile(params, p_free.shape[:-1] + (1,))
+        p[..., free] = p_free
         return w * model.evaluate(p, grid)
 
     jac = _numeric_jacobian(residuals_ext, params[free], n_points)
@@ -527,25 +546,19 @@ def _signbit(x: float) -> bool:
     return math.copysign(1.0, x) < 0.0
 
 
-def brentq(f, a: float, b: float) -> float:
-    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+def _checked(x: float, fx) -> float:
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return float(fx)
 
-    The same steps, operations and errors as ``scipy.optimize.brentq`` at
-    its defaults (scipy 1.17's ``Zeros/brentq.c``), so roots are equal to
-    the last bit.  ``f(a)`` and ``f(b)`` must differ in sign; a NaN value
-    stops the search.
+
+def _brent(xpre: float, fpre: float, xcur: float, fcur: float):
+    """Brent's method from a bracket and its end values, as a generator.
+
+    Yields each abscissa it needs, is sent the function's value there, and
+    returns the root; ``_solve_together`` drives it.
     """
-
-    def call(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return float(fx)
-
-    xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -593,52 +606,86 @@ def brentq(f, a: float, b: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
+        fcur = _checked(xcur, (yield xcur))
     raise RuntimeError(f"Failed to converge after {BRENTQ_MAXITER} iterations.")
 
 
-def _half_crossing(curve_fn, grid, curve, half, i: int, k: int):
-    """Root of ``curve_fn(nu) - half`` between samples ``i`` and ``k``.
+def _solve_together(f, brackets) -> list:
+    """Roots of several brackets by Brent's method, advanced in lockstep.
 
-    ``brentq`` probes both ends first; those probes are answered from
-    ``curve``.  The probe function holds only the two end values.
+    ``brackets`` holds ``(a, f_a, b, f_b)`` rows: each search starts from
+    its two end values.  Each step makes one call ``f(which, xs)``, which
+    must give search ``which[k]``'s function value at ``xs[k]`` for every
+    search still open.  Every root is the one ``brentq`` finds alone.
     """
-    a, b = grid[i], grid[k]
-    at_a, at_b = curve[i] - half, curve[k] - half
+    searches = [_brent(a, _checked(a, fa), b, _checked(b, fb)) for a, fa, b, fb in brackets]
+    roots = [None] * len(searches)
+    probes = {}  # open search -> the abscissa it waits on
+    for i, search in enumerate(searches):
+        try:
+            probes[i] = next(search)
+        except StopIteration as done:
+            roots[i] = done.value
+    while probes:
+        which = list(probes)
+        values = f(which, np.array([probes[i] for i in which]))
+        for i, fx in zip(which, values):
+            try:
+                probes[i] = searches[i].send(fx)
+            except StopIteration as done:
+                roots[i] = done.value
+                del probes[i]
+    return roots
 
-    def above_half(nu):
-        if nu == a:
-            return at_a
-        if nu == b:
-            return at_b
-        return float(curve_fn(np.array([nu]))[0]) - half
 
-    return brentq(above_half, a, b)
+def brentq(f, a: float, b: float) -> float:
+    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    The same steps, operations and errors as ``scipy.optimize.brentq`` at
+    its defaults (scipy 1.17's ``Zeros/brentq.c``), so roots are equal to
+    the last bit.  ``f(a)`` and ``f(b)`` must differ in sign; a NaN value
+    stops the search.  The one-bracket case of ``_solve_together``.
+    """
+    a, b = float(a), float(b)
+    fa = _checked(a, f(a))
+    fb = _checked(b, f(b))
+    return _solve_together(lambda which, xs: [f(x) for x in xs.tolist()], [(a, fa, b, fb)])[0]
 
 
-def half_depth_width(curve_fn, grid: np.ndarray, curve: np.ndarray, m: int):
-    """Full width at half depth of the dip at ``grid[m]`` of a sampled curve.
+def half_depth_widths(curve_fn, grid: np.ndarray, curve: np.ndarray, dips) -> list:
+    """Full width at half depth of each dip at ``grid[m]``, m in ``dips``.
 
     ``curve`` is ``curve_fn(grid)`` on a baseline of 1.  From ``m`` each side
     walks outward to the first sample at or above half depth, and the
-    crossing is then refined by root-finding on ``curve_fn``; the samples
-    bracketing it are not evaluated again.  Returns None when a side has no
-    crossing.
+    crossing is then refined by root-finding on ``curve_fn``: the samples
+    bracketing it are not evaluated again, and every crossing of every dip
+    advances together (``_solve_together``): one ``curve_fn`` call per step,
+    on the step's probes as a strictly ascending grid.  A dip's width is
+    None when a side has no crossing.
     """
-    half = 1.0 - (1.0 - curve[m]) / 2.0
+    brackets, levels, solved = [], [], []
+    for m in dips:
+        half = 1.0 - (1.0 - curve[m]) / 2.0
+        left = next((i for i in range(m, 0, -1) if curve[i - 1] >= half), None)
+        right = next((i for i in range(m, len(grid) - 1) if curve[i + 1] >= half), None)
+        solved.append(left is not None and right is not None)
+        if solved[-1]:
+            for i, k in ((left - 1, m), (m, right + 1)):
+                brackets.append((float(grid[i]), curve[i] - half, float(grid[k]), curve[k] - half))
+                levels.append(half)
+    levels = np.array(levels)
 
-    left = right = None
-    for i in range(m, 0, -1):
-        if curve[i - 1] >= half:
-            left = _half_crossing(curve_fn, grid, curve, half, i - 1, m)
-            break
-    for i in range(m, len(grid) - 1):
-        if curve[i + 1] >= half:
-            right = _half_crossing(curve_fn, grid, curve, half, m, i + 1)
-            break
-    if left is None or right is None:
-        return None
-    return float(right - left)
+    def above_half(which, xs):
+        nu, back = np.unique(xs, return_inverse=True)
+        return curve_fn(nu)[back] - levels[which]
+
+    roots = iter(_solve_together(above_half, brackets))
+    widths = []
+    for ok in solved:
+        if ok:
+            left, right = next(roots), next(roots)
+        widths.append(float(right - left) if ok else None)
+    return widths
 
 
 def peak_properties(model, params, spec: Spectrum):
@@ -646,7 +693,7 @@ def peak_properties(model, params, spec: Spectrum):
 
     For MultiLorentzian the fitted widths/depths are returned directly.
     For DressedDip each dip's full width is measured at half depth on a
-    refined model curve (``half_depth_width``); a missing half-depth
+    refined model curve (``half_depth_widths``); a missing half-depth
     crossing between overlapping dips yields None with a reason.
     """
     if isinstance(model, MultiLorentzian):
@@ -660,27 +707,21 @@ def peak_properties(model, params, spec: Spectrum):
     curve = model.evaluate(params, grid)
     depth = 1.0 - curve
     idx = find_peaks(depth, 0.05 * depth.max()).indices
-    fwhm, reasons, contrasts = [], [], []
-    for m in idx:
-        contrasts.append(float(depth[m]))
-        width = half_depth_width(
-            lambda g: model.evaluate(params, g), grid, curve, m
-        )
-        fwhm.append(width)
-        reasons.append(
-            "ok" if width is not None else "unresolved: no half-depth crossing"
-        )
-    if not fwhm:
+    if not len(idx):
         return [None], ["no dip found in fitted curve"], [0.0]
-    return fwhm, reasons, contrasts
+    fwhm = half_depth_widths(lambda g: model.evaluate(params, g), grid, curve, idx)
+    reasons = ["ok" if w is not None else "unresolved: no half-depth crossing" for w in fwhm]
+    return fwhm, reasons, [float(depth[m]) for m in idx]
 
 
 def multistart_fit(spec: Spectrum, model, n_starts: int = 1, seed: int = 0) -> FitResult:
-    """Best of ``n_starts`` fits from randomly perturbed initial guesses."""
+    """Best of ``n_starts`` >= 1 fits from randomly perturbed initial guesses."""
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     base = initial_guess(spec, model)
     rng = np.random.default_rng(seed)
     best = None
-    for k in range(max(n_starts, 1)):
+    for k in range(n_starts):
         guess = base.copy()
         if k > 0:
             factor = 1.0 + MULTISTART_SPREAD * rng.standard_normal(len(base))

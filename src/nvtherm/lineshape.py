@@ -34,6 +34,8 @@ MAX_QUADRATURE_NODES = 369
 # (about 25 us); unblocked, a sigma_ex fit (21 nodes x 781 points) page-faulted
 # on p0's temporaries and peaked at 134 MB, not 107.  At 2048 the fit took no
 # faults and strain_thermometry ran 1.5x as fast (2-core Xeon, numpy 2.4).
+# Parameter rows share a block when two or more fit: a fig5 Jacobian's 12 rows
+# of 501 points take 3 calls, not 12.
 BLOCK_POINTS = 2048
 DEFAULT_FWHM = 8.0  # MHz, the conventional generator's Lorentzian width
 
@@ -153,11 +155,25 @@ class Spectrum:
         )
 
 
+def _square(x):
+    """``x**2`` of each element as a float64 scalar computes it: libm's pow.
+
+    An array's ``x**2`` is x*x rounded, which differs from pow(x, 2) in the
+    last bit for about one value in a thousand; a row of parameters must give
+    the bits its scalar call gives.
+    """
+    if not isinstance(x, np.ndarray):
+        return x**2
+    return np.reshape([v**2 for v in np.ravel(x).tolist()], np.shape(x))
+
+
 def p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d):
     """Steady-state |0> population of the two-mode response, all MHz.
 
-    Vectorised: the detunings ``omega_b`` and ``omega_d`` may be arrays.
-    Evaluates 1 - |amp_b|^2 - |amp_d|^2 with amp_b = -lambda_b*zd/det,
+    Vectorised: the detunings ``omega_b`` and ``omega_d`` may be arrays, and
+    the other four may be arrays that broadcast against them, giving each
+    element the bits that its scalar parameters give.  Evaluates
+    1 - |amp_b|^2 - |amp_d|^2 with amp_b = -lambda_b*zd/det,
     amp_d = lambda_b*j/det and det = zb*zd - j^2, operation for operation,
     in two complex and two real work arrays.  glibc hands a large free heap
     top back to the kernel (unless something, such as importing scipy, has
@@ -168,7 +184,7 @@ def p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d):
     zb = np.subtract(omega_b, 1j * gamma_b, out=np.empty(shape, complex))
     zd = np.subtract(omega_d, 1j * gamma_d, out=np.empty(shape, complex))
     det = np.multiply(zb, zd, out=zb)
-    np.subtract(det, j**2, out=det)
+    np.subtract(det, _square(j), out=det)
     amp_b = np.divide(np.multiply(-lambda_b, zd, out=zd), det, out=zd)
     amp_d = np.divide(lambda_b * j, det, out=det)
     lost_b = np.abs(amp_b, out=np.empty(shape))
@@ -180,17 +196,25 @@ def p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d):
 
 
 def dressed_depletion(
-    d: float, ex: float | np.ndarray, omega_rf: float, grid: np.ndarray,
-    rabi_rf: float, rabi_mw: float, gamma_b: float, gamma_d: float,
+    d, ex, omega_rf: float, grid: np.ndarray, rabi_rf, rabi_mw, gamma_b, gamma_d,
 ) -> np.ndarray:
     """Total |0>-depletion 1 - p0 over the MW grid: the one way into ``p0``.
 
     The closed-form response covers one RF sideband; the experimental
     spectrum shows its mirror as well, obtained here by adding the
     mirrored response (see ``spin.branch_detunings``).  J = rabi_rf/2 and
-    lambda_b = rabi_mw/2.  A float ``ex`` gives one row over ``grid``; a
-    column of E_x values gives one row per value, from one ``p0`` call.
+    lambda_b = rabi_mw/2.  All parameters but ``omega_rf`` broadcast
+    together, and the result has their shape followed by the grid's: floats
+    give one row over ``grid``, ``(rows,)`` arrays one row per entry, each
+    equal to its scalar call, all from one ``p0`` call.
     """
+    params = (d, rabi_rf, rabi_mw, gamma_b, gamma_d)
+    if np.ndarray in map(type, params):  # rows go before the branch and grid axes
+        d, rabi_rf, rabi_mw, gamma_b, gamma_d = np.broadcast_arrays(
+            *[np.asarray(p)[..., None, None] for p in params]
+        )
+    if isinstance(ex, np.ndarray):
+        ex = ex[..., None]  # branch_detunings puts the branch axis after it
     omega_b, omega_d = branch_detunings(d, ex, omega_rf, grid)
     dep = p0(omega_b, omega_d, rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d)
     np.subtract(1.0, dep, out=dep)
@@ -199,9 +223,9 @@ def dressed_depletion(
 
 @lru_cache(maxsize=32)
 def _hermite_nodes(nodes: int) -> tuple:
-    """Read-only columns of Gauss-Hermite abscissae and unit-Gaussian weights."""
+    """Read-only Gauss-Hermite abscissae and a column of unit-Gaussian weights."""
     x, w = np.polynomial.hermite.hermgauss(nodes)
-    x, w = x[:, None], (w / np.sqrt(np.pi))[:, None]
+    w = (w / np.sqrt(np.pi))[:, None]
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -212,23 +236,58 @@ def dressed_signal(
 ) -> np.ndarray:
     """Normalized PL signal 1 - contrast * depletion (branch plus mirror).
 
-    The depletion (``dressed_depletion``, one call per block of the grid
-    for all nodes) is averaged over E_x ~ Normal(ex, sigma_ex) on ``nodes``
-    Gauss-Hermite nodes, summed in node order; a zero spread or one node
-    gives the signal at ``ex``.  The one dressed signal: the generators (and
-    through them the CLI's curves) and the ``DressedDip`` fit model call it.
+    The depletion (``dressed_depletion``) is averaged over
+    E_x ~ Normal(ex, sigma_ex) on ``nodes`` Gauss-Hermite nodes, summed in
+    node order; a zero spread or one node gives the signal at ``ex``.  The
+    one dressed signal: the generators (and through them the CLI's curves)
+    and the ``DressedDip`` fit model call it.
+
+    Each parameter but ``omega_rf`` and ``nodes`` is a float or a ``(rows,)``
+    array; the result is ``(len(grid),)`` or ``(rows, len(grid))``, each row
+    equal to its scalar call bit for bit.  ``sigma_ex`` is zero in every row
+    or in none.  One ``dressed_depletion`` call takes a block of at most
+    ``BLOCK_POINTS`` nodes x points: as many whole rows as fit when two or
+    more do, else one row and a slice of the grid.
     """
-    if sigma_ex != 0.0:
+    params = [d, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast]
+    rows = [p for p in (ex, sigma_ex, *params) if isinstance(p, np.ndarray) and p.ndim]
+    shape = np.broadcast(*rows).shape if rows else ()
+    averaged = sigma_ex != 0.0
+    if isinstance(averaged, np.ndarray):
+        if averaged.any() != averaged.all():
+            raise ValueError("sigma_ex must be zero in every row or in none")
+        averaged = bool(averaged.all())
+    n = 1  # E_x values per row
+    if averaged:
         x, w = _hermite_nodes(nodes)
-        ex = ex + np.sqrt(2.0) * sigma_ex * x
-    step = max(BLOCK_POINTS // np.size(ex), 1)
-    out = np.empty(len(grid))
-    for lo in range(0, len(grid), step):
-        sig = 1.0 - contrast * dressed_depletion(
-            d, ex, omega_rf, grid[lo : lo + step], rabi_rf, rabi_mw, gamma_b, gamma_d
-        )
-        # cumsum keeps node order; np.sum would add one-point blocks pairwise.
-        out[lo : lo + step] = np.cumsum(w * sig, axis=0)[-1] if sigma_ex != 0.0 else sig
+        ex = np.asarray(ex)[..., None] + np.sqrt(2.0) * np.asarray(sigma_ex)[..., None] * x
+        ex = np.broadcast_to(ex, shape + x.shape)
+        n = nodes
+    per_block = max(BLOCK_POINTS // max(n * len(grid), 1), 1)  # whole rows
+    step = max(BLOCK_POINTS // (n * per_block), 1)  # grid points
+    stacked = bool(shape) and per_block > 1
+    if stacked:  # (rows,) parameters get axes for ex's nodes, the contrast also the grid's
+        tails = [(1,) * averaged] * 5 + [(1,) * (averaged + 1)]
+        params = [
+            np.reshape(p, shape + t) if isinstance(p, np.ndarray) and p.ndim else p
+            for p, t in zip(params, tails)
+        ]
+    out = np.empty(shape + (len(grid),))
+    for r in range(0, shape[0] if shape else 1, per_block):
+        # A row that shares no block takes scalar parameters, as a scalar call does.
+        at = slice(r, r + per_block) if stacked else r
+        ex_r, d, rabi_rf, rabi_mw, gamma_b, gamma_d, c = [
+            p[at] if isinstance(p, np.ndarray) and p.ndim else p for p in (ex, *params)
+        ] if shape else [ex, *params]
+        row = out[at] if shape else out
+        for lo in range(0, len(grid), step):
+            sig = 1.0 - c * dressed_depletion(
+                d, ex_r, omega_rf, grid[lo : lo + step], rabi_rf, rabi_mw, gamma_b, gamma_d
+            )
+            # cumsum keeps node order; np.sum would add one-point blocks pairwise.
+            row[..., lo : lo + step] = (
+                np.cumsum(w * sig, axis=-2)[..., -1, :] if averaged else sig
+            )
     return out
 
 
@@ -275,12 +334,19 @@ def lorentzian_dips(baseline, centers, widths, depths, grid) -> np.ndarray:
     """baseline - sum_k depth_k * (w_k/2)^2 / ((nu - c_k)^2 + (w_k/2)^2).
 
     The one Lorentzian signal: the conventional generators and the
-    ``MultiLorentzian`` fit model both call it.
+    ``MultiLorentzian`` fit model both call it.  ``centers``, ``widths``
+    and ``depths`` hold one entry per dip; the baseline and each entry are
+    a float or a ``(rows,)`` array, and the result is ``(len(grid),)`` or
+    ``(rows, len(grid))``, each row equal to its scalar call bit for bit.
     """
-    sig = np.full_like(grid, baseline, dtype=float)
+
+    def row(p):  # a (rows,) parameter before the grid's axis
+        return p if np.ndim(p) == 0 else np.asarray(p)[..., None]
+
+    sig = np.full(np.shape(baseline) + np.shape(grid), row(baseline), dtype=float)
     for c, w, a in zip(centers, widths, depths):
-        half = w / 2.0
-        sig = sig - a * half**2 / ((grid - c) ** 2 + half**2)
+        half2 = _square(row(w) / 2.0)
+        sig = sig - row(a) * half2 / ((grid - row(c)) ** 2 + half2)
     return sig
 
 

@@ -129,7 +129,7 @@ def slope_sensitivity(
     )
     m = int(np.argmax(1.0 - curve))
     depth = max(float(1.0 - curve[m]), 0.0)
-    fwhm = fitting.half_depth_width(curve_fn, grid, curve, m) if depth > 0 else None
+    fwhm = fitting.half_depth_widths(curve_fn, grid, curve, [m])[0] if depth > 0 else None
     eta_lw = float("nan")
     if fwhm is not None:
         eta_lw = linewidth_sensitivity(fwhm, depth, budget, dd_dt)

@@ -99,6 +99,15 @@ class TestValidation:
                 "fit.peaks must be > 0, got 0",
             ),
             ('fit.model="lorentzian" fit.peaks=0', "fit.peaks must be > 0, got 0"),
+            ("fit.multistart=0", "fit.multistart must be > 0, got 0"),
+            ("fit.multistart=-3", "fit.multistart must be > 0, got -3"),
+            ("fit.peaks=2", "fit.peaks is not read by fit.model 'dressed'"),
+            ('fit.model="lorentzian" fit.omega_rf=16', "fit.omega_rf is not read by fit.model 'lorentzian'"),
+            (
+                'fit.model="lorentzian" fit.fit_sigma_ex=true',
+                "fit.fit_sigma_ex is not read by fit.model 'lorentzian'",
+            ),
+            ('fit.model="lorentzian" fit.contrast=0.05', "fit.contrast is not read by fit.model 'lorentzian'"),
             (
                 "environment.b_transverse=0 environment.b_parallel=150",
                 "sweep.fit_model 'dressed' requires a transverse-mode environment",
@@ -122,6 +131,20 @@ class TestValidation:
             argv += ["--set", item]
         assert main(argv) == 1
         assert field in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            'fit.model="dressed" fit.omega_rf=16 fit.fit_sigma_ex=true fit.contrast=0.05 fit.multistart=2',
+            'fit.model="lorentzian" fit.peaks=2 fit.multistart=1',
+        ],
+    )
+    def test_fit_keys_the_model_reads_are_valid(self, overrides, capsys):
+        argv = ["validate", "--config", str(PRESET_DIR / "fig2_dressed.json")]
+        for item in [*overrides.split(), 'mode="fit"', "fit.input=measured.csv"]:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "valid: no problems found\n"
 
     def test_quadrature_node_cap_judged_by_validate(self, capsys):
         # Past the cap the Gauss-Hermite weights sum to 0 (371) or overflow

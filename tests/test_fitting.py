@@ -18,7 +18,7 @@ from nvtherm.fitting import (
     _numeric_jacobian,
     find_peaks,
     fit,
-    half_depth_width,
+    half_depth_widths,
     initial_guess,
     multistart_fit,
     noise_floor,
@@ -218,17 +218,135 @@ class TestMultiLorentzianModel:
 
 class TestNumericJacobian:
     def test_two_residual_evaluations_per_parameter(self):
+        # Both steps of every parameter are the rows of one residual call.
         calls = []
 
         def residuals(x):
-            calls.append(1)
-            return np.array([x[0] ** 2, x[0] * x[1], np.sin(x[1])])
+            calls.append(x.shape)
+            return np.stack([x[..., 0] ** 2, x[..., 0] * x[..., 1], np.sin(x[..., 1])], axis=-1)
 
         jac = _numeric_jacobian(residuals, np.array([1.5, 0.3]), 3)
-        assert len(calls) == 4
+        assert calls == [(4, 2)]
         np.testing.assert_allclose(
             jac, [[3.0, 0.0], [0.3, 1.5], [0.0, np.cos(0.3)]], rtol=1e-8, atol=1e-10
         )
+
+
+def _per_column_jacobian(residuals, x, n_rows):
+    """The central-difference Jacobian with one residual call per stepped vector."""
+    jac = np.empty((n_rows, len(x)))
+    for i in range(len(x)):
+        h = fitting.JACOBIAN_REL_STEP * max(abs(x[i]), 1.0)
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        jac[:, i] = (residuals(xp) - residuals(xm)) / (2.0 * h)
+    return jac
+
+
+FIG2_ENV = PhysicalEnvironment(d0=2885.5, ex=8.0, b_transverse=80.0)
+FIG2_DRIVE = DriveConfig(rabi_mw=0.5, omega_rf=16.0, rabi_rf=5.0)
+FIG2_GRID = np.linspace(2866.0, 2905.0, 781)
+
+
+class TestStackedJacobian:
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_equals_per_column_loop(self, rows):
+        rng = np.random.default_rng(rows)
+        weights = rng.uniform(0.5, 2.0, (rows, 5))
+
+        def residuals(x):  # of a vector, or of each row of a stack, elementwise
+            acc = 0.0
+            for k in range(5):
+                acc = acc + weights[:, k] * x[..., k : k + 1]
+            return acc * acc * x[..., 1:2] - x[..., :1] / (1.0 + x[..., 2:3] ** 2)
+
+        for _ in range(20):
+            x = rng.normal(size=5) * rng.choice([1e-3, 1.0, 1e3], 5)
+            jac = _numeric_jacobian(residuals, x, rows)
+            assert jac.flags.c_contiguous
+            assert np.array_equal(jac, _per_column_jacobian(residuals, x, rows))
+
+    def test_fit_model_residuals(self):
+        # The fit's own residuals: stacked model rows, the log-space steps
+        # and their one _to_external.
+        model = DressedDip(omega_rf=16.0, fit_sigma_ex=True)
+        truth = np.array([2885.5, 8.0, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0])
+        pos = model.positive
+        data = model.evaluate(truth, FIG2_GRID)
+
+        def residuals(x):
+            p = np.tile(truth, x.shape[:-1] + (1,))
+            p[..., pos] = fitting._to_external(x, np.ones(pos.sum(), bool))
+            return model.evaluate(p, FIG2_GRID) - data
+
+        x = fitting._to_internal(truth[pos] * 1.01, np.ones(pos.sum(), bool))
+        jac = _numeric_jacobian(residuals, x, len(FIG2_GRID))
+        assert jac.flags.c_contiguous
+        assert np.array_equal(jac, _per_column_jacobian(residuals, x, len(FIG2_GRID)))
+
+
+def _fig5_clean(rabi_rf):
+    env = PhysicalEnvironment(d0=2870.0, ex=8.0, b_transverse=80.0)
+    drive = DriveConfig(rabi_mw=0.6, omega_rf=16.0, rabi_rf=rabi_rf)
+    strain = StrainDistribution(mean_ex=8.0, sigma_ex=0.3)
+    grid = np.linspace(2845.0, 2895.0, 501)
+    return ensemble_spectrum(env, drive, grid, 1.0, 1.0, 0.05, strain)
+
+
+def _same_fit(ours, reference):
+    assert np.array_equal(ours.params, reference.params)
+    assert ours.iterations == reference.iterations
+    assert ours.cost == reference.cost
+    assert np.array_equal(ours.covariance, reference.covariance)
+    assert ours.fwhm_per_peak == reference.fwhm_per_peak
+
+
+class TestStackedFits:
+    """Fits with stacked Jacobians and lockstep crossings are the per-column fits, bit for bit."""
+
+    def _reference(self, monkeypatch, noisy, model):
+        with monkeypatch.context() as m:
+            m.setattr(fitting, "_numeric_jacobian", _per_column_jacobian)
+            m.setattr(
+                fitting,
+                "half_depth_widths",
+                lambda fn, grid, curve, dips: [
+                    _half_depth_width_evaluating_every_probe(fn, grid, curve, k) for k in dips
+                ],
+            )
+            return fit(noisy, model)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fig2(self, seed, monkeypatch):
+        clean = ensemble_spectrum(FIG2_ENV, FIG2_DRIVE, FIG2_GRID, 1.0, 0.1, 0.05)
+        noisy = synthesize_measurement(clean, 1e6, 1.0, seed)
+        model = DressedDip(omega_rf=16.0)
+        _same_fit(fit(noisy, model), self._reference(monkeypatch, noisy, model))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_fig2_strain(self, seed, monkeypatch):
+        strain = StrainDistribution(mean_ex=8.0, sigma_ex=2.0)
+        clean = ensemble_spectrum(FIG2_ENV, FIG2_DRIVE, FIG2_GRID, 1.0, 0.1, 0.05, strain)
+        noisy = synthesize_measurement(clean, 1e8, 1.0, seed)
+        model = DressedDip(omega_rf=16.0, fit_sigma_ex=True)
+        _same_fit(fit(noisy, model), self._reference(monkeypatch, noisy, model))
+
+    @pytest.mark.parametrize("rabi_rf", [3.0, 6.0, 12.0, 24.0])
+    def test_fig5(self, rabi_rf, monkeypatch):
+        model = DressedDip(omega_rf=16.0)
+        for seed in range(3):
+            noisy = synthesize_measurement(_fig5_clean(rabi_rf), 1e6, 1.0, [7, seed])
+            _same_fit(fit(noisy, model), self._reference(monkeypatch, noisy, model))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fig4_lorentzian(self, seed, monkeypatch):
+        grid = np.linspace(2690.0, 3050.0, 721)
+        clean = conventional_spectrum(PhysicalEnvironment(b_parallel=150.0), grid, 7.92, 0.05)
+        noisy = synthesize_measurement(clean, 1e6, 1.0, seed)
+        model = MultiLorentzian(2)
+        _same_fit(fit(noisy, model), self._reference(monkeypatch, noisy, model))
 
 
 class TestNoRepeatedEvaluation:
@@ -249,7 +367,7 @@ class TestNoRepeatedEvaluation:
 
         def recording(self, params, grid):
             if len(grid) == len(noisy):
-                seen.append((params.tobytes(), grid.tobytes()))
+                seen.extend((row.tobytes(), grid.tobytes()) for row in np.atleast_2d(params))
             return evaluate(self, params, grid)
 
         monkeypatch.setattr(type(model), "evaluate", recording)
@@ -389,7 +507,7 @@ class TestFindPeaks:
 
 
 def _half_depth_width_evaluating_every_probe(curve_fn, grid, curve, m):
-    """half_depth_width as it was, with curve_fn behind every brentq probe."""
+    """The half-depth width of the dip at m, with curve_fn behind every brentq probe."""
     half = 1.0 - (1.0 - curve[m]) / 2.0
 
     def above_half(nu):
@@ -426,11 +544,59 @@ class TestHalfDepthWidth:
         assert len(dips) == 4
         for m in dips:
             probes.clear()
-            width = half_depth_width(curve_fn, grid, curve, m)
-            n_probes = len(probes)
+            (width,) = half_depth_widths(curve_fn, grid, curve, [m])
+            n_probes = sum(len(g) for g in probes)
             probes.clear()
             assert width == _half_depth_width_evaluating_every_probe(curve_fn, grid, curve, m)
             assert n_probes == len(probes) - 4
+
+
+class TestLockstepCrossings:
+    def test_all_dips_at_once(self):
+        # Every crossing of every dip advances together: one curve_fn call
+        # per step of the longest search, each bracket end still unprobed.
+        model = DressedDip(omega_rf=8.0, fixed_contrast=0.1)
+        params = np.array([2870.0, 8.0, 6.0, 0.8, 1.0, 0.3, 0.1])
+        grid = np.linspace(GRID[0], GRID[-1], 8 * len(GRID) + 1)
+        probes = []
+
+        def curve_fn(g):
+            probes.append(len(g))
+            return model.evaluate(params, g)
+
+        curve = model.evaluate(params, grid)
+        dips = find_peaks(1.0 - curve, 0.05 * (1.0 - curve).max()).indices
+        widths = half_depth_widths(curve_fn, grid, curve, dips)
+        calls, points = len(probes), sum(probes)
+        per_dip = []
+        for m in dips:
+            probes.clear()
+            assert widths[len(per_dip)] == _half_depth_width_evaluating_every_probe(
+                curve_fn, grid, curve, m
+            )
+            per_dip.append(len(probes) - 4)
+        assert points == sum(per_dip)
+        assert calls < sum(per_dip) / 4
+
+    def test_equal_to_brentq_per_bracket(self):
+        rng = np.random.default_rng(14)
+        funcs, brackets = [], []
+        while len(brackets) < 300:
+            c = rng.normal(size=3)
+            f = (lambda c: lambda x: math.sin(3.0 * c[0] * x) + c[1] * x + c[2])(c)
+            a, b = rng.normal(size=2) * 3.0
+            if f(a) * f(b) < 0:
+                funcs.append(f)
+                brackets.append((a, f(a), b, f(b)))
+        seen = []
+
+        def f_many(which, xs):
+            seen.append(len(which))
+            return [funcs[i](x) for i, x in zip(which, xs.tolist())]
+
+        roots = fitting._solve_together(f_many, brackets)
+        assert roots == [brentq(f, a, b) for f, (a, _, b, _) in zip(funcs, brackets)]
+        assert seen[0] == len(brackets) and len(seen) <= fitting.BRENTQ_MAXITER
 
 
 def _root_or_error(solver, f, a, b):
@@ -488,7 +654,7 @@ class TestBrentq:
             self._assert_same_as_scipy(f, a, b)
 
     def test_dip_flanks_of_a_model_curve(self):
-        # The crossings half_depth_width looks for, on both flanks of each dip.
+        # The crossings half_depth_widths looks for, on both flanks of each dip.
         model = DressedDip(omega_rf=8.0, fixed_contrast=0.1)
         params = np.array([2870.0, 8.0, 6.0, 0.8, 1.0, 0.3, 0.1])
         grid = np.linspace(GRID[0], GRID[-1], 8 * len(GRID) + 1)
@@ -537,6 +703,12 @@ class TestMultistart:
         res = multistart_fit(noisy, MultiLorentzian(1), n_starts=3, seed=0)
         assert res.converged
         assert res.param("width_1") == pytest.approx(5.0, rel=0.05)
+
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_needs_a_start(self, n_starts):
+        noisy = synthesize_measurement(_lorentz_clean(), 1e6, 1.0, seed=21)
+        with pytest.raises(ValueError, match="n_starts must be >= 1"):
+            multistart_fit(noisy, MultiLorentzian(1), n_starts=n_starts)
 
     def test_all_starts_failing_raises(self):
         grid = np.linspace(2800.0, 2900.0, 200)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvtherm import lineshape
 from nvtherm.lineshape import (
@@ -21,6 +23,7 @@ from nvtherm.lineshape import (
     dressed_depletion,
     dressed_signal,
     ensemble_spectrum,
+    lorentzian_dips,
     lorentzian_spectrum,
     p0,
     synthesize_measurement,
@@ -128,23 +131,34 @@ class TestP0:
         assert p0(np.full((3, 1), 0.3), np.full(4, -0.2), 1.0, 0.1, 1.0, 0.1).shape == (3, 4)
 
 
-_WARM_STRAIN_FITS = """
+_WARM_FITS = """
 import resource, sys
 import numpy as np
 import nvtherm.cli
 from nvtherm import fitting, lineshape
 from nvtherm.spin import DriveConfig, PhysicalEnvironment
 
+
+def faults_per_warm_fit(clean, model, rate):
+    for seed in range(4):
+        if seed == 1:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fitting.fit(lineshape.synthesize_measurement(clean, rate, 1.0, seed), model)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3
+
+
+# strain_thermometry: sigma_ex fits of the fig2 geometry, one row per block.
 env = PhysicalEnvironment(d0=2885.5, ex=8.0, b_transverse=80.0)
 drive = DriveConfig(rabi_mw=0.5, omega_rf=16.0, rabi_rf=5.0)
 strain = lineshape.StrainDistribution(mean_ex=8.0, sigma_ex=2.0)
 clean = lineshape.ensemble_spectrum(env, drive, np.linspace(2866.0, 2905.0, 781), 1.0, 0.1, 0.05, strain)
-model = fitting.DressedDip(omega_rf=16.0, fit_sigma_ex=True)
-for seed in range(4):
-    if seed == 1:
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    fitting.fit(lineshape.synthesize_measurement(clean, 1e8, 1.0, seed), model)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
+print(faults_per_warm_fit(clean, fitting.DressedDip(omega_rf=16.0, fit_sigma_ex=True), 1e8))
+# drive_map: sigma_ex = 0 fits of the fig5 geometry, four Jacobian rows per block.
+env = PhysicalEnvironment(d0=2870.0, ex=8.0, b_transverse=80.0)
+drive = DriveConfig(rabi_mw=0.6, omega_rf=16.0, rabi_rf=6.0)
+strain = lineshape.StrainDistribution(mean_ex=8.0, sigma_ex=0.3)
+clean = lineshape.ensemble_spectrum(env, drive, np.linspace(2845.0, 2895.0, 501), 1.0, 1.0, 0.05, strain)
+print(faults_per_warm_fit(clean, fitting.DressedDip(omega_rf=16.0), 1e6))
 print(any(m.startswith("scipy") for m in sys.modules))
 """
 
@@ -154,22 +168,29 @@ def test_warm_strain_fits_take_no_page_faults():
     # the trim threshold.  Importing scipy raises that threshold as a side
     # effect; a numpy-only process keeps the one its start-up left, which
     # varies with the environment (the faults of a shell-started process on a
-    # 2-core Xeon, glibc 2.36, matched 512 KiB), so the test fixes it there.
-    # A p0 with a temporary per operation then took 50,000-100,000 minor
-    # faults per warm strain_thermometry-style fit; with its work arrays a
-    # fit takes tens.
+    # 2-core Xeon, glibc 2.36, matched 512 KiB), so the test fixes it.  Setting
+    # it also pins the mmap threshold at 128 KiB, so at either value an array
+    # of that size or more, such as a stacked Jacobian block, would fault on
+    # every allocation.  A p0 with a temporary per operation took
+    # 50,000-100,000 minor faults per warm strain fit at 512 KiB; with its
+    # work arrays a fit takes tens.  At 128 KiB (glibc's default) the
+    # temporaries of each block, about 256 KB, are given back and faulted in
+    # again (2-core Xeon, glibc 2.36: about 70,000 faults per strain fit and
+    # 2,000 per fig5 fit).
     pytest.importorskip("resource")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-        "MALLOC_TRIM_THRESHOLD_": str(512 * 1024),
-    }
-    argv = [sys.executable, "-c", _WARM_STRAIN_FITS]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-    faults_per_fit, scipy_loaded = out.stdout.split()
-    assert scipy_loaded == "False"
-    assert float(faults_per_fit) < 5000
+    for trim_threshold in (128 * 1024, 512 * 1024):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            "MALLOC_TRIM_THRESHOLD_": str(trim_threshold),
+        }
+        argv = [sys.executable, "-c", _WARM_FITS]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        strain_faults, fig5_faults, scipy_loaded = out.stdout.split()
+        assert scipy_loaded == "False"
+        assert float(fig5_faults) < 5000
+        assert float(strain_faults) < (5000 if trim_threshold > 128 * 1024 else 100_000)
 
 
 class TestSpectrum:
@@ -319,6 +340,128 @@ class TestBlockedSignal:
         )
         dressed_signal(2870.0, 8.0, 16.0, np.array([2878.0]), 5.0, 0.5, 1.0, 0.1, 0.05, 2.0, 21)
         assert len(calls) == 1
+
+
+def _dressed_rows(rng, rows):
+    """Random dressed parameter rows (d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast)."""
+    return [
+        2870.0 + rng.normal(size=rows), rng.uniform(2.0, 12.0, rows), rng.uniform(0.5, 8.0, rows),
+        rng.uniform(0.05, 1.0, rows), rng.uniform(0.2, 2.0, rows), rng.uniform(0.01, 0.5, rows),
+        rng.uniform(0.01, 0.3, rows),
+    ]
+
+
+class TestStackedRows:
+    """A stack of parameter rows gives each row the bits of its own scalar call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 16),
+        sigma=st.sampled_from([0.0, 0.3, 2.0]),
+        nodes=st.sampled_from([1, 3, 21]),
+        points=st.sampled_from([1, 2, 127, 128, 129, 511, 512, 513, 1023, 1024, 1025, 2049]),
+    )
+    def test_dressed_signal_rows(self, seed, rows, sigma, nodes, points):
+        # The grid lengths put one row on either side of each block edge: 16,
+        # 4, 2 or 1 whole rows per block, or one row split over blocks.
+        rng = np.random.default_rng(seed)
+        grid = np.sort(rng.uniform(2840.0, 2900.0, points))
+        params = _dressed_rows(rng, rows)
+        sigmas = np.full(rows, sigma) * rng.uniform(0.5, 1.5, rows)
+        stacked = dressed_signal(
+            params[0], params[1], 16.0, grid, *params[2:], sigmas, nodes
+        )
+        assert stacked.shape == (rows, points)
+        for r in range(rows):
+            single = dressed_signal(
+                params[0][r], params[1][r], 16.0, grid, *(p[r] for p in params[2:]), sigmas[r], nodes
+            )
+            assert np.array_equal(stacked[r], single)
+
+    def test_dressed_rows_beside_scalars(self):
+        # A float broadcasts against the rows, as its repeated value would.
+        rng = np.random.default_rng(3)
+        grid = np.linspace(2850.0, 2890.0, 301)
+        d = 2870.0 + rng.normal(size=5)
+        for sigma in (0.0, 2.0):
+            mixed = dressed_signal(d, 8.0, 16.0, grid, 5.0, 0.5, 1.0, 0.1, 0.05, sigma)
+            ex, *rest = (np.full(5, v) for v in (8.0, 5.0, 0.5, 1.0, 0.1, 0.05, sigma))
+            full = dressed_signal(d, ex, 16.0, grid, *rest)
+            assert np.array_equal(mixed, full)
+            for r in range(5):
+                assert np.array_equal(
+                    mixed[r], dressed_signal(d[r], 8.0, 16.0, grid, 5.0, 0.5, 1.0, 0.1, 0.05, sigma)
+                )
+
+    def test_sigma_zero_in_every_row_or_none(self):
+        grid = np.linspace(2850.0, 2890.0, 11)
+        with pytest.raises(ValueError, match="sigma_ex"):
+            dressed_signal(2870.0, 8.0, 16.0, grid, 5.0, 0.5, 1.0, 0.1, 0.05, np.array([0.0, 1.0]))
+
+    def test_rows_share_depletion_calls(self, monkeypatch):
+        # 12 rows of 501 points take 3 blocks of 4 whole rows; one row of
+        # 781 points x 21 nodes takes 9 blocks, as a scalar call does.
+        real, calls = lineshape.dressed_depletion, []
+        monkeypatch.setattr(
+            lineshape, "dressed_depletion", lambda *a: calls.append(a) or real(*a)
+        )
+        params = _dressed_rows(np.random.default_rng(4), 12)
+        dressed_signal(params[0], params[1], 16.0, np.linspace(2845.0, 2895.0, 501), *params[2:])
+        assert len(calls) == 3
+        calls.clear()
+        dressed_signal(
+            params[0][:2], params[1][:2], 16.0, np.linspace(2866.0, 2905.0, 781),
+            *(p[:2] for p in params[2:]), np.full(2, 2.0), 21,
+        )
+        assert len(calls) == 2 * 9
+        assert all(np.ndim(a[0]) == 0 for a in calls)  # scalar parameters
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16), nodes=st.sampled_from([1, 21]))
+    def test_dressed_depletion_rows(self, seed, rows, nodes):
+        rng = np.random.default_rng(seed)
+        grid = np.sort(rng.uniform(2840.0, 2900.0, 97))
+        d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, _ = _dressed_rows(rng, rows)
+        ex = ex[:, None] + rng.normal(size=nodes) if nodes > 1 else ex
+        lift = (lambda p: p[:, None]) if nodes > 1 else (lambda p: p)
+        stacked = dressed_depletion(
+            lift(d), ex, 16.0, grid, lift(rabi_rf), lift(rabi_mw), lift(gamma_b), lift(gamma_d)
+        )
+        assert stacked.shape == ex.shape + grid.shape
+        for r in range(rows):
+            single = dressed_depletion(
+                d[r], ex[r], 16.0, grid, rabi_rf[r], rabi_mw[r], gamma_b[r], gamma_d[r]
+            )
+            assert np.array_equal(stacked[r], single)
+
+    def test_p0_parameter_rows(self):
+        # An array's x**2 is x*x rounded, which differs from the scalar's
+        # pow(x, 2) in the last bit for some x; these j are such values.
+        rng = np.random.default_rng(5)
+        rows = 10000
+        j = rng.uniform(0.01, 50.0, rows)
+        assert np.any(j * j != np.array([v**2 for v in j.tolist()]))
+        ob, od = rng.normal(size=(2, rows, 2))
+        lam, gb, gd = rng.uniform(0.01, 2.0, (3, rows))
+        stacked = p0(ob, od, *(p[:, None] for p in (j, lam, gb, gd)))
+        for r in range(rows):
+            single = p0(ob[r], od[r], *(p[r] for p in (j, lam, gb, gd)))
+            assert np.array_equal(stacked[r], single)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16), peaks=st.integers(0, 3))
+    def test_lorentzian_dips_rows(self, seed, rows, peaks):
+        rng = np.random.default_rng(seed)
+        grid = np.linspace(2700.0, 3040.0, 721)
+        baseline = rng.uniform(0.9, 1.1, rows)
+        centers = rng.uniform(2700.0, 3040.0, (peaks, rows))
+        widths, depths = rng.uniform(0.5, 20.0, (peaks, rows)), rng.uniform(0.01, 0.1, (peaks, rows))
+        stacked = lorentzian_dips(baseline, centers, widths, depths, grid)
+        assert stacked.shape == (rows, len(grid))
+        for r in range(rows):
+            single = lorentzian_dips(baseline[r], centers[:, r], widths[:, r], depths[:, r], grid)
+            assert np.array_equal(stacked[r], single)
 
 
 class TestLorentzianSpectrum:
