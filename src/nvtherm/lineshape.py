@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,12 +32,18 @@ DEFAULT_QUADRATURE_NODES = 21
 # hermgauss weights sum to 0.0 at 371 nodes and overflow from 373 (numpy 2.4).
 MAX_QUADRATURE_NODES = 369
 # Nodes x grid points per dressed_depletion call.  Blocks share its fixed cost
-# (about 25 us); unblocked, a sigma_ex fit (21 nodes x 781 points) page-faulted
-# on p0's temporaries and peaked at 134 MB, not 107.  At 2048 the fit took no
-# faults and strain_thermometry ran 1.5x as fast (2-core Xeon, numpy 2.4).
-# Parameter rows share a block when two or more fit: a fig5 Jacobian's 12 rows
-# of 501 points take 3 calls, not 12.
-BLOCK_POINTS = 2048
+# (about 25 us) and reuse _Workspace's work arrays.  Unblocked, a sigma_ex fit
+# (21 nodes x 781 points) page-faulted on p0's temporaries and peaked at
+# 134 MB, not 107.  Medians of 3 benchmark runs (2-core Xeon, numpy 2.4; the
+# 2048 column is without the workspace):
+#                              2048   4096   8192  16384
+#   strain_thermometry, 1/s    3.05   3.21   3.61   3.70
+#   drive_map, 1/s             43.6   44.0   47.2   47.4
+#   peak RSS (strain), MB      43.3   43.8   44.5   45.6
+# 16384 is at most 2.5 % faster than 8192 and puts peak RSS 5 % above 2048's.
+# At 8192 a fig5 Jacobian's 12 rows of 501 points take 1 call, and a sigma_ex
+# row of 21 nodes x 781 points 3.
+BLOCK_POINTS = 8192
 DEFAULT_FWHM = 8.0  # MHz, the conventional generator's Lorentzian width
 
 CSV_HEADER = "frequency_mhz,signal,sigma"
@@ -155,6 +162,34 @@ class Spectrum:
         )
 
 
+class _Workspace(threading.local):
+    """The dressed kernel's work arrays, kept between blocks and calls.
+
+    ``take`` returns a view of a flat buffer, made on first use for the
+    largest block (two branches of ``BLOCK_POINTS`` nodes x points) and
+    never freed, so a fit's blocks write into the same pages: glibc gives a
+    free heap top above its trim threshold (128 KiB by default) back to the
+    kernel, so arrays made and freed per block would fault on every block.
+    A larger request gets a new array, so a long direct call holds no memory
+    after it.  Each thread has its own buffers.  No view leaves this module:
+    the public functions return arrays that their caller owns.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+
+    def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        if size > 2 * BLOCK_POINTS:
+            return np.empty(shape, dtype)
+        if name not in self.buffers:
+            self.buffers[name] = np.empty(2 * BLOCK_POINTS, dtype)
+        return self.buffers[name][:size].reshape(shape)
+
+
+_workspace = _Workspace()
+
+
 def _square(x):
     """``x**2`` of each element as a float64 scalar computes it: libm's pow.
 
@@ -174,29 +209,50 @@ def p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d):
     the other four may be arrays that broadcast against them, giving each
     element the bits that its scalar parameters give.  Evaluates
     1 - |amp_b|^2 - |amp_d|^2 with amp_b = -lambda_b*zd/det,
-    amp_d = lambda_b*j/det and det = zb*zd - j^2, operation for operation,
-    in two complex and two real work arrays.  glibc hands a large free heap
-    top back to the kernel (unless something, such as importing scipy, has
-    raised its trim threshold), so a temporary per operation made a warm
-    strain fit page-fault tens of thousands of times.
+    amp_d = lambda_b*j/det and det = zb*zd - j^2, operation for operation
+    (see ``_p0``).  A scalar call returns a float64, an array call a new
+    array.
     """
     shape = np.broadcast(omega_b, omega_d).shape
-    zb = np.subtract(omega_b, 1j * gamma_b, out=np.empty(shape, complex))
-    zd = np.subtract(omega_d, 1j * gamma_d, out=np.empty(shape, complex))
+    pop = _p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d)
+    return pop.reshape(-1)[: math.prod(shape)].reshape(shape).copy()[()]
+
+
+def _p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d):
+    """``p0`` in two complex and two real work arrays of the workspace.
+
+    Returns a workspace view.  A lone point is evaluated twice over: numpy
+    multiplies a one-element complex array on its scalar path, which rounds
+    otherwise than the vector loop, so without this a point's bits would
+    depend on the length of the array it came in.
+    """
+    shape = np.broadcast(omega_b, omega_d).shape
+    if math.prod(shape) == 1:
+        omega_b, omega_d, j, lambda_b, gamma_b, gamma_d = [
+            np.ravel(p) if isinstance(p, np.ndarray) else p
+            for p in (omega_b, omega_d, j, lambda_b, gamma_b, gamma_d)
+        ]
+        shape = (2,)
+    zb, zd = _workspace.take("zb", shape, complex), _workspace.take("zd", shape, complex)
+    # Cast here: numpy casts a float array against a complex array of rows
+    # through a 128 KiB buffer that glibc maps and unmaps on every call.
+    zb[...], zd[...] = omega_b, omega_d
+    np.subtract(zb, 1j * gamma_b, out=zb)
+    np.subtract(zd, 1j * gamma_d, out=zd)
     det = np.multiply(zb, zd, out=zb)
     np.subtract(det, _square(j), out=det)
     amp_b = np.divide(np.multiply(-lambda_b, zd, out=zd), det, out=zd)
     amp_d = np.divide(lambda_b * j, det, out=det)
-    lost_b = np.abs(amp_b, out=np.empty(shape))
-    lost_d = np.abs(amp_d, out=np.empty(shape))
+    lost_b = np.abs(amp_b, out=_workspace.take("lost_b", shape))
+    lost_d = np.abs(amp_d, out=_workspace.take("lost_d", shape))
     np.square(lost_b, out=lost_b)
     np.square(lost_d, out=lost_d)
     pop = np.subtract(1.0, lost_b, out=lost_b)
-    return np.subtract(pop, lost_d, out=pop)[()]
+    return np.subtract(pop, lost_d, out=pop)
 
 
 def dressed_depletion(
-    d, ex, omega_rf: float, grid: np.ndarray, rabi_rf, rabi_mw, gamma_b, gamma_d,
+    d, ex, omega_rf: float, grid: np.ndarray, rabi_rf, rabi_mw, gamma_b, gamma_d, *, out=None,
 ) -> np.ndarray:
     """Total |0>-depletion 1 - p0 over the MW grid: the one way into ``p0``.
 
@@ -206,19 +262,22 @@ def dressed_depletion(
     lambda_b = rabi_mw/2.  All parameters but ``omega_rf`` broadcast
     together, and the result has their shape followed by the grid's: floats
     give one row over ``grid``, ``(rows,)`` arrays one row per entry, each
-    equal to its scalar call, all from one ``p0`` call.
+    equal to its scalar call, all from one ``p0`` call.  ``out`` may give
+    the array to write the result into.
     """
     params = (d, rabi_rf, rabi_mw, gamma_b, gamma_d)
     if np.ndarray in map(type, params):  # rows go before the branch and grid axes
         d, rabi_rf, rabi_mw, gamma_b, gamma_d = np.broadcast_arrays(
             *[np.asarray(p)[..., None, None] for p in params]
         )
+    shape = np.broadcast_shapes(np.shape(d), np.shape(ex) + (2,) + np.shape(grid))
     if isinstance(ex, np.ndarray):
         ex = ex[..., None]  # branch_detunings puts the branch axis after it
-    omega_b, omega_d = branch_detunings(d, ex, omega_rf, grid)
-    dep = p0(omega_b, omega_d, rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d)
+    work = _workspace.take("omega_b", shape), _workspace.take("omega_d", shape)
+    omega_b, omega_d = branch_detunings(d, ex, omega_rf, grid, work)
+    dep = _p0(omega_b, omega_d, rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d)
     np.subtract(1.0, dep, out=dep)
-    return dep[..., 0, :] + dep[..., 1, :]
+    return np.add(dep[..., 0, :], dep[..., 1, :], out=out)
 
 
 @lru_cache(maxsize=32)
@@ -281,13 +340,20 @@ def dressed_signal(
         ] if shape else [ex, *params]
         row = out[at] if shape else out
         for lo in range(0, len(grid), step):
-            sig = 1.0 - c * dressed_depletion(
-                d, ex_r, omega_rf, grid[lo : lo + step], rabi_rf, rabi_mw, gamma_b, gamma_d
+            block = row[..., lo : lo + step]
+            # Each node's signal goes to the workspace; without nodes, into the result.
+            sig = block
+            if averaged:
+                sig = _workspace.take("signal", block.shape[:-1] + (n,) + block.shape[-1:])
+            dressed_depletion(
+                d, ex_r, omega_rf, grid[lo : lo + step], rabi_rf, rabi_mw, gamma_b, gamma_d,
+                out=sig,
             )
-            # cumsum keeps node order; np.sum would add one-point blocks pairwise.
-            row[..., lo : lo + step] = (
-                np.cumsum(w * sig, axis=-2)[..., -1, :] if averaged else sig
-            )
+            np.subtract(1.0, np.multiply(c, sig, out=sig), out=sig)
+            if averaged:
+                # cumsum keeps node order; np.sum would add one-point blocks pairwise.
+                np.multiply(w, sig, out=sig)
+                block[...] = np.cumsum(sig, axis=-2, out=_workspace.take("cumsum", sig.shape))[..., -1, :]
     return out
 
 

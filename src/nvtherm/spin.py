@@ -136,7 +136,8 @@ def zero_field_splitting(env: PhysicalEnvironment) -> float:
 
 
 def branch_detunings(
-    d: float, ex: float | np.ndarray, omega_rf: float, omega_mw: float | np.ndarray
+    d: float, ex: float | np.ndarray, omega_rf: float, omega_mw: float | np.ndarray,
+    out: tuple = (None, None),
 ) -> tuple:
     """Bright- and dark-mode detunings ``(omega_b, omega_d)`` of both branches.
 
@@ -144,11 +145,13 @@ def branch_detunings(
     RF sideband itself), then its mirror (ex -> -ex, omega_rf -> -omega_rf),
     with ``ex``'s own axes before it and ``omega_mw``'s after.  The dark
     level sits at D - E_x, so its detuning carries the opposite strain sign
-    from the bright one.
+    from the bright one.  ``out`` may give the two arrays to write into.
     """
     sign = np.array([[1.0], [-1.0]])  # upper branch, mirror
     exb = np.asarray(ex)[..., None] * sign
-    return (d + exb) - omega_mw, ((d - exb) - omega_mw) + omega_rf * sign
+    omega_b = np.subtract(d + exb, omega_mw, out=out[0])
+    omega_d = np.subtract(d - exb, omega_mw, out=out[1])
+    return omega_b, np.add(omega_d, omega_rf * sign, out=omega_d)
 
 
 def require_dressed_mode(env: PhysicalEnvironment) -> None:

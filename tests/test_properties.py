@@ -43,6 +43,40 @@ class TestSteadyStatePopulation:
         assert plus == minus
 
 
+def _depletion_bound(lam, gb, gd):
+    """(lambda / min(gamma))^2, with room for the rounding of 1 - p0."""
+    return (lam / np.minimum(gb, gd)) ** 2 * (1.0 + 1e-12) + 4.0 * np.finfo(float).eps
+
+
+class TestDepletionBound:
+    """0 <= 1 - p0 <= (lambda / min(gamma_b, gamma_d))^2.
+
+    The response matrix [[zb, j], [j, zd]] has the anti-Hermitian part
+    -i diag(gamma_b, gamma_d), so its smallest singular value is at least
+    min(gamma) and |amp|^2 at most (lambda / min(gamma))^2.  Within the
+    closed form's regime (lambda <= min(gamma)) p0 is therefore in [0, 1].
+    """
+
+    @given(finite, finite, finite, positive, positive, st.floats(0.0, 1.0))
+    @example(ob=0.0, od=3.0, j=0.0, gb=0.5, gd=2.0, frac=0.1)  # the bound, attained
+    def test_scalar_calls(self, ob, od, j, gb, gd, frac):
+        lam = frac * min(gb, gd)
+        depletion = 1.0 - p0(ob, od, j, lam, gb, gd)
+        assert 0.0 <= depletion <= _depletion_bound(lam, gb, gd)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16))
+    def test_stacked_rows(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        ob, od = rng.normal(0.0, 20.0, (2, rows, 2, 64)) * rng.integers(0, 2, (2, rows, 2, 64))
+        j = rng.normal(0.0, 20.0, rows) * rng.integers(0, 2, rows)
+        gb, gd = 10.0 ** rng.uniform(-3.0, 1.7, (2, rows))
+        lam = rng.uniform(0.0, 1.0, rows) * np.minimum(gb, gd)
+        depletion = 1.0 - p0(ob, od, *(p[:, None, None] for p in (j, lam, gb, gd)))
+        assert np.all(depletion >= 0.0)
+        assert np.all(depletion <= _depletion_bound(lam, gb, gd)[:, None, None])
+
+
 class TestResidualBroadening:
     @given(nonneg, nonneg)
     def test_bounded_by_half_spread(self, delta, omega):
