@@ -212,39 +212,46 @@ def p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d):
     amp_d = lambda_b*j/det and det = zb*zd - j^2, operation for operation
     (see ``_p0``).  A scalar call returns a float64, an array call a new
     array.
+
+    A lone point is evaluated twice over: numpy multiplies a one-element
+    complex array on its scalar path, which rounds otherwise than the vector
+    loop, so without this a point's bits would depend on the length of the
+    array it came in.
     """
     shape = np.broadcast(omega_b, omega_d).shape
-    pop = _p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d)
-    return pop.reshape(-1)[: math.prod(shape)].reshape(shape).copy()[()]
-
-
-def _p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d):
-    """``p0`` in two complex and two real work arrays of the workspace.
-
-    Returns a workspace view.  A lone point is evaluated twice over: numpy
-    multiplies a one-element complex array on its scalar path, which rounds
-    otherwise than the vector loop, so without this a point's bits would
-    depend on the length of the array it came in.
-    """
-    shape = np.broadcast(omega_b, omega_d).shape
+    work = shape
     if math.prod(shape) == 1:
         omega_b, omega_d, j, lambda_b, gamma_b, gamma_d = [
             np.ravel(p) if isinstance(p, np.ndarray) else p
             for p in (omega_b, omega_d, j, lambda_b, gamma_b, gamma_d)
         ]
-        shape = (2,)
-    zb, zd = _workspace.take("zb", shape, complex), _workspace.take("zd", shape, complex)
-    # Cast here: numpy casts a float array against a complex array of rows
-    # through a 128 KiB buffer that glibc maps and unmaps on every call.
-    zb[...], zd[...] = omega_b, omega_d
-    np.subtract(zb, 1j * gamma_b, out=zb)
-    np.subtract(zd, 1j * gamma_d, out=zd)
+        work = (2,)
+    zb, zd = _detunings(work)
+    zb.real[...], zd.real[...] = omega_b, omega_d
+    pop = _p0(zb, zd, j, lambda_b, gamma_b, gamma_d)
+    return pop.reshape(-1)[: math.prod(shape)].reshape(shape).copy()[()]
+
+
+def _detunings(shape: tuple) -> tuple:
+    """``_p0``'s two complex work arrays: the detunings go in their real parts."""
+    return _workspace.take("zb", shape, complex), _workspace.take("zd", shape, complex)
+
+
+def _p0(zb, zd, j, lambda_b, gamma_b, gamma_d):
+    """``p0`` of the detunings in the real parts of ``_detunings``' arrays.
+
+    Sets their imaginary parts to -gamma, which gives the bits of
+    omega - 1j * gamma, then works in them and two real work arrays of the
+    workspace; returns a workspace view.
+    """
+    np.subtract(0.0, gamma_b, out=zb.imag)
+    np.subtract(0.0, gamma_d, out=zd.imag)
     det = np.multiply(zb, zd, out=zb)
     np.subtract(det, _square(j), out=det)
     amp_b = np.divide(np.multiply(-lambda_b, zd, out=zd), det, out=zd)
     amp_d = np.divide(lambda_b * j, det, out=det)
-    lost_b = np.abs(amp_b, out=_workspace.take("lost_b", shape))
-    lost_d = np.abs(amp_d, out=_workspace.take("lost_d", shape))
+    lost_b = np.abs(amp_b, out=_workspace.take("lost_b", zb.shape))
+    lost_d = np.abs(amp_d, out=_workspace.take("lost_d", zb.shape))
     np.square(lost_b, out=lost_b)
     np.square(lost_d, out=lost_d)
     pop = np.subtract(1.0, lost_b, out=lost_b)
@@ -273,9 +280,9 @@ def dressed_depletion(
     shape = np.broadcast_shapes(np.shape(d), np.shape(ex) + (2,) + np.shape(grid))
     if isinstance(ex, np.ndarray):
         ex = ex[..., None]  # branch_detunings puts the branch axis after it
-    work = _workspace.take("omega_b", shape), _workspace.take("omega_d", shape)
-    omega_b, omega_d = branch_detunings(d, ex, omega_rf, grid, work)
-    dep = _p0(omega_b, omega_d, rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d)
+    zb, zd = _detunings(shape)
+    branch_detunings(d, ex, omega_rf, grid, out=(zb.real, zd.real))
+    dep = _p0(zb, zd, rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d)
     np.subtract(1.0, dep, out=dep)
     return np.add(dep[..., 0, :], dep[..., 1, :], out=out)
 

@@ -26,6 +26,8 @@ from .spin import (
 
 # Relative singular-value cutoff of the Liouvillian null space.
 NULL_SPACE_RCOND = 1e-12
+# Row and column of rho at each row-major vec index 3i + k.
+_VEC_ROW, _VEC_COL = np.divmod(np.arange(9), 3)
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -74,28 +76,36 @@ class LindbladModel:
         return ops
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _kron(a: np.ndarray, b: np.ndarray, diagonal: bool = False) -> np.ndarray:
     """Kronecker product of the last two axes, broadcast over the leading ones.
 
-    Equal to ``np.kron`` element for element for 3x3 operands.
+    Equal to ``np.kron`` element for element for 3x3 operands.  With
+    ``diagonal`` only its 9 diagonal entries, a[i, i] * b[k, k] at 3i + k,
+    each the same product.
     """
+    if diagonal:
+        return a[..., _VEC_ROW, _VEC_ROW] * b[..., _VEC_COL, _VEC_COL]
     prod = a[..., :, None, :, None] * b[..., None, :, None, :]
     return prod.reshape(prod.shape[:-4] + (9, 9))
 
 
-def _liouvillians(hamiltonians: np.ndarray, model: LindbladModel) -> np.ndarray:
+def _liouvillians(
+    hamiltonians: np.ndarray, model: LindbladModel, diagonal: bool = False
+) -> np.ndarray:
     """(..., 9, 9) generators of a (..., 3, 3) Hamiltonian stack.
 
     Every Hamiltonian shares the collapse operators of ``model``; row-major
-    vec, so d vec(rho)/dt = L vec(rho).
+    vec, so d vec(rho)/dt = L vec(rho).  With ``diagonal`` only the (..., 9)
+    diagonals, by the same operations: the only entries that the
+    Hamiltonians' diagonals enter.
     """
     eye = np.eye(3, dtype=complex)
     h_t = np.swapaxes(hamiltonians, -1, -2)
-    liouv = -1j * (_kron(hamiltonians, eye) - _kron(eye, h_t))
+    liouv = -1j * (_kron(hamiltonians, eye, diagonal) - _kron(eye, h_t, diagonal))
     for c in model.collapse_operators():
         cdc = c.conj().T @ c
-        liouv = liouv + _kron(c, c.conj())
-        liouv = liouv - 0.5 * (_kron(cdc, eye) + _kron(eye, cdc.T))
+        liouv = liouv + _kron(c, c.conj(), diagonal)
+        liouv = liouv - 0.5 * (_kron(cdc, eye, diagonal) + _kron(eye, cdc.T, diagonal))
     return liouv
 
 
@@ -153,12 +163,18 @@ def oracle_spectrum(
         0.0, 0.0, drive.rabi_rf / 2.0, drive.rabi_mw / 2.0
     )
     base = LindbladModel(h0, pump_rate, dephase_b, dephase_d)
+    # The detunings enter only the generator's diagonal: every point starts
+    # from the undetuned generator and replays those 9 entries.
+    liouv0 = _liouvillians(h0, base)
+    diag = np.arange(9)
     depletion = np.zeros_like(grid)
     for omega_b, omega_d in zip(*detunings):
-        h = np.repeat(base.hamiltonian[None], len(grid), axis=0)
+        h = np.repeat(h0[None], len(grid), axis=0)
         h[:, 1, 1] = omega_b
         h[:, 2, 2] = omega_d
-        rho = _steady_states(_liouvillians(h, base))
+        liouv = np.repeat(liouv0[None], len(grid), axis=0)
+        liouv[:, diag, diag] = _liouvillians(h, base, diagonal=True)
+        rho = _steady_states(liouv)
         depletion = depletion + (1.0 - rho[:, 0, 0].real)
     sig = 1.0 - contrast * depletion
     meta = {

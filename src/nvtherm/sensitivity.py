@@ -104,12 +104,15 @@ def slope_sensitivity(
     span: tuple[float, float],
     budget: NoiseBudget,
     dd_dt: float = DEFAULT_DD_DT,
+    linewidth: bool = True,
 ) -> SensitivityReport:
     """Max-slope temperature sensitivity of a model spectrum.
 
     eta = sqrt(S(nu*) / rate) / (|dS/dnu|(nu*) * |dd_dt|), with nu* the
     steepest point of the normalized signal on a ``SLOPE_POINTS`` grid and
-    the derivative taken by central differences.
+    the derivative taken by central differences.  With ``linewidth`` the
+    report also holds the deepest dip's half-depth FWHM and its linewidth
+    figure; without, it skips that root search and leaves them None and NaN.
     """
     if dd_dt == 0:
         raise ValueError("dd_dt must be nonzero")
@@ -129,7 +132,9 @@ def slope_sensitivity(
     )
     m = int(np.argmax(1.0 - curve))
     depth = max(float(1.0 - curve[m]), 0.0)
-    fwhm = fitting.half_depth_widths(curve_fn, grid, curve, [m])[0] if depth > 0 else None
+    fwhm = None
+    if linewidth and depth > 0:
+        fwhm = fitting.half_depth_widths(curve_fn, grid, curve, [m])[0]
     eta_lw = float("nan")
     if fwhm is not None:
         eta_lw = linewidth_sensitivity(fwhm, depth, budget, dd_dt)
@@ -352,8 +357,10 @@ def _sweep_point(config: SweepConfig, budget: NoiseBudget, point: dict, index: i
     point_budget = replace(budget, photon_rate=rate, contrast=contrast)
     span = (float(config.grid[0]), float(config.grid[-1]))
     try:
+        # The row's linewidth figure comes from the fit's FWHM below.
         report = slope_sensitivity(
-            lambda g: model.evaluate(result.params, g), span, point_budget, dd_dt
+            lambda g: model.evaluate(result.params, g), span, point_budget, dd_dt,
+            linewidth=False,
         )
         eta_slope = report.eta_slope
     except ValueError:

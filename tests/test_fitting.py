@@ -716,6 +716,42 @@ class TestMultistart:
         with pytest.raises(FitError):
             multistart_fit(flat, MultiLorentzian(1), n_starts=2)
 
+    @pytest.mark.parametrize(
+        "spectrum, model",
+        [
+            (  # fig5 at rabi_rf 6: one center near 2870 MHz on a 50 MHz grid
+                lambda: ensemble_spectrum(
+                    ENV, DriveConfig(rabi_mw=0.6, omega_rf=16.0, rabi_rf=6.0),
+                    np.linspace(2845.0, 2895.0, 501), 1.0, 1.0, 0.05,
+                    StrainDistribution(mean_ex=8.0, sigma_ex=0.3),
+                ),
+                DressedDip(omega_rf=16.0),
+            ),
+            (  # fig4: two centers 150 MHz either side of 2870 MHz
+                lambda: conventional_spectrum(
+                    PhysicalEnvironment(b_parallel=150.0), np.linspace(2690.0, 3050.0, 721), 7.92
+                ),
+                MultiLorentzian(2),
+            ),
+        ],
+        ids=["fig5_dressed", "fig4_lorentzian"],
+    )
+    def test_every_start_reaches_the_optimizer(self, monkeypatch, spectrum, model):
+        # A start whose center leaves the grid is refused before the optimizer runs.
+        noisy = synthesize_measurement(spectrum(), 1e6, 1.0, seed=7)
+        real, refused = fitting._check_guess, []
+
+        def check(spec, model, guess):
+            try:
+                real(spec, model, guess)
+            except FitError as exc:
+                refused.append(str(exc))
+                raise
+
+        monkeypatch.setattr(fitting, "_check_guess", check)
+        multistart_fit(noisy, model, n_starts=8, seed=3)
+        assert refused == []
+
 
 class TestFitResultSerialization:
     def test_json_document(self):

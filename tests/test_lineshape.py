@@ -450,6 +450,24 @@ class TestStackedRows:
             )
             assert np.array_equal(stacked[r], single)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_fused_detunings_match_the_float_path(self, seed):
+        # dressed_depletion writes the detunings into the real parts of p0's
+        # complex work arrays; this is the path through float detunings, a
+        # complex cast and z = omega - 1j * gamma, operation for operation.
+        rng = np.random.default_rng(seed)
+        grid = np.sort(rng.uniform(2840.0, 2900.0, 97))
+        d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, _ = (p.item() for p in _dressed_rows(rng, 1))
+        omega_b, omega_d = branch_detunings(d, ex, 16.0, grid)
+        zb = omega_b.astype(complex) - 1j * gamma_b
+        zd = omega_d.astype(complex) - 1j * gamma_d
+        j, lam = rabi_rf / 2.0, rabi_mw / 2.0
+        det = zb * zd - j**2
+        dep = 1.0 - (1.0 - np.abs(-lam * zd / det) ** 2 - np.abs(lam * j / det) ** 2)
+        fused = dressed_depletion(d, ex, 16.0, grid, rabi_rf, rabi_mw, gamma_b, gamma_d)
+        assert fused.tobytes() == (dep[0] + dep[1]).tobytes()
+
     def test_p0_parameter_rows(self):
         # An array's x**2 is x*x rounded, which differs from the scalar's
         # pow(x, 2) in the last bit for some x; these j are such values.

@@ -8,6 +8,7 @@ from nvtherm.lineshape import ensemble_spectrum
 from nvtherm.oracle import (
     DegenerateSteadyStateError,
     LindbladModel,
+    _liouvillians,
     build_liouvillian,
     oracle_spectrum,
     steady_state,
@@ -101,6 +102,23 @@ class TestLiouvillian:
     def test_equals_kron_construction(self):
         m = _model(0.5, -0.3, 2.0, 0.2, 1.0, 0.3, 0.1)
         np.testing.assert_array_equal(build_liouvillian(m), _reference_liouvillian(m))
+
+    @pytest.mark.parametrize(
+        "pump, db, dd", [(2.0, 0.0, 0.0), (0.2, 0.9, 0.0), (0.0, 0.3, 1.1), (1.3, 0.11, 0.05)]
+    )
+    def test_detunings_enter_only_the_diagonal(self, pump, db, dd):
+        # oracle_spectrum replays the diagonal on the undetuned generator.
+        # Bits, signed zeros included, not values: the SVD sees the bits.
+        rng = np.random.default_rng(8)
+        h0 = rotating_hamiltonian_from_params(0.0, 0.0, 1.7, 0.4)
+        model = LindbladModel(h0, pump, db, dd)
+        h = np.repeat(h0[None], 500, axis=0)
+        h[:, 1, 1], h[:, 2, 2] = rng.normal(0.0, 20.0, (2, 500)) * rng.integers(0, 2, (2, 500))
+        full = _liouvillians(h, model)
+        replayed = np.repeat(_liouvillians(h0, model)[None], 500, axis=0)
+        diagonal = np.arange(9)
+        replayed[:, diagonal, diagonal] = _liouvillians(h, model, diagonal=True)
+        assert full.tobytes() == replayed.tobytes()
 
     def test_unique_zero_eigenvalue_with_dissipation(self):
         for m in (_model(), _model(0.5, -0.3, 2.0, 0.2, 1.0, 0.3, 0.1)):

@@ -1,11 +1,13 @@
 """Property-based tests for algebraic invariants of the core model."""
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nvtherm.lineshape import Spectrum, p0
+from nvtherm.lineshape import Spectrum, dressed_depletion, ensemble_spectrum, p0
+from nvtherm.oracle import oracle_spectrum
 from nvtherm.spin import (
+    DriveConfig,
     PhysicalEnvironment,
     dressed_resonances,
     residual_broadening,
@@ -75,6 +77,77 @@ class TestDepletionBound:
         depletion = 1.0 - p0(ob, od, *(p[:, None, None] for p in (j, lam, gb, gd)))
         assert np.all(depletion >= 0.0)
         assert np.all(depletion <= _depletion_bound(lam, gb, gd)[:, None, None])
+
+
+def _twin(gamma_b, gamma_d, j):
+    """The resonant twin of (gamma_b, gamma_d, J), or None where it does not exist."""
+    j2 = j**2 + gamma_d**2 - ((gamma_b - gamma_d) / 2.0) ** 2
+    if not (gamma_b > gamma_d and j2 > 0.0):
+        return None
+    return (gamma_b + 3.0 * gamma_d) / 2.0, (gamma_b - gamma_d) / 2.0, np.sqrt(j2)
+
+
+class TestResonantTwin:
+    """On two-photon resonance (omega_rf = 2 E_x, no strain spread) each branch
+    has omega_b = omega_d, and the closed form depends on (gamma_b, gamma_d, J)
+    only through gamma_b + gamma_d, gamma_b * gamma_d + J^2 and gamma_d^2 + J^2,
+    which the twin shares."""
+
+    @staticmethod
+    def _pair(ex, omega_rf, rabi_rf, gamma_b, gamma_d, twin):
+        tb, td, tj = twin
+        reach = ex + omega_rf / 2.0 + rabi_rf + 10.0 * gamma_b
+        grid = np.linspace(2870.0 - reach, 2870.0 + reach, 401)
+        args = (2870.0, ex, omega_rf, grid)
+        return (
+            dressed_depletion(*args, rabi_rf, 0.1, gamma_b, gamma_d),
+            dressed_depletion(*args, 2.0 * tj, 0.1, tb, td),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ex=st.floats(0.5, 30.0),
+        rabi_rf=st.floats(0.01, 30.0),
+        gamma_d=st.floats(1e-3, 5.0),
+        excess=st.floats(1e-3, 10.0),
+    )
+    @example(ex=8.0, rabi_rf=5.0, gamma_d=0.1, excess=0.9)  # fig2
+    def test_twin_gives_the_same_depletion(self, ex, rabi_rf, gamma_d, excess):
+        gamma_b = gamma_d + excess
+        twin = _twin(gamma_b, gamma_d, rabi_rf / 2.0)
+        assume(twin is not None)
+        dep, other = self._pair(ex, 2.0 * ex, rabi_rf, gamma_b, gamma_d, twin)
+        assert np.max(np.abs(dep - other)) <= 1e-8 * np.max(dep)
+
+    def test_detuning_breaks_the_twin(self):
+        # fig2's rates and drive with omega_rf 15 MHz, not 2 E_x = 16 MHz.
+        twin = _twin(1.0, 0.1, 2.5)
+        dep, other = self._pair(8.0, 15.0, 5.0, 1.0, 0.1, twin)
+        assert np.max(np.abs(dep - other)) > 0.1 * np.max(dep)
+
+
+class TestClosedFormMatchesOracle:
+    """At weak MW drive the Lindblad steady state is the closed form's linear
+    response: with pump-only dissipation (gamma_b = gamma_d = pump / 2) the
+    depletions differ by saturation, of relative order (lambda / gamma)^2."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ex=st.floats(0.5, 20.0),
+        omega_rf=st.floats(0.0, 40.0),
+        rabi_rf=st.floats(0.0, 20.0),
+        gamma=st.floats(0.1, 5.0),
+        ratio=st.floats(1e-3, 0.02),
+    )
+    def test_weak_drive(self, ex, omega_rf, rabi_rf, gamma, ratio):
+        env = PhysicalEnvironment(ex=ex, b_transverse=80.0)
+        drive = DriveConfig(rabi_mw=2.0 * ratio * gamma, omega_rf=omega_rf, rabi_rf=rabi_rf)
+        reach = ex + omega_rf / 2.0 + rabi_rf + 10.0 * gamma
+        grid = np.linspace(2870.0 - reach, 2870.0 + reach, 81)
+        closed = 1.0 - ensemble_spectrum(env, drive, grid, gamma, gamma).signal
+        brute = 1.0 - oracle_spectrum(env, drive, grid, pump_rate=2.0 * gamma).signal
+        rel_rms = np.sqrt(np.mean((closed - brute) ** 2) / np.mean(closed**2))
+        assert rel_rms <= 4.0 * ratio**2
 
 
 class TestResidualBroadening:

@@ -14,6 +14,7 @@ from nvtherm.lineshape import (
 )
 from nvtherm.sensitivity import (
     LORENTZIAN_SLOPE_CONSTANT,
+    SLOPE_POINTS,
     NoiseBudget,
     SweepConfig,
     estimate_temperature,
@@ -135,6 +136,22 @@ class TestSlopeSensitivity:
         doc = _strict_json(report.to_json())
         assert doc["eta_linewidth_k_per_rthz"] is None
         assert doc["inputs"]["fwhm_mhz"] is None
+
+    def test_without_linewidth_the_curve_is_evaluated_once(self):
+        # The sweep's slope step: no half-depth root search, same slope figure.
+        calls = []
+
+        def curve(grid):
+            calls.append(len(grid))
+            return _lorentz_curve()(grid)
+
+        full = slope_sensitivity(curve, self.SPAN, BUDGET)
+        assert len(calls) > 1
+        calls.clear()
+        report = slope_sensitivity(curve, self.SPAN, BUDGET, linewidth=False)
+        assert calls == [SLOPE_POINTS]
+        assert (report.eta_slope, report.best_frequency) == (full.eta_slope, full.best_frequency)
+        assert report.inputs["fwhm_mhz"] is None and np.isnan(report.eta_linewidth)
 
     def test_best_frequency_on_dip_flank(self):
         report = slope_sensitivity(_lorentz_curve(), self.SPAN, BUDGET)
