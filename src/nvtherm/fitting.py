@@ -437,10 +437,7 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
     def residuals(x_free):  # of one internal vector, or of each row of a stack
         p = np.tile(full, x_free.shape[:-1] + (1,))
         p[..., free] = _to_external(x_free, pos_free)
-        r = model.evaluate(p, grid)  # a new array: weighted in place
-        r -= data
-        r *= w
-        return r
+        return w * (model.evaluate(p, grid) - data)
 
     x = _to_internal(guess[free], pos_free)
     r = residuals(x)
@@ -722,23 +719,26 @@ def peak_properties(model, params, spec: Spectrum):
 def multistart_fit(spec: Spectrum, model, n_starts: int = 1, seed: int = 0) -> FitResult:
     """Best of ``n_starts`` >= 1 fits from randomly perturbed initial guesses.
 
-    Start 0 is ``initial_guess``.  Each later start scales it by
-    1 + ``MULTISTART_SPREAD`` * N(0, 1), clipped to [0.5, 1.5], except the
-    centers: each moves by ``MULTISTART_SPREAD`` * N(0, 1) times the grid
-    span, clipped into the span, since a relative step of a center near
-    2870 MHz would leave the grid.
+    Start 0 is ``initial_guess``.  Each later start scales its free
+    parameters by 1 + ``MULTISTART_SPREAD`` * N(0, 1), clipped to
+    [0.5, 1.5], except the centers: each moves by ``MULTISTART_SPREAD`` *
+    N(0, 1) times the grid span, clipped into the span, since a relative
+    step of a center near 2870 MHz would leave the grid.  Frozen
+    parameters keep their value: ``fit`` holds them at the guess.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     base = initial_guess(spec, model)
     lo, hi = spec.frequencies[0], spec.frequencies[-1]
     centers = model.center_indices
+    frozen = ~_free_mask(model)
     rng = np.random.default_rng(seed)
     best = None
     for k in range(n_starts):
         guess = base.copy()
         if k > 0:
             z = MULTISTART_SPREAD * rng.standard_normal(len(base))
+            z[frozen] = 0.0
             guess = base * np.clip(1.0 + z, 0.5, 1.5)
             guess[centers] = np.clip(base[centers] + z[centers] * (hi - lo), lo, hi)
         try:

@@ -739,9 +739,10 @@ class TestMultistart:
     def test_every_start_reaches_the_optimizer(self, monkeypatch, spectrum, model):
         # A start whose center leaves the grid is refused before the optimizer runs.
         noisy = synthesize_measurement(spectrum(), 1e6, 1.0, seed=7)
-        real, refused = fitting._check_guess, []
+        real, refused, guesses = fitting._check_guess, [], []
 
         def check(spec, model, guess):
+            guesses.append(guess.copy())
             try:
                 real(spec, model, guess)
             except FitError as exc:
@@ -749,8 +750,15 @@ class TestMultistart:
                 raise
 
         monkeypatch.setattr(fitting, "_check_guess", check)
-        multistart_fit(noisy, model, n_starts=8, seed=3)
+        res = multistart_fit(noisy, model, n_starts=8, seed=3)
         assert refused == []
+        assert len(guesses) == 8
+        # A frozen parameter is not perturbed: the dressed signal scales as
+        # contrast * rabi_mw**2, so a moved contrast would fit equally well.
+        for name, value in getattr(model, "frozen", {}).items():
+            i = model.param_names.index(name)
+            assert all(g[i] == value for g in guesses)
+            assert res.param(name) == value
 
 
 class TestFitResultSerialization:
