@@ -405,7 +405,7 @@ def _to_external(x, pos):
     """External parameters of an internal vector, or of each row of a stack."""
     p = np.array(x, dtype=float)
     # Clip so a wild trial step cannot overflow; such steps get rejected anyway.
-    p[..., pos] = np.exp(np.clip(p[..., pos], -300.0, 300.0))
+    p[..., pos] = np.exp(p[..., pos].clip(-300.0, 300.0))
     return p
 
 
@@ -430,16 +430,17 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
     w = 1.0 / spec.sigma if weighted else np.ones_like(data)
 
     free = _free_mask(model)
-    pos = model.positive
-    pos_free = pos[free]
+    free_at = np.flatnonzero(free)  # the external index of each internal coordinate
+    logs = np.flatnonzero(model.positive[free])  # internal coordinates fitted in log space
     full = guess.copy()
 
     def residuals(x_free):  # of one internal vector, or of each row of a stack
-        p = np.tile(full, x_free.shape[:-1] + (1,))
-        p[..., free] = _to_external(x_free, pos_free)
+        p = np.empty(x_free.shape[:-1] + full.shape)
+        p[...] = full
+        p[..., free_at] = _to_external(x_free, logs)
         return w * (model.evaluate(p, grid) - data)
 
-    x = _to_internal(guess[free], pos_free)
+    x = _to_internal(guess[free], logs)
     r = residuals(x)
     cost = 0.5 * float(r @ r)
     mu = 1e-3
@@ -450,7 +451,7 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
         jac = _numeric_jacobian(residuals, x, len(data))
         jtj = jac.T @ jac
         jtr = jac.T @ r
-        diag = np.diag(jtj).copy()
+        diag = jtj.diagonal().copy()
         diag[diag <= 0] = max(diag.max(), 1e-12)
         accepted = False
         while mu <= MAX_DAMPING:
@@ -459,12 +460,13 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
             except np.linalg.LinAlgError:
                 mu *= 10.0
                 continue
-            if np.linalg.norm(dx) < STEP_ATOL:
+            if math.sqrt(dx.dot(dx)) < STEP_ATOL:  # np.linalg.norm(dx)
                 converged = True
                 break
             r_new = residuals(x + dx)
-            cost_new = 0.5 * float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new < cost:
+            with np.errstate(over="ignore"):  # a wild step's cost may overflow; it is rejected
+                cost_new = 0.5 * float(r_new @ r_new)
+            if math.isfinite(cost_new) and cost_new < cost:
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)
                 x = x + dx
                 r = r_new
@@ -483,9 +485,9 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
             break
 
     params = full.copy()
-    params[free] = _to_external(x, pos_free)
+    params[free_at] = _to_external(x, logs)
     residual_rms = float(np.sqrt(np.mean((r / w) ** 2)))  # r: the weighted residual at params
-    cov = _covariance(model, params, free, grid, w, weighted, cost, len(data))
+    cov = _covariance(model, params, free_at, grid, w, weighted, cost, len(data))
     fwhm, reasons, contrasts = peak_properties(model, params, spec)
     return FitResult(
         param_names=model.param_names,
@@ -513,34 +515,33 @@ def _numeric_jacobian(residuals, x, n_rows: int):
     """
     n = len(x)
     h = JACOBIAN_REL_STEP * np.maximum(np.abs(x), 1.0)
-    stepped = np.tile(x, (2 * n, 1))
-    i = np.arange(n)
-    stepped[2 * i, i] += h
-    stepped[2 * i + 1, i] -= h
+    stepped = np.repeat(x[None], 2 * n, axis=0)
+    steps = stepped.reshape(-1)  # row 2i, column i is element i * (2n + 1)
+    steps[:: 2 * n + 1] += h
+    steps[n :: 2 * n + 1] -= h
     r = residuals(stepped)
-    jac = np.empty((n_rows, n))
-    jac[...] = ((r[0::2] - r[1::2]) / (2.0 * h)[:, None]).T
-    return jac
+    jac = np.subtract(r[0::2].T, r[1::2].T, out=np.empty((n_rows, n)))
+    return np.divide(jac, 2.0 * h, out=jac)
 
 
-def _covariance(model, params, free, grid, w, weighted, cost, n_points):
+def _covariance(model, params, free_at, grid, w, weighted, cost, n_points):
     """Covariance of the full parameter vector in external coordinates."""
 
     def residuals_ext(p_free):
-        p = np.tile(params, p_free.shape[:-1] + (1,))
-        p[..., free] = p_free
+        p = np.empty(p_free.shape[:-1] + params.shape)
+        p[...] = params
+        p[..., free_at] = p_free
         return w * model.evaluate(p, grid)
 
-    jac = _numeric_jacobian(residuals_ext, params[free], n_points)
+    jac = _numeric_jacobian(residuals_ext, params[free_at], n_points)
     jtj = jac.T @ jac
     cov_free = np.linalg.pinv(jtj)
-    n_free = int(np.sum(free))
+    n_free = len(free_at)
     if not weighted and n_points > n_free:
         # Unit weights: scale by the residual variance estimate.
         cov_free = cov_free * (2.0 * cost / (n_points - n_free))
     cov = np.zeros((len(params), len(params)))
-    ix = np.where(free)[0]
-    cov[np.ix_(ix, ix)] = cov_free
+    cov[np.ix_(free_at, free_at)] = cov_free
     return cov
 
 
@@ -675,11 +676,11 @@ def half_depth_widths(curve_fn, grid: np.ndarray, curve: np.ndarray, dips) -> li
             for i, k in ((left - 1, m), (m, right + 1)):
                 brackets.append((float(grid[i]), curve[i] - half, float(grid[k]), curve[k] - half))
                 levels.append(half)
-    levels = np.array(levels)
 
     def above_half(which, xs):
-        nu, back = np.unique(xs, return_inverse=True)
-        return curve_fn(nu)[back] - levels[which]
+        nu = sorted(set(xs.tolist()))
+        values = dict(zip(nu, curve_fn(np.array(nu)).tolist()))
+        return [values[x] - levels[i] for i, x in zip(which, xs.tolist())]
 
     roots = iter(_solve_together(above_half, brackets))
     widths = []

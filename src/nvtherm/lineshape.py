@@ -199,7 +199,7 @@ def _square(x):
     """
     if not isinstance(x, np.ndarray):
         return x**2
-    return np.reshape([v**2 for v in np.ravel(x).tolist()], np.shape(x))
+    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d):
@@ -273,11 +273,10 @@ def dressed_depletion(
     the array to write the result into.
     """
     params = (d, rabi_rf, rabi_mw, gamma_b, gamma_d)
+    rows = [p for p in (ex, *params) if isinstance(p, np.ndarray)]
+    shape = (np.broadcast(*rows).shape if rows else ()) + (2, len(grid))
     if np.ndarray in map(type, params):  # rows go before the branch and grid axes
-        d, rabi_rf, rabi_mw, gamma_b, gamma_d = np.broadcast_arrays(
-            *[np.asarray(p)[..., None, None] for p in params]
-        )
-    shape = np.broadcast_shapes(np.shape(d), np.shape(ex) + (2,) + np.shape(grid))
+        d, rabi_rf, rabi_mw, gamma_b, gamma_d = [np.asarray(p)[..., None, None] for p in params]
     if isinstance(ex, np.ndarray):
         ex = ex[..., None]  # branch_detunings puts the branch axis after it
     zb, zd = _detunings(shape)
@@ -333,10 +332,9 @@ def dressed_signal(
     step = max(BLOCK_POINTS // (n * per_block), 1)  # grid points
     stacked = bool(shape) and per_block > 1
     if stacked:  # (rows,) parameters get axes for ex's nodes, the contrast also the grid's
-        tails = [(1,) * averaged] * 5 + [(1,) * (averaged + 1)]
+        tails = [shape + (1,) * averaged] * 5 + [shape + (1,) * (averaged + 1)]
         params = [
-            np.reshape(p, shape + t) if isinstance(p, np.ndarray) and p.ndim else p
-            for p, t in zip(params, tails)
+            p.reshape(t) if isinstance(p, np.ndarray) and p.ndim else p for p, t in zip(params, tails)
         ]
     out = np.empty(shape + (len(grid),))
     for r in range(0, shape[0] if shape else 1, per_block):

@@ -109,12 +109,13 @@ def _liouvillians(
     return liouv
 
 
-def _steady_states(liouv: np.ndarray) -> np.ndarray:
+def _steady_states(liouv: np.ndarray, block: int = 3) -> np.ndarray:
     """(..., 3, 3) unique steady states of a (..., 9, 9) generator stack.
 
     The null vector is the last right-singular vector of one batched SVD.
     Its multiplicity is the number of singular values at or below
-    ``NULL_SPACE_RCOND`` times the largest, a scale-free test.
+    ``NULL_SPACE_RCOND`` times the largest, a scale-free test.  ``block``
+    < 3 keeps only each state's leading block x block entries.
     """
     _, s, vh = np.linalg.svd(liouv)
     multiplicity = np.sum(s <= NULL_SPACE_RCOND * s[..., :1], axis=-1)
@@ -122,7 +123,7 @@ def _steady_states(liouv: np.ndarray) -> np.ndarray:
     if np.any(degenerate):
         raise DegenerateSteadyStateError(int(multiplicity[degenerate].flat[0]))
     rho = vh[..., -1, :].conj().reshape(liouv.shape[:-2] + (3, 3))
-    rho = rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+    rho = rho[..., :block, :block] / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
     return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
 
 
@@ -174,7 +175,7 @@ def oracle_spectrum(
         h[:, 2, 2] = omega_d
         liouv = np.repeat(liouv0[None], len(grid), axis=0)
         liouv[:, diag, diag] = _liouvillians(h, base, diagonal=True)
-        rho = _steady_states(liouv)
+        rho = _steady_states(liouv, block=1)  # rho_00 alone
         depletion = depletion + (1.0 - rho[:, 0, 0].real)
     sig = 1.0 - contrast * depletion
     meta = {

@@ -23,8 +23,10 @@ LORENTZIAN_SLOPE_CONSTANT = 4.0 / (3.0 * np.sqrt(3.0))
 
 SWEEP_PARAMETER_WHITELIST = ("rabi_rf", "rabi_mw", "laser_power_mw")
 
-# Points of the refined grid on which ``slope_sensitivity`` finds the steepest point.
+# Points of ``slope_sensitivity``'s grid, and per piece of its scans: a piece's
+# 32 KiB of work stays below glibc's 128 KiB mmap threshold, so no scan maps memory.
 SLOPE_POINTS = 20001
+SCAN_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,7 @@ def slope_sensitivity(
     lo, hi = span
     grid = np.linspace(lo, hi, SLOPE_POINTS)
     curve = np.asarray(curve_fn(grid), dtype=float)
-    dnu = grid[1] - grid[0]
-    slope = np.gradient(curve, dnu)
-    k = int(np.argmax(np.abs(slope)))
-    max_slope = float(np.abs(slope[k]))
+    k, max_slope = _first_max(_abs_gradient(curve, grid[1] - grid[0]))
     if max_slope * (hi - lo) < 1e-12:
         raise ValueError("no spectral sensitivity: spectrum is flat")
     if not curve[k] > 0:
@@ -130,7 +129,7 @@ def slope_sensitivity(
     eta_slope = float(
         np.sqrt(curve[k] / budget.photon_rate) / (max_slope * abs(dd_dt))
     )
-    m = int(np.argmax(1.0 - curve))
+    m, _ = _first_max(_depths(curve))
     depth = max(float(1.0 - curve[m]), 0.0)
     fwhm = None
     if linewidth and depth > 0:
@@ -149,6 +148,35 @@ def slope_sensitivity(
             "contrast": depth,
         },
     )
+
+
+def _abs_gradient(curve, dnu):
+    """``np.abs(np.gradient(curve, dnu))`` as ``(offset, values)`` pieces, bit for bit."""
+    n, work = len(curve), np.empty(SCAN_CHUNK)
+    yield 0, np.abs([(curve[1] - curve[0]) / dnu])
+    for lo in range(1, n - 1, SCAN_CHUNK):
+        hi = min(lo + SCAN_CHUNK, n - 1)
+        part = np.subtract(curve[lo + 1 : hi + 1], curve[lo - 1 : hi - 1], out=work[: hi - lo])
+        yield lo, np.abs(np.divide(part, 2.0 * dnu, out=part), out=part)
+    yield n - 1, np.abs([(curve[-1] - curve[-2]) / dnu])
+
+
+def _depths(curve):
+    """``1.0 - curve`` as ``(offset, values)`` pieces."""
+    work = np.empty(SCAN_CHUNK)
+    for lo in range(0, len(curve), SCAN_CHUNK):
+        part = curve[lo : lo + SCAN_CHUNK]
+        yield lo, np.subtract(1.0, part, out=work[: len(part)])
+
+
+def _first_max(pieces):
+    """``np.argmax`` over ``(offset, values)`` pieces, and its value: the first NaN or largest."""
+    best_i = best = None
+    for offset, values in pieces:
+        j = int(values.argmax())
+        if best_i is None or (best == best and not values[j] <= best):  # a NaN wins and stays
+            best_i, best = offset + j, values[j]
+    return best_i, best
 
 
 def estimate_temperature(

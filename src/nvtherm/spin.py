@@ -15,6 +15,7 @@ import numpy as np
 
 # Default zero-field-splitting temperature slope, MHz/K.
 DEFAULT_DD_DT = -0.0742
+_BRANCH_SIGN = np.array([[1.0], [-1.0]])  # branch_detunings' upper branch, mirror
 
 
 class RegimeWarning(UserWarning):
@@ -147,11 +148,10 @@ def branch_detunings(
     level sits at D - E_x, so its detuning carries the opposite strain sign
     from the bright one.  ``out`` may give the two arrays to write into.
     """
-    sign = np.array([[1.0], [-1.0]])  # upper branch, mirror
-    exb = np.asarray(ex)[..., None] * sign
+    exb = np.asarray(ex)[..., None] * _BRANCH_SIGN
     omega_b = np.subtract(d + exb, omega_mw, out=out[0])
     omega_d = np.subtract(d - exb, omega_mw, out=out[1])
-    return omega_b, np.add(omega_d, omega_rf * sign, out=omega_d)
+    return omega_b, np.add(omega_d, omega_rf * _BRANCH_SIGN, out=omega_d)
 
 
 def require_dressed_mode(env: PhysicalEnvironment) -> None:

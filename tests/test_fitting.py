@@ -1,7 +1,9 @@
 """Tests for the fitting module: guesses, optimizer behavior, extraction."""
 
+import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +170,29 @@ class TestFit:
         cov = res.covariance
         np.testing.assert_allclose(cov, cov.T, atol=1e-15)
         assert np.min(np.linalg.eigvalsh(cov)) > -1e-12
+
+    def test_an_overflowing_trial_step_is_rejected_quietly(self, monkeypatch):
+        # Sigmas of 1e-25 weigh the residuals by 1e25.  From a depth of 1e-4
+        # the first trial step takes the depth to its e^300 clip, where the
+        # weighted cost overflows.  The step is rejected without a
+        # RuntimeWarning, and the fit goes on to the line.
+        grid = np.linspace(2840.0, 2900.0, 601)
+        clean = lorentzian_spectrum([2870.0], [5.0], [0.05], grid)
+        spec = Spectrum(grid, clean.signal, np.full(len(grid), 1e-25))
+        evaluate, largest = MultiLorentzian.evaluate, []
+
+        def recording(self, params, g):
+            out = evaluate(self, params, g)
+            largest.append(float(np.abs(out).max()))
+            return out
+
+        monkeypatch.setattr(MultiLorentzian, "evaluate", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = fit(spec, MultiLorentzian(1), guess=np.array([1.0, 2870.5, 5.5, 1e-4]))
+        assert max(largest) > 1e100  # the trial step at the clip
+        assert res.converged
+        np.testing.assert_allclose(res.params, [1.0, 2870.0, 5.0, 0.05], rtol=1e-9)
 
     def test_noisy_dressed_recovers_rabi_rf(self):
         clean = _dressed_clean()
@@ -347,6 +372,74 @@ class TestStackedFits:
         noisy = synthesize_measurement(clean, 1e6, 1.0, seed)
         model = MultiLorentzian(2)
         _same_fit(fit(noisy, model), self._reference(monkeypatch, noisy, model))
+
+
+def _fingerprint(res):
+    """A digest of every field of a FitResult, to the last bit."""
+    h = hashlib.sha256()
+    for value in (res.param_names, res.model_kind, res.converged, res.iterations, res.fwhm_reasons):
+        h.update(repr(value).encode())
+    for value in (
+        res.params, res.covariance, res.fwhm_per_peak, res.contrast_per_peak,
+        [res.residual_rms, res.cost],
+    ):
+        h.update(np.array(value, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _avx512():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("AVX512F"))
+
+
+@pytest.mark.skipif(
+    np.__version__ != "2.4.6" or not _avx512(),
+    reason="recorded with numpy 2.4.6 on x86-64 with AVX-512; a fit's last bits depend on both",
+)
+class TestRecordedWork:
+    """Trimming the fit loop's fixed costs leaves its work and results as they were.
+
+    Each case holds the model evaluations and parameter rows a fit took, its
+    iterations and convergence, and a digest of every ``FitResult`` field, as
+    recorded before the trim.
+    """
+
+    CASES = {
+        "fig5 rabi_rf 3 seed 0": (206, 1240, 93, True, "b19be5f84949c851"),
+        "fig5 rabi_rf 6 seed 1": (32, 164, 11, True, "bb3b989ee0d5d8ae"),
+        "fig5 rabi_rf 12 seed 0": (28, 138, 9, True, "2399bcc7e5d24250"),
+        "fig5 rabi_rf 24 seed 2": (34, 166, 11, True, "a17ea30e0158a54c"),
+        "fig4 seed 0": (12, 90, 5, True, "da963f9ecc5c2c57"),
+        "fig4 seed 1": (10, 75, 4, True, "998cb3e8bcfd8bc2"),
+    }
+
+    @staticmethod
+    def _spectrum(case):
+        if case.startswith("fig5"):
+            _, _, rabi_rf, _, seed = case.split()
+            return DressedDip(omega_rf=16.0), synthesize_measurement(
+                _fig5_clean(float(rabi_rf)), 1e6, 1.0, [7, int(seed)]
+            )
+        grid = np.linspace(2690.0, 3050.0, 721)
+        clean = conventional_spectrum(PhysicalEnvironment(b_parallel=150.0), grid, 7.92, 0.05)
+        return MultiLorentzian(2), synthesize_measurement(clean, 1e6, 1.0, int(case.split()[-1]))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_work_same_result(self, case, monkeypatch):
+        model, noisy = self._spectrum(case)
+        evaluate, rows = type(model).evaluate, []
+
+        def counting(self, params, grid):
+            rows.append(1 if params.ndim == 1 else len(params))
+            return evaluate(self, params, grid)
+
+        monkeypatch.setattr(type(model), "evaluate", counting)
+        res = fit(noisy, model)
+        found = (len(rows), sum(rows), res.iterations, res.converged, _fingerprint(res))
+        assert found == self.CASES[case]
 
 
 class TestNoRepeatedEvaluation:

@@ -149,16 +149,22 @@ _WARM_FITS = """
 import resource, sys
 import numpy as np
 import nvtherm.cli
-from nvtherm import fitting, lineshape
+from nvtherm import fitting, lineshape, sensitivity
 from nvtherm.spin import DriveConfig, PhysicalEnvironment
 
 
-def faults_per_warm_fit(clean, model, rate):
-    for seed in range(4):
-        if seed == 1:
+def faults_per_warm_call(call, calls=3):
+    for k in range(calls + 1):
+        if k == 1:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        fitting.fit(lineshape.synthesize_measurement(clean, rate, 1.0, seed), model)
-    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3
+        call(k)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+
+def faults_per_warm_fit(clean, model, rate):
+    return faults_per_warm_call(
+        lambda seed: fitting.fit(lineshape.synthesize_measurement(clean, rate, 1.0, seed), model)
+    )
 
 
 # strain_thermometry: sigma_ex fits of the fig2 geometry, one row in three blocks.
@@ -172,7 +178,13 @@ env = PhysicalEnvironment(d0=2870.0, ex=8.0, b_transverse=80.0)
 drive = DriveConfig(rabi_mw=0.6, omega_rf=16.0, rabi_rf=6.0)
 strain = lineshape.StrainDistribution(mean_ex=8.0, sigma_ex=0.3)
 clean = lineshape.ensemble_spectrum(env, drive, np.linspace(2845.0, 2895.0, 501), 1.0, 1.0, 0.05, strain)
-print(faults_per_warm_fit(clean, fitting.DressedDip(omega_rf=16.0), 1e6))
+model = fitting.DressedDip(omega_rf=16.0)
+print(faults_per_warm_fit(clean, model, 1e6))
+# drive_map: the slope scan of a fitted fig5 curve on SLOPE_POINTS points.
+params = fitting.fit(lineshape.synthesize_measurement(clean, 1e6, 1.0, 0), model).params
+budget = sensitivity.NoiseBudget(photon_rate=1e6)
+print(faults_per_warm_call(lambda _: sensitivity.slope_sensitivity(
+    lambda g: model.evaluate(params, g), (2845.0, 2895.0), budget, linewidth=False), 10))
 print(any(m.startswith("scipy") for m in sys.modules))
 """
 
@@ -189,7 +201,9 @@ def test_warm_strain_fits_take_no_page_faults():
     # array is made and freed per block.  Per warm fit at 128 KiB (glibc's
     # default; 2-core Xeon, glibc 2.36): about 220 faults per strain fit and
     # 110 per fig5 fit; with arrays made per block, 71,000 and 1,900.  At
-    # 512 KiB both take about none.
+    # 512 KiB both take about none.  A warm slope scan maps only its grid and
+    # the curve on it (160 KB each): 80 faults per call at 128 KiB, where
+    # temporaries of the grid's size made it 280.
     pytest.importorskip("resource")
     src = str(Path(__file__).resolve().parents[1] / "src")
     for trim_threshold in (128 * 1024, 512 * 1024):
@@ -200,10 +214,11 @@ def test_warm_strain_fits_take_no_page_faults():
         }
         argv = [sys.executable, "-c", _WARM_FITS]
         out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-        strain_faults, fig5_faults, scipy_loaded = out.stdout.split()
+        strain_faults, fig5_faults, slope_faults, scipy_loaded = out.stdout.split()
         assert scipy_loaded == "False"
         assert float(fig5_faults) < 5000
         assert float(strain_faults) < 5000
+        assert float(slope_faults) < 120
 
 
 class TestSpectrum:

@@ -1,6 +1,7 @@
 """Tests for sensitivity figures, temperature estimation, and sweeps."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nvtherm.lineshape import (
 )
 from nvtherm.sensitivity import (
     LORENTZIAN_SLOPE_CONSTANT,
+    SCAN_CHUNK,
     SLOPE_POINTS,
     NoiseBudget,
     SweepConfig,
@@ -157,6 +159,57 @@ class TestSlopeSensitivity:
         report = slope_sensitivity(_lorentz_curve(), self.SPAN, BUDGET)
         # Max slope of a Lorentzian sits half a HWHM off center.
         assert abs(abs(report.best_frequency - 2870.0) - 7.92 / (2 * np.sqrt(3))) < 0.05
+
+
+def _dense_slope(curve_fn, span, budget, dd_dt):
+    """The steepest point by a dense ``np.gradient`` and ``np.argmax``, and its figures."""
+    grid = np.linspace(span[0], span[1], SLOPE_POINTS)
+    curve = curve_fn(grid)
+    slope = np.abs(np.gradient(curve, grid[1] - grid[0]))
+    k = int(np.argmax(slope))
+    eta = float(np.sqrt(curve[k] / budget.photon_rate) / (float(slope[k]) * abs(dd_dt)))
+    depth = max(float(1.0 - curve[int(np.argmax(1.0 - curve))]), 0.0)
+    return k, eta, float(grid[k]), depth
+
+
+def _scan_curves(seed):
+    """Curves on the slope grid with ties, flat stretches and steepest ends."""
+    rng = np.random.default_rng(seed)
+    at = np.arange(SLOPE_POINTS)
+    chunk_edges = [1, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 4 * SCAN_CHUNK + 1, SLOPE_POINTS - 2]
+    return {
+        "noise": lambda g: 1.0 - 0.01 * rng.random(len(g)),
+        "rounded dips": lambda g: np.round(
+            lorentzian_spectrum(rng.uniform(2845, 2895, 3), rng.uniform(0.5, 8, 3), [0.05] * 3, g).signal, 3
+        ),
+        "flat stretch": lambda g: np.where(
+            np.abs(g - 2870.0) < rng.uniform(2, 20), 0.97, _lorentz_curve(center=rng.uniform(2850, 2890))(g)
+        ),
+        "ramp": lambda g: 1.0 - 1e-3 * (g - g[0]),  # every slope equal up to rounding
+        "steep left end": lambda g: 1.0 - 0.1 * np.exp(-(g - g[0]) / rng.uniform(0.01, 1.0)),
+        "steep right end": lambda g: 1.0 - 0.1 * np.exp((g - g[-1]) / rng.uniform(0.01, 1.0)),
+        "equal steps": lambda g: 1.0
+        - 0.01 * (at >= rng.choice(chunk_edges))
+        - 0.01 * (at >= rng.choice(chunk_edges)),
+        "nan": lambda g: np.where(at == rng.integers(SLOPE_POINTS), np.nan, _lorentz_curve()(g)),
+    }
+
+
+class TestSlopeScan:
+    """The chunked scan finds np.gradient's steepest point, to the bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("span", [(2840.0, 2900.0), (2845.0, 2895.0)])
+    def test_equal_to_a_dense_gradient(self, seed, span):
+        for name, curve in _scan_curves(seed).items():
+            grid = np.linspace(span[0], span[1], SLOPE_POINTS)
+            frozen = curve(grid)  # the same samples for both
+            k, eta, best, depth = _dense_slope(lambda g: frozen, span, BUDGET, -0.0742)
+            report = slope_sensitivity(lambda g: frozen, span, BUDGET, linewidth=False)
+            assert int(np.flatnonzero(grid == report.best_frequency)[0]) == k, name
+            assert report.best_frequency == best, name
+            for ours, dense in ((report.eta_slope, eta), (report.inputs["contrast"], depth)):
+                assert ours == dense or (math.isnan(ours) and math.isnan(dense)), name
 
 
 class TestEstimateTemperature:
