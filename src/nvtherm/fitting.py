@@ -463,8 +463,9 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
             if math.sqrt(dx.dot(dx)) < STEP_ATOL:  # np.linalg.norm(dx)
                 converged = True
                 break
-            r_new = residuals(x + dx)
-            with np.errstate(over="ignore"):  # a wild step's cost may overflow; it is rejected
+            # A wild step may overflow in the model or the cost; it is rejected.
+            with np.errstate(over="ignore"):
+                r_new = residuals(x + dx)
                 cost_new = 0.5 * float(r_new @ r_new)
             if math.isfinite(cost_new) and cost_new < cost:
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)

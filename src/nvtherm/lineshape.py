@@ -321,7 +321,8 @@ def dressed_signal(
     if isinstance(averaged, np.ndarray):
         if averaged.any() != averaged.all():
             raise ValueError("sigma_ex must be zero in every row or in none")
-        averaged = bool(averaged.all())
+        averaged = averaged.all()
+    averaged = bool(averaged)  # numpy's bool is no int to repeat a tuple by
     n = 1  # E_x values per row
     if averaged:
         x, w = _hermite_nodes(nodes)
@@ -330,20 +331,18 @@ def dressed_signal(
         n = nodes
     per_block = max(BLOCK_POINTS // max(n * len(grid), 1), 1)  # whole rows
     step = max(BLOCK_POINTS // (n * per_block), 1)  # grid points
-    stacked = bool(shape) and per_block > 1
-    if stacked:  # (rows,) parameters get axes for ex's nodes, the contrast also the grid's
+    if shape:  # (rows,) parameters get axes for ex's nodes, the contrast also the grid's
         tails = [shape + (1,) * averaged] * 5 + [shape + (1,) * (averaged + 1)]
         params = [
             p.reshape(t) if isinstance(p, np.ndarray) and p.ndim else p for p, t in zip(params, tails)
         ]
     out = np.empty(shape + (len(grid),))
     for r in range(0, shape[0] if shape else 1, per_block):
-        # A row that shares no block takes scalar parameters, as a scalar call does.
-        at = slice(r, r + per_block) if stacked else r
+        at = slice(r, r + per_block) if shape else ...  # a scalar call's floats stay floats
         ex_r, d, rabi_rf, rabi_mw, gamma_b, gamma_d, c = [
             p[at] if isinstance(p, np.ndarray) and p.ndim else p for p in (ex, *params)
-        ] if shape else [ex, *params]
-        row = out[at] if shape else out
+        ]
+        row = out[at]
         for lo in range(0, len(grid), step):
             block = row[..., lo : lo + step]
             # Each node's signal goes to the workspace; without nodes, into the result.

@@ -164,16 +164,15 @@ def oracle_spectrum(
         0.0, 0.0, drive.rabi_rf / 2.0, drive.rabi_mw / 2.0
     )
     base = LindbladModel(h0, pump_rate, dephase_b, dephase_d)
-    # The detunings enter only the generator's diagonal: every point starts
-    # from the undetuned generator and replays those 9 entries.
-    liouv0 = _liouvillians(h0, base)
+    # The detunings enter only the generator's diagonal: both branches share
+    # one stack of undetuned generators and each replays those 9 entries.
+    h = np.repeat(h0[None], len(grid), axis=0)
+    liouv = np.repeat(_liouvillians(h0, base)[None], len(grid), axis=0)
     diag = np.arange(9)
     depletion = np.zeros_like(grid)
     for omega_b, omega_d in zip(*detunings):
-        h = np.repeat(h0[None], len(grid), axis=0)
         h[:, 1, 1] = omega_b
         h[:, 2, 2] = omega_d
-        liouv = np.repeat(liouv0[None], len(grid), axis=0)
         liouv[:, diag, diag] = _liouvillians(h, base, diagonal=True)
         rho = _steady_states(liouv, block=1)  # rho_00 alone
         depletion = depletion + (1.0 - rho[:, 0, 0].real)

@@ -22,6 +22,8 @@ from .spin import DEFAULT_DD_DT, DriveConfig, PhysicalEnvironment, check_fields
 LORENTZIAN_SLOPE_CONSTANT = 4.0 / (3.0 * np.sqrt(3.0))
 
 SWEEP_PARAMETER_WHITELIST = ("rabi_rf", "rabi_mw", "laser_power_mw")
+# The scores of a sweep row, in column order; a failed row has NaN for each.
+SWEEP_SCORES = ("fwhm_mhz", "contrast", "eta_slope_k_per_rthz", "eta_linewidth_k_per_rthz")
 
 # Points of ``slope_sensitivity``'s grid, and per piece of its scans: a piece's
 # 32 KiB of work stays below glibc's 128 KiB mmap threshold, so no scan maps memory.
@@ -307,14 +309,7 @@ def sweep(config: SweepConfig, budget: NoiseBudget) -> SweepTable:
     """
     axis_names = [name for name, _ in config.axes]
     axis_values = [np.asarray(vals, dtype=float) for _, vals in config.axes]
-    columns = axis_names + [
-        "fwhm_mhz",
-        "contrast",
-        "eta_slope_k_per_rthz",
-        "eta_linewidth_k_per_rthz",
-        "converged",
-        "status",
-    ]
+    columns = axis_names + [*SWEEP_SCORES, "converged", "status"]
     rows = []
     for index, combo in enumerate(itertools.product(*axis_values)):
         point = dict(zip(axis_names, combo))
@@ -322,14 +317,8 @@ def sweep(config: SweepConfig, budget: NoiseBudget) -> SweepTable:
         try:
             row.update(_sweep_point(config, budget, point, index))
         except (fitting.FitError, ValueError, RuntimeError) as exc:
-            row.update(
-                fwhm_mhz=float("nan"),
-                contrast=float("nan"),
-                eta_slope_k_per_rthz=float("nan"),
-                eta_linewidth_k_per_rthz=float("nan"),
-                converged=False,
-                status=f"error: {exc}",
-            )
+            row.update(dict.fromkeys(SWEEP_SCORES, float("nan")))
+            row.update(converged=False, status=f"error: {exc}")
         rows.append(row)
     return SweepTable(columns=columns, rows=rows)
 
@@ -398,10 +387,7 @@ def _sweep_point(config: SweepConfig, budget: NoiseBudget, point: dict, index: i
     else:
         eta_lw = float("nan")
     return {
-        "fwhm_mhz": fwhm,
-        "contrast": depth,
-        "eta_slope_k_per_rthz": eta_slope,
-        "eta_linewidth_k_per_rthz": eta_lw,
+        **dict(zip(SWEEP_SCORES, (fwhm, depth, eta_slope, eta_lw))),
         "converged": bool(result.converged),
         "status": "ok" if result.converged else "fit did not converge",
     }

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: validation, runners, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nvtherm.cli import ConfigError, load_config, main, validate_config
@@ -530,3 +532,78 @@ class TestOracleCheck:
         doc = json.loads(out.read_text())
         assert doc["relative_rms_deviation"] < 0.01
         assert len(doc["dressed_resonances_mhz"]) == 4
+
+
+def _avx512():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("AVX512F"))
+
+
+_FIG2, _FIG4 = "fig2_dressed.json", "fig4_parallel.json"
+_SENSITIVITY = ["--set", 'mode="sensitivity"', "--set", "budget.photon_rate=1e6"]
+
+
+def _fit(spectrum, *overrides):
+    return ["--set", 'mode="fit"', "--set", f"fit.input={spectrum}", *overrides]
+
+
+@pytest.mark.skipif(
+    np.__version__ != "2.4.6" or not _avx512(),
+    reason="recorded with numpy 2.4.6 on x86-64 with AVX-512; outputs' last bits depend on both",
+)
+class TestGoldenOutputs:
+    """Every artifact of ten preset runs keeps the bytes recorded for it.
+
+    The runs go in order in one directory: each fit reads the spectrum that
+    a simulate run before it wrote.
+    """
+
+    RUNS = [
+        ("simulate", _FIG2, "fig2.csv", []),
+        ("simulate", _FIG2, "strain.csv", ["--set", "strain.sigma_ex=2"]),
+        ("simulate", _FIG4, "fig4.csv", []),
+        ("fit", _FIG2, "fit.json", _fit("fig2.csv")),
+        ("fit", _FIG2, "fit_strain.json", _fit("strain.csv", "--set", "fit.fit_sigma_ex=true")),
+        ("fit", _FIG4, "fit_lorentzian.json", _fit(
+            "fig4.csv", "--set", 'fit.model="lorentzian"', "--set", "fit.peaks=2"
+        )),
+        ("sensitivity", _FIG2, "sensitivity.json", _SENSITIVITY),
+        ("sweep", "fig5_narrowing.json", "fig5.csv", [
+            "--set", 'sweep.axes=[{"name": "rabi_rf", "values": [6.0]}]'
+        ]),
+        ("sweep", "sensitivity_map.json", "map.csv", [
+            "--set", "grid.points=81",
+            "--set", 'sweep.axes=[{"name": "rabi_rf", "values": [4.0]}, {"name": "rabi_mw", "values": [0.8]}]',
+        ]),
+        ("oracle-check", "oracle_weak_drive.json", "oracle.json", []),
+    ]
+    DIGESTS = {
+        "fig2.csv": "b2f9b2f99b03cc78f8eb11e0e71cc3b27a7f37e9bc6b2c10da920bfebf496722",
+        "fig2.json": "fa1d28bceb560c32709cffbb1dabe22e584366638cf9aba2a361c8b1461f0f3b",
+        "fig4.csv": "de081aa7d518d98c3345ef423ebcb5b947e4a537354f16f6cb9cbb974f8594a9",
+        "fig4.json": "eb044a7776bb85c955438fdb75b73d8108bf4bd6f05918e25deaa14899ba65e3",
+        "fig5.csv": "f0503235107792b85695fbb6d145f166421c65f448d375e97ad4272bf725746b",
+        "fig5.json": "c09274427e236feb1c543db2204ec758d1ebf5af1a645474c749cddb2dbbefb7",
+        "fit.json": "fef3c36884719cf18fdbbaee2c1433465eced6ed8e7e4396107809888de8daae",
+        "fit_lorentzian.json": "1c6d5cdadddf53eb8d5d8b18c8479e2cf1057ecff314d9fdd37d1bd909806c2b",
+        "fit_strain.json": "4d0c77363184f0a4623eb4cbc121e0d61854b4488c1610b087bff2b1661a4787",
+        "map.csv": "ad45091fda75e4a399966ac9cf87d98ab91b84341682e4026ac62a9c335a7484",
+        "map.json": "2f3a76b131718bef5126311a889ed5b85278bd81cd8eb36dbc9f821f9dc05fb5",
+        "oracle.json": "61f999a2e25e06a5b7a4d93ecf46c1e5e3205d778a3226c8c048b294b42f72c3",
+        "sensitivity.json": "f0d27d2928205932f6764cdd6677acc845ecaf5f634e5a5f287964e40315f94c",
+        "strain.csv": "1650200c5ebe051cd50974d7898ccb9db068aac534e82b5beb593beafdc94252",
+        "strain.json": "57ffa7d9f5c2b3f165b9171387a14ecc4a9f6525dd9ddd310292002ea49f02ac",
+    }
+
+    def test_artifacts_keep_their_bytes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for command, preset, out, extra in self.RUNS:
+            argv = [command, "--config", str(PRESET_DIR / preset), "--out", out, *extra]
+            assert main(argv) == 0, capsys.readouterr().err
+        found = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())
+        }
+        assert found == self.DIGESTS

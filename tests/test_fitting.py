@@ -194,6 +194,19 @@ class TestFit:
         assert res.converged
         np.testing.assert_allclose(res.params, [1.0, 2870.0, 5.0, 0.05], rtol=1e-9)
 
+    @pytest.mark.parametrize("sigma", [1e-20, 1e-40, 1e-60])
+    @pytest.mark.parametrize("depth", [1e-6, 1e-9])
+    def test_an_overflowing_trial_model_is_rejected_quietly(self, sigma, depth):
+        # From these depths a trial step takes the width far out, where the
+        # model's own products overflow.  The step is rejected without a
+        # RuntimeWarning.  Where the fit ends is not pinned here.
+        grid = np.linspace(2840.0, 2900.0, 601)
+        clean = lorentzian_spectrum([2870.0], [5.0], [0.05], grid)
+        spec = Spectrum(grid, clean.signal, np.full(len(grid), sigma))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit(spec, MultiLorentzian(1), guess=np.array([1.0, 2870.5, 5.5, depth]))
+
     def test_noisy_dressed_recovers_rabi_rf(self):
         clean = _dressed_clean()
         model = DressedDip(omega_rf=8.0, fixed_contrast=0.1)

@@ -404,8 +404,11 @@ class TestStackedRows:
         )
         assert stacked.shape == (rows, points)
         for r in range(rows):
+            # A float, or the np.float64 that DressedDip.evaluate passes for one vector.
+            scalar = float if r % 2 else np.float64
             single = dressed_signal(
-                params[0][r], params[1][r], 16.0, grid, *(p[r] for p in params[2:]), sigmas[r], nodes
+                scalar(params[0][r]), scalar(params[1][r]), 16.0, grid,
+                *(scalar(p[r]) for p in params[2:]), scalar(sigmas[r]), nodes,
             )
             assert np.array_equal(stacked[r], single)
 
@@ -414,7 +417,7 @@ class TestStackedRows:
         rng = np.random.default_rng(3)
         grid = np.linspace(2850.0, 2890.0, 301)
         d = 2870.0 + rng.normal(size=5)
-        for sigma in (0.0, 2.0):
+        for sigma in (0.0, 2.0, np.float64(0.0), np.float64(2.0)):
             mixed = dressed_signal(d, 8.0, 16.0, grid, 5.0, 0.5, 1.0, 0.1, 0.05, sigma)
             ex, *rest = (np.full(5, v) for v in (8.0, 5.0, 0.5, 1.0, 0.1, 0.05, sigma))
             full = dressed_signal(d, ex, 16.0, grid, *rest)
@@ -431,7 +434,8 @@ class TestStackedRows:
 
     def test_rows_share_depletion_calls(self, monkeypatch):
         # 12 rows of 501 points take 1 block of whole rows; one row of
-        # 781 points x 21 nodes takes 3 blocks, as a scalar call does.
+        # 781 points x 21 nodes takes 3 blocks, as a scalar call does,
+        # each block with that row's slice of every row parameter.
         real, calls = lineshape.dressed_depletion, []
         monkeypatch.setattr(
             lineshape, "dressed_depletion", lambda *a, **k: calls.append(a) or real(*a, **k)
@@ -445,7 +449,7 @@ class TestStackedRows:
             *(p[:2] for p in params[2:]), np.full(2, 2.0), 21,
         )
         assert len(calls) == 2 * 3
-        assert all(np.ndim(a[0]) == 0 for a in calls)  # scalar parameters
+        assert all(np.shape(a[0]) == (1, 1) for a in calls)  # one row, before ex's node axis
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16), nodes=st.sampled_from([1, 21]))
