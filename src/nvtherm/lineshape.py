@@ -42,7 +42,7 @@ MAX_QUADRATURE_NODES = 369
 #   peak RSS (strain), MB      43.3   43.8   44.5   45.6
 # 16384 is at most 2.5 % faster than 8192 and puts peak RSS 5 % above 2048's.
 # At 8192 a fig5 Jacobian's 12 rows of 501 points take 1 call, and a sigma_ex
-# row of 21 nodes x 781 points 3.
+# row of 21 nodes x 781 points 3 (10 + 10 + 1 nodes over the whole grid).
 BLOCK_POINTS = 8192
 DEFAULT_FWHM = 8.0  # MHz, the conventional generator's Lorentzian width
 
@@ -165,9 +165,10 @@ class Spectrum:
 class _Workspace(threading.local):
     """The dressed kernel's work arrays, kept between blocks and calls.
 
-    ``take`` returns a view of a flat buffer, made on first use for the
-    largest block (two branches of ``BLOCK_POINTS`` nodes x points) and
-    never freed, so a fit's blocks write into the same pages: glibc gives a
+    ``take`` returns a view of a flat buffer (``p0``'s four work arrays and
+    a block's node signals), made on first use for the largest block (two
+    branches of ``BLOCK_POINTS`` nodes x points) and never freed, so a
+    fit's blocks write into the same pages: glibc gives a
     free heap top above its trim threshold (128 KiB by default) back to the
     kernel, so arrays made and freed per block would fault on every block.
     A larger request gets a new array, so a long direct call holds no memory
@@ -311,8 +312,10 @@ def dressed_signal(
     array; the result is ``(len(grid),)`` or ``(rows, len(grid))``, each row
     equal to its scalar call bit for bit.  ``sigma_ex`` is zero in every row
     or in none.  One ``dressed_depletion`` call takes a block of at most
-    ``BLOCK_POINTS`` nodes x points: as many whole rows as fit when two or
-    more do, else one row and a slice of the grid.
+    ``BLOCK_POINTS`` nodes x points over the whole grid, or over a slice of
+    it when the grid is longer: without a spread as many whole rows as fit;
+    with one, one row with its scalar parameters and as many of its nodes as
+    fit, each node's weighted signal added to the row in node order.
     """
     params = [d, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast]
     rows = [p for p in (ex, sigma_ex, *params) if isinstance(p, np.ndarray) and p.ndim]
@@ -322,42 +325,44 @@ def dressed_signal(
         if averaged.any() != averaged.all():
             raise ValueError("sigma_ex must be zero in every row or in none")
         averaged = averaged.all()
-    averaged = bool(averaged)  # numpy's bool is no int to repeat a tuple by
-    n = 1  # E_x values per row
-    if averaged:
-        x, w = _hermite_nodes(nodes)
-        ex = np.asarray(ex)[..., None] + np.sqrt(2.0) * np.asarray(sigma_ex)[..., None] * x
-        ex = np.broadcast_to(ex, shape + x.shape)
-        n = nodes
-    per_block = max(BLOCK_POINTS // max(n * len(grid), 1), 1)  # whole rows
-    step = max(BLOCK_POINTS // (n * per_block), 1)  # grid points
-    if shape:  # (rows,) parameters get axes for ex's nodes, the contrast also the grid's
-        tails = [shape + (1,) * averaged] * 5 + [shape + (1,) * (averaged + 1)]
-        params = [
-            p.reshape(t) if isinstance(p, np.ndarray) and p.ndim else p for p, t in zip(params, tails)
-        ]
     out = np.empty(shape + (len(grid),))
-    for r in range(0, shape[0] if shape else 1, per_block):
-        at = slice(r, r + per_block) if shape else ...  # a scalar call's floats stay floats
-        ex_r, d, rabi_rf, rabi_mw, gamma_b, gamma_d, c = [
-            p[at] if isinstance(p, np.ndarray) and p.ndim else p for p in (ex, *params)
+    per_block = max(BLOCK_POINTS // max(len(grid), 1), 1)  # whole rows, or one row's nodes
+    step = BLOCK_POINTS // per_block  # grid points: all of them unless more than a block
+    if not averaged:
+        if isinstance(contrast, np.ndarray) and contrast.ndim:  # an axis for the grid
+            params[-1] = contrast.reshape(shape + (1,))
+        blocks = [slice(r, r + per_block) for r in range(0, shape[0], per_block)] if shape else [...]
+        for at in blocks:  # a scalar call's floats stay floats
+            ex_r, d_r, *drive, c = [
+                p[at] if isinstance(p, np.ndarray) and p.ndim else p for p in (ex, *params)
+            ]
+            for lo in range(0, len(grid), step):
+                block = out[at][..., lo : lo + step]
+                dressed_depletion(d_r, ex_r, omega_rf, grid[lo : lo + step], *drive, out=block)
+                np.subtract(1.0, np.multiply(c, block, out=block), out=block)
+        return out
+    x, w = _hermite_nodes(nodes)
+    ex = np.asarray(ex)[..., None] + np.sqrt(2.0) * np.asarray(sigma_ex)[..., None] * x
+    ex = np.broadcast_to(ex, shape + x.shape)
+    # One row at a time, with scalar parameters as in its own call: numpy runs
+    # an operand broadcast along the grid at a half to a third of a scalar's speed.
+    for r in np.ndindex(shape):
+        ex_r, d_r, *drive, c = [
+            p[r] if isinstance(p, np.ndarray) and p.ndim else p for p in (ex, *params)
         ]
-        row = out[at]
         for lo in range(0, len(grid), step):
-            block = row[..., lo : lo + step]
-            # Each node's signal goes to the workspace; without nodes, into the result.
-            sig = block
-            if averaged:
-                sig = _workspace.take("signal", block.shape[:-1] + (n,) + block.shape[-1:])
-            dressed_depletion(
-                d, ex_r, omega_rf, grid[lo : lo + step], rabi_rf, rabi_mw, gamma_b, gamma_d,
-                out=sig,
-            )
-            np.subtract(1.0, np.multiply(c, sig, out=sig), out=sig)
-            if averaged:
-                # cumsum keeps node order; np.sum would add one-point blocks pairwise.
-                np.multiply(w, sig, out=sig)
-                block[...] = np.cumsum(sig, axis=-2, out=_workspace.take("cumsum", sig.shape))[..., -1, :]
+            acc = out[r][lo : lo + step]
+            for k in range(0, nodes, per_block):
+                ex_k = ex_r[k : k + per_block]
+                sig = _workspace.take("signal", ex_k.shape + acc.shape)
+                dressed_depletion(d_r, ex_k, omega_rf, grid[lo : lo + step], *drive, out=sig)
+                np.subtract(1.0, np.multiply(c, sig, out=sig), out=sig)
+                np.multiply(w[k : k + per_block], sig, out=sig)
+                for i, s in enumerate(sig, k):  # node order; np.sum would add pairwise
+                    if i:
+                        np.add(acc, s, out=acc)
+                    else:
+                        acc[...] = s
     return out
 
 

@@ -117,7 +117,7 @@ def _steady_states(liouv: np.ndarray, block: int = 3) -> np.ndarray:
     ``NULL_SPACE_RCOND`` times the largest, a scale-free test.  ``block``
     < 3 keeps only each state's leading block x block entries.
     """
-    _, s, vh = np.linalg.svd(liouv)
+    _, s, vh = np.linalg.svd(liouv, full_matrices=False)
     multiplicity = np.sum(s <= NULL_SPACE_RCOND * s[..., :1], axis=-1)
     degenerate = multiplicity != 1
     if np.any(degenerate):

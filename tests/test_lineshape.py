@@ -351,8 +351,13 @@ class TestBlockedSignal:
     @pytest.mark.parametrize("sigma_ex", [0.0, 0.3, 2.0, 5.0])
     def test_bit_identical_to_per_node_loop(self, sigma_ex, nodes):
         rng = np.random.default_rng([nodes, int(10 * sigma_ex)])
-        block = BLOCK_POINTS // (nodes if sigma_ex else 1)  # grid points per call
-        for length in (1, 2, block - 1, block, block + 1, 781, 6249, 20001):
+        block = BLOCK_POINTS // (nodes if sigma_ex else 1)  # the longest grid in one call
+        lengths = [1, 2, block - 1, block, block + 1, 781, 6249, 20001]
+        if nodes == 21:  # node blocks of 21 x 1, 2 x 10 + 1, 10 + 10 + 1, 20 + 1, ...
+            lengths += [BLOCK_POINTS // k + e for k in (1, 2, 10, 20) for e in (-1, 0, 1)]
+        if nodes == 369:  # one node per block, over the whole grid or a slice of it
+            lengths += [BLOCK_POINTS // 2 + 1, BLOCK_POINTS, BLOCK_POINTS + 1]
+        for length in lengths:
             grid = np.sort(rng.uniform(2840.0, 2900.0, length))
             args = (
                 2870.0 + rng.normal(), rng.uniform(2.0, 12.0), rng.uniform(0.0, 30.0), grid,
@@ -434,8 +439,8 @@ class TestStackedRows:
 
     def test_rows_share_depletion_calls(self, monkeypatch):
         # 12 rows of 501 points take 1 block of whole rows; one row of
-        # 781 points x 21 nodes takes 3 blocks, as a scalar call does,
-        # each block with that row's slice of every row parameter.
+        # 781 points x 21 nodes takes 3 blocks of at most 10 nodes over the
+        # whole grid, as a scalar call does, each with that row's scalars.
         real, calls = lineshape.dressed_depletion, []
         monkeypatch.setattr(
             lineshape, "dressed_depletion", lambda *a, **k: calls.append(a) or real(*a, **k)
@@ -449,7 +454,8 @@ class TestStackedRows:
             *(p[:2] for p in params[2:]), np.full(2, 2.0), 21,
         )
         assert len(calls) == 2 * 3
-        assert all(np.shape(a[0]) == (1, 1) for a in calls)  # one row, before ex's node axis
+        assert all(np.ndim(a[0]) == 0 for a in calls)  # d, a row's scalar
+        assert all(len(a[3]) == 781 and len(a[1]) <= 10 for a in calls)  # grid, nodes
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16), nodes=st.sampled_from([1, 21]))
