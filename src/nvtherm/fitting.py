@@ -88,14 +88,12 @@ class MultiLorentzian:
 class DressedDip:
     """Dressed-state dip model built on the two-mode response.
 
-    Parameter layout: [d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast]
-    plus a trailing sigma_ex when ``fit_sigma_ex`` is set (averaged on the
-    default quadrature nodes).  The RF frequency is a fixed attribute of the
-    model, not a fitted parameter.
-
-    The signal is exactly proportional to contrast * rabi_mw**2, so the two
-    cannot be fitted jointly; the contrast is frozen at ``fixed_contrast``
-    and excluded from optimization.
+    Parameter layout: [d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d] plus a
+    trailing sigma_ex when ``fit_sigma_ex`` is set (averaged on the default
+    quadrature nodes).  The RF frequency and the contrast are fixed
+    attributes of the model, not fitted parameters: the signal depends on
+    the contrast only through contrast * rabi_mw**2, so the two cannot be
+    fitted jointly and the contrast stays at ``fixed_contrast``.
     """
 
     omega_rf: float
@@ -107,21 +105,17 @@ class DressedDip:
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        names = ["d", "ex", "rabi_rf", "rabi_mw", "gamma_b", "gamma_d", "contrast"]
+        names = ["d", "ex", "rabi_rf", "rabi_mw", "gamma_b", "gamma_d"]
         if self.fit_sigma_ex:
             names.append("sigma_ex")
         return tuple(names)
 
     @property
     def positive(self) -> np.ndarray:
-        mask = [False, False, True, True, True, True, True]
+        mask = [False, False, True, True, True, True]
         if self.fit_sigma_ex:
             mask.append(True)
         return np.array(mask)
-
-    @property
-    def frozen(self) -> dict[str, float]:
-        return {"contrast": self.fixed_contrast}
 
     @property
     def center_indices(self) -> list[int]:
@@ -129,11 +123,11 @@ class DressedDip:
 
     def evaluate(self, params: np.ndarray, grid: np.ndarray) -> np.ndarray:
         """The signal of ``params``, shape (n,), or of each row of shape (rows, n)."""
-        d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast = params.T[:7]
-        sigma_ex = params.T[7] if self.fit_sigma_ex else 0.0
+        d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d = params.T[:6]
+        sigma_ex = params.T[6] if self.fit_sigma_ex else 0.0
         return lineshape.dressed_signal(
             d, ex, self.omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d,
-            contrast, sigma_ex,
+            self.fixed_contrast, sigma_ex,
         )
 
 
@@ -365,9 +359,8 @@ def initial_guess(spec: Spectrum, model) -> np.ndarray:
         rabi_rf = max(span - model.omega_rf, dnu)
         gamma_b = max(float(np.mean(widths)) / 2.0, dnu / 2.0)
         gamma_d = gamma_b / 10.0
-        contrast = model.fixed_contrast
-        rabi_mw = 2.0 * gamma_b * np.sqrt(max(float(depths.max()), 1e-6) / contrast)
-        params = [d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast]
+        rabi_mw = 2.0 * gamma_b * np.sqrt(max(float(depths.max()), 1e-6) / model.fixed_contrast)
+        params = [d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d]
         if model.fit_sigma_ex:
             params.append(max(float(np.mean(widths)) / 10.0, dnu / 10.0))
         return np.array(params)
@@ -388,11 +381,6 @@ def _check_guess(spec: Spectrum, model, guess: np.ndarray):
             raise FitError(
                 f"{names[i]} = {guess[i]} outside the grid span [{lo}, {hi}]"
             )
-
-
-def _free_mask(model) -> np.ndarray:
-    frozen = getattr(model, "frozen", {})
-    return np.array([n not in frozen for n in model.param_names])
 
 
 def _to_internal(p, pos):
@@ -429,18 +417,12 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
     weighted = bool(np.all(spec.sigma > 0))
     w = 1.0 / spec.sigma if weighted else np.ones_like(data)
 
-    free = _free_mask(model)
-    free_at = np.flatnonzero(free)  # the external index of each internal coordinate
-    logs = np.flatnonzero(model.positive[free])  # internal coordinates fitted in log space
-    full = guess.copy()
+    logs = np.flatnonzero(model.positive)  # coordinates fitted in log space
 
-    def residuals(x_free):  # of one internal vector, or of each row of a stack
-        p = np.empty(x_free.shape[:-1] + full.shape)
-        p[...] = full
-        p[..., free_at] = _to_external(x_free, logs)
-        return w * (model.evaluate(p, grid) - data)
+    def residuals(x):  # of one internal vector, or of each row of a stack
+        return w * (model.evaluate(_to_external(x, logs), grid) - data)
 
-    x = _to_internal(guess[free], logs)
+    x = _to_internal(guess, logs)
     r = residuals(x)
     cost = 0.5 * float(r @ r)
     mu = 1e-3
@@ -453,7 +435,6 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
         jtr = jac.T @ r
         diag = jtj.diagonal().copy()
         diag[diag <= 0] = max(diag.max(), 1e-12)
-        accepted = False
         while mu <= MAX_DAMPING:
             try:
                 dx = np.linalg.solve(jtj + mu * np.diag(diag), -jtr)
@@ -473,7 +454,6 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
                 r = r_new
                 cost = cost_new
                 mu = max(mu / 3.0, 1e-12)
-                accepted = True
                 if rel_drop < COST_RTOL:
                     converged = True
                 break
@@ -482,13 +462,12 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
             raise FitError(
                 f"damping exceeded {MAX_DAMPING:g} after {iterations} iterations"
             )
-        if converged or not accepted:
+        if converged:
             break
 
-    params = full.copy()
-    params[free_at] = _to_external(x, logs)
+    params = _to_external(x, logs)
     residual_rms = float(np.sqrt(np.mean((r / w) ** 2)))  # r: the weighted residual at params
-    cov = _covariance(model, params, free_at, grid, w, weighted, cost, len(data))
+    cov = _covariance(model, params, grid, w, weighted, cost, len(data))
     fwhm, reasons, contrasts = peak_properties(model, params, spec)
     return FitResult(
         param_names=model.param_names,
@@ -525,24 +504,13 @@ def _numeric_jacobian(residuals, x, n_rows: int):
     return np.divide(jac, 2.0 * h, out=jac)
 
 
-def _covariance(model, params, free_at, grid, w, weighted, cost, n_points):
-    """Covariance of the full parameter vector in external coordinates."""
-
-    def residuals_ext(p_free):
-        p = np.empty(p_free.shape[:-1] + params.shape)
-        p[...] = params
-        p[..., free_at] = p_free
-        return w * model.evaluate(p, grid)
-
-    jac = _numeric_jacobian(residuals_ext, params[free_at], n_points)
-    jtj = jac.T @ jac
-    cov_free = np.linalg.pinv(jtj)
-    n_free = len(free_at)
-    if not weighted and n_points > n_free:
+def _covariance(model, params, grid, w, weighted, cost, n_points):
+    """Covariance of the parameter vector in external coordinates."""
+    jac = _numeric_jacobian(lambda p: w * model.evaluate(p, grid), params, n_points)
+    cov = np.linalg.pinv(jac.T @ jac)
+    if not weighted and n_points > len(params):
         # Unit weights: scale by the residual variance estimate.
-        cov_free = cov_free * (2.0 * cost / (n_points - n_free))
-    cov = np.zeros((len(params), len(params)))
-    cov[np.ix_(free_at, free_at)] = cov_free
+        cov = cov * (2.0 * cost / (n_points - len(params)))
     return cov
 
 
@@ -721,26 +689,23 @@ def peak_properties(model, params, spec: Spectrum):
 def multistart_fit(spec: Spectrum, model, n_starts: int = 1, seed: int = 0) -> FitResult:
     """Best of ``n_starts`` >= 1 fits from randomly perturbed initial guesses.
 
-    Start 0 is ``initial_guess``.  Each later start scales its free
-    parameters by 1 + ``MULTISTART_SPREAD`` * N(0, 1), clipped to
-    [0.5, 1.5], except the centers: each moves by ``MULTISTART_SPREAD`` *
-    N(0, 1) times the grid span, clipped into the span, since a relative
-    step of a center near 2870 MHz would leave the grid.  Frozen
-    parameters keep their value: ``fit`` holds them at the guess.
+    Start 0 is ``initial_guess``.  Each later start scales its parameters
+    by 1 + ``MULTISTART_SPREAD`` * N(0, 1), clipped to [0.5, 1.5], except
+    the centers: each moves by ``MULTISTART_SPREAD`` * N(0, 1) times the
+    grid span, clipped into the span, since a relative step of a center
+    near 2870 MHz would leave the grid.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     base = initial_guess(spec, model)
     lo, hi = spec.frequencies[0], spec.frequencies[-1]
     centers = model.center_indices
-    frozen = ~_free_mask(model)
     rng = np.random.default_rng(seed)
     best = None
     for k in range(n_starts):
         guess = base.copy()
         if k > 0:
             z = MULTISTART_SPREAD * rng.standard_normal(len(base))
-            z[frozen] = 0.0
             guess = base * np.clip(1.0 + z, 0.5, 1.5)
             guess[centers] = np.clip(base[centers] + z[centers] * (hi - lo), lo, hi)
         try:

@@ -9,6 +9,8 @@ per-point seeding.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -281,17 +283,14 @@ class SweepTable:
     rows: list
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
+        """The table as CSV; a cell holding a comma (an error status) is quoted."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(self.columns)
         for row in self.rows:
-            cells = []
-            for c in self.columns:
-                v = row[c]
-                if isinstance(v, float):
-                    cells.append(f"{v:.17g}")
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+            cells = (row[c] for c in self.columns)
+            writer.writerow(f"{v:.17g}" if isinstance(v, float) else str(v) for v in cells)
+        return out.getvalue()
 
     def to_json(self) -> str:
         """Strict JSON: a NaN cell (a failed row) is written as null."""

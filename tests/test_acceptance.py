@@ -130,7 +130,7 @@ def test_acceptance_3_strain_narrowing_law():
                 env, drive, grid, gamma_b, gamma_d, 0.05, dist
             )
             model = fitting.DressedDip(omega_rf=16.0, fit_sigma_ex=True)
-            guess = np.array([2870.0, 8.0, om, 0.5, gamma_b, gamma_d, 0.05, sigma])
+            guess = np.array([2870.0, 8.0, om, 0.5, gamma_b, gamma_d, sigma])
             res = fitting.fit(ens, model, guess)
             assert res.converged, f"strain fit did not converge at drive {om}"
             excess = spin.residual_broadening(

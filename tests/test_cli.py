@@ -587,9 +587,9 @@ class TestGoldenOutputs:
         "fig4.json": "eb044a7776bb85c955438fdb75b73d8108bf4bd6f05918e25deaa14899ba65e3",
         "fig5.csv": "f0503235107792b85695fbb6d145f166421c65f448d375e97ad4272bf725746b",
         "fig5.json": "c09274427e236feb1c543db2204ec758d1ebf5af1a645474c749cddb2dbbefb7",
-        "fit.json": "fef3c36884719cf18fdbbaee2c1433465eced6ed8e7e4396107809888de8daae",
+        "fit.json": "5a31f4960dc12e290d2f76681d459df0d6dbe5a0f04a4b04016057588bc94b1a",
         "fit_lorentzian.json": "1c6d5cdadddf53eb8d5d8b18c8479e2cf1057ecff314d9fdd37d1bd909806c2b",
-        "fit_strain.json": "4d0c77363184f0a4623eb4cbc121e0d61854b4488c1610b087bff2b1661a4787",
+        "fit_strain.json": "345ce4871abe0572acb8b872c99de6b2046c3d6c38c82e5a246509803c04991a",
         "map.csv": "ad45091fda75e4a399966ac9cf87d98ab91b84341682e4026ac62a9c335a7484",
         "map.json": "2f3a76b131718bef5126311a889ed5b85278bd81cd8eb36dbc9f821f9dc05fb5",
         "oracle.json": "61f999a2e25e06a5b7a4d93ecf46c1e5e3205d778a3226c8c048b294b42f72c3",

@@ -117,9 +117,8 @@ class TestFit:
         }
         for name, value in truth.items():
             assert res.param(name) == pytest.approx(value, rel=1e-4)
-        # The frozen contrast is reported unchanged with zero uncertainty.
-        assert res.param("contrast") == 0.1
-        assert res.uncertainty("contrast") == 0.0
+        # The contrast is an attribute of the model, not a parameter.
+        assert "contrast" not in res.param_names
 
     def test_idempotent_refit(self):
         res = fit(_lorentz_clean(), MultiLorentzian(1))
@@ -207,6 +206,21 @@ class TestFit:
             warnings.simplefilter("error", RuntimeWarning)
             fit(spec, MultiLorentzian(1), guess=np.array([1.0, 2870.5, 5.5, depth]))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="converges at the e^300 clip far off the grid; ROADMAP item 2(b)'s active set",
+    )
+    @pytest.mark.parametrize("sigma", [1e-20, 1e-40, 1e-60])
+    @pytest.mark.parametrize("depth", [1e-6, 1e-9])
+    def test_a_converged_center_stays_on_the_grid(self, sigma, depth):
+        # Today each of these fits reports convergence with center_1 at
+        # about -4.19e9 MHz (depth 1e-6) or 3958 MHz (depth 1e-9).
+        grid = np.linspace(2840.0, 2900.0, 601)
+        clean = lorentzian_spectrum([2870.0], [5.0], [0.05], grid)
+        spec = Spectrum(grid, clean.signal, np.full(len(grid), sigma))
+        res = fit(spec, MultiLorentzian(1), guess=np.array([1.0, 2870.5, 5.5, depth]))
+        assert not res.converged or grid[0] <= res.param("center_1") <= grid[-1]
+
     def test_noisy_dressed_recovers_rabi_rf(self):
         clean = _dressed_clean()
         model = DressedDip(omega_rf=8.0, fixed_contrast=0.1)
@@ -227,9 +241,32 @@ class TestDressedDipModel:
         grid = np.linspace(2866.0, 2905.0, 781)
         strain = StrainDistribution(mean_ex=8.0, sigma_ex=2.0)
         generated = ensemble_spectrum(env, drive, grid, 1.0, 0.1, 0.05, strain)
-        params = np.array([2885.5, 8.0, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0])
-        model = DressedDip(omega_rf=16.0, fit_sigma_ex=True)
+        params = np.array([2885.5, 8.0, 5.0, 0.5, 1.0, 0.1, 2.0])
+        model = DressedDip(omega_rf=16.0, fit_sigma_ex=True, fixed_contrast=0.05)
         assert np.array_equal(model.evaluate(params, grid), generated.signal)
+
+    def test_contrast_enters_only_with_rabi_mw_squared(self):
+        # Four times the contrast at half the rabi_mw gives the same signal.
+        params = np.array([2885.5, 8.0, 5.0, 0.5, 1.0, 0.1])
+        halved = params.copy()
+        halved[3] /= 2.0
+        np.testing.assert_allclose(
+            DressedDip(16.0, fixed_contrast=0.05).evaluate(params, FIG2_GRID),
+            DressedDip(16.0, fixed_contrast=0.2).evaluate(halved, FIG2_GRID),
+            rtol=1e-12,
+        )
+
+    def test_a_fit_under_either_contrast_is_the_same_fit(self):
+        # So a fit under another fixed contrast scales only rabi_mw, by the
+        # square root of the contrast ratio, and reaches the same cost.
+        noisy = synthesize_measurement(_fig5_clean(6.0), 1e6, 1.0, [7, 1])
+        low = fit(noisy, DressedDip(16.0, fixed_contrast=0.05))
+        high = fit(noisy, DressedDip(16.0, fixed_contrast=0.2))
+        assert low.converged and high.converged
+        for name in ("d", "ex", "rabi_rf", "gamma_b", "gamma_d"):
+            assert high.param(name) == pytest.approx(low.param(name), rel=1e-5)
+        assert high.param("rabi_mw") / low.param("rabi_mw") == pytest.approx(0.5, rel=1e-6)
+        assert high.cost == pytest.approx(low.cost, rel=1e-9)
 
 
 class TestMultiLorentzianModel:
@@ -310,7 +347,7 @@ class TestStackedJacobian:
         # The fit's own residuals: stacked model rows, the log-space steps
         # and their one _to_external.
         model = DressedDip(omega_rf=16.0, fit_sigma_ex=True)
-        truth = np.array([2885.5, 8.0, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0])
+        truth = np.array([2885.5, 8.0, 5.0, 0.5, 1.0, 0.1, 2.0])
         pos = model.positive
         data = model.evaluate(truth, FIG2_GRID)
 
@@ -417,14 +454,16 @@ class TestRecordedWork:
 
     Each case holds the model evaluations and parameter rows a fit took, its
     iterations and convergence, and a digest of every ``FitResult`` field, as
-    recorded before the trim.
+    recorded before the trim.  The dressed digests were recorded again when
+    the contrast left the parameter vector; each equals the digest of the
+    earlier result with its contrast entry removed.
     """
 
     CASES = {
-        "fig5 rabi_rf 3 seed 0": (206, 1240, 93, True, "b19be5f84949c851"),
-        "fig5 rabi_rf 6 seed 1": (32, 164, 11, True, "bb3b989ee0d5d8ae"),
-        "fig5 rabi_rf 12 seed 0": (28, 138, 9, True, "2399bcc7e5d24250"),
-        "fig5 rabi_rf 24 seed 2": (34, 166, 11, True, "a17ea30e0158a54c"),
+        "fig5 rabi_rf 3 seed 0": (206, 1240, 93, True, "2f30532bb4e63a81"),
+        "fig5 rabi_rf 6 seed 1": (32, 164, 11, True, "5c4bfe2a40228b73"),
+        "fig5 rabi_rf 12 seed 0": (28, 138, 9, True, "a699b074768e2d99"),
+        "fig5 rabi_rf 24 seed 2": (34, 166, 11, True, "6f13d8c811258b7f"),
         "fig4 seed 0": (12, 90, 5, True, "da963f9ecc5c2c57"),
         "fig4 seed 1": (10, 75, 4, True, "998cb3e8bcfd8bc2"),
     }
@@ -856,15 +895,9 @@ class TestMultistart:
                 raise
 
         monkeypatch.setattr(fitting, "_check_guess", check)
-        res = multistart_fit(noisy, model, n_starts=8, seed=3)
+        multistart_fit(noisy, model, n_starts=8, seed=3)
         assert refused == []
         assert len(guesses) == 8
-        # A frozen parameter is not perturbed: the dressed signal scales as
-        # contrast * rabi_mw**2, so a moved contrast would fit equally well.
-        for name, value in getattr(model, "frozen", {}).items():
-            i = model.param_names.index(name)
-            assert all(g[i] == value for g in guesses)
-            assert res.param(name) == value
 
 
 class TestFitResultSerialization:

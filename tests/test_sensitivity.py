@@ -1,5 +1,6 @@
 """Tests for sensitivity figures, temperature estimation, and sweeps."""
 
+import csv
 import json
 import math
 
@@ -397,6 +398,11 @@ class TestSweep:
         assert row["status"].startswith("error:")
         assert np.isnan(row["fwhm_mhz"])
         assert ",nan," in table.to_csv()
+        # The status holds a comma ("detected 0 dips, need 1"): its cell is quoted.
+        header, *lines = csv.reader(table.to_csv().splitlines())
+        assert header == table.columns
+        assert [len(cells) for cells in lines] == [len(table.columns)]
+        assert lines[0][table.columns.index("status")] == row["status"]
         json_row = _strict_json(table.to_json())["rows"][0]
         assert json_row["fwhm_mhz"] is None
         assert json_row["status"] == row["status"]
