@@ -82,6 +82,19 @@ class StrainDistribution:
         check_fields(self, nonnegative=("sigma_ex",), problems=problems)
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {values[bad[0]]} at index {bad[0]}")
+
+
+def check_grid(frequencies: np.ndarray) -> None:
+    """Refuse a frequency grid that is not finite and strictly ascending."""
+    _require_finite("frequencies", frequencies)
+    if len(frequencies) > 1 and not np.all(np.diff(frequencies) > 0):
+        raise ValueError("frequencies must be strictly ascending")
+
+
 @dataclass
 class Spectrum:
     """Frequency grid, normalized PL signal, and per-point noise estimate."""
@@ -98,13 +111,9 @@ class Spectrum:
         n = len(self.frequencies)
         if len(self.signal) != n or len(self.sigma) != n:
             raise ValueError("frequencies, signal, sigma must have equal length")
-        for name in ("frequencies", "signal", "sigma"):
-            values = getattr(self, name)
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise ValueError(f"{name} must be finite, got {values[bad[0]]} at index {bad[0]}")
-        if n > 1 and not np.all(np.diff(self.frequencies) > 0):
-            raise ValueError("frequencies must be strictly ascending")
+        check_grid(self.frequencies)
+        for name in ("signal", "sigma"):
+            _require_finite(name, getattr(self, name))
         if np.any(self.sigma < 0):
             raise ValueError("sigma must be >= 0 pointwise")
 
@@ -379,11 +388,13 @@ def ensemble_spectrum(
 
     A zero spread or a single node reduces exactly to the homogeneous
     spectrum at ``strain.mean_ex``; no ``strain`` means no spread at env.ex.
+    A grid that ``Spectrum`` would refuse is refused before any evaluation.
     """
     require_dressed_mode(env)
     if strain is None:
         strain = StrainDistribution(mean_ex=env.ex)
     grid = np.asarray(grid, dtype=float)
+    check_grid(grid)
     d = zero_field_splitting(env)
     sig = dressed_signal(
         d, strain.mean_ex, drive.omega_rf, grid, drive.rabi_rf, drive.rabi_mw,

@@ -9,11 +9,13 @@ closed-form model map as gamma_b = pump_rate/2 + dephase_b (same for d).
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lineshape import DEFAULT_CONTRAST, Spectrum
+from .lineshape import DEFAULT_CONTRAST, Spectrum, check_grid
 from .spin import (
     ConfigError,
     DriveConfig,
@@ -28,15 +30,31 @@ from .spin import (
 NULL_SPACE_RCOND = 1e-12
 # Row and column of rho at each row-major vec index 3i + k.
 _VEC_ROW, _VEC_COL = np.divmod(np.arange(9), 3)
+_VEC_DIAG = np.arange(9)
 
 
 class DegenerateSteadyStateError(RuntimeError):
-    """The Liouvillian has more than one steady state."""
+    """The Liouvillian has more than one steady state.
 
-    def __init__(self, multiplicity: int):
+    ``index`` is the first degenerate generator's flat index in its stack.
+    From ``oracle_spectrum`` the error also names the dressed ``branch``
+    ("upper" or "mirror") and that point's MW ``frequency`` in MHz.
+    """
+
+    def __init__(
+        self,
+        multiplicity: int,
+        index: int = 0,
+        branch: str | None = None,
+        frequency: float | None = None,
+    ):
         self.multiplicity = multiplicity
+        self.index = index
+        self.branch = branch
+        self.frequency = frequency
+        where = "" if branch is None else f" on the {branch} branch at {frequency} MHz"
         super().__init__(
-            f"steady state is not unique: zero-eigenvalue multiplicity {multiplicity}"
+            f"steady state is not unique{where}: zero-eigenvalue multiplicity {multiplicity}"
         )
 
 
@@ -118,10 +136,11 @@ def _steady_states(liouv: np.ndarray, block: int = 3) -> np.ndarray:
     < 3 keeps only each state's leading block x block entries.
     """
     _, s, vh = np.linalg.svd(liouv, full_matrices=False)
-    multiplicity = np.sum(s <= NULL_SPACE_RCOND * s[..., :1], axis=-1)
-    degenerate = multiplicity != 1
-    if np.any(degenerate):
-        raise DegenerateSteadyStateError(int(multiplicity[degenerate].flat[0]))
+    multiplicity = np.sum(s <= NULL_SPACE_RCOND * s[..., :1], axis=-1).ravel()
+    degenerate = np.flatnonzero(multiplicity != 1)
+    if degenerate.size:
+        first = int(degenerate[0])
+        raise DegenerateSteadyStateError(int(multiplicity[first]), first)
     rho = vh[..., -1, :].conj().reshape(liouv.shape[:-2] + (3, 3))
     rho = rho[..., :block, :block] / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
     return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
@@ -141,6 +160,37 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     return _steady_states(build_liouvillian(model))
 
 
+def _branch_depletion(
+    h0: np.ndarray,
+    liouv0: np.ndarray,
+    model: LindbladModel,
+    omega_b: np.ndarray,
+    omega_d: np.ndarray,
+    branch: str,
+    grid: np.ndarray,
+) -> np.ndarray:
+    """|0>-depletion of one dressed branch at every grid point.
+
+    Builds the branch's own Hamiltonian and generator stacks from the
+    undetuned ``h0`` and ``liouv0``.  The detunings enter only the
+    generator's diagonal, so each point replays those 9 entries.  Calls
+    only untraced internals: ``oracle_spectrum`` runs the mirror branch on a
+    worker thread.
+    """
+    n = len(grid)
+    h = np.repeat(h0[None], n, axis=0)
+    h[:, 1, 1] = omega_b
+    h[:, 2, 2] = omega_d
+    liouv = np.repeat(liouv0[None], n, axis=0)
+    liouv[:, _VEC_DIAG, _VEC_DIAG] = _liouvillians(h, model, diagonal=True)
+    try:
+        rho = _steady_states(liouv, block=1)  # rho_00 alone
+    except DegenerateSteadyStateError as err:
+        frequency = float(grid[err.index])
+        raise DegenerateSteadyStateError(err.multiplicity, err.index, branch, frequency) from None
+    return 1.0 - rho[:, 0, 0].real
+
+
 def oracle_spectrum(
     env: PhysicalEnvironment,
     drive: DriveConfig,
@@ -154,28 +204,49 @@ def oracle_spectrum(
 
     The |0>-depletions of the upper dressed branch (the RF sideband) and of
     its mirror are solved independently and added, as in the closed form.
+    The calling thread solves the upper branch while one worker thread,
+    started and joined within the call, solves the mirror: numpy's batched
+    SVD releases the GIL, so the two run at once, each on its own stacks,
+    and every output keeps the bits of a one-thread solve.  The worker runs
+    in a copy of the caller's context (numpy's error state included).
+
+    Raises ``ValueError`` for a grid that ``Spectrum`` would refuse, before
+    any solve, and ``DegenerateSteadyStateError`` naming the branch and the
+    first MW frequency whose steady state is not unique; the upper
+    branch's error wins when both fail.
     """
     require_dressed_mode(env)
     grid = np.asarray(grid, dtype=float)
-    detunings = branch_detunings(zero_field_splitting(env), env.ex, drive.omega_rf, grid)
+    check_grid(grid)
+    (upper_b, mirror_b), (upper_d, mirror_d) = branch_detunings(
+        zero_field_splitting(env), env.ex, drive.omega_rf, grid
+    )
     # Validates the rates once and carries the shared J, lambda and
     # collapse operators; each branch then sets the detuning diagonal.
     h0 = rotating_hamiltonian_from_params(
         0.0, 0.0, drive.rabi_rf / 2.0, drive.rabi_mw / 2.0
     )
     base = LindbladModel(h0, pump_rate, dephase_b, dephase_d)
-    # The detunings enter only the generator's diagonal: both branches share
-    # one stack of undetuned generators and each replays those 9 entries.
-    h = np.repeat(h0[None], len(grid), axis=0)
-    liouv = np.repeat(_liouvillians(h0, base)[None], len(grid), axis=0)
-    diag = np.arange(9)
-    depletion = np.zeros_like(grid)
-    for omega_b, omega_d in zip(*detunings):
-        h[:, 1, 1] = omega_b
-        h[:, 2, 2] = omega_d
-        liouv[:, diag, diag] = _liouvillians(h, base, diagonal=True)
-        rho = _steady_states(liouv, block=1)  # rho_00 alone
-        depletion = depletion + (1.0 - rho[:, 0, 0].real)
+    shared = (h0, _liouvillians(h0, base), base)
+    mirror = []
+
+    def solve_mirror():
+        try:
+            mirror.append(_branch_depletion(*shared, mirror_b, mirror_d, "mirror", grid))
+        except BaseException as exc:  # re-raised on the calling thread
+            mirror.append(exc)
+
+    worker = threading.Thread(
+        target=contextvars.copy_context().run, args=(solve_mirror,), name="oracle-mirror"
+    )
+    worker.start()
+    try:
+        upper = _branch_depletion(*shared, upper_b, upper_d, "upper", grid)
+    finally:
+        worker.join()
+    if isinstance(mirror[0], BaseException):
+        raise mirror.pop()
+    depletion = upper + mirror[0]
     sig = 1.0 - contrast * depletion
     meta = {
         "model": "lindblad_oracle",

@@ -307,6 +307,16 @@ def test_cli_import_leaves_scipy_signal_out(tmp_path):
     assert lines[1].startswith("sweep ok: points=1 fitted=1")
 
 
+def test_cli_import_leaves_pools_and_logging_out():
+    # The oracle starts one plain thread per spectrum; importing an executor
+    # or a process pool (or the logging they bring) would be paid at start-up.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, nvtherm.cli; print(sorted({'concurrent.futures', 'multiprocessing', 'logging'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestOverrides:
     def test_set_overrides_applied_before_validation(self, tmp_path):
         preset = str(PRESET_DIR / "fig2_dressed.json")

@@ -1,9 +1,14 @@
 """Tests for the Lindblad steady-state oracle and its arbitration role."""
 
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from nvtherm import oracle
 from nvtherm.lineshape import ensemble_spectrum
 from nvtherm.oracle import (
     DegenerateSteadyStateError,
@@ -204,11 +209,98 @@ class TestOracleSpectrum:
 
     def test_degenerate_point_raises(self):
         # Without MW drive and pumping, |0> decouples from the dephased
-        # B/D pair: two stationary states.
+        # B/D pair: two stationary states, on both branches at every point;
+        # the upper branch's error wins.
         drive = DriveConfig(rabi_mw=0.0, omega_rf=16.0, rabi_rf=4.0)
         with pytest.raises(DegenerateSteadyStateError) as err:
             oracle_spectrum(ENV, drive, self.GRID[:5], 0.0, 1.0, 1.0)
         assert err.value.multiplicity == 2
+        assert (err.value.branch, err.value.frequency) == ("upper", 2855.0)
+        assert "on the upper branch at 2855.0 MHz: zero-eigenvalue multiplicity 2" in str(err.value)
+
+    @staticmethod
+    def _degenerate_on(monkeypatch, drive, grid, failing):
+        """Put a degenerate generator at ``failing[branch]`` into the named
+        branches' stacks only; return its multiplicity."""
+        real = oracle._steady_states
+        (upper_b, mirror_b), _ = branch_detunings(2870.0, ENV.ex, drive.omega_rf, grid)
+        # Pump-free dephasing without drive: |0> and the B/D populations
+        # are all stationary.
+        stuck = build_liouvillian(LindbladModel(np.zeros((3, 3), dtype=complex), 0.0, 1.0, 1.0))
+
+        def steady_states(liouv, block=3):
+            # Entry (0, 1) of rho turns at the bright detuning, so the
+            # stack's [1, 1] diagonal says which branch it is.
+            is_mirror = np.allclose(liouv[:, 1, 1].imag, mirror_b)
+            assert is_mirror or np.allclose(liouv[:, 1, 1].imag, upper_b)
+            index = failing.get("mirror" if is_mirror else "upper")
+            if index is not None:
+                liouv = liouv.copy()
+                liouv[index] = stuck
+            return real(liouv, block)
+
+        monkeypatch.setattr(oracle, "_steady_states", steady_states)
+        with pytest.raises(DegenerateSteadyStateError) as err:
+            real(stuck)
+        return err.value.multiplicity
+
+    def test_mirror_failure_reaches_the_caller(self, monkeypatch):
+        grid = self.GRID[:7]
+        multiplicity = self._degenerate_on(monkeypatch, self.DRIVE, grid, {"mirror": 4})
+        with pytest.raises(DegenerateSteadyStateError) as err:
+            oracle_spectrum(ENV, self.DRIVE, grid, 2.0)
+        assert err.value.multiplicity == multiplicity > 1
+        assert (err.value.branch, err.value.index, err.value.frequency) == ("mirror", 4, grid[4])
+        assert f"on the mirror branch at {grid[4]} MHz" in str(err.value)
+
+    def test_upper_failure_wins_over_mirror(self, monkeypatch):
+        grid = self.GRID[:7]
+        self._degenerate_on(monkeypatch, self.DRIVE, grid, {"upper": 5, "mirror": 1})
+        with pytest.raises(DegenerateSteadyStateError) as err:
+            oracle_spectrum(ENV, self.DRIVE, grid, 2.0)
+        assert (err.value.branch, err.value.frequency) == ("upper", grid[5])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({1: np.nan}, "frequencies must be finite, got nan at index 1"),
+            ({1: np.inf}, "frequencies must be finite, got inf at index 1"),
+            ({3: -np.inf}, "frequencies must be finite, got -inf at index 3"),
+            ({2: 2855.0}, "frequencies must be strictly ascending"),
+        ],
+        ids=["nan", "inf", "-inf", "not_ascending"],
+    )
+    def test_bad_grid_refused_before_any_solve(self, monkeypatch, bad, message):
+        # Refused as Spectrum refuses it, with the closed form's message;
+        # a NaN grid used to end in "SVD did not converge" after
+        # RuntimeWarnings, and a descending one after both SVD stacks.
+        grid = self.GRID[:6].copy()
+        for index, value in bad.items():
+            grid[index] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ensemble_spectrum(ENV, self.DRIVE, grid)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a refused grid")
+
+        monkeypatch.setattr(oracle, "_liouvillians", no_solve)
+        monkeypatch.setattr(oracle.threading, "Thread", no_solve)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracle_spectrum(ENV, self.DRIVE, grid, 2.0)
+
+    def test_worker_runs_in_the_callers_numpy_error_state(self, monkeypatch):
+        real = oracle._steady_states
+        seen = []
+
+        def steady_states(liouv, block=3):
+            seen.append(np.geterr()["invalid"])
+            return real(liouv, block)
+
+        monkeypatch.setattr(oracle, "_steady_states", steady_states)
+        with np.errstate(invalid="raise"):
+            oracle_spectrum(ENV, self.DRIVE, self.GRID[:5], 2.0)
+        assert seen == ["raise", "raise"]
+
 
     def test_weak_drive_equivalence(self):
         brute = oracle_spectrum(ENV, self.DRIVE, self.GRID, pump_rate=2.0)
@@ -251,3 +343,44 @@ class TestOracleSpectrum:
         # At least one expected resonance has no dip anywhere near it.
         worst = max(np.min(np.abs(found[:, None] - expected[None, :]), axis=0).max(), 0)
         assert worst > 0.5
+
+
+class TestOracleThreads:
+    """The mirror branch's worker thread leaves nothing behind and shares nothing."""
+
+    POINT_9 = (DriveConfig(rabi_mw=3.2, omega_rf=12.0, rabi_rf=2.0), np.linspace(2848.0, 2892.0, 441))
+
+    def test_no_thread_outlives_a_call(self):
+        drive, grid = self.POINT_9
+        before = threading.active_count()
+        oracle_spectrum(ENV, drive, grid, 0.2, dephase_b=0.9)
+        assert threading.active_count() == before
+        stuck = DriveConfig(rabi_mw=0.0, omega_rf=16.0, rabi_rf=4.0)
+        with pytest.raises(DegenerateSteadyStateError):
+            oracle_spectrum(ENV, stuck, grid[:5], 0.0, 1.0, 1.0)
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_get_a_lone_calls_bits(self):
+        # 4 callers (8 solving threads on 2 cores) with a short switch
+        # interval: a branch that wrote into another call's stack, or a
+        # caller that read another call's mirror, would change bits.
+        drive, grid = self.POINT_9
+        lone = oracle_spectrum(ENV, drive, grid, 0.2, dephase_b=0.9).signal
+        results = [None] * 4
+
+        def call(i):
+            results[i] = oracle_spectrum(ENV, drive, grid, 0.2, dephase_b=0.9).signal
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for signal in results:
+            assert np.array_equal(signal, lone)
