@@ -8,6 +8,7 @@ signal through a single optical contrast factor.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import threading
@@ -181,12 +182,16 @@ class _Workspace(threading.local):
     free heap top above its trim threshold (128 KiB by default) back to the
     kernel, so arrays made and freed per block would fault on every block.
     A larger request gets a new array, so a long direct call holds no memory
-    after it.  Each thread has its own buffers.  No view leaves this module:
-    the public functions return arrays that their caller owns.
+    after it.  Each thread has its own buffers, and a second set, ``spare``,
+    that it lends to the worker of ``_on_two_threads``: the worker adopts it
+    before it takes a buffer, so a new thread per call maps no new pages,
+    and the set lives on in its lender between calls.  No view leaves this
+    module: the public functions return arrays that their caller owns.
     """
 
     def __init__(self):
         self.buffers = {}
+        self.spare = {}
 
     def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         size = math.prod(shape)
@@ -198,6 +203,37 @@ class _Workspace(threading.local):
 
 
 _workspace = _Workspace()
+
+
+def _on_two_threads(first, second, name: str) -> tuple:
+    """``(first(), second())``, with ``second`` run on one worker thread.
+
+    The worker is started before ``first`` runs on the calling thread and
+    joined before this returns or raises; it runs in a copy of the caller's
+    context (numpy's error state included) with the caller's spare work
+    arrays.  numpy releases the GIL in its loops and in LAPACK, so the two
+    halves run at once.  If ``first`` raises, its error wins; otherwise an
+    error of ``second`` is raised here.  ``second`` may call no name that
+    ``benchmarks/tracing.py`` wraps: its span stack is not thread-safe.
+    """
+    lent, result = _workspace.spare, []
+
+    def work():
+        _workspace.buffers = lent
+        try:
+            result.append(second())
+        except BaseException as exc:  # re-raised on the calling thread
+            result.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,), name=name)
+    worker.start()
+    try:
+        head = first()
+    finally:
+        worker.join()
+    if isinstance(result[0], BaseException):
+        raise result.pop()
+    return head, result[0]
 
 
 def _square(x):
@@ -296,6 +332,11 @@ def dressed_depletion(
     return np.add(dep[..., 0, :], dep[..., 1, :], out=out)
 
 
+# dressed_signal's worker rows call this binding, which benchmarks/tracing.py
+# does not wrap: its spans, around the public name, are not thread-safe.
+_dressed_depletion = dressed_depletion
+
+
 @lru_cache(maxsize=32)
 def _hermite_nodes(nodes: int) -> tuple:
     """Read-only Gauss-Hermite abscissae and a column of unit-Gaussian weights."""
@@ -325,6 +366,13 @@ def dressed_signal(
     it when the grid is longer: without a spread as many whole rows as fit;
     with one, one row with its scalar parameters and as many of its nodes as
     fit, each node's weighted signal added to the row in node order.
+
+    With a spread, 2 or more rows are split over two threads
+    (``_on_two_threads``): the calling thread averages the first
+    ceil(rows/2), one worker the rest, through ``_dressed_depletion``.  Each
+    row is still averaged alone, so the split changes no bit.  A single row,
+    and the path without a spread (a Jacobian's rows in one call, shorter
+    than a thread's start and join), stay on the calling thread.
     """
     params = [d, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast]
     rows = [p for p in (ex, sigma_ex, *params) if isinstance(p, np.ndarray) and p.ndim]
@@ -353,25 +401,38 @@ def dressed_signal(
     x, w = _hermite_nodes(nodes)
     ex = np.asarray(ex)[..., None] + np.sqrt(2.0) * np.asarray(sigma_ex)[..., None] * x
     ex = np.broadcast_to(ex, shape + x.shape)
-    # One row at a time, with scalar parameters as in its own call: numpy runs
-    # an operand broadcast along the grid at a half to a third of a scalar's speed.
-    for r in np.ndindex(shape):
-        ex_r, d_r, *drive, c = [
-            p[r] if isinstance(p, np.ndarray) and p.ndim else p for p in (ex, *params)
-        ]
-        for lo in range(0, len(grid), step):
-            acc = out[r][lo : lo + step]
-            for k in range(0, nodes, per_block):
-                ex_k = ex_r[k : k + per_block]
-                sig = _workspace.take("signal", ex_k.shape + acc.shape)
-                dressed_depletion(d_r, ex_k, omega_rf, grid[lo : lo + step], *drive, out=sig)
-                np.subtract(1.0, np.multiply(c, sig, out=sig), out=sig)
-                np.multiply(w[k : k + per_block], sig, out=sig)
-                for i, s in enumerate(sig, k):  # node order; np.sum would add pairwise
-                    if i:
-                        np.add(acc, s, out=acc)
-                    else:
-                        acc[...] = s
+
+    def average(indices, depletion):
+        # One row at a time, with scalar parameters as in its own call: numpy runs
+        # an operand broadcast along the grid at a half to a third of a scalar's speed.
+        for r in indices:
+            ex_r, d_r, *drive, c = [
+                p[r] if isinstance(p, np.ndarray) and p.ndim else p for p in (ex, *params)
+            ]
+            for lo in range(0, len(grid), step):
+                acc = out[r][lo : lo + step]
+                for k in range(0, nodes, per_block):
+                    ex_k = ex_r[k : k + per_block]
+                    sig = _workspace.take("signal", ex_k.shape + acc.shape)
+                    depletion(d_r, ex_k, omega_rf, grid[lo : lo + step], *drive, out=sig)
+                    np.subtract(1.0, np.multiply(c, sig, out=sig), out=sig)
+                    np.multiply(w[k : k + per_block], sig, out=sig)
+                    for i, s in enumerate(sig, k):  # node order; np.sum would add pairwise
+                        if i:
+                            np.add(acc, s, out=acc)
+                        else:
+                            acc[...] = s
+
+    indices = list(np.ndindex(shape))
+    if len(indices) < 2:
+        average(indices, dressed_depletion)
+        return out
+    half = (len(indices) + 1) // 2
+    _on_two_threads(
+        lambda: average(indices[:half], dressed_depletion),
+        lambda: average(indices[half:], _dressed_depletion),
+        "dressed-rows",
+    )
     return out
 
 

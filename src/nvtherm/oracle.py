@@ -9,13 +9,11 @@ closed-form model map as gamma_b = pump_rate/2 + dephase_b (same for d).
 
 from __future__ import annotations
 
-import contextvars
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lineshape import DEFAULT_CONTRAST, Spectrum, check_grid
+from .lineshape import DEFAULT_CONTRAST, Spectrum, _on_two_threads, check_grid
 from .spin import (
     ConfigError,
     DriveConfig,
@@ -205,10 +203,11 @@ def oracle_spectrum(
     The |0>-depletions of the upper dressed branch (the RF sideband) and of
     its mirror are solved independently and added, as in the closed form.
     The calling thread solves the upper branch while one worker thread,
-    started and joined within the call, solves the mirror: numpy's batched
-    SVD releases the GIL, so the two run at once, each on its own stacks,
-    and every output keeps the bits of a one-thread solve.  The worker runs
-    in a copy of the caller's context (numpy's error state included).
+    started and joined within the call by ``lineshape._on_two_threads``,
+    solves the mirror: numpy's batched SVD releases the GIL, so the two run
+    at once, each on its own stacks, and every output keeps the bits of a
+    one-thread solve.  The worker runs in a copy of the caller's context
+    (numpy's error state included).
 
     Raises ``ValueError`` for a grid that ``Spectrum`` would refuse, before
     any solve, and ``DegenerateSteadyStateError`` naming the branch and the
@@ -228,25 +227,12 @@ def oracle_spectrum(
     )
     base = LindbladModel(h0, pump_rate, dephase_b, dephase_d)
     shared = (h0, _liouvillians(h0, base), base)
-    mirror = []
-
-    def solve_mirror():
-        try:
-            mirror.append(_branch_depletion(*shared, mirror_b, mirror_d, "mirror", grid))
-        except BaseException as exc:  # re-raised on the calling thread
-            mirror.append(exc)
-
-    worker = threading.Thread(
-        target=contextvars.copy_context().run, args=(solve_mirror,), name="oracle-mirror"
+    upper, mirror = _on_two_threads(
+        lambda: _branch_depletion(*shared, upper_b, upper_d, "upper", grid),
+        lambda: _branch_depletion(*shared, mirror_b, mirror_d, "mirror", grid),
+        "oracle-mirror",
     )
-    worker.start()
-    try:
-        upper = _branch_depletion(*shared, upper_b, upper_d, "upper", grid)
-    finally:
-        worker.join()
-    if isinstance(mirror[0], BaseException):
-        raise mirror.pop()
-    depletion = upper + mirror[0]
+    depletion = upper + mirror
     sig = 1.0 - contrast * depletion
     meta = {
         "model": "lindblad_oracle",

@@ -198,11 +198,15 @@ def test_warm_strain_fits_take_no_page_faults():
     # it also pins the mmap threshold at 128 KiB, so at either value an array
     # of that size or more would fault on every allocation.  The kernel's work
     # arrays stay in lineshape's workspace between blocks, so no block-sized
-    # array is made and freed per block.  Per warm fit at 128 KiB (glibc's
-    # default; 2-core Xeon, glibc 2.36): about 220 faults per strain fit and
-    # 110 per fig5 fit; with arrays made per block, 71,000 and 1,900.  At
-    # 512 KiB both take about none.  A warm slope scan maps only its grid and
-    # the curve on it (160 KB each): 80 faults per call at 128 KiB, where
+    # array is made and freed per block.  Per warm strain fit (2-core Xeon,
+    # glibc 2.36, numpy 2.4): 445 faults at 128 KiB (glibc's default) and 16
+    # at 512 KiB; with every row on the calling thread, 435 and 0.7.  The
+    # worker that takes half of a strain stack's rows borrows its caller's
+    # spare work arrays: with its own it took about 3,000 at either value,
+    # mapping them anew on every call.  A warm fig5 fit takes about 2 at
+    # 128 KiB and none at 512 KiB; with arrays made per block, 71,000 and
+    # 1,900 (strain, fig5) at 128 KiB.  A warm slope scan maps only its grid
+    # and the curve on it (160 KB each): 80 faults per call at 128 KiB, where
     # temporaries of the grid's size made it 280.
     pytest.importorskip("resource")
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -441,19 +445,24 @@ class TestStackedRows:
         # 12 rows of 501 points take 1 block of whole rows; one row of
         # 781 points x 21 nodes takes 3 blocks of at most 10 nodes over the
         # whole grid, as a scalar call does, each with that row's scalars.
-        real, calls = lineshape.dressed_depletion, []
-        monkeypatch.setattr(
-            lineshape, "dressed_depletion", lambda *a, **k: calls.append(a) or real(*a, **k)
-        )
+        # The second row runs on the worker thread, through the untraced binding.
+        real, calls, names = lineshape.dressed_depletion, [], []
+        for name in ("dressed_depletion", "_dressed_depletion"):
+            monkeypatch.setattr(
+                lineshape, name,
+                lambda *a, name=name, **k: calls.append(a) or names.append(name) or real(*a, **k),
+            )
         params = _dressed_rows(np.random.default_rng(4), 12)
         dressed_signal(params[0], params[1], 16.0, np.linspace(2845.0, 2895.0, 501), *params[2:])
-        assert len(calls) == 1
+        assert names == ["dressed_depletion"]
         calls.clear()
+        names.clear()
         dressed_signal(
             params[0][:2], params[1][:2], 16.0, np.linspace(2866.0, 2905.0, 781),
             *(p[:2] for p in params[2:]), np.full(2, 2.0), 21,
         )
         assert len(calls) == 2 * 3
+        assert sorted(names) == ["_dressed_depletion"] * 3 + ["dressed_depletion"] * 3
         assert all(np.ndim(a[0]) == 0 for a in calls)  # d, a row's scalar
         assert all(len(a[3]) == 781 and len(a[1]) <= 10 for a in calls)  # grid, nodes
 
@@ -531,9 +540,14 @@ class TestWorkspace:
         params = _dressed_rows(rng, 12)
         ob, od = rng.normal(0.0, 10.0, (2, 3, 2, 97))
         slope_grid = np.linspace(2845.0, 2895.0, SLOPE_POINTS)
+        strain_grid = np.linspace(2866.0, 2905.0, 781)
+        stack = _dressed_rows(rng, 14)  # a sigma_ex Jacobian: 7 of its rows on a worker
         return {
             "sigma_ex row": lambda: dressed_signal(
-                2885.5, 8.0, 16.0, np.linspace(2866.0, 2905.0, 781), 5.0, 0.5, 1.0, 0.1, 0.05, 2.0
+                2885.5, 8.0, 16.0, strain_grid, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0
+            ),
+            "sigma_ex stack": lambda: dressed_signal(
+                stack[0], stack[1], 16.0, strain_grid, *stack[2:], np.full(14, 2.0)
             ),
             "jacobian block": lambda: dressed_signal(
                 params[0], params[1], 16.0, np.linspace(2845.0, 2895.0, 501), *params[2:]
@@ -550,7 +564,7 @@ class TestWorkspace:
         calls = self._calls()
         first = {name: call() for name, call in calls.items()}
         results = [(name, value, value.copy()) for name, value in first.items()]
-        for name in ["p0", "jacobian block", "sigma_ex row", "slope curve"] * 2:
+        for name in ["p0", "jacobian block", "sigma_ex stack", "sigma_ex row", "slope curve"] * 2:
             value = calls[name]()
             assert np.array_equal(value, first[name]), name
             results.append((name, value, value.copy()))
@@ -570,7 +584,9 @@ class TestWorkspace:
 
         threads = [
             threading.Thread(target=work, args=(names,))
-            for names in (["jacobian block", "p0"], ["sigma_ex row"], ["slope curve", "p0"]) * 2
+            for names in (
+                ["jacobian block", "p0"], ["sigma_ex row", "sigma_ex stack"], ["slope curve", "p0"]
+            ) * 2
         ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -591,6 +607,85 @@ class TestWorkspace:
         buffers = lineshape._workspace.buffers
         assert buffers and all(b.size == 2 * BLOCK_POINTS for b in buffers.values())
         assert not any(np.shares_memory(large, b) for b in buffers.values())
+
+
+class TestRowThreads:
+    """A sigma_ex stack's worker rows leave nothing behind and share nothing."""
+
+    GRID = np.linspace(2866.0, 2905.0, 781)
+
+    @staticmethod
+    def _stack(rows):
+        """Parameter rows (d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast, sigma_ex)."""
+        rng = np.random.default_rng(rows)
+        return _dressed_rows(rng, rows) + [rng.uniform(1.0, 3.0, rows)]
+
+    def _signal(self, params):
+        return dressed_signal(params[0], params[1], 16.0, self.GRID, *params[2:])
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        params = self._stack(14)
+        before = threading.active_count()
+        self._signal(params)
+        assert threading.active_count() == before
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("worker rows failed")
+
+        monkeypatch.setattr(lineshape, "_dressed_depletion", fail)
+        with pytest.raises(RuntimeError, match="worker rows failed"):
+            self._signal(params)
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_get_a_lone_calls_bits(self):
+        # 4 callers (8 threads on 2 cores) with a short switch interval: a
+        # worker that wrote into another caller's lent buffers or rows would
+        # change bits.
+        params = self._stack(14)
+        lone = self._signal(params)
+        results = [None] * 4
+
+        def call(i):
+            results[i] = self._signal(params)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for signal in results:
+            assert np.array_equal(signal, lone)
+
+    def test_worker_runs_in_the_callers_numpy_error_state(self):
+        # The last of 14 rows is the worker's; its |amp_b|^2 overflows.
+        params = self._stack(14)
+        params[3][-1] = 1e200  # rabi_mw
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            self._signal(params)
+
+    @pytest.mark.parametrize("rows", [2, 3, 15])
+    def test_each_row_equals_its_scalar_call(self, rows):
+        params = self._stack(rows)
+        stacked = self._signal(params)
+        for r in range(rows):
+            assert np.array_equal(stacked[r], self._signal([float(p[r]) for p in params]))
+
+    def test_worker_rows_write_into_the_lent_buffers(self):
+        # The worker adopts its caller's spare set, so a new worker per call
+        # maps no new work arrays.
+        params = self._stack(14)
+        self._signal(params)
+        spare = lineshape._workspace.spare
+        assert set(spare) == {"zb", "zd", "lost_b", "lost_d", "signal"}
+        kept = dict(spare)
+        self._signal(params)
+        assert all(spare[name] is kept[name] for name in kept)
 
 
 class TestLorentzianSpectrum:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nvtherm import oracle
+from nvtherm import lineshape, oracle
 from nvtherm.lineshape import ensemble_spectrum
 from nvtherm.oracle import (
     DegenerateSteadyStateError,
@@ -284,7 +284,7 @@ class TestOracleSpectrum:
             raise AssertionError("solved a refused grid")
 
         monkeypatch.setattr(oracle, "_liouvillians", no_solve)
-        monkeypatch.setattr(oracle.threading, "Thread", no_solve)
+        monkeypatch.setattr(lineshape.threading, "Thread", no_solve)  # the mirror's worker
         with pytest.raises(ValueError, match=re.escape(message)):
             oracle_spectrum(ENV, self.DRIVE, grid, 2.0)
 
