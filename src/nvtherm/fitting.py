@@ -9,8 +9,8 @@ parameters are fitted in log space so the internal problem is unconstrained.
 Each model's ``evaluate`` takes one parameter vector or a stack of them as
 rows, and gives each row the bits its own call gives.  A fit therefore makes
 one model call per Jacobian (all 2n perturbed vectors as rows), and the
-half-depth crossings of every dip advance ``brentq`` in lockstep, one model
-call per step for all of them.
+half-depth crossings of every dip advance Brent's method in lockstep, one
+model call per step for all of them.
 """
 
 from __future__ import annotations
@@ -583,12 +583,16 @@ def _brent(xpre: float, fpre: float, xcur: float, fcur: float):
 
 
 def _solve_together(f, brackets) -> list:
-    """Roots of several brackets by Brent's method, advanced in lockstep.
+    """Roots of several brackets by Brent's method (Brent 1973), in lockstep.
 
     ``brackets`` holds ``(a, f_a, b, f_b)`` rows: each search starts from
-    its two end values.  Each step makes one call ``f(which, xs)``, which
-    must give search ``which[k]``'s function value at ``xs[k]`` for every
-    search still open.  Every root is the one ``brentq`` finds alone.
+    its two end values, which must differ in sign; a NaN value stops it.
+    Each step makes one call ``f(which, xs)``, which must give search
+    ``which[k]``'s function value at ``xs[k]`` for every search still open.
+    Each search takes the steps, operations and errors of
+    ``scipy.optimize.brentq`` at its defaults (scipy 1.17's
+    ``Zeros/brentq.c``) on its bracket alone, so roots are equal to the
+    last bit.
     """
     searches = [_brent(a, _checked(a, fa), b, _checked(b, fb)) for a, fa, b, fb in brackets]
     roots = [None] * len(searches)
@@ -608,20 +612,6 @@ def _solve_together(f, brackets) -> list:
                 roots[i] = done.value
                 del probes[i]
     return roots
-
-
-def brentq(f, a: float, b: float) -> float:
-    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    The same steps, operations and errors as ``scipy.optimize.brentq`` at
-    its defaults (scipy 1.17's ``Zeros/brentq.c``), so roots are equal to
-    the last bit.  ``f(a)`` and ``f(b)`` must differ in sign; a NaN value
-    stops the search.  The one-bracket case of ``_solve_together``.
-    """
-    a, b = float(a), float(b)
-    fa = _checked(a, f(a))
-    fb = _checked(b, f(b))
-    return _solve_together(lambda which, xs: [f(x) for x in xs.tolist()], [(a, fa, b, fb)])[0]
 
 
 def half_depth_widths(curve_fn, grid: np.ndarray, curve: np.ndarray, dips) -> list:

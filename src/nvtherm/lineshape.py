@@ -161,16 +161,6 @@ class Spectrum:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "Spectrum":
-        doc = json.loads(text)
-        return cls(
-            np.array(doc["frequency_mhz"]),
-            np.array(doc["signal"]),
-            np.array(doc["sigma"]),
-            doc.get("metadata", {}),
-        )
-
 
 class _Workspace(threading.local):
     """The dressed kernel's work arrays, kept between blocks and calls.
@@ -358,14 +348,15 @@ def dressed_signal(
     one dressed signal: the generators (and through them the CLI's curves)
     and the ``DressedDip`` fit model call it.
 
-    Each parameter but ``omega_rf`` and ``nodes`` is a float or a ``(rows,)``
-    array; the result is ``(len(grid),)`` or ``(rows, len(grid))``, each row
-    equal to its scalar call bit for bit.  ``sigma_ex`` is zero in every row
-    or in none.  One ``dressed_depletion`` call takes a block of at most
-    ``BLOCK_POINTS`` nodes x points over the whole grid, or over a slice of
-    it when the grid is longer: without a spread as many whole rows as fit;
-    with one, one row with its scalar parameters and as many of its nodes as
-    fit, each node's weighted signal added to the row in node order.
+    Each parameter but ``omega_rf``, ``contrast`` and ``nodes`` is a float or
+    a ``(rows,)`` array; the result is ``(len(grid),)`` or ``(rows,
+    len(grid))``, each row equal to its scalar call bit for bit.
+    ``sigma_ex`` is zero in every row or in none.  One ``dressed_depletion``
+    call takes a block of at most ``BLOCK_POINTS`` nodes x points over the
+    whole grid, or over a slice of it when the grid is longer: without a
+    spread as many whole rows as fit; with one, one row with its scalar
+    parameters and as many of its nodes as fit, each node's weighted signal
+    added to the row in node order.
 
     With a spread, 2 or more rows are split over two threads
     (``_on_two_threads``): the calling thread averages the first
@@ -374,7 +365,7 @@ def dressed_signal(
     and the path without a spread (a Jacobian's rows in one call, shorter
     than a thread's start and join), stay on the calling thread.
     """
-    params = [d, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast]
+    params = (d, rabi_rf, rabi_mw, gamma_b, gamma_d)
     rows = [p for p in (ex, sigma_ex, *params) if isinstance(p, np.ndarray) and p.ndim]
     shape = np.broadcast(*rows).shape if rows else ()
     averaged = sigma_ex != 0.0
@@ -386,17 +377,15 @@ def dressed_signal(
     per_block = max(BLOCK_POINTS // max(len(grid), 1), 1)  # whole rows, or one row's nodes
     step = BLOCK_POINTS // per_block  # grid points: all of them unless more than a block
     if not averaged:
-        if isinstance(contrast, np.ndarray) and contrast.ndim:  # an axis for the grid
-            params[-1] = contrast.reshape(shape + (1,))
         blocks = [slice(r, r + per_block) for r in range(0, shape[0], per_block)] if shape else [...]
         for at in blocks:  # a scalar call's floats stay floats
-            ex_r, d_r, *drive, c = [
+            ex_r, d_r, *drive = [
                 p[at] if isinstance(p, np.ndarray) and p.ndim else p for p in (ex, *params)
             ]
             for lo in range(0, len(grid), step):
                 block = out[at][..., lo : lo + step]
                 dressed_depletion(d_r, ex_r, omega_rf, grid[lo : lo + step], *drive, out=block)
-                np.subtract(1.0, np.multiply(c, block, out=block), out=block)
+                np.subtract(1.0, np.multiply(contrast, block, out=block), out=block)
         return out
     x, w = _hermite_nodes(nodes)
     ex = np.asarray(ex)[..., None] + np.sqrt(2.0) * np.asarray(sigma_ex)[..., None] * x
@@ -406,7 +395,7 @@ def dressed_signal(
         # One row at a time, with scalar parameters as in its own call: numpy runs
         # an operand broadcast along the grid at a half to a third of a scalar's speed.
         for r in indices:
-            ex_r, d_r, *drive, c = [
+            ex_r, d_r, *drive = [
                 p[r] if isinstance(p, np.ndarray) and p.ndim else p for p in (ex, *params)
             ]
             for lo in range(0, len(grid), step):
@@ -415,7 +404,7 @@ def dressed_signal(
                     ex_k = ex_r[k : k + per_block]
                     sig = _workspace.take("signal", ex_k.shape + acc.shape)
                     depletion(d_r, ex_k, omega_rf, grid[lo : lo + step], *drive, out=sig)
-                    np.subtract(1.0, np.multiply(c, sig, out=sig), out=sig)
+                    np.subtract(1.0, np.multiply(contrast, sig, out=sig), out=sig)
                     np.multiply(w[k : k + per_block], sig, out=sig)
                     for i, s in enumerate(sig, k):  # node order; np.sum would add pairwise
                         if i:

@@ -15,10 +15,10 @@ import numpy as np
 
 from .lineshape import DEFAULT_CONTRAST, Spectrum, _on_two_threads, check_grid
 from .spin import (
-    ConfigError,
     DriveConfig,
     PhysicalEnvironment,
     branch_detunings,
+    check_fields,
     require_dressed_mode,
     rotating_hamiltonian_from_params,
     zero_field_splitting,
@@ -66,16 +66,10 @@ class LindbladModel:
     dephase_d: float = 0.0
 
     def __post_init__(self):
-        rates = {n: getattr(self, n) for n in ("pump_rate", "dephase_b", "dephase_d")}
-        problems = [
-            f"{n}: all rates must be finite and >= 0, got {r}"
-            for n, r in rates.items()
-            if not 0.0 <= r < np.inf
-        ]
-        if not any(rates.values()):
-            problems.append("pump_rate: at least one dissipative channel must be > 0")
-        if problems:
-            raise ConfigError(problems)
+        rates = ("pump_rate", "dephase_b", "dephase_d")
+        idle = not any(getattr(self, n) for n in rates)
+        problems = ["pump_rate: at least one dissipative channel must be > 0"] if idle else []
+        check_fields(self, nonnegative=rates, problems=problems)
 
     def collapse_operators(self) -> list[np.ndarray]:
         ops = []

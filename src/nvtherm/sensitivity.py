@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,7 +56,7 @@ class NoiseBudget:
         """(photon_rate, pump_rate, contrast) at a given laser power in mW."""
         if self.rate_per_mw is None or self.pump_per_mw is None:
             raise ValueError("laser-power model not configured")
-        if power_mw <= 0:
+        if not power_mw > 0:
             raise ValueError(f"laser power must be > 0, got {power_mw}")
         rate = self.rate_per_mw * power_mw
         pump = self.pump_per_mw * power_mw
@@ -84,6 +85,12 @@ class SensitivityReport:
         )
 
 
+def _check_slope(dd_dt: float) -> None:
+    """Refuse a zero-field-splitting slope (MHz/K) that gives no finite figure."""
+    if not (math.isfinite(dd_dt) and dd_dt != 0):
+        raise ValueError(f"dd_dt must be finite and nonzero, got {dd_dt}")
+
+
 def linewidth_sensitivity(
     fwhm: float,
     contrast: float,
@@ -94,10 +101,9 @@ def linewidth_sensitivity(
 
     eta = (4 / 3*sqrt(3)) * fwhm / (contrast * sqrt(rate) * |dd_dt|)
     """
-    if fwhm <= 0 or contrast <= 0:
-        raise ValueError("fwhm and contrast must be > 0")
-    if dd_dt == 0:
-        raise ValueError("dd_dt must be nonzero")
+    if not (fwhm > 0 and contrast > 0):
+        raise ValueError(f"fwhm and contrast must be > 0, got {fwhm} and {contrast}")
+    _check_slope(dd_dt)
     return (
         LORENTZIAN_SLOPE_CONSTANT
         * fwhm
@@ -115,14 +121,15 @@ def slope_sensitivity(
     """Max-slope temperature sensitivity of a model spectrum.
 
     eta = sqrt(S(nu*) / rate) / (|dS/dnu|(nu*) * |dd_dt|), with nu* the
-    steepest point of the normalized signal on a ``SLOPE_POINTS`` grid and
-    the derivative taken by central differences.  With ``linewidth`` the
+    steepest point of the normalized signal on a ``SLOPE_POINTS`` grid over
+    the ascending ``span``, by central differences.  With ``linewidth`` the
     report also holds the deepest dip's half-depth FWHM and its linewidth
     figure; without, it skips that root search and leaves them None and NaN.
     """
-    if dd_dt == 0:
-        raise ValueError("dd_dt must be nonzero")
+    _check_slope(dd_dt)
     lo, hi = span
+    if not lo < hi:
+        raise ValueError(f"span must run from low to high, got ({lo}, {hi})")
     grid = np.linspace(lo, hi, SLOPE_POINTS)
     curve = np.asarray(curve_fn(grid), dtype=float)
     k, max_slope = _first_max(_abs_gradient(curve, grid[1] - grid[0]))
@@ -193,7 +200,7 @@ def estimate_temperature(
 
     Returns (temperature_k, uncertainty_k); the uncertainty combines both
     fitted center uncertainties.  Both fits must be converged and of the
-    same model family.
+    same model family, and ``t0`` (K) finite.
     """
     if not (fit_result.converged and calibration.converged):
         raise ValueError("both fits must be converged")
@@ -202,8 +209,9 @@ def estimate_temperature(
             f"model-family mismatch: {fit_result.model_kind} vs "
             f"{calibration.model_kind}"
         )
-    if dd_dt == 0:
-        raise ValueError("dd_dt must be nonzero")
+    _check_slope(dd_dt)
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
     d_fit, var_fit = _center_estimate(fit_result)
     d_cal, var_cal = _center_estimate(calibration)
     delta_t = (d_fit - d_cal) / dd_dt

@@ -92,6 +92,8 @@ class PhysicalEnvironment:
                 "b_parallel: exactly one of b_transverse, b_parallel may be "
                 f"nonzero, got {self.b_transverse} and {self.b_parallel}"
             )
+        if self.dd_dt == 0:  # no temperature reading comes from a flat splitting
+            problems.append(f"dd_dt must be nonzero, got {self.dd_dt}")
         check_fields(self, positive=("d0",), problems=problems)
 
     @property

@@ -221,7 +221,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "override, message",
         [
-            ("oracle.pump_rate=-1", "oracle.pump_rate: all rates must be finite"),
+            ("oracle.pump_rate=-1", "oracle.pump_rate must be >= 0, got -1"),
             ("oracle.pump_rate=0", "oracle.pump_rate: at least one dissipative"),
         ],
     )
@@ -230,6 +230,15 @@ class TestValidation:
         preset = str(PRESET_DIR / "oracle_weak_drive.json")
         assert main(["validate", "--config", preset, "--set", override]) == 1
         assert message in capsys.readouterr().out
+
+    def test_flat_splitting_judged_by_validate(self, capsys):
+        # A sweep on it would fit every row and then fail each for want of a slope.
+        preset = str(PRESET_DIR / "fig5_narrowing.json")
+        argv = ["--config", preset, "--set", "environment.dd_dt=0"]
+        assert main(["validate", *argv]) == 1
+        assert capsys.readouterr().out == "invalid: environment.dd_dt must be nonzero, got 0\n"
+        assert main(["sweep", *argv]) == 1
+        assert "environment.dd_dt must be nonzero" in capsys.readouterr().err
 
     def test_fit_requires_input(self, tmp_path):
         cfg = _write_config(tmp_path, {"mode": "fit", "fit": {"model": "dressed"}})

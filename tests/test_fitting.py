@@ -751,11 +751,18 @@ def _root_or_error(solver, f, a, b):
         return type(exc), str(exc)
 
 
+def _one_bracket(f, a, b):
+    """The root of ``f`` in [a, b] by ``fitting._solve_together`` alone."""
+    a, b = float(a), float(b)
+    bracket = (a, f(a), b, f(b))
+    return fitting._solve_together(lambda which, xs: [f(x) for x in xs.tolist()], [bracket])[0]
+
+
 class TestBrentq:
-    """``fitting.brentq`` is scipy's ``brentq`` at its defaults, to the bit."""
+    """``_solve_together`` on one bracket is scipy's ``brentq`` at its defaults, to the bit."""
 
     def _assert_same_as_scipy(self, f, a, b):
-        ours, theirs = _root_or_error(fitting.brentq, f, a, b), _root_or_error(brentq, f, a, b)
+        ours, theirs = _root_or_error(_one_bracket, f, a, b), _root_or_error(brentq, f, a, b)
         assert ours == theirs
         if isinstance(theirs, float):
             assert type(ours) is float and math.copysign(1.0, ours) == math.copysign(1.0, theirs)
@@ -839,7 +846,7 @@ class TestBrentq:
     def test_errors_as_scipy_raises_them(self, f, a, b, error, message):
         theirs = _root_or_error(brentq, f, a, b)
         assert theirs[0] is error and message in theirs[1]
-        assert _root_or_error(fitting.brentq, f, a, b) == theirs
+        assert _root_or_error(_one_bracket, f, a, b) == theirs
 
 
 class TestMultistart:

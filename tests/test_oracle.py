@@ -68,12 +68,12 @@ def _reference_spectrum(drive, grid, pump, db=0.0, dd=0.0, contrast=0.05):
 class TestLindbladModel:
     def test_rejects_negative_rates(self):
         h = rotating_hamiltonian_from_params(0.0, 0.0, 1.0, 0.1)
-        with pytest.raises(ValueError, match="rates"):
+        with pytest.raises(ValueError, match="pump_rate must be >= 0, got -1.0"):
             LindbladModel(h, -1.0)
         # A NaN rate passed every sign check and surfaced as a "steady
         # state is not unique" error from the solver.
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="rates"):
+            with pytest.raises(ValueError, match=f"dephase_b must be finite, got {bad}"):
                 LindbladModel(h, 1.0, dephase_b=bad)
 
     def test_requires_some_dissipation(self):

@@ -72,6 +72,12 @@ class TestNoiseBudget:
         with pytest.raises(ValueError, match="laser-power model"):
             BUDGET.at_laser_power(1.0)
 
+    @pytest.mark.parametrize("power", [0.0, -1.0, math.nan])
+    def test_laser_power_must_be_positive(self, power):
+        budget = NoiseBudget(1e6, rate_per_mw=1.0, pump_per_mw=1.0)
+        with pytest.raises(ValueError, match=f"laser power must be > 0, got {power}"):
+            budget.at_laser_power(power)
+
 
 class TestLinewidthSensitivity:
     def test_arithmetic_fixture(self):
@@ -95,6 +101,20 @@ class TestLinewidthSensitivity:
             linewidth_sensitivity(0.0, 0.05, BUDGET)
         with pytest.raises(ValueError):
             linewidth_sensitivity(1.0, 0.05, BUDGET, dd_dt=0.0)
+
+    @pytest.mark.parametrize(
+        "fwhm, contrast, dd_dt, message",
+        [
+            (math.nan, 0.05, -0.0742, "fwhm and contrast must be > 0, got nan and 0.05"),
+            (1.0, math.nan, -0.0742, "fwhm and contrast must be > 0, got 1.0 and nan"),
+            (1.0, 0.05, math.nan, "dd_dt must be finite and nonzero, got nan"),
+            (1.0, 0.05, math.inf, "dd_dt must be finite and nonzero, got inf"),
+            (1.0, 0.05, -0.0, "dd_dt must be finite and nonzero, got -0.0"),
+        ],
+    )
+    def test_no_nan_from_nan_inputs(self, fwhm, contrast, dd_dt, message):
+        with pytest.raises(ValueError, match=message):
+            linewidth_sensitivity(fwhm, contrast, BUDGET, dd_dt)
 
 
 class TestSlopeSensitivity:
@@ -120,6 +140,17 @@ class TestSlopeSensitivity:
     def test_flat_spectrum_rejected(self):
         with pytest.raises(ValueError, match="no spectral sensitivity"):
             slope_sensitivity(lambda g: np.ones_like(g), self.SPAN, BUDGET)
+
+    @pytest.mark.parametrize("dd_dt", [math.nan, math.inf, -math.inf, 0.0])
+    def test_slope_must_be_finite_and_nonzero(self, dd_dt):
+        with pytest.raises(ValueError, match=f"dd_dt must be finite and nonzero, got {dd_dt}"):
+            slope_sensitivity(_lorentz_curve(), self.SPAN, BUDGET, dd_dt)
+
+    @pytest.mark.parametrize("span", [(2900.0, 2840.0), (2870.0, 2870.0), (math.nan, 2900.0)])
+    def test_span_must_ascend(self, span):
+        # A reversed span used to be called a flat spectrum.
+        with pytest.raises(ValueError, match=r"span must run from low to high, got \("):
+            slope_sensitivity(_lorentz_curve(), span, BUDGET)
 
     def test_nonpositive_signal_at_steepest_point_rejected(self):
         # A dip deeper than the baseline has no shot-noise figure.
@@ -247,6 +278,21 @@ class TestEstimateTemperature:
         probe.converged = False
         with pytest.raises(ValueError, match="converged"):
             estimate_temperature(probe, cal, dd_dt=-0.0742, t0=300.0)
+
+    @pytest.mark.parametrize(
+        "dd_dt, t0, message",
+        [
+            (math.nan, 300.0, "dd_dt must be finite and nonzero, got nan"),
+            (math.inf, 300.0, "dd_dt must be finite and nonzero, got inf"),
+            (0.0, 300.0, "dd_dt must be finite and nonzero, got 0.0"),
+            (-0.0742, math.nan, "t0 must be finite, got nan"),
+            (-0.0742, -math.inf, "t0 must be finite, got -inf"),
+        ],
+    )
+    def test_no_nan_temperature(self, dd_dt, t0, message):
+        cal = self._fit_at(0.0)
+        with pytest.raises(ValueError, match=message):
+            estimate_temperature(cal, cal, dd_dt, t0)
 
 
 class TestSweepConfig:
