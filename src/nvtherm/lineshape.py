@@ -195,35 +195,57 @@ class _Workspace(threading.local):
 _workspace = _Workspace()
 
 
+class _Worker:
+    """``fn()`` on one new thread, started here and joined by ``join`` or ``result``.
+
+    The thread runs in a copy of the caller's context (numpy's error state
+    included) and, when given ``buffers``, adopts them as its work arrays
+    before ``fn`` takes any.  numpy releases the GIL in its loops and in
+    LAPACK, so the thread runs beside its caller.  ``fn`` may call no name
+    that ``benchmarks/tracing.py`` wraps: its span stack is not thread-safe.
+    """
+
+    def __init__(self, fn, name: str, buffers: dict | None = None):
+        self._result = []
+
+        def work():
+            if buffers is not None:
+                _workspace.buffers = buffers
+            try:
+                self._result.append(fn())
+            except BaseException as exc:  # re-raised on the calling thread
+                self._result.append(exc)
+
+        self._thread = threading.Thread(
+            target=contextvars.copy_context().run, args=(work,), name=name
+        )
+        self._thread.start()
+
+    def join(self) -> None:
+        self._thread.join()
+
+    def result(self):
+        """Join, then return ``fn()``'s value or raise its error."""
+        self._thread.join()
+        if isinstance(self._result[0], BaseException):
+            raise self._result.pop()
+        return self._result[0]
+
+
 def _on_two_threads(first, second, name: str) -> tuple:
-    """``(first(), second())``, with ``second`` run on one worker thread.
+    """``(first(), second())``, with ``second`` run on one ``_Worker``.
 
     The worker is started before ``first`` runs on the calling thread and
-    joined before this returns or raises; it runs in a copy of the caller's
-    context (numpy's error state included) with the caller's spare work
-    arrays.  numpy releases the GIL in its loops and in LAPACK, so the two
-    halves run at once.  If ``first`` raises, its error wins; otherwise an
-    error of ``second`` is raised here.  ``second`` may call no name that
-    ``benchmarks/tracing.py`` wraps: its span stack is not thread-safe.
+    joined before this returns or raises; it borrows the caller's spare
+    work arrays.  If ``first`` raises, its error wins; otherwise an error
+    of ``second`` is raised here.
     """
-    lent, result = _workspace.spare, []
-
-    def work():
-        _workspace.buffers = lent
-        try:
-            result.append(second())
-        except BaseException as exc:  # re-raised on the calling thread
-            result.append(exc)
-
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,), name=name)
-    worker.start()
+    worker = _Worker(second, name, _workspace.spare)
     try:
         head = first()
     finally:
         worker.join()
-    if isinstance(result[0], BaseException):
-        raise result.pop()
-    return head, result[0]
+    return head, worker.result()
 
 
 def _square(x):

@@ -166,8 +166,7 @@ def _branch_depletion(
     Builds the branch's own Hamiltonian and generator stacks from the
     undetuned ``h0`` and ``liouv0``.  The detunings enter only the
     generator's diagonal, so each point replays those 9 entries.  Calls
-    only untraced internals: ``oracle_spectrum`` runs the mirror branch on a
-    worker thread.
+    only untraced internals: it runs on worker threads (``_lindblad_solver``).
     """
     n = len(grid)
     h = np.repeat(h0[None], n, axis=0)
@@ -201,7 +200,9 @@ def oracle_spectrum(
     solves the mirror: numpy's batched SVD releases the GIL, so the two run
     at once, each on its own stacks, and every output keeps the bits of a
     one-thread solve.  The worker runs in a copy of the caller's context
-    (numpy's error state included).
+    (numpy's error state included).  A Lindblad sweep calls this for its
+    first point only; it solves each later point with ``_lindblad_solver``
+    while the point before it is fitted.
 
     Raises ``ValueError`` for a grid that ``Spectrum`` would refuse, before
     any solve, and ``DegenerateSteadyStateError`` naming the branch and the
@@ -209,6 +210,28 @@ def oracle_spectrum(
     branch's error wins when both fail.
     """
     require_dressed_mode(env)
+    solve = _lindblad_solver(env, drive, grid, pump_rate, dephase_b, dephase_d, contrast)
+    return solve(split=True)
+
+
+def _lindblad_solver(
+    env: PhysicalEnvironment,
+    drive: DriveConfig,
+    grid: np.ndarray,
+    pump_rate: float,
+    dephase_b: float,
+    dephase_d: float,
+    contrast: float,
+):
+    """``oracle_spectrum``'s checks and inputs, and a ``solve(split)`` for the rest.
+
+    Run on the calling thread: it checks the grid and the rates and builds
+    the shared Hamiltonian (``oracle_spectrum`` checks the mode first, and a
+    Lindblad sweep does so for each point).  ``solve`` calls only untraced
+    internals, so any one thread may run it: with ``split`` the mirror
+    branch on a worker of its own, without it both branches one after the
+    other on the thread that calls it.  Both give the same bits.
+    """
     grid = np.asarray(grid, dtype=float)
     check_grid(grid)
     (upper_b, mirror_b), (upper_d, mirror_d) = branch_detunings(
@@ -220,14 +243,6 @@ def oracle_spectrum(
         0.0, 0.0, drive.rabi_rf / 2.0, drive.rabi_mw / 2.0
     )
     base = LindbladModel(h0, pump_rate, dephase_b, dephase_d)
-    shared = (h0, _liouvillians(h0, base), base)
-    upper, mirror = _on_two_threads(
-        lambda: _branch_depletion(*shared, upper_b, upper_d, "upper", grid),
-        lambda: _branch_depletion(*shared, mirror_b, mirror_d, "mirror", grid),
-        "oracle-mirror",
-    )
-    depletion = upper + mirror
-    sig = 1.0 - contrast * depletion
     meta = {
         "model": "lindblad_oracle",
         "pump_rate": pump_rate,
@@ -238,4 +253,21 @@ def oracle_spectrum(
         "rabi_rf": drive.rabi_rf,
         "rabi_mw": drive.rabi_mw,
     }
-    return Spectrum(grid, sig, np.zeros_like(grid), meta)
+
+    def solve(split: bool) -> Spectrum:
+        shared = (h0, _liouvillians(h0, base), base)
+
+        def upper():
+            return _branch_depletion(*shared, upper_b, upper_d, "upper", grid)
+
+        def mirror():
+            return _branch_depletion(*shared, mirror_b, mirror_d, "mirror", grid)
+
+        if split:
+            upper_dep, mirror_dep = _on_two_threads(upper, mirror, "oracle-mirror")
+        else:
+            upper_dep, mirror_dep = upper(), mirror()
+        sig = 1.0 - contrast * (upper_dep + mirror_dep)
+        return Spectrum(grid, sig, np.zeros_like(grid), meta)
+
+    return solve

@@ -19,7 +19,13 @@ import numpy as np
 
 from . import fitting, lineshape, oracle
 from .lineshape import StrainDistribution
-from .spin import DEFAULT_DD_DT, DriveConfig, PhysicalEnvironment, check_fields
+from .spin import (
+    DEFAULT_DD_DT,
+    DriveConfig,
+    PhysicalEnvironment,
+    check_fields,
+    require_dressed_mode,
+)
 
 # Analytic max-slope constant of a Lorentzian dip.
 LORENTZIAN_SLOPE_CONSTANT = 4.0 / (3.0 * np.sqrt(3.0))
@@ -40,7 +46,8 @@ class NoiseBudget:
 
     ``rate_per_mw`` and ``pump_per_mw`` turn a laser power into a count rate
     and an optical pump rate; the contrast saturates as
-    contrast * pump / (pump + gamma_sat).
+    contrast * pump / (pump + gamma_sat).  When given, both must be > 0;
+    ``gamma_sat`` must be >= 0.
     """
 
     photon_rate: float
@@ -50,7 +57,13 @@ class NoiseBudget:
     gamma_sat: float = 1.0
 
     def __post_init__(self):
-        check_fields(self, positive=("photon_rate",), contrasts=("contrast",))
+        per_mw = [n for n in ("rate_per_mw", "pump_per_mw") if getattr(self, n) is not None]
+        check_fields(
+            self,
+            positive=("photon_rate", *per_mw),
+            nonnegative=("gamma_sat",),
+            contrasts=("contrast",),
+        )
 
     def at_laser_power(self, power_mw: float):
         """(photon_rate, pump_rate, contrast) at a given laser power in mW."""
@@ -122,7 +135,8 @@ def slope_sensitivity(
 
     eta = sqrt(S(nu*) / rate) / (|dS/dnu|(nu*) * |dd_dt|), with nu* the
     steepest point of the normalized signal on a ``SLOPE_POINTS`` grid over
-    the ascending ``span``, by central differences.  With ``linewidth`` the
+    the ascending ``span``, by central differences; a curve with a
+    non-finite sample is refused, naming its index.  With ``linewidth`` the
     report also holds the deepest dip's half-depth FWHM and its linewidth
     figure; without, it skips that root search and leaves them None and NaN.
     """
@@ -132,6 +146,10 @@ def slope_sensitivity(
         raise ValueError(f"span must run from low to high, got ({lo}, {hi})")
     grid = np.linspace(lo, hi, SLOPE_POINTS)
     curve = np.asarray(curve_fn(grid), dtype=float)
+    finite = np.isfinite(curve)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"curve must be finite, got {curve[i]} at index {i}")
     k, max_slope = _first_max(_abs_gradient(curve, grid[1] - grid[0]))
     if max_slope * (hi - lo) < 1e-12:
         raise ValueError("no spectral sensitivity: spectrum is flat")
@@ -312,26 +330,88 @@ def sweep(config: SweepConfig, budget: NoiseBudget) -> SweepTable:
 
     The budget sets the photon rate and the contrast.  Per-point seeds derive
     deterministically from (seed, point index); rows appear in grid order.
-    Failed fits are recorded with a reason, never dropped.
+    Failed fits are recorded with a reason, never dropped.  A dressed
+    Lindblad sweep solves point k+1's spectrum on one worker thread while
+    point k is fitted (``_LindbladAhead``); the worker is joined before this
+    returns or raises, and every row keeps the bits of a serial sweep.
     """
     axis_names = [name for name, _ in config.axes]
     axis_values = [np.asarray(vals, dtype=float) for _, vals in config.axes]
     columns = axis_names + [*SWEEP_SCORES, "converged", "status"]
+    points = [dict(zip(axis_names, combo)) for combo in itertools.product(*axis_values)]
+    ahead = None
+    if config.generator == "lindblad" and config.fit_model == "dressed":
+        ahead = _LindbladAhead(config, budget, points)
     rows = []
-    for index, combo in enumerate(itertools.product(*axis_values)):
-        point = dict(zip(axis_names, combo))
-        row = {name: float(v) for name, v in point.items()}
-        try:
-            row.update(_sweep_point(config, budget, point, index))
-        except (fitting.FitError, ValueError, RuntimeError) as exc:
-            row.update(dict.fromkeys(SWEEP_SCORES, float("nan")))
-            row.update(converged=False, status=f"error: {exc}")
-        rows.append(row)
+    try:
+        for index, point in enumerate(points):
+            row = {name: float(v) for name, v in point.items()}
+            try:
+                row.update(_sweep_point(config, budget, point, index, ahead))
+            except (fitting.FitError, ValueError, RuntimeError) as exc:
+                row.update(dict.fromkeys(SWEEP_SCORES, float("nan")))
+                row.update(converged=False, status=f"error: {exc}")
+            rows.append(row)
+    finally:
+        if ahead is not None:
+            ahead.close()
     return SweepTable(columns=columns, rows=rows)
 
 
-def _sweep_point(config: SweepConfig, budget: NoiseBudget, point: dict, index: int):
-    env = config.environment
+class _LindbladAhead:
+    """A Lindblad sweep's clean spectra, each solved while the point before it is fitted.
+
+    ``clean(index, args)`` returns point ``index``'s spectrum: the worker's
+    solve when one was started for it, else ``oracle.oracle_spectrum(*args)``
+    with its two-thread branch split (the first point).  Before it returns
+    or raises, it checks and builds point index+1's inputs on the calling
+    thread and starts one worker thread that solves its two branches one
+    after the other; so at most one solve is in flight, and an error of
+    point index+1 is raised by that point's own call.
+    """
+
+    def __init__(self, config: SweepConfig, budget: NoiseBudget, points: list):
+        self.config, self.budget, self.points = config, budget, points
+        self.pending = None  # (index, worker, error of its checks)
+
+    def clean(self, index: int, args: tuple) -> lineshape.Spectrum:
+        try:
+            if self.pending is None or self.pending[0] != index:
+                self.close()  # left by a point that failed before it needed its spectrum
+                return oracle.oracle_spectrum(*args)
+            _, worker, error = self.pending
+            self.pending = None
+            if error is not None:
+                raise error
+            return worker.result()
+        finally:
+            self._start(index + 1)
+
+    def _start(self, index: int) -> None:
+        if index >= len(self.points):
+            return
+        try:
+            drive, _, contrast, gamma_b, gamma_d = _point_inputs(
+                self.config, self.budget, self.points[index]
+            )
+            args = _lindblad_args(self.config, drive, gamma_b, gamma_d, contrast)
+            require_dressed_mode(args[0])
+            solve = oracle._lindblad_solver(*args)
+        except Exception as exc:  # raised by the point's own call
+            self.pending = (index, None, exc)
+            return
+        worker = lineshape._Worker(lambda: solve(split=False), "lindblad-ahead")
+        self.pending = (index, worker, None)
+
+    def close(self) -> None:
+        """Join the worker, if one is running."""
+        if self.pending is not None and self.pending[1] is not None:
+            self.pending[1].join()
+        self.pending = None
+
+
+def _point_inputs(config: SweepConfig, budget: NoiseBudget, point: dict):
+    """(drive, photon rate, contrast, gamma_b, gamma_d) at one sweep point."""
     amplitudes = {k: v for k, v in point.items() if k in ("rabi_mw", "rabi_rf")}
     drive = replace(config.drive, **amplitudes)
     gamma_b, gamma_d = config.gamma_b, config.gamma_d
@@ -340,23 +420,40 @@ def _sweep_point(config: SweepConfig, budget: NoiseBudget, point: dict, index: i
         rate, pump, contrast = budget.at_laser_power(point["laser_power_mw"])
         gamma_b = pump / 2.0
         gamma_d = pump / 2.0 * (config.gamma_d / config.gamma_b)
+    return drive, rate, contrast, gamma_b, gamma_d
+
+
+def _lindblad_args(config: SweepConfig, drive, gamma_b, gamma_d, contrast) -> tuple:
+    """``oracle_spectrum``'s arguments for one point, at the strain mean.
+
+    Saturating three-level generator; damping-rate mapping
+    gamma = pump/2 + dephasing.
+    """
+    g_lo = min(gamma_b, gamma_d)
+    env = replace(config.environment, ex=config.strain.mean_ex)
+    return (env, drive, config.grid, 2.0 * g_lo, gamma_b - g_lo, gamma_d - g_lo, contrast)
+
+
+def _sweep_point(
+    config: SweepConfig,
+    budget: NoiseBudget,
+    point: dict,
+    index: int,
+    ahead: _LindbladAhead | None = None,
+):
+    """One sweep row's scores: generate, add noise, fit and score point ``index``.
+
+    A Lindblad point takes its clean spectrum from ``ahead`` when given,
+    waiting here for its solve, so a call's time covers its own spectrum.
+    """
+    env = config.environment
+    drive, rate, contrast, gamma_b, gamma_d = _point_inputs(config, budget, point)
     dd_dt = env.dd_dt
 
     if config.fit_model == "dressed":
         if config.generator == "lindblad":
-            # Saturating three-level generator; damping-rate mapping
-            # gamma = pump/2 + dephasing.
-            g_lo = min(gamma_b, gamma_d)
-            pump = 2.0 * g_lo
-            clean = oracle.oracle_spectrum(
-                replace(env, ex=config.strain.mean_ex),
-                drive,
-                config.grid,
-                pump,
-                dephase_b=gamma_b - g_lo,
-                dephase_d=gamma_d - g_lo,
-                contrast=contrast,
-            )
+            args = _lindblad_args(config, drive, gamma_b, gamma_d, contrast)
+            clean = oracle.oracle_spectrum(*args) if ahead is None else ahead.clean(index, args)
         else:
             clean = lineshape.ensemble_spectrum(
                 env, drive, config.grid, gamma_b, gamma_d, contrast, config.strain

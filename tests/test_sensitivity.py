@@ -1,13 +1,17 @@
 """Tests for sensitivity figures, temperature estimation, and sweeps."""
 
 import csv
+import itertools
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from nvtherm.fitting import DressedDip, MultiLorentzian, fit
+from nvtherm import lineshape, oracle, sensitivity
+from nvtherm.fitting import DressedDip, FitError, MultiLorentzian, fit
 from nvtherm.lineshape import (
     StrainDistribution,
     conventional_spectrum,
@@ -20,6 +24,7 @@ from nvtherm.sensitivity import (
     SLOPE_POINTS,
     NoiseBudget,
     SweepConfig,
+    SweepTable,
     estimate_temperature,
     linewidth_sensitivity,
     slope_sensitivity,
@@ -71,6 +76,35 @@ class TestNoiseBudget:
     def test_laser_power_model_unconfigured(self):
         with pytest.raises(ValueError, match="laser-power model"):
             BUDGET.at_laser_power(1.0)
+
+    @pytest.mark.parametrize(
+        "fields, messages",
+        [
+            ({"rate_per_mw": 0.0}, ["rate_per_mw must be > 0, got 0.0"]),
+            ({"pump_per_mw": -1.0}, ["pump_per_mw must be > 0, got -1.0"]),
+            ({"gamma_sat": -1.0}, ["gamma_sat must be >= 0, got -1.0"]),
+            (
+                {"rate_per_mw": -1.0, "pump_per_mw": 0.0, "gamma_sat": -0.5},
+                [
+                    "rate_per_mw must be > 0, got -1.0",
+                    "pump_per_mw must be > 0, got 0.0",
+                    "gamma_sat must be >= 0, got -0.5",
+                ],
+            ),
+            ({"gamma_sat": math.inf}, ["gamma_sat must be finite, got inf"]),
+        ],
+    )
+    def test_laser_power_fields_judged(self, fields, messages):
+        # Before, a negative rate_per_mw gave a negative photon rate and
+        # pump + gamma_sat = 0 a ZeroDivisionError in at_laser_power.
+        with pytest.raises(ConfigError) as caught:
+            NoiseBudget(1e6, **{"rate_per_mw": 1.0, "pump_per_mw": 1.0, **fields})
+        assert caught.value.diagnostics == messages
+
+    def test_laser_power_fields_may_be_absent_and_saturation_zero(self):
+        assert NoiseBudget(1e6, gamma_sat=0.0).rate_per_mw is None
+        budget = NoiseBudget(1e6, contrast=0.1, rate_per_mw=1.0, pump_per_mw=1.0, gamma_sat=0.0)
+        assert budget.at_laser_power(2.0) == (2.0, 2.0, 0.1)
 
     @pytest.mark.parametrize("power", [0.0, -1.0, math.nan])
     def test_laser_power_must_be_positive(self, power):
@@ -223,7 +257,6 @@ def _scan_curves(seed):
         "equal steps": lambda g: 1.0
         - 0.01 * (at >= rng.choice(chunk_edges))
         - 0.01 * (at >= rng.choice(chunk_edges)),
-        "nan": lambda g: np.where(at == rng.integers(SLOPE_POINTS), np.nan, _lorentz_curve()(g)),
     }
 
 
@@ -242,6 +275,17 @@ class TestSlopeScan:
             assert report.best_frequency == best, name
             for ours, dense in ((report.eta_slope, eta), (report.inputs["contrast"], depth)):
                 assert ours == dense or (math.isnan(ours) and math.isnan(dense)), name
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_refused(self, seed, bad):
+        # A dense gradient would give eta_slope = NaN at the first NaN slope.
+        at = np.random.default_rng(seed).integers(SLOPE_POINTS)
+        span = (2840.0, 2900.0)
+        curve = _lorentz_curve()(np.linspace(*span, SLOPE_POINTS))
+        curve[at] = bad
+        with pytest.raises(ValueError, match=f"curve must be finite, got {bad} at index {at}$"):
+            slope_sensitivity(lambda g: curve, span, BUDGET)
 
 
 class TestEstimateTemperature:
@@ -499,3 +543,128 @@ class TestSweep:
         lines = text.strip().splitlines()
         assert lines[0].startswith("rabi_mw,fwhm_mhz,")
         assert len(lines) == 2
+
+
+class TestLindbladPipeline:
+    """A Lindblad sweep solves point k+1 on a worker while point k is fitted."""
+
+    BUDGET = NoiseBudget(4e6, contrast=0.05, rate_per_mw=1e6, pump_per_mw=0.5, gamma_sat=0.1)
+
+    @staticmethod
+    def _config(axes=(("rabi_rf", (2.0, 4.0)), ("rabi_mw", (0.8, 1.6))), points=81):
+        # The sensitivity_map preset on a coarse grid.
+        return SweepConfig(
+            axes=axes,
+            environment=PhysicalEnvironment(ex=8.0, b_transverse=80.0),
+            drive=DriveConfig(omega_rf=12.0, rabi_rf=4.0, rabi_mw=0.8),
+            grid=np.linspace(2848.0, 2892.0, points),
+            strain=StrainDistribution(8.0),
+            gamma_b=1.0,
+            gamma_d=0.1,
+            generator="lindblad",
+            seed=11,
+        )
+
+    @staticmethod
+    def _serial(config, budget):
+        """The sweep with a direct ``oracle_spectrum`` call in each ``_sweep_point``."""
+        names = [name for name, _ in config.axes]
+        rows = []
+        for index, combo in enumerate(itertools.product(*(v for _, v in config.axes))):
+            point = dict(zip(names, map(float, combo)))
+            row = dict(point)
+            try:
+                row.update(sensitivity._sweep_point(config, budget, point, index))
+            except (FitError, ValueError, RuntimeError) as exc:
+                row.update(dict.fromkeys(sensitivity.SWEEP_SCORES, float("nan")))
+                row.update(converged=False, status=f"error: {exc}")
+            rows.append(row)
+        return SweepTable(names + [*sensitivity.SWEEP_SCORES, "converged", "status"], rows)
+
+    def _workers(self, monkeypatch):
+        started = []
+        worker = lineshape._Worker
+
+        def record(fn, name, buffers=None):
+            started.append(worker(fn, name, buffers))
+            return started[-1]
+
+        monkeypatch.setattr(lineshape, "_Worker", record)
+        return started
+
+    def test_equal_to_direct_solves_cell_for_cell(self, monkeypatch):
+        config = self._config()
+        serial = self._serial(config, BUDGET).to_csv()
+        direct, solve = [], oracle.oracle_spectrum
+
+        def counted(*args):
+            direct.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(oracle, "oracle_spectrum", counted)
+        started = self._workers(monkeypatch)
+        table = sweep(config, BUDGET)
+        assert table.to_csv() == serial
+        assert [r["status"] for r in table.rows] == ["ok"] * 4
+        # The first point is solved directly (its mirror on a worker), the
+        # other three ahead, one worker each.
+        assert len(direct) == 1
+        assert [w._thread.name for w in started].count("lindblad-ahead") == 3
+
+    def test_errors_land_in_their_own_rows(self):
+        # A pump of 5e-14 MHz leaves the steady state degenerate at point 1;
+        # point 3's laser power fails before its spectrum is needed, so
+        # point 4 is solved directly.
+        config = self._config(axes=(("laser_power_mw", (4.0, 1e-13, 4.0, -1.0, 2.0)),))
+        table = sweep(config, self.BUDGET)
+        status = [r["status"] for r in table.rows]
+        assert status[1] == (
+            "error: steady state is not unique on the upper branch at 2848.0 MHz: "
+            "zero-eigenvalue multiplicity 3"
+        )
+        assert status[3] == "error: laser power must be > 0, got -1.0"
+        assert status[0] == status[2] == status[4] == "ok"
+        assert table.to_csv() == self._serial(config, self.BUDGET).to_csv()
+
+    def test_no_thread_outlives_a_sweep(self, monkeypatch):
+        config = self._config()
+        before = threading.active_count()
+        sweep(config, BUDGET)
+        assert threading.active_count() == before
+
+        # A slow solve is still running when the second point's scoring
+        # raises an error that the sweep does not record.
+        depletion, scores, calls = oracle._branch_depletion, sensitivity.slope_sensitivity, []
+
+        def slow(*args):
+            time.sleep(0.1)
+            return depletion(*args)
+
+        def fail_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyError("scoring failed")
+            return scores(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_branch_depletion", slow)
+        monkeypatch.setattr(sensitivity, "slope_sensitivity", fail_second)
+        started = self._workers(monkeypatch)
+        with pytest.raises(KeyError, match="scoring failed"):
+            sweep(config, BUDGET)
+        assert threading.active_count() == before
+        assert [w._thread.name for w in started].count("lindblad-ahead") == 2
+
+    def test_worker_runs_in_the_callers_error_state(self, monkeypatch):
+        seen = []
+        depletion = oracle._branch_depletion
+
+        def record(*args):
+            seen.append((threading.current_thread().name, np.geterr()["over"], np.geterr()["under"]))
+            return depletion(*args)
+
+        monkeypatch.setattr(oracle, "_branch_depletion", record)
+        with np.errstate(over="raise", under="warn"):
+            sweep(self._config(), BUDGET)
+        ahead = [s for s in seen if s[0] == "lindblad-ahead"]
+        assert len(ahead) == 6  # two branches of each of three points
+        assert set(ahead) == {("lindblad-ahead", "raise", "warn")}
