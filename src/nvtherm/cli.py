@@ -273,11 +273,12 @@ def _build(doc: dict, seed: int) -> _Run:
         axes = tuple((a["name"], tuple(a["values"])) for a in sd.get("axes", []))
         config = dict(sd, axes=axes, environment=env, drive=drive, grid=run.grid, strain=strain)
         run.sweep = judge("sweep", sensitivity.SweepConfig, dict(config, seed=seed, **run.rates))
-    # Each laser power is judged by the budget's own rule; one problem per axis.
+    # Each axis value is judged as a sweep point builds it (a drive amplitude
+    # by DriveConfig, a laser power by the budget); one problem per axis.
     for i, (name, values) in enumerate(run.sweep.axes if run.sweep and budget else ()):
-        for power in values if name == "laser_power_mw" else ():
+        for value in values:
             try:
-                budget.at_laser_power(power)
+                sensitivity._point_inputs(run.sweep, budget, {name: value})
             except ValueError as exc:
                 diags.append(f"sweep.axes[{i}] {name}: {exc}")
                 break

@@ -173,10 +173,11 @@ class _Workspace(threading.local):
     kernel, so arrays made and freed per block would fault on every block.
     A larger request gets a new array, so a long direct call holds no memory
     after it.  Each thread has its own buffers, and a second set, ``spare``,
-    that it lends to the worker of ``_on_two_threads``: the worker adopts it
-    before it takes a buffer, so a new thread per call maps no new pages,
-    and the set lives on in its lender between calls.  No view leaves this
-    module: the public functions return arrays that their caller owns.
+    that it lends to the worker of ``dressed_signal``'s row split: the
+    worker adopts it before it takes a buffer, so a new thread per call
+    maps no new pages, and the set lives on in its lender between calls.
+    No view leaves this module: the public functions return arrays that
+    their caller owns.
     """
 
     def __init__(self):
@@ -203,6 +204,9 @@ class _Worker:
     before ``fn`` takes any.  numpy releases the GIL in its loops and in
     LAPACK, so the thread runs beside its caller.  ``fn`` may call no name
     that ``benchmarks/tracing.py`` wraps: its span stack is not thread-safe.
+    Two callers start one: ``dressed_signal``'s strain-row split, which
+    lends its spare work arrays, and a Lindblad sweep's solve of the next
+    point (``sensitivity._LindbladAhead``).
     """
 
     def __init__(self, fn, name: str, buffers: dict | None = None):
@@ -230,22 +234,6 @@ class _Worker:
         if isinstance(self._result[0], BaseException):
             raise self._result.pop()
         return self._result[0]
-
-
-def _on_two_threads(first, second, name: str) -> tuple:
-    """``(first(), second())``, with ``second`` run on one ``_Worker``.
-
-    The worker is started before ``first`` runs on the calling thread and
-    joined before this returns or raises; it borrows the caller's spare
-    work arrays.  If ``first`` raises, its error wins; otherwise an error
-    of ``second`` is raised here.
-    """
-    worker = _Worker(second, name, _workspace.spare)
-    try:
-        head = first()
-    finally:
-        worker.join()
-    return head, worker.result()
 
 
 def _square(x):
@@ -380,12 +368,13 @@ def dressed_signal(
     parameters and as many of its nodes as fit, each node's weighted signal
     added to the row in node order.
 
-    With a spread, 2 or more rows are split over two threads
-    (``_on_two_threads``): the calling thread averages the first
-    ceil(rows/2), one worker the rest, through ``_dressed_depletion``.  Each
-    row is still averaged alone, so the split changes no bit.  A single row,
-    and the path without a spread (a Jacobian's rows in one call, shorter
-    than a thread's start and join), stay on the calling thread.
+    With a spread, 2 or more rows are split over two threads: the calling
+    thread averages the first ceil(rows/2), one ``_Worker`` the rest,
+    through ``_dressed_depletion``, and the worker is joined before this
+    returns or raises.  Each row is still averaged alone, so the split
+    changes no bit.  A single row, and the path without a spread (a
+    Jacobian's rows in one call, shorter than a thread's start and join),
+    stay on the calling thread.
     """
     params = (d, rabi_rf, rabi_mw, gamma_b, gamma_d)
     rows = [p for p in (ex, sigma_ex, *params) if isinstance(p, np.ndarray) and p.ndim]
@@ -439,11 +428,14 @@ def dressed_signal(
         average(indices, dressed_depletion)
         return out
     half = (len(indices) + 1) // 2
-    _on_two_threads(
-        lambda: average(indices[:half], dressed_depletion),
-        lambda: average(indices[half:], _dressed_depletion),
-        "dressed-rows",
+    worker = _Worker(
+        lambda: average(indices[half:], _dressed_depletion), "dressed-rows", _workspace.spare
     )
+    try:
+        average(indices[:half], dressed_depletion)
+    finally:
+        worker.join()
+    worker.result()  # the calling thread's error wins; else the worker's is raised here
     return out
 
 

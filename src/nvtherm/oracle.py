@@ -5,6 +5,8 @@ closed-form lineshape, so sign and mapping ambiguities can be arbitrated
 against it.  Dissipation is modeled as optical repolarization into |0>
 plus optional pure dephasing; the effective damping rates of the
 closed-form model map as gamma_b = pump_rate/2 + dephase_b (same for d).
+A spectrum's two dressed branches are solved one after the other on the
+thread that asks for it; this module starts no thread.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lineshape import DEFAULT_CONTRAST, Spectrum, _on_two_threads, check_grid
+from .lineshape import DEFAULT_CONTRAST, Spectrum, check_grid
 from .spin import (
     DriveConfig,
     PhysicalEnvironment,
@@ -166,7 +168,8 @@ def _branch_depletion(
     Builds the branch's own Hamiltonian and generator stacks from the
     undetuned ``h0`` and ``liouv0``.  The detunings enter only the
     generator's diagonal, so each point replays those 9 entries.  Calls
-    only untraced internals: it runs on worker threads (``_lindblad_solver``).
+    only untraced internals: it runs on a Lindblad sweep's worker thread
+    (``_lindblad_solver``).
     """
     n = len(grid)
     h = np.repeat(h0[None], n, axis=0)
@@ -194,24 +197,16 @@ def oracle_spectrum(
     """Spectrum from the master-equation steady state at each MW frequency.
 
     The |0>-depletions of the upper dressed branch (the RF sideband) and of
-    its mirror are solved independently and added, as in the closed form.
-    The calling thread solves the upper branch while one worker thread,
-    started and joined within the call by ``lineshape._on_two_threads``,
-    solves the mirror: numpy's batched SVD releases the GIL, so the two run
-    at once, each on its own stacks, and every output keeps the bits of a
-    one-thread solve.  The worker runs in a copy of the caller's context
-    (numpy's error state included).  A Lindblad sweep calls this for its
-    first point only; it solves each later point with ``_lindblad_solver``
-    while the point before it is fitted.
+    its mirror are solved independently, one after the other on the calling
+    thread, and added, as in the closed form.
 
     Raises ``ValueError`` for a grid that ``Spectrum`` would refuse, before
     any solve, and ``DegenerateSteadyStateError`` naming the branch and the
-    first MW frequency whose steady state is not unique; the upper
-    branch's error wins when both fail.
+    first MW frequency whose steady state is not unique; the upper branch
+    is solved first, so its error wins when both fail.
     """
     require_dressed_mode(env)
-    solve = _lindblad_solver(env, drive, grid, pump_rate, dephase_b, dephase_d, contrast)
-    return solve(split=True)
+    return _lindblad_solver(env, drive, grid, pump_rate, dephase_b, dephase_d, contrast)()
 
 
 def _lindblad_solver(
@@ -223,14 +218,14 @@ def _lindblad_solver(
     dephase_d: float,
     contrast: float,
 ):
-    """``oracle_spectrum``'s checks and inputs, and a ``solve(split)`` for the rest.
+    """``oracle_spectrum``'s checks and inputs, and a no-argument solve for the rest.
 
     Run on the calling thread: it checks the grid and the rates and builds
     the shared Hamiltonian (``oracle_spectrum`` checks the mode first, and a
-    Lindblad sweep does so for each point).  ``solve`` calls only untraced
-    internals, so any one thread may run it: with ``split`` the mirror
-    branch on a worker of its own, without it both branches one after the
-    other on the thread that calls it.  Both give the same bits.
+    Lindblad sweep does so for each point).  The returned solve calls only
+    untraced internals, so any one thread may run it: a Lindblad sweep runs
+    it on a worker for each point after the first, while the point before
+    it is fitted.
     """
     grid = np.asarray(grid, dtype=float)
     check_grid(grid)
@@ -254,20 +249,11 @@ def _lindblad_solver(
         "rabi_mw": drive.rabi_mw,
     }
 
-    def solve(split: bool) -> Spectrum:
+    def solve() -> Spectrum:
         shared = (h0, _liouvillians(h0, base), base)
-
-        def upper():
-            return _branch_depletion(*shared, upper_b, upper_d, "upper", grid)
-
-        def mirror():
-            return _branch_depletion(*shared, mirror_b, mirror_d, "mirror", grid)
-
-        if split:
-            upper_dep, mirror_dep = _on_two_threads(upper, mirror, "oracle-mirror")
-        else:
-            upper_dep, mirror_dep = upper(), mirror()
-        sig = 1.0 - contrast * (upper_dep + mirror_dep)
+        upper = _branch_depletion(*shared, upper_b, upper_d, "upper", grid)
+        mirror = _branch_depletion(*shared, mirror_b, mirror_d, "mirror", grid)
+        sig = 1.0 - contrast * (upper + mirror)
         return Spectrum(grid, sig, np.zeros_like(grid), meta)
 
     return solve

@@ -272,7 +272,10 @@ class SweepConfig:
         problems = []
         if not 1 <= len(self.axes) <= 2:
             problems.append(f"axes: a sweep has one or two axes, got {len(self.axes)}")
+        names = [name for name, _ in self.axes]
         for i, (name, values) in enumerate(self.axes):
+            if name in names[:i]:  # each point's dict would keep the later value
+                problems.append(f"axes[{i}] {name!r} repeats axes[{names.index(name)}]")
             if name not in SWEEP_PARAMETER_WHITELIST:
                 problems.append(
                     f"axes[{i}] name {name!r} not allowed (not sweepable); "
@@ -292,11 +295,14 @@ class SweepConfig:
             )
         if self.generator not in ("closed_form", "lindblad"):
             problems.append(f"generator must be closed_form or lindblad, got {self.generator!r}")
-        elif self.generator == "lindblad" and self.strain.sigma_ex != 0.0:
-            problems.append(
-                "generator 'lindblad' does not support strain averaging, "
-                f"got sigma_ex = {self.strain.sigma_ex}"
-            )
+        elif self.generator == "lindblad":
+            if self.strain.sigma_ex != 0.0:
+                problems.append(
+                    "generator 'lindblad' does not support strain averaging, "
+                    f"got sigma_ex = {self.strain.sigma_ex}"
+                )
+            if self.fit_model == "lorentzian":  # a Lorentzian sweep generates Lorentzian spectra
+                problems.append("generator 'lindblad' requires fit_model 'dressed'")
         positive = ("gamma_b", "gamma_d", "dwell", "lorentzian_peaks", "lorentzian_fwhm")
         check_fields(self, positive=positive, problems=problems)
 
@@ -330,8 +336,8 @@ def sweep(config: SweepConfig, budget: NoiseBudget) -> SweepTable:
 
     The budget sets the photon rate and the contrast.  Per-point seeds derive
     deterministically from (seed, point index); rows appear in grid order.
-    Failed fits are recorded with a reason, never dropped.  A dressed
-    Lindblad sweep solves point k+1's spectrum on one worker thread while
+    Failed fits are recorded with a reason, never dropped.  A Lindblad
+    sweep solves point k+1's spectrum on one worker thread while
     point k is fitted (``_LindbladAhead``); the worker is joined before this
     returns or raises, and every row keeps the bits of a serial sweep.
     """
@@ -340,7 +346,7 @@ def sweep(config: SweepConfig, budget: NoiseBudget) -> SweepTable:
     columns = axis_names + [*SWEEP_SCORES, "converged", "status"]
     points = [dict(zip(axis_names, combo)) for combo in itertools.product(*axis_values)]
     ahead = None
-    if config.generator == "lindblad" and config.fit_model == "dressed":
+    if config.generator == "lindblad":
         ahead = _LindbladAhead(config, budget, points)
     rows = []
     try:
@@ -363,11 +369,11 @@ class _LindbladAhead:
 
     ``clean(index, args)`` returns point ``index``'s spectrum: the worker's
     solve when one was started for it, else ``oracle.oracle_spectrum(*args)``
-    with its two-thread branch split (the first point).  Before it returns
-    or raises, it checks and builds point index+1's inputs on the calling
-    thread and starts one worker thread that solves its two branches one
-    after the other; so at most one solve is in flight, and an error of
-    point index+1 is raised by that point's own call.
+    on the calling thread (the first point).  Before it returns or raises,
+    it checks and builds point index+1's inputs on the calling thread and
+    starts one worker thread that solves them; so at most one solve is in
+    flight, and an error of point index+1 is raised by that point's own
+    call.
     """
 
     def __init__(self, config: SweepConfig, budget: NoiseBudget, points: list):
@@ -400,7 +406,7 @@ class _LindbladAhead:
         except Exception as exc:  # raised by the point's own call
             self.pending = (index, None, exc)
             return
-        worker = lineshape._Worker(lambda: solve(split=False), "lindblad-ahead")
+        worker = lineshape._Worker(solve, "lindblad-ahead")
         self.pending = (index, worker, None)
 
     def close(self) -> None:

@@ -123,6 +123,11 @@ class TestValidation:
                 'sweep.axes=[{"name":"laser_power_mw","values":[2.0,-1.0]}]',
                 "sweep.axes[0] laser_power_mw: laser power must be > 0, got -1.0",
             ),
+            (
+                'sweep.axes=[{"name":"rabi_rf","values":[3,6]},{"name":"rabi_rf","values":[12]}]',
+                "sweep.axes[1] 'rabi_rf' repeats axes[0]",
+            ),
+            ('sweep.fit_model="lorentzian"', "sweep.generator 'lindblad' requires fit_model 'dressed'"),
         ],
     )
     def test_library_rules_judged_by_validate(self, override, field, capsys):
@@ -147,6 +152,20 @@ class TestValidation:
             argv += ["--set", item]
         assert main(argv) == 0
         assert capsys.readouterr().out == "valid: no problems found\n"
+
+    def test_drive_axis_values_judged_by_validate(self, capsys):
+        # Judged by DriveConfig's rule, as each sweep point builds its drive:
+        # one problem per axis, not one per value.
+        axes = [
+            {"name": "rabi_rf", "values": [-1.0, 6.0, -2.0]},
+            {"name": "rabi_mw", "values": [0.6, -0.5]},
+        ]
+        preset = str(PRESET_DIR / "fig5_narrowing.json")
+        assert main(["validate", "--config", preset, "--set", f"sweep.axes={json.dumps(axes)}"]) == 1
+        assert capsys.readouterr().out == (
+            "invalid: sweep.axes[0] rabi_rf: rabi_rf must be >= 0, got -1.0\n"
+            "invalid: sweep.axes[1] rabi_mw: rabi_mw must be >= 0, got -0.5\n"
+        )
 
     def test_quadrature_node_cap_judged_by_validate(self, capsys):
         # Past the cap the Gauss-Hermite weights sum to 0 (371) or overflow

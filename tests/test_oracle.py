@@ -284,7 +284,7 @@ class TestOracleSpectrum:
             raise AssertionError("solved a refused grid")
 
         monkeypatch.setattr(oracle, "_liouvillians", no_solve)
-        monkeypatch.setattr(lineshape.threading, "Thread", no_solve)  # the mirror's worker
+        monkeypatch.setattr(lineshape.threading, "Thread", no_solve)
         with pytest.raises(ValueError, match=re.escape(message)):
             oracle_spectrum(ENV, self.DRIVE, grid, 2.0)
 
@@ -346,24 +346,28 @@ class TestOracleSpectrum:
 
 
 class TestOracleThreads:
-    """The mirror branch's worker thread leaves nothing behind and shares nothing."""
+    """A spectrum is solved on the thread that asks for it and shares nothing."""
 
     POINT_9 = (DriveConfig(rabi_mw=3.2, omega_rf=12.0, rabi_rf=2.0), np.linspace(2848.0, 2892.0, 441))
 
-    def test_no_thread_outlives_a_call(self):
+    def test_starts_no_thread(self, monkeypatch):
+        def no_worker(*args, **kwargs):
+            raise AssertionError("oracle_spectrum started a worker")
+
+        monkeypatch.setattr(lineshape, "_Worker", no_worker)
+        monkeypatch.setattr(lineshape.threading, "Thread", no_worker)
         drive, grid = self.POINT_9
         before = threading.active_count()
         oracle_spectrum(ENV, drive, grid, 0.2, dephase_b=0.9)
-        assert threading.active_count() == before
         stuck = DriveConfig(rabi_mw=0.0, omega_rf=16.0, rabi_rf=4.0)
         with pytest.raises(DegenerateSteadyStateError):
             oracle_spectrum(ENV, stuck, grid[:5], 0.0, 1.0, 1.0)
         assert threading.active_count() == before
 
     def test_concurrent_callers_get_a_lone_calls_bits(self):
-        # 4 callers (8 solving threads on 2 cores) with a short switch
-        # interval: a branch that wrote into another call's stack, or a
-        # caller that read another call's mirror, would change bits.
+        # 4 callers on 2 cores with a short switch interval: a branch that
+        # wrote into another call's stack, or a caller that read another
+        # call's mirror, would change bits.
         drive, grid = self.POINT_9
         lone = oracle_spectrum(ENV, drive, grid, 0.2, dephase_b=0.9).signal
         results = [None] * 4

@@ -389,6 +389,20 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="strain"):
             self._config(generator="lindblad", strain=StrainDistribution(8.0, sigma_ex=0.3))
 
+    def test_lindblad_generator_excludes_lorentzian_fit(self):
+        # A Lorentzian sweep generates conventional spectra, so the pair
+        # would run without a single Lindblad solve.
+        with pytest.raises(ConfigError) as caught:
+            self._config(generator="lindblad", fit_model="lorentzian")
+        assert caught.value.diagnostics == ["generator 'lindblad' requires fit_model 'dressed'"]
+
+    def test_rejects_repeated_axis(self):
+        # The later axis would overwrite the earlier in every point, and the
+        # CSV would label rows run at 12 as 3 and 6.
+        with pytest.raises(ConfigError) as caught:
+            self._config(axes=(("rabi_rf", (3.0, 6.0)), ("rabi_rf", (12.0,))))
+        assert caught.value.diagnostics == ["axes[1] 'rabi_rf' repeats axes[0]"]
+
 
 _ENV = PhysicalEnvironment(ex=8.0, b_transverse=80.0)
 _GRID = np.linspace(2850.0, 2890.0, 41)
@@ -606,10 +620,10 @@ class TestLindbladPipeline:
         table = sweep(config, BUDGET)
         assert table.to_csv() == serial
         assert [r["status"] for r in table.rows] == ["ok"] * 4
-        # The first point is solved directly (its mirror on a worker), the
-        # other three ahead, one worker each.
+        # The first point is solved directly on the calling thread, the
+        # other three ahead, one worker each, and no other worker starts.
         assert len(direct) == 1
-        assert [w._thread.name for w in started].count("lindblad-ahead") == 3
+        assert [w._thread.name for w in started] == ["lindblad-ahead"] * 3
 
     def test_errors_land_in_their_own_rows(self):
         # A pump of 5e-14 MHz leaves the steady state degenerate at point 1;
