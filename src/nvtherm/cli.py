@@ -274,11 +274,16 @@ def _build(doc: dict, seed: int) -> _Run:
         config = dict(sd, axes=axes, environment=env, drive=drive, grid=run.grid, strain=strain)
         run.sweep = judge("sweep", sensitivity.SweepConfig, dict(config, seed=seed, **run.rates))
     # Each axis value is judged as a sweep point builds it (a drive amplitude
-    # by DriveConfig, a laser power by the budget); one problem per axis.
-    for i, (name, values) in enumerate(run.sweep.axes if run.sweep and budget else ()):
+    # by DriveConfig, a laser power by the budget); one problem per axis.  A
+    # laser power needs the budget, so it is judged only when the budget
+    # builds; a drive amplitude reads nothing of it, so the defaults serve.
+    point_budget = budget or sensitivity.NoiseBudget(photon_rate=1e6, contrast=contrast)
+    for i, (name, values) in enumerate(run.sweep.axes if run.sweep else ()):
+        if name == "laser_power_mw" and not budget:
+            continue
         for value in values:
             try:
-                sensitivity._point_inputs(run.sweep, budget, {name: value})
+                sensitivity._point_inputs(run.sweep, point_budget, {name: value})
             except ValueError as exc:
                 diags.append(f"sweep.axes[{i}] {name}: {exc}")
                 break

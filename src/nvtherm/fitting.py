@@ -3,14 +3,16 @@
 Two model families: a multi-Lorentzian dip model (conventional parallel-field
 spectra) and the dressed-state dip model (transverse-field spectra with RF
 drive).  The optimizer is a damped least-squares (Levenberg-Marquardt style)
-loop with a numerical central-difference Jacobian; strictly positive
-parameters are fitted in log space so the internal problem is unconstrained.
+loop; strictly positive parameters are fitted in log space so the internal
+problem is unconstrained.  A model with ``exact_jacobian`` set (the dressed
+model with sigma_ex fitted) gives its Jacobian in closed form; the others
+take a numerical central difference.
 
 Each model's ``evaluate`` takes one parameter vector or a stack of them as
-rows, and gives each row the bits its own call gives.  A fit therefore makes
-one model call per Jacobian (all 2n perturbed vectors as rows), and the
-half-depth crossings of every dip advance Brent's method in lockstep, one
-model call per step for all of them.
+rows, and gives each row the bits its own call gives.  A central-difference
+Jacobian is therefore one model call (all 2n perturbed vectors as rows), and
+the half-depth crossings of every dip advance Brent's method in lockstep,
+one model call per step for all of them.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ class MultiLorentzian:
     """
 
     n_peaks: int
+    exact_jacobian = False  # see DressedDip.exact_jacobian
 
     def __post_init__(self):
         check_fields(self, positive=("n_peaks",))
@@ -93,7 +96,8 @@ class DressedDip:
     quadrature nodes).  The RF frequency and the contrast are fixed
     attributes of the model, not fitted parameters: the signal depends on
     the contrast only through contrast * rabi_mw**2, so the two cannot be
-    fitted jointly and the contrast stays at ``fixed_contrast``.
+    fitted jointly and the contrast stays at ``fixed_contrast``.  With
+    sigma_ex fitted, ``jacobian`` gives the exact derivatives of the signal.
     """
 
     omega_rf: float
@@ -121,11 +125,34 @@ class DressedDip:
     def center_indices(self) -> list[int]:
         return [0]
 
+    @property
+    def exact_jacobian(self) -> bool:
+        """Whether ``fit`` takes ``jacobian`` instead of central differences.
+
+        Only sigma_ex fits do: their central-difference Jacobian is a
+        14-row stack of 21 nodes x 781 points (fig2), while ``jacobian``
+        costs about one single-row call, so a warm fig2 sigma_ex fit takes
+        about 45 ms instead of 170 (2-core Xeon).  The sigma_ex = 0 fits
+        keep central differences because benchmarks/reference.json pins
+        their last bits: a JACOBIAN_REL_STEP of 1.1e-6 for 1e-6 moved 12
+        drive_map rows and a lindblad_map point out of it.  They switch
+        once ROADMAP item 3 has re-recorded it (item 6).
+        """
+        return self.fit_sigma_ex
+
     def evaluate(self, params: np.ndarray, grid: np.ndarray) -> np.ndarray:
         """The signal of ``params``, shape (n,), or of each row of shape (rows, n)."""
         d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d = params.T[:6]
         sigma_ex = params.T[6] if self.fit_sigma_ex else 0.0
         return lineshape.dressed_signal(
+            d, ex, self.omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d,
+            self.fixed_contrast, sigma_ex,
+        )
+
+    def jacobian(self, params: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """d signal / d params at one vector of a sigma_ex model, shape (len(grid), 7)."""
+        d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, sigma_ex = params.tolist()
+        return lineshape.dressed_jacobian(
             d, ex, self.omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d,
             self.fixed_contrast, sigma_ex,
         )
@@ -404,8 +431,10 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
     norm below 1e-12, within 500 iterations.  Rejected steps raise the
     damping; damping beyond 1e12 is an error.  Per-point weights are
     1/sigma when every sigma is positive, otherwise unit weights.  The
-    Jacobian is a numerical central difference, its 2n perturbed vectors
-    evaluated as the rows of one model call (``_numeric_jacobian``).
+    Jacobian is the model's own when it has an ``exact_jacobian``, taken to
+    log coordinates by the chain rule; otherwise a numerical central
+    difference, its 2n perturbed vectors evaluated as the rows of one model
+    call (``_numeric_jacobian``).
     """
     if guess is None:
         guess = initial_guess(spec, model)
@@ -422,6 +451,20 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
     def residuals(x):  # of one internal vector, or of each row of a stack
         return w * (model.evaluate(_to_external(x, logs), grid) - data)
 
+    def jacobian(x):  # of the residuals at one internal vector
+        if not model.exact_jacobian:
+            return _numeric_jacobian(residuals, x, len(data))
+        p = _to_external(x, logs)
+        jac = model.jacobian(p, grid)
+        jac[:, logs] *= p[logs]  # d/d(log p) = p d/dp
+        # A column that moves no sample of a signal below 1 by an ulp over the
+        # central difference's steps is zero, as that difference would see it:
+        # sigma_ex near 0, where the signal is even in it.  Left in, its
+        # vanishing damping lets the step in it run away and every trial fail.
+        h = JACOBIAN_REL_STEP * np.maximum(np.abs(x), 1.0)
+        jac[:, np.abs(jac).max(axis=0) * h < 2.0**-53] = 0.0
+        return np.multiply(jac, w[:, None], out=jac)
+
     x = _to_internal(guess, logs)
     r = residuals(x)
     cost = 0.5 * float(r @ r)
@@ -430,7 +473,7 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
     iterations = 0
 
     for iterations in range(1, MAX_ITERATIONS + 1):
-        jac = _numeric_jacobian(residuals, x, len(data))
+        jac = jacobian(x)
         jtj = jac.T @ jac
         jtr = jac.T @ r
         diag = jtj.diagonal().copy()
@@ -506,7 +549,10 @@ def _numeric_jacobian(residuals, x, n_rows: int):
 
 def _covariance(model, params, grid, w, weighted, cost, n_points):
     """Covariance of the parameter vector in external coordinates."""
-    jac = _numeric_jacobian(lambda p: w * model.evaluate(p, grid), params, n_points)
+    if model.exact_jacobian:
+        jac = np.multiply(model.jacobian(params, grid), w[:, None])
+    else:
+        jac = _numeric_jacobian(lambda p: w * model.evaluate(p, grid), params, n_points)
     cov = np.linalg.pinv(jac.T @ jac)
     if not weighted and n_points > len(params):
         # Unit weights: scale by the residual variance estimate.

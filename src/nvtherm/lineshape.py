@@ -165,24 +165,20 @@ class Spectrum:
 class _Workspace(threading.local):
     """The dressed kernel's work arrays, kept between blocks and calls.
 
-    ``take`` returns a view of a flat buffer (``p0``'s four work arrays and
-    a block's node signals), made on first use for the largest block (two
-    branches of ``BLOCK_POINTS`` nodes x points) and never freed, so a
-    fit's blocks write into the same pages: glibc gives a
-    free heap top above its trim threshold (128 KiB by default) back to the
-    kernel, so arrays made and freed per block would fault on every block.
-    A larger request gets a new array, so a long direct call holds no memory
-    after it.  Each thread has its own buffers, and a second set, ``spare``,
-    that it lends to the worker of ``dressed_signal``'s row split: the
-    worker adopts it before it takes a buffer, so a new thread per call
-    maps no new pages, and the set lives on in its lender between calls.
+    ``take`` returns a view of a flat buffer (``p0``'s four work arrays, a
+    block's node signals and ``dressed_jacobian``'s nine), made on first
+    use for the largest block (two branches of ``BLOCK_POINTS`` nodes x
+    points) and never freed, so a fit's blocks write into the same pages:
+    glibc gives a free heap top above its trim threshold (128 KiB by
+    default) back to the kernel, so arrays made and freed per block would
+    fault on every block.  A larger request gets a new array, so a long
+    direct call holds no memory after it.  Each thread has its own buffers.
     No view leaves this module: the public functions return arrays that
     their caller owns.
     """
 
     def __init__(self):
         self.buffers = {}
-        self.spare = {}
 
     def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         size = math.prod(shape)
@@ -200,21 +196,17 @@ class _Worker:
     """``fn()`` on one new thread, started here and joined by ``join`` or ``result``.
 
     The thread runs in a copy of the caller's context (numpy's error state
-    included) and, when given ``buffers``, adopts them as its work arrays
-    before ``fn`` takes any.  numpy releases the GIL in its loops and in
-    LAPACK, so the thread runs beside its caller.  ``fn`` may call no name
-    that ``benchmarks/tracing.py`` wraps: its span stack is not thread-safe.
-    Two callers start one: ``dressed_signal``'s strain-row split, which
-    lends its spare work arrays, and a Lindblad sweep's solve of the next
-    point (``sensitivity._LindbladAhead``).
+    included).  numpy releases the GIL in its loops and in LAPACK, so the
+    thread runs beside its caller.  ``fn`` may call no name that
+    ``benchmarks/tracing.py`` wraps: its span stack is not thread-safe.
+    One caller starts it: a Lindblad sweep's solve of the next point
+    (``sensitivity._LindbladAhead``).
     """
 
-    def __init__(self, fn, name: str, buffers: dict | None = None):
+    def __init__(self, fn, name: str):
         self._result = []
 
         def work():
-            if buffers is not None:
-                _workspace.buffers = buffers
             try:
                 self._result.append(fn())
             except BaseException as exc:  # re-raised on the calling thread
@@ -332,9 +324,14 @@ def dressed_depletion(
     return np.add(dep[..., 0, :], dep[..., 1, :], out=out)
 
 
-# dressed_signal's worker rows call this binding, which benchmarks/tracing.py
-# does not wrap: its spans, around the public name, are not thread-safe.
-_dressed_depletion = dressed_depletion
+def _blocks(points: int) -> tuple:
+    """Rows or nodes per block of at most ``BLOCK_POINTS``, and grid points per block.
+
+    As many whole rows (or one row's nodes) over the grid as fit; a grid
+    longer than a block takes one at a time over slices of it.
+    """
+    per_block = max(BLOCK_POINTS // max(points, 1), 1)
+    return per_block, BLOCK_POINTS // per_block
 
 
 @lru_cache(maxsize=32)
@@ -367,14 +364,6 @@ def dressed_signal(
     spread as many whole rows as fit; with one, one row with its scalar
     parameters and as many of its nodes as fit, each node's weighted signal
     added to the row in node order.
-
-    With a spread, 2 or more rows are split over two threads: the calling
-    thread averages the first ceil(rows/2), one ``_Worker`` the rest,
-    through ``_dressed_depletion``, and the worker is joined before this
-    returns or raises.  Each row is still averaged alone, so the split
-    changes no bit.  A single row, and the path without a spread (a
-    Jacobian's rows in one call, shorter than a thread's start and join),
-    stay on the calling thread.
     """
     params = (d, rabi_rf, rabi_mw, gamma_b, gamma_d)
     rows = [p for p in (ex, sigma_ex, *params) if isinstance(p, np.ndarray) and p.ndim]
@@ -385,8 +374,7 @@ def dressed_signal(
             raise ValueError("sigma_ex must be zero in every row or in none")
         averaged = averaged.all()
     out = np.empty(shape + (len(grid),))
-    per_block = max(BLOCK_POINTS // max(len(grid), 1), 1)  # whole rows, or one row's nodes
-    step = BLOCK_POINTS // per_block  # grid points: all of them unless more than a block
+    per_block, step = _blocks(len(grid))
     if not averaged:
         blocks = [slice(r, r + per_block) for r in range(0, shape[0], per_block)] if shape else [...]
         for at in blocks:  # a scalar call's floats stay floats
@@ -401,42 +389,119 @@ def dressed_signal(
     x, w = _hermite_nodes(nodes)
     ex = np.asarray(ex)[..., None] + np.sqrt(2.0) * np.asarray(sigma_ex)[..., None] * x
     ex = np.broadcast_to(ex, shape + x.shape)
-
-    def average(indices, depletion):
-        # One row at a time, with scalar parameters as in its own call: numpy runs
-        # an operand broadcast along the grid at a half to a third of a scalar's speed.
-        for r in indices:
-            ex_r, d_r, *drive = [
-                p[r] if isinstance(p, np.ndarray) and p.ndim else p for p in (ex, *params)
-            ]
-            for lo in range(0, len(grid), step):
-                acc = out[r][lo : lo + step]
-                for k in range(0, nodes, per_block):
-                    ex_k = ex_r[k : k + per_block]
-                    sig = _workspace.take("signal", ex_k.shape + acc.shape)
-                    depletion(d_r, ex_k, omega_rf, grid[lo : lo + step], *drive, out=sig)
-                    np.subtract(1.0, np.multiply(contrast, sig, out=sig), out=sig)
-                    np.multiply(w[k : k + per_block], sig, out=sig)
-                    for i, s in enumerate(sig, k):  # node order; np.sum would add pairwise
-                        if i:
-                            np.add(acc, s, out=acc)
-                        else:
-                            acc[...] = s
-
-    indices = list(np.ndindex(shape))
-    if len(indices) < 2:
-        average(indices, dressed_depletion)
-        return out
-    half = (len(indices) + 1) // 2
-    worker = _Worker(
-        lambda: average(indices[half:], _dressed_depletion), "dressed-rows", _workspace.spare
-    )
-    try:
-        average(indices[:half], dressed_depletion)
-    finally:
-        worker.join()
-    worker.result()  # the calling thread's error wins; else the worker's is raised here
+    # One row at a time, with scalar parameters as in its own call: numpy runs
+    # an operand broadcast along the grid at a half to a third of a scalar's speed.
+    for r in np.ndindex(shape):
+        ex_r, d_r, *drive = [
+            p[r] if isinstance(p, np.ndarray) and p.ndim else p for p in (ex, *params)
+        ]
+        for lo in range(0, len(grid), step):
+            acc = out[r][lo : lo + step]
+            for k in range(0, nodes, per_block):
+                ex_k = ex_r[k : k + per_block]
+                sig = _workspace.take("signal", ex_k.shape + acc.shape)
+                dressed_depletion(d_r, ex_k, omega_rf, grid[lo : lo + step], *drive, out=sig)
+                np.subtract(1.0, np.multiply(contrast, sig, out=sig), out=sig)
+                np.multiply(w[k : k + per_block], sig, out=sig)
+                for i, s in enumerate(sig, k):  # node order; np.sum would add pairwise
+                    if i:
+                        np.add(acc, s, out=acc)
+                    else:
+                        acc[...] = s
     return out
+
+
+def dressed_jacobian(
+    d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast, sigma_ex
+) -> np.ndarray:
+    """Derivatives of ``dressed_signal`` at one parameter vector, shape (len(grid), 7).
+
+    The columns are d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d and sigma_ex;
+    every parameter is a float, and the nodes are the default ones, as the
+    ``DressedDip`` model evaluates.  Per node and branch the depletion is
+    D = lambda^2 (|zd|^2 + J^2) / |det|^2 with det = zb zd - J^2 (``p0``);
+    its derivatives in the detunings, J, lambda and the rates are summed
+    over the nodes ex + sqrt(2) sigma_ex x_k with weights w_k, and
+    dD/dE_x also with weights sqrt(2) x_k w_k for sigma_ex.  So the result
+    is exact for the quadrature that ``dressed_signal`` evaluates.  Blocks
+    of nodes and grid points are those of ``dressed_signal``, in
+    ``_workspace`` arrays; the node sums use no BLAS.
+    """
+    x, w = _hermite_nodes(DEFAULT_QUADRATURE_NODES)
+    ex_nodes = ex + np.sqrt(2.0) * sigma_ex * x
+    j, lam = rabi_rf / 2.0, rabi_mw / 2.0
+    jac = np.zeros((len(grid), 7))
+    per_block, step = _blocks(len(grid))
+    for lo in range(0, len(grid), step):
+        cols = jac[lo : lo + step].T
+        for k in range(0, len(x), per_block):
+            at = slice(k, k + per_block)
+            _jacobian_block(
+                cols, d, ex_nodes[at], omega_rf, grid[lo : lo + step], j, gamma_b, gamma_d,
+                w[at, :, None], x[at, None, None],
+            )
+    lam2 = lam * lam
+    scale = [lam2, lam2, lam2 * j / 2.0, lam, lam2, lam2, np.sqrt(2.0) * lam2]
+    return np.multiply(jac, np.multiply(-contrast, scale), out=jac)
+
+
+def _jacobian_block(cols, d, ex, omega_rf, grid, j, gamma_b, gamma_d, w, x):
+    """Add one block of nodes to ``dressed_jacobian``'s unscaled columns ``cols``.
+
+    With detunings ob, od, rates gb, gd, det = a + ib, M = |det|^2,
+    R = (|zd|^2 + J^2) / M, u = 2 w / M and v = u R, the w-weighted
+    derivatives of D / lambda^2 are -v (a od - b gd) in omega_b,
+    u od - v (a ob - b gb) in omega_d, v (a gd + b od) in gamma_b,
+    u gd + v (a gb + b ob) in gamma_d and J (u + 2 a v) in J, and
+    dD/dlambda = 2 lambda R; the caller applies the scalar factors.
+    """
+    shape = ex.shape + (2, len(grid))
+
+    def take(name):
+        return _workspace.take(name, shape)
+
+    def add(col, values, upper=1.0):  # node sums per branch, no BLAS
+        upper_sum, mirror_sum = np.add.reduce(values, axis=0)
+        col += mirror_sum + upper * upper_sum
+
+    ob, od = branch_detunings(d, ex[:, None], omega_rf, grid, out=(take("jac_ob"), take("jac_od")))
+    a = np.multiply(ob, od, out=take("jac_a"))
+    np.subtract(a, gamma_b * gamma_d + j * j, out=a)
+    b = np.multiply(ob, -gamma_d, out=take("jac_b"))
+    t1, t2, t3 = take("jac_t1"), take("jac_t2"), take("jac_t3")
+    np.subtract(b, np.multiply(od, gamma_b, out=t1), out=b)
+    m = np.multiply(a, a, out=take("jac_u"))
+    np.add(m, np.multiply(b, b, out=t1), out=m)
+    r = np.multiply(od, od, out=t3)
+    np.add(r, gamma_d * gamma_d + j * j, out=r)
+    np.divide(r, m, out=r)
+    u = np.divide(2.0 * w, m, out=m)
+    v = np.multiply(u, r, out=take("jac_v"))
+    add(cols[3], np.multiply(r, w, out=r))  # rabi_mw
+    np.multiply(a, v, out=t1)
+    np.add(t1, t1, out=t1)
+    add(cols[2], np.add(t1, u, out=t1))  # rabi_rf
+    np.multiply(b, od, out=t1)
+    np.add(t1, np.multiply(a, gamma_d, out=t2), out=t1)
+    add(cols[4], np.multiply(t1, v, out=t1))  # gamma_b
+    np.multiply(b, ob, out=t1)
+    np.add(t1, np.multiply(a, gamma_b, out=t2), out=t1)
+    np.multiply(t1, v, out=t1)
+    add(cols[5], np.add(t1, np.multiply(u, gamma_d, out=t2), out=t1))  # gamma_d
+    # t1 = -dD/domega_b, t3 = dD/domega_d
+    np.multiply(a, od, out=t1)
+    np.subtract(t1, np.multiply(b, gamma_d, out=t2), out=t1)
+    np.multiply(t1, v, out=t1)
+    np.multiply(a, ob, out=t2)
+    np.subtract(t2, np.multiply(b, gamma_b, out=t3), out=t2)
+    np.multiply(t2, v, out=t2)
+    np.subtract(np.multiply(u, od, out=t3), t2, out=t3)
+    add(cols[0], np.subtract(t3, t1, out=t2))  # d moves both detunings
+    # E_x moves omega_b by s and omega_d by -s, s = 1 on the upper branch and
+    # -1 on the mirror: dD/dE_x = -s (t1 + t3).
+    np.add(t1, t3, out=t1)
+    add(cols[1], t1, -1.0)
+    add(cols[6], np.multiply(t1, x, out=t1), -1.0)
 
 
 def ensemble_spectrum(

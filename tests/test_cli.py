@@ -167,6 +167,17 @@ class TestValidation:
             "invalid: sweep.axes[1] rabi_mw: rabi_mw must be >= 0, got -0.5\n"
         )
 
+    def test_drive_axis_values_judged_beside_a_bad_budget(self, capsys):
+        # Only a laser power reads the budget: a bad one hides no drive axis.
+        axes = [{"name": "rabi_rf", "values": [-1.0, 6.0]}]
+        preset = str(PRESET_DIR / "fig5_narrowing.json")
+        argv = ["validate", "--config", preset, "--set", "budget.photon_rate=-1"]
+        assert main([*argv, "--set", f"sweep.axes={json.dumps(axes)}"]) == 1
+        assert capsys.readouterr().out == (
+            "invalid: budget.photon_rate must be > 0, got -1\n"
+            "invalid: sweep.axes[0] rabi_rf: rabi_rf must be >= 0, got -1.0\n"
+        )
+
     def test_quadrature_node_cap_judged_by_validate(self, capsys):
         # Past the cap the Gauss-Hermite weights sum to 0 (371) or overflow
         # (from 373), and every spectrum or fit fails.
@@ -627,7 +638,7 @@ class TestGoldenOutputs:
         "fig5.json": "c09274427e236feb1c543db2204ec758d1ebf5af1a645474c749cddb2dbbefb7",
         "fit.json": "5a31f4960dc12e290d2f76681d459df0d6dbe5a0f04a4b04016057588bc94b1a",
         "fit_lorentzian.json": "1c6d5cdadddf53eb8d5d8b18c8479e2cf1057ecff314d9fdd37d1bd909806c2b",
-        "fit_strain.json": "345ce4871abe0572acb8b872c99de6b2046c3d6c38c82e5a246509803c04991a",
+        "fit_strain.json": "7673ef0d5e4842f6bf43a0298cc53f1ccfbe41e651fee6c7276208826813ea8a",
         "map.csv": "ad45091fda75e4a399966ac9cf87d98ab91b84341682e4026ac62a9c335a7484",
         "map.json": "2f3a76b131718bef5126311a889ed5b85278bd81cd8eb36dbc9f821f9dc05fb5",
         "oracle.json": "61f999a2e25e06a5b7a4d93ecf46c1e5e3205d778a3226c8c048b294b42f72c3",

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -362,6 +363,75 @@ class TestStackedJacobian:
         assert np.array_equal(jac, _per_column_jacobian(residuals, x, len(FIG2_GRID)))
 
 
+class TestExactJacobian:
+    """A sigma_ex model's exact Jacobian, column by column, against a Richardson difference."""
+
+    MODEL = DressedDip(omega_rf=16.0, fit_sigma_ex=True)
+    FIG5_GRID = np.linspace(2845.0, 2895.0, 501)
+    TRUTH = [2885.5, 8.0, 5.0, 0.5, 1.0, 0.1, 2.0]
+
+    @staticmethod
+    def _fig2_start():
+        strain = StrainDistribution(mean_ex=8.0, sigma_ex=2.0)
+        clean = ensemble_spectrum(FIG2_ENV, FIG2_DRIVE, FIG2_GRID, 1.0, 0.1, 0.05, strain)
+        noisy = synthesize_measurement(clean, 1e8, 1.0, 0)
+        return initial_guess(noisy, TestExactJacobian.MODEL)
+
+    CASES = {
+        "fig2 truth": lambda c: (c.TRUTH, FIG2_GRID),
+        "fig2 start": lambda c: (c._fig2_start(), FIG2_GRID),
+        "gamma_b = gamma_d": lambda c: ([2870.0, 8.0, 6.0, 0.6, 1.0, 1.0, 0.3], c.FIG5_GRID),
+        "sigma_ex 0.05": lambda c: (c.TRUTH[:6] + [0.05], FIG2_GRID),
+        "rabi_rf 0.5": lambda c: (c.TRUTH[:2] + [0.5] + c.TRUTH[3:], FIG2_GRID),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_columns_match_a_richardson_difference(self, case):
+        params, grid = self.CASES[case](self)
+        params = np.array(params, dtype=float)
+        jac = self.MODEL.jacobian(params, grid)
+        assert jac.shape == (len(grid), 7) and jac.flags.c_contiguous
+        # Steps of 1e-4 MHz in d and ex, 1e-3 relative in the others; the
+        # central differences at h and h/2 come from one stacked call.
+        h = np.where(np.arange(7) < 2, 1e-4, 1e-3 * params)
+        steps = np.concatenate([np.diag(h), -np.diag(h), np.diag(h / 2), -np.diag(h / 2)])
+        plus, minus, half_plus, half_minus = np.split(
+            self.MODEL.evaluate(params + steps, grid), 4
+        )
+        coarse = (plus - minus).T / (2 * h)
+        fine = (half_plus - half_minus).T / h
+        richardson = (4 * fine - coarse) / 3
+        for i, name in enumerate(self.MODEL.param_names):
+            scale = np.abs(jac[:, i]).max()
+            assert np.abs(jac[:, i] - richardson[:, i]).max() <= 1e-6 * scale, name
+
+    @pytest.mark.parametrize("points", [391, 8193])
+    def test_blocks_give_each_point_its_lone_columns(self, points):
+        # 390 points take all 21 nodes in one block; 391 take 20 + 1, and
+        # 8193 one node at a time over two slices of the grid.
+        grid = np.linspace(2866.0, 2905.0, points)
+        params = np.array(self.TRUTH)
+        jac = self.MODEL.jacobian(params, grid)
+        for i in range(0, points, 97):
+            lone = self.MODEL.jacobian(params, grid[i : i + 1])[0]
+            np.testing.assert_allclose(jac[i], lone, rtol=0, atol=1e-12 * np.abs(jac).max())
+
+    def test_a_sigma_ex_fit_evaluates_single_vectors_only(self, monkeypatch):
+        # No Jacobian, covariance or crossing goes through a stacked model call.
+        strain = StrainDistribution(mean_ex=8.0, sigma_ex=2.0)
+        clean = ensemble_spectrum(FIG2_ENV, FIG2_DRIVE, FIG2_GRID, 1.0, 0.1, 0.05, strain)
+        noisy = synthesize_measurement(clean, 1e8, 1.0, 1)
+        evaluate, shapes = DressedDip.evaluate, []
+
+        def recording(self, params, grid):
+            shapes.append(params.shape)
+            return evaluate(self, params, grid)
+
+        monkeypatch.setattr(DressedDip, "evaluate", recording)
+        assert fit(noisy, self.MODEL).converged
+        assert shapes and set(shapes) == {(7,)}
+
+
 def _fig5_clean(rabi_rf):
     env = PhysicalEnvironment(d0=2870.0, ex=8.0, b_transverse=80.0)
     drive = DriveConfig(rabi_mw=0.6, omega_rf=16.0, rabi_rf=rabi_rf)
@@ -379,7 +449,11 @@ def _same_fit(ours, reference):
 
 
 class TestStackedFits:
-    """Fits with stacked Jacobians and lockstep crossings are the per-column fits, bit for bit."""
+    """Fits with stacked Jacobians and lockstep crossings are the per-column fits, bit for bit.
+
+    A sigma_ex fit takes the exact Jacobian instead, so it lands where its
+    central-difference fit lands rather than on its bits.
+    """
 
     def _reference(self, monkeypatch, noisy, model):
         with monkeypatch.context() as m:
@@ -400,13 +474,24 @@ class TestStackedFits:
         model = DressedDip(omega_rf=16.0)
         _same_fit(fit(noisy, model), self._reference(monkeypatch, noisy, model))
 
-    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("seed", range(8))
     def test_fig2_strain(self, seed, monkeypatch):
+        # The spectra of strain_thermometry's first four rounds (300 K, then
+        # 305 K): the exact-Jacobian fit ends at a cost no higher than the
+        # central-difference fit's, to 1e-9, and at a d within 0.01 sigma_d.
+        k, i = divmod(seed, 2)
+        env = replace(FIG2_ENV, temperature=300.0 + 5.0 * i)
         strain = StrainDistribution(mean_ex=8.0, sigma_ex=2.0)
-        clean = ensemble_spectrum(FIG2_ENV, FIG2_DRIVE, FIG2_GRID, 1.0, 0.1, 0.05, strain)
-        noisy = synthesize_measurement(clean, 1e8, 1.0, seed)
+        clean = ensemble_spectrum(env, FIG2_DRIVE, FIG2_GRID, 1.0, 0.1, 0.05, strain)
+        noisy = synthesize_measurement(clean, 1e8, 1.0, np.random.SeedSequence([k, i]))
         model = DressedDip(omega_rf=16.0, fit_sigma_ex=True)
-        _same_fit(fit(noisy, model), self._reference(monkeypatch, noisy, model))
+        exact = fit(noisy, model)
+        with monkeypatch.context() as m:
+            m.setattr(DressedDip, "exact_jacobian", property(lambda self: False))
+            central = fit(noisy, model)
+        assert exact.converged and central.converged
+        assert exact.cost <= central.cost * (1.0 + 1e-9)
+        assert abs(exact.param("d") - central.param("d")) <= 0.01 * central.uncertainty("d")
 
     @pytest.mark.parametrize("rabi_rf", [3.0, 6.0, 12.0, 24.0])
     def test_fig5(self, rabi_rf, monkeypatch):

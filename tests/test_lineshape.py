@@ -22,6 +22,7 @@ from nvtherm.lineshape import (
     StrainDistribution,
     conventional_spectrum,
     dressed_depletion,
+    dressed_jacobian,
     dressed_signal,
     ensemble_spectrum,
     lorentzian_dips,
@@ -199,11 +200,9 @@ def test_warm_strain_fits_take_no_page_faults():
     # of that size or more would fault on every allocation.  The kernel's work
     # arrays stay in lineshape's workspace between blocks, so no block-sized
     # array is made and freed per block.  Per warm strain fit (2-core Xeon,
-    # glibc 2.36, numpy 2.4): 445 faults at 128 KiB (glibc's default) and 16
-    # at 512 KiB; with every row on the calling thread, 435 and 0.7.  The
-    # worker that takes half of a strain stack's rows borrows its caller's
-    # spare work arrays: with its own it took about 3,000 at either value,
-    # mapping them anew on every call.  A warm fig5 fit takes about 2 at
+    # glibc 2.36, numpy 2.4): 113 faults at 128 KiB (glibc's default) and
+    # none at 512 KiB, the blocks of its exact Jacobians in the workspace
+    # too.  A warm fig5 fit takes about 2 at
     # 128 KiB and none at 512 KiB; with arrays made per block, 71,000 and
     # 1,900 (strain, fig5) at 128 KiB.  A warm slope scan maps only its grid
     # and the curve on it (160 KB each): 80 faults per call at 128 KiB, where
@@ -445,27 +444,36 @@ class TestStackedRows:
         # 12 rows of 501 points take 1 block of whole rows; one row of
         # 781 points x 21 nodes takes 3 blocks of at most 10 nodes over the
         # whole grid, as a scalar call does, each with that row's scalars.
-        # The second row runs on the worker thread, through the untraced binding.
-        real, calls, names = lineshape.dressed_depletion, [], []
-        for name in ("dressed_depletion", "_dressed_depletion"):
-            monkeypatch.setattr(
-                lineshape, name,
-                lambda *a, name=name, **k: calls.append(a) or names.append(name) or real(*a, **k),
-            )
+        real, calls = lineshape.dressed_depletion, []
+        monkeypatch.setattr(
+            lineshape, "dressed_depletion", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
         params = _dressed_rows(np.random.default_rng(4), 12)
         grid = np.linspace(2845.0, 2895.0, 501)
         dressed_signal(params[0], params[1], 16.0, grid, *params[2:], 0.05)
-        assert names == ["dressed_depletion"]
+        assert len(calls) == 1
         calls.clear()
-        names.clear()
         dressed_signal(
             params[0][:2], params[1][:2], 16.0, np.linspace(2866.0, 2905.0, 781),
             *(p[:2] for p in params[2:]), 0.05, np.full(2, 2.0), 21,
         )
         assert len(calls) == 2 * 3
-        assert sorted(names) == ["_dressed_depletion"] * 3 + ["dressed_depletion"] * 3
         assert all(np.ndim(a[0]) == 0 for a in calls)  # d, a row's scalar
         assert all(len(a[3]) == 781 and len(a[1]) <= 10 for a in calls)  # grid, nodes
+
+    @pytest.mark.parametrize("rows", [2, 3, 15])
+    def test_each_row_equals_its_scalar_call(self, rows):
+        # sigma_ex stacks on the fig2 grid: each row in 3 blocks of nodes.
+        rng = np.random.default_rng(rows)
+        *params, sigma_ex = _dressed_rows(rng, rows) + [rng.uniform(1.0, 3.0, rows)]
+        grid = np.linspace(2866.0, 2905.0, 781)
+        stacked = dressed_signal(params[0], params[1], 16.0, grid, *params[2:], 0.05, sigma_ex)
+        for r in range(rows):
+            single = dressed_signal(
+                float(params[0][r]), float(params[1][r]), 16.0, grid,
+                *(float(p[r]) for p in params[2:]), 0.05, float(sigma_ex[r]),
+            )
+            assert np.array_equal(stacked[r], single)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16), nodes=st.sampled_from([1, 21]))
@@ -542,9 +550,12 @@ class TestWorkspace:
         ob, od = rng.normal(0.0, 10.0, (2, 3, 2, 97))
         slope_grid = np.linspace(2845.0, 2895.0, SLOPE_POINTS)
         strain_grid = np.linspace(2866.0, 2905.0, 781)
-        stack = _dressed_rows(rng, 14)  # a sigma_ex Jacobian: 7 of its rows on a worker
+        stack = _dressed_rows(rng, 14)  # a central-difference sigma_ex Jacobian
         return {
             "sigma_ex row": lambda: dressed_signal(
+                2885.5, 8.0, 16.0, strain_grid, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0
+            ),
+            "sigma_ex jacobian": lambda: dressed_jacobian(
                 2885.5, 8.0, 16.0, strain_grid, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0
             ),
             "sigma_ex stack": lambda: dressed_signal(
@@ -565,7 +576,10 @@ class TestWorkspace:
         calls = self._calls()
         first = {name: call() for name, call in calls.items()}
         results = [(name, value, value.copy()) for name, value in first.items()]
-        for name in ["p0", "jacobian block", "sigma_ex stack", "sigma_ex row", "slope curve"] * 2:
+        names = [
+            "p0", "jacobian block", "sigma_ex stack", "sigma_ex jacobian", "sigma_ex row", "slope curve"
+        ]
+        for name in names * 2:
             value = calls[name]()
             assert np.array_equal(value, first[name]), name
             results.append((name, value, value.copy()))
@@ -586,7 +600,8 @@ class TestWorkspace:
         threads = [
             threading.Thread(target=work, args=(names,))
             for names in (
-                ["jacobian block", "p0"], ["sigma_ex row", "sigma_ex stack"], ["slope curve", "p0"]
+                ["jacobian block", "p0"], ["sigma_ex row", "sigma_ex stack"],
+                ["slope curve", "sigma_ex jacobian"],
             ) * 2
         ]
         interval = sys.getswitchinterval()
@@ -611,7 +626,7 @@ class TestWorkspace:
 
 
 class TestRowThreads:
-    """A sigma_ex stack's worker rows leave nothing behind and share nothing."""
+    """A sigma_ex stack's rows run on the calling thread and share nothing between callers."""
 
     GRID = np.linspace(2866.0, 2905.0, 781)
 
@@ -626,23 +641,17 @@ class TestRowThreads:
         return dressed_signal(rows[0], rows[1], 16.0, self.GRID, *rows[2:], 0.05, sigma_ex)
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
-        params = self._stack(14)
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a sigma_ex stack started a thread")
+
         before = threading.active_count()
-        self._signal(params)
-        assert threading.active_count() == before
-
-        def fail(*args, **kwargs):
-            raise RuntimeError("worker rows failed")
-
-        monkeypatch.setattr(lineshape, "_dressed_depletion", fail)
-        with pytest.raises(RuntimeError, match="worker rows failed"):
-            self._signal(params)
+        monkeypatch.setattr(lineshape.threading, "Thread", no_thread)
+        self._signal(self._stack(14))
         assert threading.active_count() == before
 
     def test_concurrent_callers_get_a_lone_calls_bits(self):
-        # 4 callers (8 threads on 2 cores) with a short switch interval: a
-        # worker that wrote into another caller's lent buffers or rows would
-        # change bits.
+        # 4 callers with a short switch interval: a caller that wrote into
+        # another caller's work arrays or rows would change bits.
         params = self._stack(14)
         lone = self._signal(params)
         results = [None] * 4
@@ -663,31 +672,6 @@ class TestRowThreads:
         assert not any(t.is_alive() for t in callers)
         for signal in results:
             assert np.array_equal(signal, lone)
-
-    def test_worker_runs_in_the_callers_numpy_error_state(self):
-        # The last of 14 rows is the worker's; its |amp_b|^2 overflows.
-        params = self._stack(14)
-        params[3][-1] = 1e200  # rabi_mw
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            self._signal(params)
-
-    @pytest.mark.parametrize("rows", [2, 3, 15])
-    def test_each_row_equals_its_scalar_call(self, rows):
-        params = self._stack(rows)
-        stacked = self._signal(params)
-        for r in range(rows):
-            assert np.array_equal(stacked[r], self._signal([float(p[r]) for p in params]))
-
-    def test_worker_rows_write_into_the_lent_buffers(self):
-        # The worker adopts its caller's spare set, so a new worker per call
-        # maps no new work arrays.
-        params = self._stack(14)
-        self._signal(params)
-        spare = lineshape._workspace.spare
-        assert set(spare) == {"zb", "zd", "lost_b", "lost_d", "signal"}
-        kept = dict(spare)
-        self._signal(params)
-        assert all(spare[name] is kept[name] for name in kept)
 
 
 class TestLorentzianSpectrum:

@@ -599,8 +599,8 @@ class TestLindbladPipeline:
         started = []
         worker = lineshape._Worker
 
-        def record(fn, name, buffers=None):
-            started.append(worker(fn, name, buffers))
+        def record(fn, name):
+            started.append(worker(fn, name))
             return started[-1]
 
         monkeypatch.setattr(lineshape, "_Worker", record)
