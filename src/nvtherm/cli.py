@@ -273,6 +273,12 @@ def _build(doc: dict, seed: int) -> _Run:
         axes = tuple((a["name"], tuple(a["values"])) for a in sd.get("axes", []))
         config = dict(sd, axes=axes, environment=env, drive=drive, grid=run.grid, strain=strain)
         run.sweep = judge("sweep", sensitivity.SweepConfig, dict(config, seed=seed, **run.rates))
+        # Every sweep point is fitted on the grid: a shorter one fails every row.
+        if run.grid is not None and len(run.grid) < fitting.MIN_FIT_POINTS:
+            diags.append(
+                f"grid.points must be >= {fitting.MIN_FIT_POINTS} for a sweep's fits, "
+                f"got {len(run.grid)}"
+            )
     # Each axis value is judged as a sweep point builds it (a drive amplitude
     # by DriveConfig, a laser power by the budget); one problem per axis.  A
     # laser power needs the budget, so it is judged only when the budget

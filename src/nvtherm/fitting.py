@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import neg
 from typing import NamedTuple
 
@@ -36,6 +37,7 @@ STEP_ATOL = 1e-12
 MAX_DAMPING = 1e12
 JACOBIAN_REL_STEP = 1e-6
 PEAK_REFINE = 8  # dressed FWHMs are measured on a grid this many times finer
+MIN_FIT_POINTS = 10  # fewer samples than this give no dip detection to start from
 # Spread of multistart_fit's perturbed guesses: relative, and for centers a
 # fraction of the grid span.
 MULTISTART_SPREAD = 0.1
@@ -160,19 +162,53 @@ class DressedDip:
 
 @dataclass
 class FitResult:
-    """Fitted parameters, uncertainties, and per-peak line properties."""
+    """Fitted parameters, uncertainties, and per-peak line properties.
 
-    param_names: tuple[str, ...]
+    ``fit`` stores the model, the read-only fitted ``params``, the cost and
+    the fit's own grid and weights.  The covariance (``_covariance``) and
+    the line properties (``peak_properties``) are computed from them the
+    first time they are read, so a caller pays only for what it reads; an
+    error in either computation is raised by that read.
+    """
+
+    model: object
     params: np.ndarray
-    covariance: np.ndarray
     residual_rms: float
-    fwhm_per_peak: list
-    contrast_per_peak: list
     converged: bool
     iterations: int
     cost: float
-    model_kind: str
-    fwhm_reasons: list = field(default_factory=list)
+    grid: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+    weighted: bool = field(repr=False)  # weights are 1/sigma, not unit weights
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return self.model.param_names
+
+    @property
+    def model_kind(self) -> str:
+        return type(self.model).__name__
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        return _covariance(self.model, self.params, self.grid, self.weights, self.weighted, self.cost)
+
+    @cached_property
+    def _line_properties(self) -> tuple:
+        # Looked up by name at the read, so a wrapper set on the module applies.
+        return peak_properties(self.model, self.params, self.grid)
+
+    @cached_property
+    def fwhm_per_peak(self) -> list:
+        return self._line_properties[0]
+
+    @cached_property
+    def fwhm_reasons(self) -> list:
+        return self._line_properties[1]
+
+    @cached_property
+    def contrast_per_peak(self) -> list:
+        return self._line_properties[2]
 
     def param(self, name: str) -> float:
         return float(self.params[self.param_names.index(name)])
@@ -346,8 +382,8 @@ def _detect_dips(spec: Spectrum, n_required: int):
     Returns the baseline and one (center, width, depth) row per dip, most
     prominent first; fewer than ``n_required`` dips is an error.
     """
-    if len(spec) < 10:
-        raise FitError(f"need at least 10 points, got {len(spec)}")
+    if len(spec) < MIN_FIT_POINTS:
+        raise FitError(f"need at least {MIN_FIT_POINTS} points, got {len(spec)}")
     smooth = _smooth(spec.signal)
     baseline = float(np.quantile(smooth, 0.75))
     depth = baseline - smooth
@@ -510,20 +546,19 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
 
     params = _to_external(x, logs)
     residual_rms = float(np.sqrt(np.mean((r / w) ** 2)))  # r: the weighted residual at params
-    cov = _covariance(model, params, grid, w, weighted, cost, len(data))
-    fwhm, reasons, contrasts = peak_properties(model, params, spec)
+    grid = grid.copy()  # the result's own, not the caller's spectrum
+    for kept in (params, grid, w):
+        kept.flags.writeable = False
     return FitResult(
-        param_names=model.param_names,
+        model=model,
         params=params,
-        covariance=cov,
         residual_rms=residual_rms,
-        fwhm_per_peak=fwhm,
-        contrast_per_peak=contrasts,
         converged=converged,
         iterations=iterations,
         cost=cost,
-        model_kind=type(model).__name__,
-        fwhm_reasons=reasons,
+        grid=grid,
+        weights=w,
+        weighted=weighted,
     )
 
 
@@ -547,8 +582,9 @@ def _numeric_jacobian(residuals, x, n_rows: int):
     return np.divide(jac, 2.0 * h, out=jac)
 
 
-def _covariance(model, params, grid, w, weighted, cost, n_points):
+def _covariance(model, params, grid, w, weighted, cost):
     """Covariance of the parameter vector in external coordinates."""
+    n_points = len(grid)
     if model.exact_jacobian:
         jac = np.multiply(model.jacobian(params, grid), w[:, None])
     else:
@@ -696,28 +732,27 @@ def half_depth_widths(curve_fn, grid: np.ndarray, curve: np.ndarray, dips) -> li
     return widths
 
 
-def peak_properties(model, params, spec: Spectrum):
-    """FWHM and depth of each resolved dip of the fitted model curve.
+def peak_properties(model, params, grid: np.ndarray):
+    """FWHM and depth of each resolved dip of the model curve fitted on ``grid``.
 
     For MultiLorentzian the fitted widths/depths are returned directly.
     For DressedDip each dip's full width is measured at half depth on a
-    refined model curve (``half_depth_widths``); a missing half-depth
-    crossing between overlapping dips yields None with a reason.
+    model curve ``PEAK_REFINE`` times finer than ``grid``, over its span
+    (``half_depth_widths``); a missing half-depth crossing between
+    overlapping dips yields None with a reason.
     """
     if isinstance(model, MultiLorentzian):
         fwhm = [float(params[2 + 3 * k]) for k in range(model.n_peaks)]
         contrasts = [float(params[3 + 3 * k]) for k in range(model.n_peaks)]
         return fwhm, ["ok"] * model.n_peaks, contrasts
 
-    grid = np.linspace(
-        spec.frequencies[0], spec.frequencies[-1], PEAK_REFINE * len(spec) + 1
-    )
-    curve = model.evaluate(params, grid)
+    fine = np.linspace(grid[0], grid[-1], PEAK_REFINE * len(grid) + 1)
+    curve = model.evaluate(params, fine)
     depth = 1.0 - curve
     idx = find_peaks(depth, 0.05 * depth.max()).indices
     if not len(idx):
         return [None], ["no dip found in fitted curve"], [0.0]
-    fwhm = half_depth_widths(lambda g: model.evaluate(params, g), grid, curve, idx)
+    fwhm = half_depth_widths(lambda g: model.evaluate(params, g), fine, curve, idx)
     reasons = ["ok" if w is not None else "unresolved: no half-depth crossing" for w in fwhm]
     return fwhm, reasons, [float(depth[m]) for m in idx]
 

@@ -270,6 +270,21 @@ class TestValidation:
         assert main(["sweep", *argv]) == 1
         assert "environment.dd_dt must be nonzero" in capsys.readouterr().err
 
+    def test_sweep_grid_too_short_to_fit(self, capsys):
+        # Every sweep point is fitted, and a fit needs 10 samples: a shorter
+        # grid would fail every row.  A simulation on it is still valid.
+        message = "invalid: grid.points must be >= 10 for a sweep's fits, got 9\n"
+        for preset in ("sensitivity_map", "fig5_narrowing"):
+            argv = ["--config", str(PRESET_DIR / f"{preset}.json"), "--set", "grid.points=9"]
+            assert main(["validate", *argv]) == 1
+            assert capsys.readouterr().out == message
+            assert main(["sweep", *argv]) == 1
+            assert capsys.readouterr().err == f"error: config: {message[len('invalid: '):]}"
+        preset = str(PRESET_DIR / "sensitivity_map.json")
+        assert main(["validate", "--config", preset, "--set", "grid.points=10"]) == 0
+        fig2 = str(PRESET_DIR / "fig2_dressed.json")
+        assert main(["validate", "--config", fig2, "--set", "grid.points=9"]) == 0
+
     def test_fit_requires_input(self, tmp_path):
         cfg = _write_config(tmp_path, {"mode": "fit", "fit": {"model": "dressed"}})
         with pytest.raises(ConfigError, match="fit.input"):

@@ -575,7 +575,8 @@ class TestRecordedWork:
 
         monkeypatch.setattr(type(model), "evaluate", counting)
         res = fit(noisy, model)
-        found = (len(rows), sum(rows), res.iterations, res.converged, _fingerprint(res))
+        digest = _fingerprint(res)  # reads the covariance and line properties: counted
+        found = (len(rows), sum(rows), res.iterations, res.converged, digest)
         assert found == self.CASES[case]
 
 
@@ -602,6 +603,7 @@ class TestNoRepeatedEvaluation:
 
         monkeypatch.setattr(type(model), "evaluate", recording)
         res = fit(noisy, model)
+        res.covariance  # computed on this read, inside the recording
         assert res.converged
         assert len(seen) > 10
         assert len(set(seen)) == len(seen)
@@ -610,11 +612,103 @@ class TestNoRepeatedEvaluation:
         assert res.residual_rms == pytest.approx(rms, rel=1e-12)
 
 
+def _strain_noisy():
+    strain = StrainDistribution(mean_ex=8.0, sigma_ex=2.0)
+    clean = ensemble_spectrum(FIG2_ENV, FIG2_DRIVE, FIG2_GRID, 1.0, 0.1, 0.05, strain)
+    return synthesize_measurement(clean, 1e8, 1.0, 1)
+
+
+def _count_property_calls(monkeypatch):
+    """Wrap ``peak_properties`` and ``_covariance`` with call counters."""
+    calls = {"peak_properties": 0, "_covariance": 0}
+    for name in calls:
+        original = getattr(fitting, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(fitting, name, counting)
+    return calls
+
+
+FIRST_READ_CASES = {
+    "dressed": (
+        lambda: synthesize_measurement(
+            ensemble_spectrum(FIG2_ENV, FIG2_DRIVE, FIG2_GRID, 1.0, 0.1, 0.05), 1e6, 1.0, 2
+        ),
+        DressedDip(omega_rf=16.0),
+    ),
+    "sigma_ex": (_strain_noisy, DressedDip(omega_rf=16.0, fit_sigma_ex=True)),
+    "lorentzian": (
+        lambda: synthesize_measurement(_lorentz_clean(), 1e6, 1.0, seed=4),
+        MultiLorentzian(1),
+    ),
+}
+
+
+class TestPropertiesOnFirstRead:
+    """The covariance and line properties are computed when first read, with the bits
+    a direct ``_covariance`` or ``peak_properties`` call on the fit's inputs gives."""
+
+    @pytest.mark.parametrize("case", FIRST_READ_CASES)
+    def test_fit_alone_computes_neither(self, case, monkeypatch):
+        make, model = FIRST_READ_CASES[case]
+        calls = _count_property_calls(monkeypatch)
+        res = fit(make(), model)
+        assert calls == {"peak_properties": 0, "_covariance": 0}
+        res.fwhm_per_peak, res.fwhm_reasons, res.contrast_per_peak
+        assert calls == {"peak_properties": 1, "_covariance": 0}
+        res.uncertainty(res.param_names[0]), res.to_json()
+        assert calls == {"peak_properties": 1, "_covariance": 1}
+
+    @pytest.mark.parametrize("case", FIRST_READ_CASES)
+    def test_each_property_is_a_direct_calls_bits(self, case):
+        make, model = FIRST_READ_CASES[case]
+        spec = make()
+        res = fit(spec, model)
+        grid = spec.frequencies.copy()
+        weighted = bool(np.all(spec.sigma > 0))
+        w = 1.0 / spec.sigma if weighted else np.ones(len(spec))
+        cov = fitting._covariance(model, res.params, grid, w, weighted, res.cost)
+        fwhm, reasons, contrasts = peak_properties(model, res.params, grid)
+        # The result keeps its own grid: the caller's spectrum may change.
+        spec.frequencies += 1.0
+        spec.sigma *= 2.0
+        assert np.array_equal(res.covariance, cov)
+        bits = np.array(fwhm, dtype=float).tobytes()
+        assert np.array(res.fwhm_per_peak, dtype=float).tobytes() == bits
+        assert res.fwhm_reasons == reasons
+        assert np.array(res.contrast_per_peak).tobytes() == np.array(contrasts).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            res.params[0] = 0.0
+
+    def test_multistart_computes_them_once(self, monkeypatch):
+        noisy = synthesize_measurement(_lorentz_clean(), 1e6, 1.0, seed=21)
+        calls = _count_property_calls(monkeypatch)
+        res = multistart_fit(noisy, MultiLorentzian(1), n_starts=4, seed=0)
+        assert calls == {"peak_properties": 0, "_covariance": 0}
+        for _ in range(2):
+            res.covariance, res.fwhm_per_peak, res.fwhm_reasons, res.contrast_per_peak
+        assert calls == {"peak_properties": 1, "_covariance": 1}
+
+    def test_an_error_is_raised_by_each_read(self, monkeypatch):
+        def failing(*args):
+            raise ValueError("The function value at x=1.0 is NaN; solver cannot continue.")
+
+        monkeypatch.setattr(fitting, "peak_properties", failing)
+        res = fit(_dressed_clean(), DressedDip(omega_rf=8.0, fixed_contrast=0.1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
+                res.fwhm_per_peak
+        assert res.uncertainty("d") > 0
+
+
 class TestPeakProperties:
     def test_lorentzian_widths_direct(self):
         model = MultiLorentzian(1)
         params = np.array([1.0, 2870.0, 7.92, 0.05])
-        fwhm, reasons, depths = peak_properties(model, params, _lorentz_clean())
+        fwhm, reasons, depths = peak_properties(model, params, _lorentz_clean().frequencies)
         assert fwhm == [pytest.approx(7.92)]
         assert reasons == ["ok"]
         assert depths == [pytest.approx(0.05)]
@@ -631,7 +725,7 @@ class TestPeakProperties:
     def test_flat_curve_reports_no_dip(self):
         model = DressedDip(omega_rf=8.0, fixed_contrast=0.1)
         params = np.array([2870.0, 8.0, 6.0, 1e-9, 1.0, 0.3, 0.1])
-        fwhm, reasons, _ = peak_properties(model, params, _dressed_clean())
+        fwhm, reasons, _ = peak_properties(model, params, _dressed_clean().frequencies)
         assert fwhm == [None]
         assert "no dip" in reasons[0]
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from nvtherm import lineshape, oracle, sensitivity
+from nvtherm import fitting, lineshape, oracle, sensitivity
 from nvtherm.fitting import DressedDip, FitError, MultiLorentzian, fit
 from nvtherm.lineshape import (
     StrainDistribution,
@@ -510,6 +510,31 @@ class TestSweep:
         json_row = _strict_json(table.to_json())["rows"][0]
         assert json_row["fwhm_mhz"] is None
         assert json_row["status"] == row["status"]
+
+    def test_rows_read_line_properties_and_no_covariance(self, monkeypatch):
+        # A row reads the fit's FWHM and depth, not its covariance, and an
+        # error in the line properties is the row's status.
+        def no_covariance(*args):
+            raise AssertionError("a sweep row read the covariance")
+
+        def failing(*args):
+            raise ValueError("f(a) and f(b) must have different signs")
+
+        monkeypatch.setattr(fitting, "_covariance", no_covariance)
+        config = SweepConfig(
+            axes=(("rabi_mw", (0.5, 0.8)),),
+            environment=self.ENV,
+            strain=StrainDistribution(8.0),
+            drive=DriveConfig(omega_rf=8.0, rabi_rf=6.0),
+            grid=np.linspace(2850.0, 2890.0, 401),
+            gamma_d=0.3,
+            seed=12,
+        )
+        budget = NoiseBudget(photon_rate=1e6, contrast=0.1)
+        assert [r["status"] for r in sweep(config, budget).rows] == ["ok", "ok"]
+        monkeypatch.setattr(fitting, "peak_properties", failing)
+        statuses = [r["status"] for r in sweep(config, budget).rows]
+        assert statuses == ["error: f(a) and f(b) must have different signs"] * 2
 
     def test_lindblad_generator_sits_at_strain_mean(self):
         def table(env_ex, mean_ex):
