@@ -227,12 +227,13 @@ def _build(doc: dict, seed: int) -> _Run:
     diags = []
 
     def judge(section, build, kwargs, keys={}):
+        # ``keys`` gives the config key of a field that is not ``section.field``.
         try:
             return build(**kwargs)
         except ConfigError as exc:
             for problem in exc.diagnostics:
                 field, _, rest = problem.partition(" ")
-                diags.append(f"{section}.{keys.get(field, field)} {rest}")
+                diags.append(f"{keys.get(field, f'{section}.{field}')} {rest}")
             return None
 
     env = judge("environment", PhysicalEnvironment, doc.get("environment", {}))
@@ -272,13 +273,8 @@ def _build(doc: dict, seed: int) -> _Run:
         sd = doc["sweep"]
         axes = tuple((a["name"], tuple(a["values"])) for a in sd.get("axes", []))
         config = dict(sd, axes=axes, environment=env, drive=drive, grid=run.grid, strain=strain)
-        run.sweep = judge("sweep", sensitivity.SweepConfig, dict(config, seed=seed, **run.rates))
-        # Every sweep point is fitted on the grid: a shorter one fails every row.
-        if run.grid is not None and len(run.grid) < fitting.MIN_FIT_POINTS:
-            diags.append(
-                f"grid.points must be >= {fitting.MIN_FIT_POINTS} for a sweep's fits, "
-                f"got {len(run.grid)}"
-            )
+        config = dict(config, seed=seed, **run.rates)
+        run.sweep = judge("sweep", sensitivity.SweepConfig, config, {"grid": "grid.points"})
     # Each axis value is judged as a sweep point builds it (a drive amplitude
     # by DriveConfig, a laser power by the budget); one problem per axis.  A
     # laser power needs the budget, so it is judged only when the budget
@@ -304,7 +300,7 @@ def _build(doc: dict, seed: int) -> _Run:
             kwargs[_FIT_FIELDS.get(key, key)] = value
         elif key not in _FIT_RUN_KEYS:
             diags.append(f"fit.{key} is not read by fit.model {kind!r}")
-    run.fit_model = judge("fit", model, kwargs, {f: k for k, f in _FIT_FIELDS.items()})
+    run.fit_model = judge("fit", model, kwargs, {f: f"fit.{k}" for k, f in _FIT_FIELDS.items()})
     if diags:
         raise ConfigError(diags)
     return run

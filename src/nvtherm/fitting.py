@@ -198,15 +198,15 @@ class FitResult:
         # Looked up by name at the read, so a wrapper set on the module applies.
         return peak_properties(self.model, self.params, self.grid)
 
-    @cached_property
+    @property
     def fwhm_per_peak(self) -> list:
         return self._line_properties[0]
 
-    @cached_property
+    @property
     def fwhm_reasons(self) -> list:
         return self._line_properties[1]
 
-    @cached_property
+    @property
     def contrast_per_peak(self) -> list:
         return self._line_properties[2]
 

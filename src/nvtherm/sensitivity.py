@@ -286,6 +286,12 @@ class SweepConfig:
                 problems.append(f"axes[{i}] {name!r} has no values")
             elif not np.all(np.isfinite(vals)):
                 problems.append(f"axes[{i}] {name!r} has non-finite values")
+        # Every point is fitted on the grid: a shorter one would fail every row.
+        if self.grid is not None and len(self.grid) < fitting.MIN_FIT_POINTS:
+            problems.append(
+                f"grid must be >= {fitting.MIN_FIT_POINTS} points for a sweep's fits, "
+                f"got {len(self.grid)}"
+            )
         if self.fit_model not in ("dressed", "lorentzian"):
             problems.append(f"fit_model must be dressed or lorentzian, got {self.fit_model!r}")
         elif self.fit_model == "dressed" and not self.environment.is_transverse_mode:

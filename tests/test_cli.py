@@ -273,7 +273,7 @@ class TestValidation:
     def test_sweep_grid_too_short_to_fit(self, capsys):
         # Every sweep point is fitted, and a fit needs 10 samples: a shorter
         # grid would fail every row.  A simulation on it is still valid.
-        message = "invalid: grid.points must be >= 10 for a sweep's fits, got 9\n"
+        message = "invalid: grid.points must be >= 10 points for a sweep's fits, got 9\n"
         for preset in ("sensitivity_map", "fig5_narrowing"):
             argv = ["--config", str(PRESET_DIR / f"{preset}.json"), "--set", "grid.points=9"]
             assert main(["validate", *argv]) == 1

@@ -378,6 +378,12 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="non-finite"):
             self._config(axes=(("rabi_rf", (1.0, float("nan"))),))
 
+    def test_rejects_a_grid_too_short_to_fit(self):
+        # Every point is fitted, and a fit needs MIN_FIT_POINTS samples.
+        with pytest.raises(ValueError, match="grid must be >= 10 points for a sweep's fits, got 9"):
+            self._config(grid=self.GRID[:9])
+        assert self._config(grid=self.GRID[:10]).grid.size == 10
+
     def test_rejects_nonpositive_rates(self):
         # A zero damping rate divides by zero in the two-mode response.
         with pytest.raises(ValueError, match="gamma_b must be > 0"):
