@@ -5,8 +5,9 @@ spectra) and the dressed-state dip model (transverse-field spectra with RF
 drive).  The optimizer is a damped least-squares (Levenberg-Marquardt style)
 loop; strictly positive parameters are fitted in log space so the internal
 problem is unconstrained.  A model with ``exact_jacobian`` set (the dressed
-model with sigma_ex fitted) gives its Jacobian in closed form; the others
-take a numerical central difference.
+model with sigma_ex fitted) gives its Jacobian in closed form and its value
+from the real-arithmetic formula that Jacobian differentiates; the others
+take a numerical central difference of their generators' signal.
 
 Each model's ``evaluate`` takes one parameter vector or a stack of them as
 rows, and gives each row the bits its own call gives.  A central-difference
@@ -99,7 +100,11 @@ class DressedDip:
     attributes of the model, not fitted parameters: the signal depends on
     the contrast only through contrast * rabi_mw**2, so the two cannot be
     fitted jointly and the contrast stays at ``fixed_contrast``.  With
-    sigma_ex fitted, ``jacobian`` gives the exact derivatives of the signal.
+    sigma_ex fitted, ``evaluate`` is ``lineshape.dressed_strain_signal`` and
+    ``jacobian`` gives its exact derivatives (``lineshape.dressed_jacobian``),
+    one real-arithmetic formula; the generators stay on ``dressed_signal``,
+    which it equals to about 1e-13.  Without sigma_ex, ``evaluate`` is
+    ``dressed_signal``, bit for bit.
     """
 
     omega_rf: float
@@ -138,17 +143,20 @@ class DressedDip:
         keep central differences because benchmarks/reference.json pins
         their last bits: a JACOBIAN_REL_STEP of 1.1e-6 for 1e-6 moved 12
         drive_map rows and a lindblad_map point out of it.  They switch
-        once ROADMAP item 3 has re-recorded it (item 6).
+        once ROADMAP item 16 makes re-recording it one command (item 6).
         """
         return self.fit_sigma_ex
 
     def evaluate(self, params: np.ndarray, grid: np.ndarray) -> np.ndarray:
         """The signal of ``params``, shape (n,), or of each row of shape (rows, n)."""
         d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d = params.T[:6]
-        sigma_ex = params.T[6] if self.fit_sigma_ex else 0.0
+        if self.fit_sigma_ex:  # the value that ``jacobian`` differentiates
+            return lineshape.dressed_strain_signal(
+                d, ex, self.omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d,
+                self.fixed_contrast, params.T[6],
+            )
         return lineshape.dressed_signal(
-            d, ex, self.omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d,
-            self.fixed_contrast, sigma_ex,
+            d, ex, self.omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, self.fixed_contrast
         )
 
     def jacobian(self, params: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 The central quantity is the population left in |0> under continuous MW and
 RF drive, evaluated from the bright/dark two-mode response in complex
-arithmetic.  Spectra map that population to a normalized photoluminescence
-signal through a single optical contrast factor.
+arithmetic (``p0``).  Spectra map that population to a normalized
+photoluminescence signal through a single optical contrast factor.  A fit
+of the strain spread evaluates the same depletion in real arithmetic,
+lambda^2 (|zd|^2 + J^2) / |det|^2 (``dressed_strain_signal``), the formula
+its exact Jacobian differentiates (``dressed_jacobian``).
 """
 
 from __future__ import annotations
@@ -166,7 +169,8 @@ class _Workspace(threading.local):
     """The dressed kernel's work arrays, kept between blocks and calls.
 
     ``take`` returns a view of a flat buffer (``p0``'s four work arrays, a
-    block's node signals and ``dressed_jacobian``'s nine), made on first
+    block's node signals, the seven of ``_dressed_terms`` and the
+    Jacobian's two more), made on first
     use for the largest block (two branches of ``BLOCK_POINTS`` nodes x
     points) and never freed, so a fit's blocks write into the same pages:
     glibc gives a free heap top above its trim threshold (128 KiB by
@@ -352,8 +356,9 @@ def dressed_signal(
     The depletion (``dressed_depletion``) is averaged over
     E_x ~ Normal(ex, sigma_ex) on ``nodes`` Gauss-Hermite nodes, summed in
     node order; a zero spread or one node gives the signal at ``ex``.  The
-    one dressed signal: the generators (and through them the CLI's curves)
-    and the ``DressedDip`` fit model call it.
+    generators (and through them the CLI's curves) and the sigma_ex = 0
+    ``DressedDip`` model call it; a sigma_ex model evaluates the same average
+    in real arithmetic (``dressed_strain_signal``), equal to about 1e-13.
 
     Each parameter but ``omega_rf``, ``contrast`` and ``nodes`` is a float or
     a ``(rows,)`` array; the result is ``(len(grid),)`` or ``(rows,
@@ -445,49 +450,126 @@ def dressed_jacobian(
     return np.multiply(jac, np.multiply(-contrast, scale), out=jac)
 
 
-def _jacobian_block(cols, d, ex, omega_rf, grid, j, gamma_b, gamma_d, w, x):
-    """Add one block of nodes to ``dressed_jacobian``'s unscaled columns ``cols``.
+def _add_node_sums(col, values, upper=1.0):
+    """Add to ``col`` the node sums (axis 0) of the mirror plus ``upper`` x upper branch.
 
-    With detunings ob, od, rates gb, gd, det = a + ib, M = |det|^2,
-    R = (|zd|^2 + J^2) / M, u = 2 w / M and v = u R, the w-weighted
-    derivatives of D / lambda^2 are -v (a od - b gd) in omega_b,
-    u od - v (a ob - b gb) in omega_d, v (a gd + b od) in gamma_b,
-    u gd + v (a gb + b ob) in gamma_d and J (u + 2 a v) in J, and
-    dD/dlambda = 2 lambda R; the caller applies the scalar factors.
+    The sums run in node order and use no BLAS.
+    """
+    upper_sum, mirror_sum = np.add.reduce(values, axis=0)
+    col += mirror_sum + upper * upper_sum
+
+
+def _dressed_terms(d, ex, omega_rf, grid, j, gamma_b, gamma_d):
+    """The real-arithmetic terms of the depletion per node, branch and grid point.
+
+    With the detunings ob, od of ``branch_detunings``, zb = ob - i gamma_b,
+    zd = od - i gamma_d and det = zb zd - J^2 = a + ib, returns the
+    ``_workspace`` arrays ob, od, a, b, M = |det|^2 and
+    R = (|zd|^2 + J^2) / M, so the depletion of ``p0`` is lambda^2 R.
+    ``ex`` holds the block's nodes.
     """
     shape = ex.shape + (2, len(grid))
 
     def take(name):
         return _workspace.take(name, shape)
 
-    def add(col, values, upper=1.0):  # node sums per branch, no BLAS
-        upper_sum, mirror_sum = np.add.reduce(values, axis=0)
-        col += mirror_sum + upper * upper_sum
-
-    ob, od = branch_detunings(d, ex[:, None], omega_rf, grid, out=(take("jac_ob"), take("jac_od")))
-    a = np.multiply(ob, od, out=take("jac_a"))
+    ob, od = branch_detunings(d, ex[:, None], omega_rf, grid, out=(take("ob"), take("od")))
+    a = np.multiply(ob, od, out=take("a"))
     np.subtract(a, gamma_b * gamma_d + j * j, out=a)
-    b = np.multiply(ob, -gamma_d, out=take("jac_b"))
-    t1, t2, t3 = take("jac_t1"), take("jac_t2"), take("jac_t3")
-    np.subtract(b, np.multiply(od, gamma_b, out=t1), out=b)
-    m = np.multiply(a, a, out=take("jac_u"))
-    np.add(m, np.multiply(b, b, out=t1), out=m)
-    r = np.multiply(od, od, out=t3)
+    b = np.multiply(ob, -gamma_d, out=take("b"))
+    t = take("t1")
+    np.subtract(b, np.multiply(od, gamma_b, out=t), out=b)
+    m = np.multiply(a, a, out=take("m"))
+    np.add(m, np.multiply(b, b, out=t), out=m)
+    r = np.multiply(od, od, out=take("r"))
     np.add(r, gamma_d * gamma_d + j * j, out=r)
-    np.divide(r, m, out=r)
+    return ob, od, a, b, m, np.divide(r, m, out=r)
+
+
+def dressed_strain_signal(
+    d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast, sigma_ex
+) -> np.ndarray:
+    """``dressed_signal`` on the default nodes in the real arithmetic of ``dressed_jacobian``.
+
+    The signal 1 - contrast lambda^2 (R_upper + R_mirror) (``_dressed_terms``)
+    averaged over the nodes ex + sqrt(2) sigma_ex x_k with the weights w_k
+    of ``dressed_signal``, on its blocks, the node sums in node order: the
+    value whose derivatives ``dressed_jacobian`` gives, without ``p0``'s
+    complex divisions.  It agrees with ``dressed_signal`` to about 1e-13
+    relative.  Each parameter but ``omega_rf`` and ``contrast`` is a float
+    or a ``(rows,)`` array; the result is ``(len(grid),)`` or
+    ``(rows, len(grid))``, one row at a time with its scalar parameters, so
+    each row equals its scalar call bit for bit.  A row where some |det|^2
+    leaves the normal range of floats, or whose signal is not finite, is
+    ``dressed_signal``'s row instead, so the result is finite and silent
+    wherever that is.
+    """
+    params = (d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, sigma_ex)
+    rows = [p for p in params if isinstance(p, np.ndarray) and p.ndim]
+    shape = np.broadcast(*rows).shape if rows else ()
+    out = np.empty(shape + (len(grid),))
+    for r in np.ndindex(shape):
+        row = [p[r] if isinstance(p, np.ndarray) and p.ndim else p for p in params]
+        if not _strain_row(out[r], omega_rf, grid, contrast, *row):
+            d_r, ex_r, *drive, sigma_r = row
+            out[r] = dressed_signal(d_r, ex_r, omega_rf, grid, *drive, contrast, sigma_r)
+    return out
+
+
+_NORMAL = (np.finfo(float).tiny, np.finfo(float).max)
+
+
+def _strain_row(out, omega_rf, grid, contrast, d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, sigma_ex):
+    """Write one ``dressed_strain_signal`` row into ``out``; False where it would be inexact.
+
+    That is where some M leaves the normal floats (an R of a zero, subnormal
+    or infinite M is wrong or inexact) or the signal is not finite.
+    """
+    x, w = _hermite_nodes(DEFAULT_QUADRATURE_NODES)
+    ex_nodes = ex + np.sqrt(2.0) * sigma_ex * x
+    j, lam = rabi_rf / 2.0, rabi_mw / 2.0
+    per_block, step = _blocks(len(grid))
+    out[...] = 0.0
+    with np.errstate(all="ignore"):  # the checks below catch what would warn
+        for lo in range(0, len(grid), step):
+            for k in range(0, len(x), per_block):
+                at = slice(k, k + per_block)
+                *_, m, r = _dressed_terms(
+                    d, ex_nodes[at], omega_rf, grid[lo : lo + step], j, gamma_b, gamma_d
+                )
+                if not (m.min() >= _NORMAL[0] and m.max() <= _NORMAL[1]):
+                    return False
+                _add_node_sums(out[lo : lo + step], np.multiply(r, w[at, :, None], out=r))
+        np.subtract(1.0, np.multiply(contrast * (lam * lam), out, out=out), out=out)
+        return bool(np.isfinite(out).all())
+
+
+def _jacobian_block(cols, d, ex, omega_rf, grid, j, gamma_b, gamma_d, w, x):
+    """Add one block of nodes to ``dressed_jacobian``'s unscaled columns ``cols``.
+
+    With the terms of ``_dressed_terms`` (rates gb, gd), u = 2 w / M and
+    v = u R, the w-weighted derivatives of D / lambda^2 are
+    -v (a od - b gd) in omega_b, u od - v (a ob - b gb) in omega_d,
+    v (a gd + b od) in gamma_b, u gd + v (a gb + b ob) in gamma_d and
+    J (u + 2 a v) in J, and dD/dlambda = 2 lambda R; the caller applies the
+    scalar factors.
+    """
+    ob, od, a, b, m, r = _dressed_terms(d, ex, omega_rf, grid, j, gamma_b, gamma_d)
+    t1, t2 = _workspace.take("t1", m.shape), _workspace.take("t2", m.shape)
     u = np.divide(2.0 * w, m, out=m)
-    v = np.multiply(u, r, out=take("jac_v"))
-    add(cols[3], np.multiply(r, w, out=r))  # rabi_mw
+    v = np.multiply(u, r, out=_workspace.take("v", m.shape))
+    _add_node_sums(cols[3], np.multiply(r, w, out=r))  # rabi_mw
+    t3 = r  # R's last use was above
     np.multiply(a, v, out=t1)
     np.add(t1, t1, out=t1)
-    add(cols[2], np.add(t1, u, out=t1))  # rabi_rf
+    _add_node_sums(cols[2], np.add(t1, u, out=t1))  # rabi_rf
     np.multiply(b, od, out=t1)
     np.add(t1, np.multiply(a, gamma_d, out=t2), out=t1)
-    add(cols[4], np.multiply(t1, v, out=t1))  # gamma_b
+    _add_node_sums(cols[4], np.multiply(t1, v, out=t1))  # gamma_b
     np.multiply(b, ob, out=t1)
     np.add(t1, np.multiply(a, gamma_b, out=t2), out=t1)
     np.multiply(t1, v, out=t1)
-    add(cols[5], np.add(t1, np.multiply(u, gamma_d, out=t2), out=t1))  # gamma_d
+    _add_node_sums(cols[5], np.add(t1, np.multiply(u, gamma_d, out=t2), out=t1))  # gamma_d
     # t1 = -dD/domega_b, t3 = dD/domega_d
     np.multiply(a, od, out=t1)
     np.subtract(t1, np.multiply(b, gamma_d, out=t2), out=t1)
@@ -496,12 +578,12 @@ def _jacobian_block(cols, d, ex, omega_rf, grid, j, gamma_b, gamma_d, w, x):
     np.subtract(t2, np.multiply(b, gamma_b, out=t3), out=t2)
     np.multiply(t2, v, out=t2)
     np.subtract(np.multiply(u, od, out=t3), t2, out=t3)
-    add(cols[0], np.subtract(t3, t1, out=t2))  # d moves both detunings
+    _add_node_sums(cols[0], np.subtract(t3, t1, out=t2))  # d moves both detunings
     # E_x moves omega_b by s and omega_d by -s, s = 1 on the upper branch and
     # -1 on the mirror: dD/dE_x = -s (t1 + t3).
     np.add(t1, t3, out=t1)
-    add(cols[1], t1, -1.0)
-    add(cols[6], np.multiply(t1, x, out=t1), -1.0)
+    _add_node_sums(cols[1], t1, -1.0)
+    _add_node_sums(cols[6], np.multiply(t1, x, out=t1), -1.0)
 
 
 def ensemble_spectrum(

@@ -653,7 +653,7 @@ class TestGoldenOutputs:
         "fig5.json": "c09274427e236feb1c543db2204ec758d1ebf5af1a645474c749cddb2dbbefb7",
         "fit.json": "5a31f4960dc12e290d2f76681d459df0d6dbe5a0f04a4b04016057588bc94b1a",
         "fit_lorentzian.json": "1c6d5cdadddf53eb8d5d8b18c8479e2cf1057ecff314d9fdd37d1bd909806c2b",
-        "fit_strain.json": "7673ef0d5e4842f6bf43a0298cc53f1ccfbe41e651fee6c7276208826813ea8a",
+        "fit_strain.json": "ca58f1f468c6bac7b370ca08d08bb19f82d9117970b08514273de74bb8cfc493",
         "map.csv": "ad45091fda75e4a399966ac9cf87d98ab91b84341682e4026ac62a9c335a7484",
         "map.json": "2f3a76b131718bef5126311a889ed5b85278bd81cd8eb36dbc9f821f9dc05fb5",
         "oracle.json": "61f999a2e25e06a5b7a4d93ecf46c1e5e3205d778a3226c8c048b294b42f72c3",

@@ -235,8 +235,9 @@ class TestFit:
 
 class TestDressedDipModel:
     def test_strain_model_equals_ensemble_generator(self):
-        # The fit model and the generator share one strain average, so the
-        # fig2 geometry with a 2 MHz spread agrees bit for bit.
+        # The sigma_ex model takes the real-arithmetic value of its exact
+        # Jacobian and the generator stays on p0's complex arithmetic, so the
+        # fig2 geometry with a 2 MHz spread agrees to rounding, not bit for bit.
         env = PhysicalEnvironment(d0=2885.5, ex=8.0, b_transverse=80.0)
         drive = DriveConfig(rabi_mw=0.5, omega_rf=16.0, rabi_rf=5.0)
         grid = np.linspace(2866.0, 2905.0, 781)
@@ -244,7 +245,8 @@ class TestDressedDipModel:
         generated = ensemble_spectrum(env, drive, grid, 1.0, 0.1, 0.05, strain)
         params = np.array([2885.5, 8.0, 5.0, 0.5, 1.0, 0.1, 2.0])
         model = DressedDip(omega_rf=16.0, fit_sigma_ex=True, fixed_contrast=0.05)
-        assert np.array_equal(model.evaluate(params, grid), generated.signal)
+        signal = model.evaluate(params, grid)
+        assert np.all(np.abs(signal - generated.signal) <= 1e-12 * np.maximum(1.0, np.abs(signal)))
 
     def test_contrast_enters_only_with_rabi_mw_squared(self):
         # Four times the contrast at half the rabi_mw gives the same signal.
@@ -364,7 +366,11 @@ class TestStackedJacobian:
 
 
 class TestExactJacobian:
-    """A sigma_ex model's exact Jacobian, column by column, against a Richardson difference."""
+    """A sigma_ex model's exact Jacobian, column by column, against a Richardson difference.
+
+    The difference is of the model's own value, ``dressed_strain_signal``:
+    the real-arithmetic formula that the Jacobian differentiates.
+    """
 
     MODEL = DressedDip(omega_rf=16.0, fit_sigma_ex=True)
     FIG5_GRID = np.linspace(2845.0, 2895.0, 501)

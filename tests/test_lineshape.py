@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from nvtherm.lineshape import (
     dressed_depletion,
     dressed_jacobian,
     dressed_signal,
+    dressed_strain_signal,
     ensemble_spectrum,
     lorentzian_dips,
     lorentzian_spectrum,
@@ -540,6 +542,60 @@ class TestStackedRows:
             assert np.array_equal(stacked[r], single)
 
 
+class TestStrainSignal:
+    """The sigma_ex fit's real-arithmetic signal against ``dressed_signal``'s complex one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 4),
+        equal_rates=st.booleans(),
+        points=st.sampled_from([1, 2, 97, 390, 391, 781, BLOCK_POINTS + 1]),
+    )
+    def test_agrees_with_dressed_signal(self, seed, rows, equal_rates, points):
+        # 390 points take all 21 nodes in one block, 391 and 781 two blocks of
+        # 10 and one of 1, and BLOCK_POINTS + 1 one node at a time over two
+        # slices of the grid.
+        rng = np.random.default_rng(seed)
+        grid = np.sort(rng.uniform(2840.0, 2900.0, points))
+        params = _dressed_rows(rng, rows)
+        if equal_rates:
+            params[5] = params[4]
+        sigma_ex = rng.uniform(0.0, 4.0, rows)
+        contrast = rng.uniform(0.01, 0.3)
+        stacked = dressed_strain_signal(
+            params[0], params[1], 16.0, grid, *params[2:], contrast, sigma_ex
+        )
+        assert stacked.shape == (rows, points)
+        for r in range(rows):
+            scalar = float if r % 2 else np.float64
+            row = [scalar(p[r]) for p in params]
+            single = dressed_strain_signal(
+                row[0], row[1], 16.0, grid, *row[2:], contrast, scalar(sigma_ex[r])
+            )
+            assert np.array_equal(stacked[r], single)
+            complex_signal = dressed_signal(
+                row[0], row[1], 16.0, grid, *row[2:], contrast, scalar(sigma_ex[r])
+            )
+            bound = 1e-12 * np.maximum(1.0, np.abs(complex_signal))
+            assert np.all(np.abs(single - complex_signal) <= bound)
+
+    @pytest.mark.parametrize("log_value", [-300.0, 300.0])
+    @pytest.mark.parametrize("points", [(2866.0, 2905.0, 781), (2845.0, 2895.0, 501)])
+    def test_clipped_parameters_stay_finite_and_silent(self, log_value, points):
+        # fit clips each positive parameter to [e^-300, e^300] (the fig2 and
+        # fig5 grids).  There |det|^2 underflows to zero where both detunings
+        # vanish (fig2's 2893.5 MHz) or overflows, and the row is
+        # dressed_signal's instead.
+        v = np.exp(log_value)
+        args = (2885.5, 8.0, 16.0, np.linspace(*points), v, v, v, v, 0.05, v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            signal = dressed_strain_signal(*args)
+            assert np.all(np.isfinite(signal))
+            assert np.array_equal(signal, dressed_signal(*args))
+
+
 class TestWorkspace:
     """The kernel's reused work arrays never show through a returned array."""
 
@@ -553,6 +609,9 @@ class TestWorkspace:
         stack = _dressed_rows(rng, 14)  # a central-difference sigma_ex Jacobian
         return {
             "sigma_ex row": lambda: dressed_signal(
+                2885.5, 8.0, 16.0, strain_grid, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0
+            ),
+            "sigma_ex value": lambda: dressed_strain_signal(
                 2885.5, 8.0, 16.0, strain_grid, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0
             ),
             "sigma_ex jacobian": lambda: dressed_jacobian(
@@ -577,7 +636,8 @@ class TestWorkspace:
         first = {name: call() for name, call in calls.items()}
         results = [(name, value, value.copy()) for name, value in first.items()]
         names = [
-            "p0", "jacobian block", "sigma_ex stack", "sigma_ex jacobian", "sigma_ex row", "slope curve"
+            "p0", "jacobian block", "sigma_ex stack", "sigma_ex jacobian", "sigma_ex value",
+            "sigma_ex row", "slope curve",
         ]
         for name in names * 2:
             value = calls[name]()
@@ -601,7 +661,7 @@ class TestWorkspace:
             threading.Thread(target=work, args=(names,))
             for names in (
                 ["jacobian block", "p0"], ["sigma_ex row", "sigma_ex stack"],
-                ["slope curve", "sigma_ex jacobian"],
+                ["slope curve", "sigma_ex jacobian", "sigma_ex value"],
             ) * 2
         ]
         interval = sys.getswitchinterval()
