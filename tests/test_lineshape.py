@@ -553,9 +553,9 @@ class TestStrainSignal:
         points=st.sampled_from([1, 2, 97, 390, 391, 781, BLOCK_POINTS + 1]),
     )
     def test_agrees_with_dressed_signal(self, seed, rows, equal_rates, points):
-        # 390 points take all 21 nodes in one block, 391 and 781 two blocks of
-        # 10 and one of 1, and BLOCK_POINTS + 1 one node at a time over two
-        # slices of the grid.
+        # Up to 390 points take all 21 nodes in one block, 391 take 20 + 1,
+        # 781 take 10 + 10 + 1, and BLOCK_POINTS + 1 one node at a time over
+        # two slices of the grid.
         rng = np.random.default_rng(seed)
         grid = np.sort(rng.uniform(2840.0, 2900.0, points))
         params = _dressed_rows(rng, rows)
@@ -583,10 +583,10 @@ class TestStrainSignal:
     @pytest.mark.parametrize("log_value", [-300.0, 300.0])
     @pytest.mark.parametrize("points", [(2866.0, 2905.0, 781), (2845.0, 2895.0, 501)])
     def test_clipped_parameters_stay_finite_and_silent(self, log_value, points):
-        # fit clips each positive parameter to [e^-300, e^300] (the fig2 and
-        # fig5 grids).  There |det|^2 underflows to zero where both detunings
-        # vanish (fig2's 2893.5 MHz) or overflows, and the row is
-        # dressed_signal's instead.
+        # fit clips each positive parameter to [e^-300, e^300].  At e^-300
+        # |det|^2 underflows to zero at 2893.5 MHz, where both detunings
+        # vanish (a point of both grids); at e^300 it overflows.  Such a row
+        # is dressed_signal's.
         v = np.exp(log_value)
         args = (2885.5, 8.0, 16.0, np.linspace(*points), v, v, v, v, 0.05, v)
         with warnings.catch_warnings():
