@@ -309,8 +309,8 @@ def _build(doc: dict, seed: int) -> _Run:
 def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
     """Read, override, and strictly validate a config file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
     try:
         doc = json.loads(text)
@@ -318,6 +318,8 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
         raise ConfigError(
             [f"config parse error at line {exc.lineno}: {exc.msg}"]
         ) from exc
+    if not isinstance(doc, dict):  # no override can apply to it
+        raise ConfigError(validate_config(doc))
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError([f"override {item!r} must look like key=value"])

@@ -12,8 +12,8 @@ take a numerical central difference of their generators' signal.
 Each model's ``evaluate`` takes one parameter vector or a stack of them as
 rows, and gives each row the bits its own call gives.  A central-difference
 Jacobian is therefore one model call (all 2n perturbed vectors as rows), and
-the half-depth crossings of every dip advance Brent's method in lockstep,
-one model call per step for all of them.
+the half-depth crossings of every dip advance in lockstep by the Illinois
+variant of regula falsi, one model call per step for all of them.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ MIN_FIT_POINTS = 10  # fewer samples than this give no dip detection to start fr
 # Spread of multistart_fit's perturbed guesses: relative, and for centers a
 # fraction of the grid span.
 MULTISTART_SPREAD = 0.1
-# scipy.optimize.brentq's defaults.
-BRENTQ_XTOL = 2e-12
-BRENTQ_RTOL = 4 * math.ulp(1.0)  # 4 machine epsilons
-BRENTQ_MAXITER = 100
+# Half-depth crossings close within 2 * (ROOT_XTOL + ROOT_RTOL * |x|) wide brackets.
+ROOT_XTOL = 2e-12
+ROOT_RTOL = 4 * math.ulp(1.0)  # 4 machine epsilons
+ROOT_MAXITER = 100
 
 
 class FitError(RuntimeError):
@@ -604,140 +604,78 @@ def _covariance(model, params, grid, w, weighted, cost):
     return cov
 
 
-def _signbit(x: float) -> bool:
-    return math.copysign(1.0, x) < 0.0
+def _refuse_nan(x: np.ndarray, fx: np.ndarray):
+    if (nan := np.isnan(fx)).any():
+        raise ValueError(f"The function value at x={x[nan][0]} is NaN; solver cannot continue.")
 
 
-def _checked(x: float, fx) -> float:
-    if math.isnan(fx):
-        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-    return float(fx)
+def _illinois_roots(f, a, fa, b, fb) -> np.ndarray:
+    """Roots of the brackets [a[k], b[k]], a <= b, by the Illinois method, in lockstep.
 
-
-def _brent(xpre: float, fpre: float, xcur: float, fcur: float):
-    """Brent's method from a bracket and its end values, as a generator.
-
-    Yields each abscissa it needs, is sent the function's value there, and
-    returns the root; ``_solve_together`` drives it.
+    The end values fa and fb must differ in sign or be zero.  Each step is
+    one call ``f(which, xs)``, giving bracket ``which[k]``'s value at
+    ``xs[k]`` for every open bracket.  Its probe, the secant root kept at
+    least tol = ROOT_XTOL + ROOT_RTOL |x| inside the bracket, replaces the end
+    of its sign, and an end kept twice in a row has its value halved (Dowell
+    & Jarratt 1971).  A bracket closes at its midpoint once narrower than
+    2 tol, or at a zero value's abscissa exactly.  A NaN value, ends of one
+    sign, or a bracket open after ``ROOT_MAXITER`` steps is an error.
     """
-    xblk = fblk = spre = scur = 0.0
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if _signbit(fpre) == _signbit(fcur):
+    a, fa, b, fb = (np.array(v, dtype=float) for v in (a, fa, b, fb))
+    _refuse_nan(np.concatenate([a, b]), np.concatenate([fa, fb]))
+    b = np.where(fa == 0, a, b)
+    a = np.where(fb == 0, b, a)
+    if (np.sign(fa) * np.sign(fb) > 0).any():
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(BRENTQ_MAXITER):
-        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
-            xblk = xpre
-            fblk = fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (BRENTQ_XTOL + BRENTQ_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate; a zero denominator gives C an inf or NaN step,
-                # which fails the test below just as math.inf does
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                denom = dblk * dpre * (fblk - fpre)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                # good short step
-                spre = scur
-                scur = stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre = xcur
-        fpre = fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = _checked(xcur, (yield xcur))
-    raise RuntimeError(f"Failed to converge after {BRENTQ_MAXITER} iterations.")
-
-
-def _solve_together(f, brackets) -> list:
-    """Roots of several brackets by Brent's method (Brent 1973), in lockstep.
-
-    ``brackets`` holds ``(a, f_a, b, f_b)`` rows: each search starts from
-    its two end values, which must differ in sign; a NaN value stops it.
-    Each step makes one call ``f(which, xs)``, which must give search
-    ``which[k]``'s function value at ``xs[k]`` for every search still open.
-    Each search takes the steps, operations and errors of
-    ``scipy.optimize.brentq`` at its defaults (scipy 1.17's
-    ``Zeros/brentq.c``) on its bracket alone, so roots are equal to the
-    last bit.
-    """
-    searches = [_brent(a, _checked(a, fa), b, _checked(b, fb)) for a, fa, b, fb in brackets]
-    roots = [None] * len(searches)
-    probes = {}  # open search -> the abscissa it waits on
-    for i, search in enumerate(searches):
-        try:
-            probes[i] = next(search)
-        except StopIteration as done:
-            roots[i] = done.value
-    while probes:
-        which = list(probes)
-        values = f(which, np.array([probes[i] for i in which]))
-        for i, fx in zip(which, values):
-            try:
-                probes[i] = searches[i].send(fx)
-            except StopIteration as done:
-                roots[i] = done.value
-                del probes[i]
-    return roots
+    moved = np.zeros(len(a))  # the end the last step replaced: +1 a, -1 b
+    for step in range(ROOT_MAXITER + 1):
+        tol = ROOT_XTOL + ROOT_RTOL * np.maximum(abs(a), abs(b))
+        which = np.flatnonzero(b - a >= 2.0 * tol)
+        if not len(which):
+            return a + (b - a) / 2.0
+        if step == ROOT_MAXITER:
+            raise RuntimeError(f"Failed to converge after {ROOT_MAXITER} iterations.")
+        ak, fak, bk, fbk, tk = a[which], fa[which], b[which], fb[which], tol[which]
+        x = np.clip(ak - fak * (bk - ak) / (fbk - fak), ak + tk, bk - tk)
+        fx = np.asarray(f(which, x), dtype=float)
+        _refuse_nan(x, fx)
+        side = np.where(np.signbit(fx) == np.signbit(fak), 1.0, -1.0)  # halving keeps a sign bit
+        kept = np.where(moved[which] == side, 0.5, 1.0)  # the other end, kept twice
+        fa[which] = np.where(side > 0, fx, kept * fak)
+        fb[which] = np.where(side > 0, kept * fbk, fx)
+        a[which] = np.where((side > 0) | (fx == 0), x, ak)
+        b[which] = np.where((side > 0) & (fx != 0), bk, x)
+        moved[which] = side
 
 
 def half_depth_widths(curve_fn, grid: np.ndarray, curve: np.ndarray, dips) -> list:
     """Full width at half depth of each dip at ``grid[m]``, m in ``dips``.
 
-    ``curve`` is ``curve_fn(grid)`` on a baseline of 1.  From ``m`` each side
-    walks outward to the first sample at or above half depth, and the
-    crossing is then refined by root-finding on ``curve_fn``: the samples
-    bracketing it are not evaluated again, and every crossing of every dip
-    advances together (``_solve_together``): one ``curve_fn`` call per step,
-    on the step's probes as a strictly ascending grid.  A dip's width is
-    None when a side has no crossing.
+    ``curve`` is ``curve_fn(grid)`` on a baseline of 1.  Each crossing is
+    bracketed by the two adjacent samples nearest ``m`` that straddle half
+    depth and refined by ``_illinois_roots`` on ``curve_fn``, every crossing
+    of every dip together: one ``curve_fn`` call per step, on the step's new
+    probes as a strictly ascending grid.  A side with no crossing makes the
+    dip's width None.
     """
-    brackets, levels, solved = [], [], []
+    starts, levels, solved = [], [], []
     for m in dips:
         half = 1.0 - (1.0 - curve[m]) / 2.0
-        left = next((i for i in range(m, 0, -1) if curve[i - 1] >= half), None)
-        right = next((i for i in range(m, len(grid) - 1) if curve[i + 1] >= half), None)
-        solved.append(left is not None and right is not None)
+        left = np.flatnonzero(curve[:m] >= half)
+        right = np.flatnonzero(curve[m + 1 :] >= half)
+        solved.append(len(left) > 0 and len(right) > 0)
         if solved[-1]:
-            for i, k in ((left - 1, m), (m, right + 1)):
-                brackets.append((float(grid[i]), curve[i] - half, float(grid[k]), curve[k] - half))
-                levels.append(half)
+            starts += [left[-1], m + right[0]]  # each bracket is [i, i + 1]
+            levels += [half, half]
+    i, levels = np.array(starts, dtype=int), np.array(levels)
 
     def above_half(which, xs):
-        nu = sorted(set(xs.tolist()))
-        values = dict(zip(nu, curve_fn(np.array(nu)).tolist()))
-        return [values[x] - levels[i] for i, x in zip(which, xs.tolist())]
+        nu, back = np.unique(xs, return_inverse=True)
+        return curve_fn(nu)[back] - levels[which]
 
-    roots = iter(_solve_together(above_half, brackets))
-    widths = []
-    for ok in solved:
-        if ok:
-            left, right = next(roots), next(roots)
-        widths.append(float(right - left) if ok else None)
-    return widths
+    ends = grid[i], curve[i] - levels, grid[i + 1], curve[i + 1] - levels
+    widths = iter(np.diff(_illinois_roots(above_half, *ends).reshape(-1, 2)).ravel().tolist())
+    return [next(widths) if ok else None for ok in solved]
 
 
 def peak_properties(model, params, grid: np.ndarray):

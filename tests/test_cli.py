@@ -323,6 +323,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "nope.json"))
 
+    @pytest.mark.parametrize("override", [[], ["--set", "grid.points=5"], ["--set", "seed=5"]])
+    def test_non_object_root_is_diagnosed(self, tmp_path, capsys, override):
+        # An override cannot apply to a list; it is refused before any is tried.
+        path = _write_config(tmp_path, [1, 2])
+        assert main(["validate", "--config", path, *override]) == 1
+        assert capsys.readouterr().out == "invalid: config root must be a JSON object\n"
+        assert main(["simulate", "--config", path, *override]) == 1
+        assert capsys.readouterr().err == "error: config: config root must be a JSON object\n"
+
+    def test_undecodable_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        assert main(["validate", "--config", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"invalid: cannot read config {path}: 'utf-8' codec can't decode")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(str(path))
+
 
 _SCIPY_FREE_RUN = """
 import sys
@@ -651,13 +669,13 @@ class TestGoldenOutputs:
         "fig4.json": "eb044a7776bb85c955438fdb75b73d8108bf4bd6f05918e25deaa14899ba65e3",
         "fig5.csv": "f0503235107792b85695fbb6d145f166421c65f448d375e97ad4272bf725746b",
         "fig5.json": "c09274427e236feb1c543db2204ec758d1ebf5af1a645474c749cddb2dbbefb7",
-        "fit.json": "5a31f4960dc12e290d2f76681d459df0d6dbe5a0f04a4b04016057588bc94b1a",
+        "fit.json": "09e2c623428e2666ca6d981688d809e59216ea7412af0cad3c2d4bf20a7824ed",
         "fit_lorentzian.json": "1c6d5cdadddf53eb8d5d8b18c8479e2cf1057ecff314d9fdd37d1bd909806c2b",
-        "fit_strain.json": "ca58f1f468c6bac7b370ca08d08bb19f82d9117970b08514273de74bb8cfc493",
-        "map.csv": "ad45091fda75e4a399966ac9cf87d98ab91b84341682e4026ac62a9c335a7484",
-        "map.json": "2f3a76b131718bef5126311a889ed5b85278bd81cd8eb36dbc9f821f9dc05fb5",
+        "fit_strain.json": "23f4f03b17d255fa562efc4bf801a04b621e986db9ae7dbb7d0f929e6def4ca1",
+        "map.csv": "0782beed4d0aee3c72bb9d700585c86c42cb6525e55a08dd18e96d6b70dd7b04",
+        "map.json": "d0319927db493ff224f07d60d794c16240c0b27277b9d6dfd5cc3eb1bc0ad192",
         "oracle.json": "61f999a2e25e06a5b7a4d93ecf46c1e5e3205d778a3226c8c048b294b42f72c3",
-        "sensitivity.json": "f0d27d2928205932f6764cdd6677acc845ecaf5f634e5a5f287964e40315f94c",
+        "sensitivity.json": "2a96fe9727ca1f898dec7baee72f3d657ee016e7110a40fddaf74274548e431b",
         "strain.csv": "1650200c5ebe051cd50974d7898ccb9db068aac534e82b5beb593beafdc94252",
         "strain.json": "57ffa7d9f5c2b3f165b9171387a14ecc4a9f6525dd9ddd310292002ea49f02ac",
     }
