@@ -138,12 +138,14 @@ class DressedDip:
 
         Only sigma_ex fits do: their central-difference Jacobian is a
         14-row stack of 21 nodes x 781 points (fig2), while ``jacobian``
-        costs about one single-row call, so a warm fig2 sigma_ex fit takes
-        about 45 ms instead of 170 (2-core Xeon).  The sigma_ex = 0 fits
-        keep central differences because benchmarks/reference.json pins
-        their last bits: a JACOBIAN_REL_STEP of 1.1e-6 for 1e-6 moved 12
-        drive_map rows and a lindblad_map point out of it.  They switch
-        once ROADMAP item 16 makes re-recording it one command (item 6).
+        reuses the terms of the value at its point and costs under two
+        single-row values, so a warm fig2 sigma_ex fit with its covariance
+        and FWHMs takes about 22 ms instead of 88 (2-core Xeon).  The
+        sigma_ex = 0 fits keep central differences because
+        benchmarks/reference.json pins their last bits: a JACOBIAN_REL_STEP
+        of 1.1e-6 for 1e-6 moved 12 drive_map rows and a lindblad_map point
+        out of it.  They switch once ROADMAP item 16 makes re-recording it
+        one command (item 6).
         """
         return self.fit_sigma_ex
 
@@ -619,7 +621,8 @@ def _illinois_roots(f, a, fa, b, fb) -> np.ndarray:
     of its sign, and an end kept twice in a row has its value halved (Dowell
     & Jarratt 1971).  A bracket closes at its midpoint once narrower than
     2 tol, or at a zero value's abscissa exactly.  A NaN value, ends of one
-    sign, or a bracket open after ``ROOT_MAXITER`` steps is an error.
+    sign, or a bracket open after ``ROOT_MAXITER`` steps is an error.  A
+    step works on Python floats: numpy calls on a few brackets cost more.
     """
     a, fa, b, fb = (np.array(v, dtype=float) for v in (a, fa, b, fb))
     _refuse_nan(np.concatenate([a, b]), np.concatenate([fa, fb]))
@@ -627,25 +630,33 @@ def _illinois_roots(f, a, fa, b, fb) -> np.ndarray:
     a = np.where(fb == 0, b, a)
     if (np.sign(fa) * np.sign(fb) > 0).any():
         raise ValueError("f(a) and f(b) must have different signs")
-    moved = np.zeros(len(a))  # the end the last step replaced: +1 a, -1 b
+    a, fa, b, fb = (v.tolist() for v in (a, fa, b, fb))
+    moved = [0.0] * len(a)  # the end the last step replaced: +1 a, -1 b
     for step in range(ROOT_MAXITER + 1):
-        tol = ROOT_XTOL + ROOT_RTOL * np.maximum(abs(a), abs(b))
-        which = np.flatnonzero(b - a >= 2.0 * tol)
-        if not len(which):
-            return a + (b - a) / 2.0
+        tol = [ROOT_XTOL + ROOT_RTOL * max(abs(ak), abs(bk)) for ak, bk in zip(a, b)]
+        which = [k for k, t in enumerate(tol) if b[k] - a[k] >= 2.0 * t]
+        if not which:
+            return np.array([ak + (bk - ak) / 2.0 for ak, bk in zip(a, b)])
         if step == ROOT_MAXITER:
             raise RuntimeError(f"Failed to converge after {ROOT_MAXITER} iterations.")
-        ak, fak, bk, fbk, tk = a[which], fa[which], b[which], fb[which], tol[which]
-        x = np.clip(ak - fak * (bk - ak) / (fbk - fak), ak + tk, bk - tk)
-        fx = np.asarray(f(which, x), dtype=float)
-        _refuse_nan(x, fx)
-        side = np.where(np.signbit(fx) == np.signbit(fak), 1.0, -1.0)  # halving keeps a sign bit
-        kept = np.where(moved[which] == side, 0.5, 1.0)  # the other end, kept twice
-        fa[which] = np.where(side > 0, fx, kept * fak)
-        fb[which] = np.where(side > 0, kept * fbk, fx)
-        a[which] = np.where((side > 0) | (fx == 0), x, ak)
-        b[which] = np.where((side > 0) & (fx != 0), bk, x)
-        moved[which] = side
+        xs = []
+        for k in which:  # np.clip's order of comparisons, so a NaN stays NaN
+            x = a[k] - fa[k] * (b[k] - a[k]) / (fb[k] - fa[k])
+            x = a[k] + tol[k] if x <= a[k] + tol[k] else x
+            xs.append(b[k] - tol[k] if x >= b[k] - tol[k] else x)
+        xs = np.array(xs)
+        fx = np.asarray(f(np.array(which), xs), dtype=float)
+        _refuse_nan(xs, fx)
+        for k, x, fk in zip(which, xs.tolist(), fx.tolist()):
+            side = 1.0 if math.copysign(1.0, fk) == math.copysign(1.0, fa[k]) else -1.0
+            kept = 0.5 if moved[k] == side else 1.0  # the other end, kept twice
+            if side > 0:  # halving keeps a sign bit
+                a[k], fa[k], fb[k] = x, fk, kept * fb[k]
+            else:
+                b[k], fa[k], fb[k] = x, kept * fa[k], fk
+            if fk == 0:
+                a[k] = b[k] = x
+            moved[k] = side
 
 
 def half_depth_widths(curve_fn, grid: np.ndarray, curve: np.ndarray, dips) -> list:
@@ -667,11 +678,13 @@ def half_depth_widths(curve_fn, grid: np.ndarray, curve: np.ndarray, dips) -> li
         if solved[-1]:
             starts += [left[-1], m + right[0]]  # each bracket is [i, i + 1]
             levels += [half, half]
-    i, levels = np.array(starts, dtype=int), np.array(levels)
+    i = np.array(starts, dtype=int)
 
     def above_half(which, xs):
-        nu, back = np.unique(xs, return_inverse=True)
-        return curve_fn(nu)[back] - levels[which]
+        xs = xs.tolist()
+        nu = sorted(set(xs))
+        at = dict(zip(nu, curve_fn(np.array(nu)).tolist()))
+        return [at[x] - levels[k] for k, x in zip(which.tolist(), xs)]
 
     ends = grid[i], curve[i] - levels, grid[i + 1], curve[i + 1] - levels
     widths = iter(np.diff(_illinois_roots(above_half, *ends).reshape(-1, 2)).ravel().tolist())

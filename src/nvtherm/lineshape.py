@@ -6,7 +6,8 @@ arithmetic (``p0``).  Spectra map that population to a normalized
 photoluminescence signal through a single optical contrast factor.  A fit
 of the strain spread evaluates the same depletion in real arithmetic,
 lambda^2 (|zd|^2 + J^2) / |det|^2 (``dressed_strain_signal``), the formula
-its exact Jacobian differentiates (``dressed_jacobian``).
+its exact Jacobian differentiates (``dressed_jacobian``); a Jacobian at the
+point of the last value reuses that value's terms.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ MAX_QUADRATURE_NODES = 369
 # Nodes x grid points per dressed_depletion call.  Blocks share its fixed cost
 # (about 25 us) and reuse _Workspace's work arrays.  Unblocked, a sigma_ex fit
 # (21 nodes x 781 points) page-faulted on p0's temporaries and peaked at
-# 134 MB, not 107.  Medians of 3 benchmark runs (2-core Xeon, numpy 2.4; the
-# 2048 column is without the workspace):
+# 134 MB, not 107.  Medians of 3 benchmark runs when sigma_ex fits still
+# evaluated p0 and differenced it (2-core Xeon, numpy 2.4; the 2048 column is
+# without the workspace):
 #                              2048   4096   8192  16384
 #   strain_thermometry, 1/s    3.05   3.21   3.61   3.70
 #   drive_map, 1/s             43.6   44.0   47.2   47.4
@@ -178,11 +180,16 @@ class _Workspace(threading.local):
     fault on every block.  A larger request gets a new array, so a long
     direct call holds no memory after it.  Each thread has its own buffers.
     No view leaves this module: the public functions return arrays that
-    their caller owns.
+    their caller owns.  ``terms`` keeps all six ``_dressed_terms`` of the
+    last sigma_ex value point, ``point`` the arguments they are of, for a
+    Jacobian there to reuse: a fit takes each Jacobian where it has just
+    taken the value.  It only grows, to nodes x points <= 4 BLOCK_POINTS.
     """
 
     def __init__(self):
         self.buffers = {}
+        self.terms = np.empty(0)
+        self.point = None
 
     def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         size = math.prod(shape)
@@ -191,6 +198,19 @@ class _Workspace(threading.local):
         if name not in self.buffers:
             self.buffers[name] = np.empty(2 * BLOCK_POINTS, dtype)
         return self.buffers[name][:size].reshape(shape)
+
+    def point_terms(self, nodes: int, points: int, point=None):
+        """Six (nodes, 2, points) arrays for a point's terms, or None above the cap.
+
+        Clears the record; given ``point``, returns only the terms kept for it.
+        """
+        kept, self.point = self.point, None
+        size = 12 * nodes * points
+        if nodes * points > 4 * BLOCK_POINTS or (point is not None and point != kept):
+            return None
+        if self.terms.size < size:
+            self.terms = np.empty(size)
+        return self.terms[:size].reshape(6, nodes, 2, points)
 
 
 _workspace = _Workspace()
@@ -430,21 +450,25 @@ def dressed_jacobian(
     dD/dE_x also with weights sqrt(2) x_k w_k for sigma_ex.  So the result
     is exact for the quadrature that ``dressed_signal`` evaluates.  Blocks
     of nodes and grid points are those of ``dressed_signal``, in
-    ``_workspace`` arrays; the node sums use no BLAS.
+    ``_workspace`` arrays; the node sums use no BLAS.  At the point of this
+    thread's last ``dressed_strain_signal`` row the terms come from that
+    call (``_Workspace.point_terms``), bit for bit the ones computed here.
     """
     x, w = _hermite_nodes(DEFAULT_QUADRATURE_NODES)
     ex_nodes = ex + np.sqrt(2.0) * sigma_ex * x
     j, lam = rabi_rf / 2.0, rabi_mw / 2.0
+    point = _point(d, ex, omega_rf, grid, j, gamma_b, gamma_d, sigma_ex)
+    kept = _workspace.point_terms(len(x), len(grid), point)
     jac = np.zeros((len(grid), 7))
     per_block, step = _blocks(len(grid))
     for lo in range(0, len(grid), step):
         cols = jac[lo : lo + step].T
         for k in range(0, len(x), per_block):
             at = slice(k, k + per_block)
-            _jacobian_block(
-                cols, d, ex_nodes[at], omega_rf, grid[lo : lo + step], j, gamma_b, gamma_d,
-                w[at, :, None], x[at, None, None],
+            terms = kept[:, at, :, lo : lo + step] if kept is not None else _dressed_terms(
+                d, ex_nodes[at], omega_rf, grid[lo : lo + step], j, gamma_b, gamma_d
             )
+            _jacobian_block(cols, *terms, gamma_b, gamma_d, w[at, :, None], x[at, None, None])
     lam2 = lam * lam
     scale = [lam2, lam2, lam2 * j / 2.0, lam, lam2, lam2, np.sqrt(2.0) * lam2]
     return np.multiply(jac, np.multiply(-contrast, scale), out=jac)
@@ -459,31 +483,36 @@ def _add_node_sums(col, values, upper=1.0):
     col += mirror_sum + upper * upper_sum
 
 
-def _dressed_terms(d, ex, omega_rf, grid, j, gamma_b, gamma_d):
+def _dressed_terms(d, ex, omega_rf, grid, j, gamma_b, gamma_d, out=None):
     """The real-arithmetic terms of the depletion per node, branch and grid point.
 
     With the detunings ob, od of ``branch_detunings``, zb = ob - i gamma_b,
-    zd = od - i gamma_d and det = zb zd - J^2 = a + ib, returns the
-    ``_workspace`` arrays ob, od, a, b, M = |det|^2 and
-    R = (|zd|^2 + J^2) / M, so the depletion of ``p0`` is lambda^2 R.
-    ``ex`` holds the block's nodes.
+    zd = od - i gamma_d and det = zb zd - J^2 = a + ib, returns ob, od, a,
+    b, M = |det|^2 and R = (|zd|^2 + J^2) / M, so the depletion of ``p0``
+    is lambda^2 R: ``_workspace`` arrays, or the six arrays of ``out``
+    (a sigma_ex value's kept terms, which a Jacobian there reuses).  ``ex``
+    holds the block's nodes.
     """
     shape = ex.shape + (2, len(grid))
-
-    def take(name):
-        return _workspace.take(name, shape)
-
-    ob, od = branch_detunings(d, ex[:, None], omega_rf, grid, out=(take("ob"), take("od")))
-    a = np.multiply(ob, od, out=take("a"))
+    if out is None:
+        out = [_workspace.take(name, shape) for name in ("ob", "od", "a", "b", "m", "r")]
+    ob, od, a, b, m, r = out
+    branch_detunings(d, ex[:, None], omega_rf, grid, out=(ob, od))
+    np.multiply(ob, od, out=a)
     np.subtract(a, gamma_b * gamma_d + j * j, out=a)
-    b = np.multiply(ob, -gamma_d, out=take("b"))
-    t = take("t1")
+    np.multiply(ob, -gamma_d, out=b)
+    t = _workspace.take("t1", shape)
     np.subtract(b, np.multiply(od, gamma_b, out=t), out=b)
-    m = np.multiply(a, a, out=take("m"))
+    np.multiply(a, a, out=m)
     np.add(m, np.multiply(b, b, out=t), out=m)
-    r = np.multiply(od, od, out=take("r"))
+    np.multiply(od, od, out=r)
     np.add(r, gamma_d * gamma_d + j * j, out=r)
     return ob, od, a, b, m, np.divide(r, m, out=r)
+
+
+def _point(d, ex, omega_rf, grid, j, gamma_b, gamma_d, sigma_ex) -> bytes:
+    """The bits of the arguments that fix a point's ``_dressed_terms``."""
+    return np.concatenate(([d, ex, omega_rf, j, gamma_b, gamma_d, sigma_ex], grid)).tobytes()
 
 
 def dressed_strain_signal(
@@ -523,28 +552,36 @@ def _strain_row(out, omega_rf, grid, contrast, d, ex, rabi_rf, rabi_mw, gamma_b,
     """Write one ``dressed_strain_signal`` row into ``out``; False where it would be inexact.
 
     That is where some M leaves the normal floats (an R of a zero, subnormal
-    or infinite M is wrong or inexact) or the signal is not finite.
+    or infinite M is wrong or inexact) or the signal is not finite.  The
+    terms of every node go to ``_workspace``'s kept terms, and an exact row
+    records its point there for ``dressed_jacobian``.
     """
     x, w = _hermite_nodes(DEFAULT_QUADRATURE_NODES)
     ex_nodes = ex + np.sqrt(2.0) * sigma_ex * x
     j, lam = rabi_rf / 2.0, rabi_mw / 2.0
     per_block, step = _blocks(len(grid))
+    kept = _workspace.point_terms(len(x), len(grid))
     out[...] = 0.0
     with np.errstate(all="ignore"):  # the checks below catch what would warn
         for lo in range(0, len(grid), step):
             for k in range(0, len(x), per_block):
                 at = slice(k, k + per_block)
                 *_, m, r = _dressed_terms(
-                    d, ex_nodes[at], omega_rf, grid[lo : lo + step], j, gamma_b, gamma_d
+                    d, ex_nodes[at], omega_rf, grid[lo : lo + step], j, gamma_b, gamma_d,
+                    None if kept is None else kept[:, at, :, lo : lo + step],
                 )
                 if not (m.min() >= _NORMAL[0] and m.max() <= _NORMAL[1]):
                     return False
-                _add_node_sums(out[lo : lo + step], np.multiply(r, w[at, :, None], out=r))
+                wr = np.multiply(r, w[at, :, None], out=_workspace.take("t1", r.shape))
+                _add_node_sums(out[lo : lo + step], wr)
         np.subtract(1.0, np.multiply(contrast * (lam * lam), out, out=out), out=out)
-        return bool(np.isfinite(out).all())
+        exact = bool(np.isfinite(out).all())
+    if exact and kept is not None:
+        _workspace.point = _point(d, ex, omega_rf, grid, j, gamma_b, gamma_d, sigma_ex)
+    return exact
 
 
-def _jacobian_block(cols, d, ex, omega_rf, grid, j, gamma_b, gamma_d, w, x):
+def _jacobian_block(cols, ob, od, a, b, m, r, gamma_b, gamma_d, w, x):
     """Add one block of nodes to ``dressed_jacobian``'s unscaled columns ``cols``.
 
     With the terms of ``_dressed_terms`` (rates gb, gd), u = 2 w / M and
@@ -552,9 +589,8 @@ def _jacobian_block(cols, d, ex, omega_rf, grid, j, gamma_b, gamma_d, w, x):
     -v (a od - b gd) in omega_b, u od - v (a ob - b gb) in omega_d,
     v (a gd + b od) in gamma_b, u gd + v (a gb + b ob) in gamma_d and
     J (u + 2 a v) in J, and dD/dlambda = 2 lambda R; the caller applies the
-    scalar factors.
+    scalar factors.  It works in M and R.
     """
-    ob, od, a, b, m, r = _dressed_terms(d, ex, omega_rf, grid, j, gamma_b, gamma_d)
     t1, t2 = _workspace.take("t1", m.shape), _workspace.take("t2", m.shape)
     u = np.divide(2.0 * w, m, out=m)
     v = np.multiply(u, r, out=_workspace.take("v", m.shape))

@@ -32,6 +32,7 @@ from nvtherm.lineshape import (
     p0,
     synthesize_measurement,
 )
+from nvtherm.fitting import PEAK_REFINE, DressedDip, fit
 from nvtherm.sensitivity import SLOPE_POINTS
 from nvtherm.spin import (
     DriveConfig,
@@ -683,6 +684,152 @@ class TestWorkspace:
         buffers = lineshape._workspace.buffers
         assert buffers and all(b.size == 2 * BLOCK_POINTS for b in buffers.values())
         assert not any(np.shares_memory(large, b) for b in buffers.values())
+
+
+class TestKeptTerms:
+    """A Jacobian at the point of the last sigma_ex value reuses its terms, bit for bit."""
+
+    GRID = np.linspace(2866.0, 2905.0, 781)  # the fig2 grid: 21 nodes in blocks of 10, 10, 1
+
+    @pytest.fixture
+    def terms_calls(self, monkeypatch):
+        """A list that grows by one per ``_dressed_terms`` call (a block computed, not reused)."""
+        calls = []
+        terms = lineshape._dressed_terms
+        monkeypatch.setattr(
+            lineshape, "_dressed_terms", lambda *args, **kw: calls.append(1) or terms(*args, **kw)
+        )
+        return calls
+
+    @staticmethod
+    def _point(seed):
+        """Arguments of one sigma_ex point, as ``DressedDip`` passes them to both calls."""
+        rng = np.random.default_rng(seed)
+        d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d = (float(p[0]) for p in _dressed_rows(rng, 1))
+        if seed % 3 == 0:
+            gamma_d = gamma_b
+        sigma_ex = 0.0 if seed % 7 == 0 else rng.uniform(0.1, 4.0)
+        return d, ex, 16.0, TestKeptTerms.GRID, rabi_rf, rabi_mw, gamma_b, gamma_d, 0.05, sigma_ex
+
+    def _cold(self, args, terms_calls):
+        before = len(terms_calls)
+        with np.errstate(all="ignore"):
+            jac = dressed_jacobian(*args)
+        assert len(terms_calls) > before, "the Jacobian reused kept terms"
+        return jac
+
+    def test_jacobian_after_a_value_equals_a_cold_one(self, terms_calls):
+        for seed in range(36):
+            args = self._point(seed)
+            cold = self._cold(args, terms_calls)
+            value_args = [np.float64(p) if isinstance(p, float) else p for p in args]
+            dressed_strain_signal(*value_args)
+            before = len(terms_calls)
+            warm = dressed_jacobian(*args)
+            assert len(terms_calls) == before, seed
+            assert np.array_equal(warm, cold), seed
+
+    @staticmethod
+    def _replace(args, **changes):
+        names = ("d", "ex", "omega_rf", "grid", "rabi_rf", "rabi_mw", "gamma_b", "gamma_d",
+                 "contrast", "sigma_ex")
+        return tuple(changes.get(n, a) for n, a in zip(names, args))
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "another point", "another grid of equal length", "another omega_rf",
+            "a fallback row", "a multi-row stack", "a consuming hit", "a point above the cap",
+        ],
+    )
+    def test_a_jacobian_after_these_is_cold(self, case, terms_calls):
+        # Each case makes its value calls, then takes the Jacobian at ``point``.
+        point = self._point(1)
+        clipped = np.exp(-300.0)  # |det|^2 underflows at 2893.5 MHz: dressed_signal's row
+        if case == "a fallback row":
+            point = (2885.5, 8.0, 16.0, self.GRID, *[clipped] * 4, 0.05, clipped)
+        values = {
+            "another point": [self._replace(point, d=point[0] + 1e-9)],
+            "another grid of equal length": [self._replace(point, grid=self.GRID + 0.5)],
+            "another omega_rf": [self._replace(point, omega_rf=16.5)],
+            "a fallback row": [point],
+            "a multi-row stack": [
+                tuple(
+                    np.array([a, a + 0.25]) if isinstance(a, float) and i not in (2, 8) else a
+                    for i, a in enumerate(point)
+                )
+            ],
+            "a consuming hit": [point],
+            "a point above the cap": [
+                point, self._replace(point, grid=np.linspace(2866.0, 2905.0, PEAK_REFINE * 781 + 1))
+            ],
+        }[case]
+        cold = self._cold(point, terms_calls)
+        for args in values:
+            dressed_strain_signal(*args)
+        if case == "a consuming hit":
+            dressed_jacobian(*point)
+        assert np.array_equal(self._cold(point, terms_calls), cold, equal_nan=True)
+
+    def test_a_point_above_the_cap_allocates_nothing(self):
+        # 21 nodes x 6,249 points (a fitted curve's FWHM search) exceed 4 BLOCK_POINTS.
+        sizes = []
+
+        def work():
+            kept = lineshape._workspace
+            args = self._replace(self._point(2), grid=np.linspace(2866.0, 2905.0, 6249))
+            dressed_strain_signal(*args)
+            sizes.append((kept.terms.size, kept.point))
+            dressed_strain_signal(*self._point(2))
+            sizes.append((kept.terms.size, kept.point is not None))
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert sizes == [(0, None), (6 * DEFAULT_QUADRATURE_NODES * 2 * 781, True)]
+
+    def test_interleaving_threads_get_cold_results(self):
+        points = [self._point(seed) for seed in (3, 4, 5, 6)]
+        cold = [dressed_jacobian(*p) for p in points]
+        mismatches, finished = [], []
+
+        def work(mine, theirs):
+            for _ in range(4):
+                for i in (mine, theirs, mine):
+                    dressed_strain_signal(*points[mine])
+                    if not np.array_equal(dressed_jacobian(*points[i]), cold[i]):
+                        mismatches.append((mine, i))
+            finished.append(mine)
+
+        threads = [threading.Thread(target=work, args=(i, (i + 1) % 4)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(finished) == len(threads) and mismatches == []
+
+    def test_every_jacobian_of_a_fit_reuses_its_value_terms(self, terms_calls, monkeypatch):
+        # A fit takes each Jacobian, the covariance's included, where it has
+        # just taken the value: only value rows compute terms.
+        rows = []
+        strain_row = lineshape._strain_row
+        monkeypatch.setattr(
+            lineshape, "_strain_row", lambda *args: rows.append(1) or strain_row(*args)
+        )
+        clean = ensemble_spectrum(
+            ENV, DRIVE, self.GRID, strain=StrainDistribution(mean_ex=8.0, sigma_ex=2.0)
+        )
+        noisy = synthesize_measurement(clean, 1e8, 0.01, 5)
+        result = fit(noisy, DressedDip(omega_rf=16.0, fit_sigma_ex=True))
+        assert result.covariance.shape == (7, 7)
+        assert result.iterations > 3 and len(terms_calls) == 3 * len(rows)
 
 
 class TestRowThreads:
