@@ -6,8 +6,9 @@ arithmetic (``p0``).  Spectra map that population to a normalized
 photoluminescence signal through a single optical contrast factor.  A fit
 of the strain spread evaluates the same depletion in real arithmetic,
 lambda^2 (|zd|^2 + J^2) / |det|^2 (``dressed_strain_signal``), the formula
-its exact Jacobian differentiates (``dressed_jacobian``); a Jacobian at the
-point of the last value reuses that value's terms.
+its exact Jacobian differentiates (``dressed_jacobian``).  Both take all
+quadrature nodes of a point in one block and each node sum as one einsum,
+and a Jacobian at the point of the last value reuses that value's terms.
 """
 
 from __future__ import annotations
@@ -36,19 +37,11 @@ DEFAULT_GAMMA_D = 0.1
 DEFAULT_QUADRATURE_NODES = 21
 # hermgauss weights sum to 0.0 at 371 nodes and overflow from 373 (numpy 2.4).
 MAX_QUADRATURE_NODES = 369
-# Nodes x grid points per dressed_depletion call.  Blocks share its fixed cost
-# (about 25 us) and reuse _Workspace's work arrays.  Unblocked, a sigma_ex fit
-# (21 nodes x 781 points) page-faulted on p0's temporaries and peaked at
-# 134 MB, not 107.  Medians of 3 benchmark runs when sigma_ex fits still
-# evaluated p0 and differenced it (2-core Xeon, numpy 2.4; the 2048 column is
-# without the workspace):
-#                              2048   4096   8192  16384
-#   strain_thermometry, 1/s    3.05   3.21   3.61   3.70
-#   drive_map, 1/s             43.6   44.0   47.2   47.4
-#   peak RSS (strain), MB      43.3   43.8   44.5   45.6
-# 16384 is at most 2.5 % faster than 8192 and puts peak RSS 5 % above 2048's.
-# At 8192 a fig5 Jacobian's 12 rows of 501 points take 1 call, and a sigma_ex
-# row of 21 nodes x 781 points 3 (10 + 10 + 1 nodes over the whole grid).
+# Nodes x grid points per dressed_depletion call; a sigma_ex block of
+# dressed_strain_signal holds up to 4 times as many.  Blocks share each call's
+# fixed cost and reuse _Workspace's arrays, so no block-sized temporary is made
+# and freed per call.  At 8192 a fig5 Jacobian's 12 rows of 501 points take
+# one call, and the fig2 sigma_ex point (21 nodes x 781 points) one block.
 BLOCK_POINTS = 8192
 DEFAULT_FWHM = 8.0  # MHz, the conventional generator's Lorentzian width
 
@@ -171,24 +164,24 @@ class _Workspace(threading.local):
     """The dressed kernel's work arrays, kept between blocks and calls.
 
     ``take`` returns a view of a flat buffer (``p0``'s four work arrays, a
-    block's node signals, the seven of ``_dressed_terms`` and the
-    Jacobian's two more), made on first
-    use for the largest block (two branches of ``BLOCK_POINTS`` nodes x
+    block's node signals, a Jacobian's columns and moment sums), made on
+    first use for the largest block (two branches of ``BLOCK_POINTS`` nodes x
     points) and never freed, so a fit's blocks write into the same pages:
     glibc gives a free heap top above its trim threshold (128 KiB by
     default) back to the kernel, so arrays made and freed per block would
     fault on every block.  A larger request gets a new array, so a long
     direct call holds no memory after it.  Each thread has its own buffers.
     No view leaves this module: the public functions return arrays that
-    their caller owns.  ``terms`` keeps all six ``_dressed_terms`` of the
-    last sigma_ex value point, ``point`` the arguments they are of, for a
-    Jacobian there to reuse: a fit takes each Jacobian where it has just
-    taken the value.  It only grows, to nodes x points <= 4 BLOCK_POINTS.
+    their caller owns.  ``strain`` holds a sigma_ex block (``strain_block``),
+    one flat buffer that only grows, to the 4 BLOCK_POINTS nodes x points of
+    ``_strain_slices``; ``point`` names the arguments of the terms it keeps
+    from the last sigma_ex value, for a Jacobian there to reuse: a fit takes
+    each Jacobian where it has just taken the value.
     """
 
     def __init__(self):
         self.buffers = {}
-        self.terms = np.empty(0)
+        self.strain = np.empty(0)
         self.point = None
 
     def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
@@ -199,18 +192,17 @@ class _Workspace(threading.local):
             self.buffers[name] = np.empty(2 * BLOCK_POINTS, dtype)
         return self.buffers[name][:size].reshape(shape)
 
-    def point_terms(self, nodes: int, points: int, point=None):
-        """Six (nodes, 2, points) arrays for a point's terms, or None above the cap.
+    def strain_block(self, nodes: int, points: int, point=None) -> tuple:
+        """A sigma_ex block's eight (nodes, 2, points) arrays; True if they hold ``point``'s terms.
 
-        Clears the record; given ``point``, returns only the terms kept for it.
+        The first six are ``_dressed_terms``', the last two scratch.  Clears
+        the record, so the terms serve one Jacobian.
         """
         kept, self.point = self.point, None
-        size = 12 * nodes * points
-        if nodes * points > 4 * BLOCK_POINTS or (point is not None and point != kept):
-            return None
-        if self.terms.size < size:
-            self.terms = np.empty(size)
-        return self.terms[:size].reshape(6, nodes, 2, points)
+        size = 16 * nodes * points
+        if self.strain.size < size:
+            self.strain = np.empty(size)
+        return self.strain[:size].reshape(8, nodes, 2, points), point is not None and point == kept
 
 
 _workspace = _Workspace()
@@ -448,66 +440,72 @@ def dressed_jacobian(
     its derivatives in the detunings, J, lambda and the rates are summed
     over the nodes ex + sqrt(2) sigma_ex x_k with weights w_k, and
     dD/dE_x also with weights sqrt(2) x_k w_k for sigma_ex.  So the result
-    is exact for the quadrature that ``dressed_signal`` evaluates.  Blocks
-    of nodes and grid points are those of ``dressed_signal``, in
-    ``_workspace`` arrays; the node sums use no BLAS.  At the point of this
-    thread's last ``dressed_strain_signal`` row the terms come from that
-    call (``_Workspace.point_terms``), bit for bit the ones computed here.
+    is exact for the quadrature that ``dressed_strain_signal`` evaluates.
+    The blocks are that function's (every node, over the whole grid or a
+    slice of it) in ``_workspace``'s store, and the node sums einsums, which
+    use no BLAS.  At the point of this thread's last ``dressed_strain_signal``
+    row the terms are that call's (``_Workspace.strain_block``), bit for bit
+    the ones computed here.
     """
-    x, w = _hermite_nodes(DEFAULT_QUADRATURE_NODES)
+    x, w, moments = _strain_rule()
     ex_nodes = ex + np.sqrt(2.0) * sigma_ex * x
     j, lam = rabi_rf / 2.0, rabi_mw / 2.0
     point = _point(d, ex, omega_rf, grid, j, gamma_b, gamma_d, sigma_ex)
-    kept = _workspace.point_terms(len(x), len(grid), point)
-    jac = np.zeros((len(grid), 7))
-    per_block, step = _blocks(len(grid))
-    for lo in range(0, len(grid), step):
-        cols = jac[lo : lo + step].T
-        for k in range(0, len(x), per_block):
-            at = slice(k, k + per_block)
-            terms = kept[:, at, :, lo : lo + step] if kept is not None else _dressed_terms(
-                d, ex_nodes[at], omega_rf, grid[lo : lo + step], j, gamma_b, gamma_d
-            )
-            _jacobian_block(cols, *terms, gamma_b, gamma_d, w[at, :, None], x[at, None, None])
+    cols = _workspace.take("columns", (7, len(grid)))
+    for at in _strain_slices(len(x), len(grid)):
+        block, kept = _workspace.strain_block(len(x), len(grid[at]), point)
+        if not kept:
+            _dressed_terms(block, d, ex_nodes, omega_rf, grid[at], j, gamma_b, gamma_d)
+        _jacobian_block(cols[:, at], block, gamma_b, gamma_d, w, moments)
     lam2 = lam * lam
     scale = [lam2, lam2, lam2 * j / 2.0, lam, lam2, lam2, np.sqrt(2.0) * lam2]
-    return np.multiply(jac, np.multiply(-contrast, scale), out=jac)
+    return np.multiply(cols.T, np.multiply(-contrast, scale), out=np.empty((len(grid), 7)))
 
 
-def _add_node_sums(col, values, upper=1.0):
-    """Add to ``col`` the node sums (axis 0) of the mirror plus ``upper`` x upper branch.
+@lru_cache(maxsize=1)
+def _strain_rule() -> tuple:
+    """The default nodes x_k, their weights w_k, and the weight columns (w_k, x_k w_k)."""
+    x, w = _hermite_nodes(DEFAULT_QUADRATURE_NODES)
+    moments = np.concatenate((w, x[:, None] * w), axis=1)
+    moments.flags.writeable = False
+    return x, w[:, 0], moments
 
-    The sums run in node order and use no BLAS.
+
+def _strain_slices(nodes: int, points: int) -> list:
+    """A sigma_ex point's blocks: every node, over the whole grid or slices of it.
+
+    A block holds at most 4 BLOCK_POINTS nodes x points, so the fig2 point
+    (21 nodes x 781 points) is one block and a fitted curve's FWHM search
+    (6,249 points) takes slices of 1,560.
     """
-    upper_sum, mirror_sum = np.add.reduce(values, axis=0)
-    col += mirror_sum + upper * upper_sum
+    step = max(4 * BLOCK_POINTS // nodes, 1)
+    return [slice(lo, lo + step) for lo in range(0, points, step)]
 
 
-def _dressed_terms(d, ex, omega_rf, grid, j, gamma_b, gamma_d, out=None):
-    """The real-arithmetic terms of the depletion per node, branch and grid point.
+def _dressed_terms(block, d, ex, omega_rf, grid, j, gamma_b, gamma_d) -> None:
+    """Write the real-arithmetic terms of the depletion into ``block``'s first six arrays.
 
-    With the detunings ob, od of ``branch_detunings``, zb = ob - i gamma_b,
-    zd = od - i gamma_d and det = zb zd - J^2 = a + ib, returns ob, od, a,
-    b, M = |det|^2 and R = (|zd|^2 + J^2) / M, so the depletion of ``p0``
-    is lambda^2 R: ``_workspace`` arrays, or the six arrays of ``out``
-    (a sigma_ex value's kept terms, which a Jacobian there reuses).  ``ex``
-    holds the block's nodes.
+    Per node of ``ex``, branch and grid point: with the detunings ob, od of
+    ``branch_detunings``, zb = ob - i gamma_b, zd = od - i gamma_d and
+    det = zb zd - J^2 = a + ib, they are ob, od, a, b, M = |det|^2 and
+    R = (|zd|^2 + J^2) / M, so the depletion of ``p0`` is lambda^2 R.  Each
+    detuning is one pass over the block: ``branch_detunings`` at zero
+    frequency gives its per-node constant (omega_rf in od's), and the grid
+    is subtracted from that.  The seventh array is scratch.
     """
-    shape = ex.shape + (2, len(grid))
-    if out is None:
-        out = [_workspace.take(name, shape) for name in ("ob", "od", "a", "b", "m", "r")]
-    ob, od, a, b, m, r = out
-    branch_detunings(d, ex[:, None], omega_rf, grid, out=(ob, od))
+    ob, od, a, b, m, r, t, _ = block
+    at_zero = branch_detunings(d, ex[:, None], omega_rf, 0.0)
+    np.subtract(at_zero[0], grid, out=ob)
+    np.subtract(at_zero[1], grid, out=od)
     np.multiply(ob, od, out=a)
     np.subtract(a, gamma_b * gamma_d + j * j, out=a)
     np.multiply(ob, -gamma_d, out=b)
-    t = _workspace.take("t1", shape)
     np.subtract(b, np.multiply(od, gamma_b, out=t), out=b)
-    np.multiply(a, a, out=m)
-    np.add(m, np.multiply(b, b, out=t), out=m)
-    np.multiply(od, od, out=r)
+    np.square(a, out=m)
+    np.add(m, np.square(b, out=t), out=m)
+    np.square(od, out=r)
     np.add(r, gamma_d * gamma_d + j * j, out=r)
-    return ob, od, a, b, m, np.divide(r, m, out=r)
+    np.divide(r, m, out=r)
 
 
 def _point(d, ex, omega_rf, grid, j, gamma_b, gamma_d, sigma_ex) -> bytes:
@@ -522,11 +520,13 @@ def dressed_strain_signal(
 
     The signal 1 - contrast lambda^2 (R_upper + R_mirror) (``_dressed_terms``)
     averaged over the nodes ex + sqrt(2) sigma_ex x_k with the weights w_k
-    of ``dressed_signal``, on its blocks, the node sums in node order: the
-    value whose derivatives ``dressed_jacobian`` gives, without ``p0``'s
-    complex divisions.  It agrees with ``dressed_signal`` to about 1e-13
-    relative.  Each parameter but ``omega_rf`` and ``contrast`` is a float
-    or a ``(rows,)`` array; the result is ``(len(grid),)`` or
+    of ``dressed_signal``: the value whose derivatives ``dressed_jacobian``
+    gives, without ``p0``'s complex divisions.  One block holds every node
+    over the whole grid, or over a slice of it when the point has more than
+    4 BLOCK_POINTS nodes x points (``_strain_slices``), and its node sum is
+    one einsum.  It agrees with ``dressed_signal`` to about 1e-13 relative.
+    Each parameter but ``omega_rf`` and ``contrast`` is a float or a
+    ``(rows,)`` array; the result is ``(len(grid),)`` or
     ``(rows, len(grid))``, one row at a time with its scalar parameters, so
     each row equals its scalar call bit for bit.  A row where some |det|^2
     leaves the normal range of floats, or whose signal is not finite, is
@@ -553,73 +553,68 @@ def _strain_row(out, omega_rf, grid, contrast, d, ex, rabi_rf, rabi_mw, gamma_b,
 
     That is where some M leaves the normal floats (an R of a zero, subnormal
     or infinite M is wrong or inexact) or the signal is not finite.  The
-    terms of every node go to ``_workspace``'s kept terms, and an exact row
+    terms stay in ``_workspace``'s store, and an exact row of one block
     records its point there for ``dressed_jacobian``.
     """
-    x, w = _hermite_nodes(DEFAULT_QUADRATURE_NODES)
+    x, w, _ = _strain_rule()
     ex_nodes = ex + np.sqrt(2.0) * sigma_ex * x
     j, lam = rabi_rf / 2.0, rabi_mw / 2.0
-    per_block, step = _blocks(len(grid))
-    kept = _workspace.point_terms(len(x), len(grid))
-    out[...] = 0.0
+    slices = _strain_slices(len(x), len(grid))
     with np.errstate(all="ignore"):  # the checks below catch what would warn
-        for lo in range(0, len(grid), step):
-            for k in range(0, len(x), per_block):
-                at = slice(k, k + per_block)
-                *_, m, r = _dressed_terms(
-                    d, ex_nodes[at], omega_rf, grid[lo : lo + step], j, gamma_b, gamma_d,
-                    None if kept is None else kept[:, at, :, lo : lo + step],
-                )
-                if not (m.min() >= _NORMAL[0] and m.max() <= _NORMAL[1]):
-                    return False
-                wr = np.multiply(r, w[at, :, None], out=_workspace.take("t1", r.shape))
-                _add_node_sums(out[lo : lo + step], wr)
+        for at in slices:
+            block, _ = _workspace.strain_block(len(x), len(grid[at]))
+            _dressed_terms(block, d, ex_nodes, omega_rf, grid[at], j, gamma_b, gamma_d)
+            m, r = block[4], block[5]
+            if not (m.min() >= _NORMAL[0] and m.max() <= _NORMAL[1]):
+                return False
+            np.einsum("k,kbj->j", w, r, out=out[at])
         np.subtract(1.0, np.multiply(contrast * (lam * lam), out, out=out), out=out)
         exact = bool(np.isfinite(out).all())
-    if exact and kept is not None:
+    if exact and len(slices) == 1:
         _workspace.point = _point(d, ex, omega_rf, grid, j, gamma_b, gamma_d, sigma_ex)
     return exact
 
 
-def _jacobian_block(cols, ob, od, a, b, m, r, gamma_b, gamma_d, w, x):
-    """Add one block of nodes to ``dressed_jacobian``'s unscaled columns ``cols``.
+def _jacobian_block(cols, block, gamma_b, gamma_d, w, moments):
+    """Write one block's unscaled ``dressed_jacobian`` columns into ``cols`` (7, points).
 
-    With the terms of ``_dressed_terms`` (rates gb, gd), u = 2 w / M and
-    v = u R, the w-weighted derivatives of D / lambda^2 are
-    -v (a od - b gd) in omega_b, u od - v (a ob - b gb) in omega_d,
-    v (a gd + b od) in gamma_b, u gd + v (a gb + b ob) in gamma_d and
-    J (u + 2 a v) in J, and dD/dlambda = 2 lambda R; the caller applies the
-    scalar factors.  It works in M and R.
+    With the terms of ``_dressed_terms`` (rates gb, gd), u = 2 / M, v = u R,
+    va = v a and vb = v b, the derivatives of D / lambda^2 are
+    -(va od - vb gd) in omega_b, u od - (va ob - vb gb) in omega_d,
+    va gd + vb od in gamma_b, u gd + va gb + vb ob in gamma_d and
+    J (u + 2 va) in J, and dD/dlambda = 2 lambda R.  Each column is one
+    einsum of them against the weights ``w`` over nodes and branches, ex
+    and sigma_ex together one of dD/dE_x against ``moments``; the caller
+    applies the scalar factors.  It works in the block's arrays, so a hit
+    consumes its terms.
     """
-    t1, t2 = _workspace.take("t1", m.shape), _workspace.take("t2", m.shape)
-    u = np.divide(2.0 * w, m, out=m)
-    v = np.multiply(u, r, out=_workspace.take("v", m.shape))
-    _add_node_sums(cols[3], np.multiply(r, w, out=r))  # rabi_mw
-    t3 = r  # R's last use was above
-    np.multiply(a, v, out=t1)
-    np.add(t1, t1, out=t1)
-    _add_node_sums(cols[2], np.add(t1, u, out=t1))  # rabi_rf
-    np.multiply(b, od, out=t1)
-    np.add(t1, np.multiply(a, gamma_d, out=t2), out=t1)
-    _add_node_sums(cols[4], np.multiply(t1, v, out=t1))  # gamma_b
-    np.multiply(b, ob, out=t1)
-    np.add(t1, np.multiply(a, gamma_b, out=t2), out=t1)
-    np.multiply(t1, v, out=t1)
-    _add_node_sums(cols[5], np.add(t1, np.multiply(u, gamma_d, out=t2), out=t1))  # gamma_d
-    # t1 = -dD/domega_b, t3 = dD/domega_d
-    np.multiply(a, od, out=t1)
-    np.subtract(t1, np.multiply(b, gamma_d, out=t2), out=t1)
-    np.multiply(t1, v, out=t1)
-    np.multiply(a, ob, out=t2)
-    np.subtract(t2, np.multiply(b, gamma_b, out=t3), out=t2)
-    np.multiply(t2, v, out=t2)
-    np.subtract(np.multiply(u, od, out=t3), t2, out=t3)
-    _add_node_sums(cols[0], np.subtract(t3, t1, out=t2))  # d moves both detunings
+    ob, od, a, b, m, r, t1, t2 = block
+    np.einsum("k,kbj->j", w, r, out=cols[3])  # rabi_mw
+    u = np.divide(2.0, m, out=m)
+    v = np.multiply(u, r, out=r)
+    va, vb = np.multiply(a, v, out=a), np.multiply(b, v, out=b)
+    np.multiply(va, 2.0, out=t1)
+    np.einsum("k,kbj->j", w, np.add(t1, u, out=t1), out=cols[2])  # rabi_rf
+    np.multiply(vb, od, out=t1)
+    np.add(t1, np.multiply(va, gamma_d, out=t2), out=t1)
+    np.einsum("k,kbj->j", w, t1, out=cols[4])  # gamma_b
+    np.multiply(vb, ob, out=t1)
+    np.add(t1, np.multiply(va, gamma_b, out=t2), out=t1)
+    np.add(t1, np.multiply(u, gamma_d, out=t2), out=t1)
+    np.einsum("k,kbj->j", w, t1, out=cols[5])  # gamma_d
+    # ob = dD/domega_d (ob's last use is in it), then t1 = -dD/domega_b
+    np.multiply(va, ob, out=t1)
+    np.subtract(t1, np.multiply(vb, gamma_b, out=t2), out=t1)
+    np.subtract(np.multiply(u, od, out=ob), t1, out=ob)
+    np.multiply(va, od, out=t1)
+    np.subtract(t1, np.multiply(vb, gamma_d, out=t2), out=t1)
+    np.einsum("k,kbj->j", w, np.subtract(ob, t1, out=t2), out=cols[0])  # d moves both
     # E_x moves omega_b by s and omega_d by -s, s = 1 on the upper branch and
-    # -1 on the mirror: dD/dE_x = -s (t1 + t3).
-    np.add(t1, t3, out=t1)
-    _add_node_sums(cols[1], t1, -1.0)
-    _add_node_sums(cols[6], np.multiply(t1, x, out=t1), -1.0)
+    # -1 on the mirror: dD/dE_x = -s (t1 + ob), summed against w and x w at once.
+    np.add(t1, ob, out=t1)
+    sums = _workspace.take("moments", (2, 2, cols.shape[1]))
+    np.einsum("kc,kj->cj", moments, t1.reshape(len(t1), -1), out=sums.reshape(2, -1))
+    np.subtract(sums[:, 1], sums[:, 0], out=cols[1::5])
 
 
 def ensemble_spectrum(
@@ -735,7 +730,8 @@ def synthesize_measurement(clean: Spectrum, photon_rate: float, dwell: float, se
 
     Per-point standard deviation is signal/sqrt(rate*dwell*signal), the
     relative shot noise of N = rate*dwell*signal detected counts.
-    Deterministic under a fixed seed.
+    Deterministic under a fixed seed; the metadata holds an integral seed as
+    an int and any other seed as its repr.
     """
     if not (photon_rate > 0 and dwell > 0):
         raise ValueError("photon_rate and dwell must be > 0")
@@ -749,7 +745,7 @@ def synthesize_measurement(clean: Spectrum, photon_rate: float, dwell: float, se
         {
             "photon_rate": photon_rate,
             "dwell": dwell,
-            "seed": seed if isinstance(seed, int) else repr(seed),
+            "seed": int(seed) if isinstance(seed, (int, np.integer)) else repr(seed),
         }
     )
     return Spectrum(clean.frequencies.copy(), noisy, sigma, meta)

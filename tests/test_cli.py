@@ -671,7 +671,7 @@ class TestGoldenOutputs:
         "fig5.json": "c09274427e236feb1c543db2204ec758d1ebf5af1a645474c749cddb2dbbefb7",
         "fit.json": "09e2c623428e2666ca6d981688d809e59216ea7412af0cad3c2d4bf20a7824ed",
         "fit_lorentzian.json": "1c6d5cdadddf53eb8d5d8b18c8479e2cf1057ecff314d9fdd37d1bd909806c2b",
-        "fit_strain.json": "23f4f03b17d255fa562efc4bf801a04b621e986db9ae7dbb7d0f929e6def4ca1",
+        "fit_strain.json": "4ccb2926cace2fef6f679bb9dfc5be43dc55630102297dc7502c888153c37dfa",
         "map.csv": "0782beed4d0aee3c72bb9d700585c86c42cb6525e55a08dd18e96d6b70dd7b04",
         "map.json": "d0319927db493ff224f07d60d794c16240c0b27277b9d6dfd5cc3eb1bc0ad192",
         "oracle.json": "61f999a2e25e06a5b7a4d93ecf46c1e5e3205d778a3226c8c048b294b42f72c3",

@@ -389,6 +389,8 @@ class TestExactJacobian:
         "gamma_b = gamma_d": lambda c: ([2870.0, 8.0, 6.0, 0.6, 1.0, 1.0, 0.3], c.FIG5_GRID),
         "sigma_ex 0.05": lambda c: (c.TRUTH[:6] + [0.05], FIG2_GRID),
         "rabi_rf 0.5": lambda c: (c.TRUTH[:2] + [0.5] + c.TRUTH[3:], FIG2_GRID),
+        # 3,121 points take three slices of the grid, each with all 21 nodes.
+        "fig2 truth, sliced grid": lambda c: (c.TRUTH, np.linspace(2866.0, 2905.0, 3121)),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -413,8 +415,8 @@ class TestExactJacobian:
 
     @pytest.mark.parametrize("points", [391, 8193])
     def test_blocks_give_each_point_its_lone_columns(self, points):
-        # 390 points take all 21 nodes in one block; 391 take 20 + 1, and
-        # 8193 one node at a time over two slices of the grid.
+        # 391 points are one block of all 21 nodes; 8193 take six slices of
+        # the grid, each with all 21 nodes.
         grid = np.linspace(2866.0, 2905.0, points)
         params = np.array(self.TRUTH)
         jac = self.MODEL.jacobian(params, grid)

@@ -171,7 +171,7 @@ def faults_per_warm_fit(clean, model, rate):
     )
 
 
-# strain_thermometry: sigma_ex fits of the fig2 geometry, one row in three blocks.
+# strain_thermometry: sigma_ex fits of the fig2 geometry, one row in one block.
 env = PhysicalEnvironment(d0=2885.5, ex=8.0, b_transverse=80.0)
 drive = DriveConfig(rabi_mw=0.5, omega_rf=16.0, rabi_rf=5.0)
 strain = lineshape.StrainDistribution(mean_ex=8.0, sigma_ex=2.0)
@@ -543,6 +543,11 @@ class TestStackedRows:
             assert np.array_equal(stacked[r], single)
 
 
+# Grid points in one sigma_ex block: every node over at most 4 BLOCK_POINTS
+# nodes x points; a longer grid takes slices of this length.
+STRAIN_SLICE = 4 * BLOCK_POINTS // DEFAULT_QUADRATURE_NODES
+
+
 class TestStrainSignal:
     """The sigma_ex fit's real-arithmetic signal against ``dressed_signal``'s complex one."""
 
@@ -551,18 +556,32 @@ class TestStrainSignal:
         seed=st.integers(0, 2**32 - 1),
         rows=st.integers(1, 4),
         equal_rates=st.booleans(),
-        points=st.sampled_from([1, 2, 97, 390, 391, 781, BLOCK_POINTS + 1]),
+        points=st.sampled_from([1, 2, 97, 781, STRAIN_SLICE, STRAIN_SLICE + 1, BLOCK_POINTS + 1]),
     )
     def test_agrees_with_dressed_signal(self, seed, rows, equal_rates, points):
-        # Up to 390 points take all 21 nodes in one block, 391 take 20 + 1,
-        # 781 take 10 + 10 + 1, and BLOCK_POINTS + 1 one node at a time over
-        # two slices of the grid.
+        # Up to STRAIN_SLICE points are one block of all 21 nodes; one more
+        # takes two slices of the grid, and BLOCK_POINTS + 1 six.
         rng = np.random.default_rng(seed)
+        self._check_rows(rng, rows, equal_rates, points, rng.uniform(0.0, 4.0, rows))
+
+    @pytest.mark.parametrize(
+        "points", [1, 781, STRAIN_SLICE, STRAIN_SLICE + 1, 2 * STRAIN_SLICE + 7]
+    )
+    @pytest.mark.parametrize("sigma_ex", [0.0, 2.0, 5.0])
+    @pytest.mark.parametrize("equal_rates", [False, True])
+    def test_seeded_points_agree_with_dressed_signal(self, points, sigma_ex, equal_rates):
+        # Three stacked rows on one block and on two or three slices of the
+        # grid, at no spread, the fig2 spread and a wide one.
+        rng = np.random.default_rng([points, int(sigma_ex), equal_rates])
+        self._check_rows(rng, 3, equal_rates, points, np.full(3, sigma_ex))
+
+    @staticmethod
+    def _check_rows(rng, rows, equal_rates, points, sigma_ex):
+        """Each row of a stack equals its scalar call and ``dressed_signal`` within 1e-12."""
         grid = np.sort(rng.uniform(2840.0, 2900.0, points))
         params = _dressed_rows(rng, rows)
         if equal_rates:
             params[5] = params[4]
-        sigma_ex = rng.uniform(0.0, 4.0, rows)
         contrast = rng.uniform(0.01, 0.3)
         stacked = dressed_strain_signal(
             params[0], params[1], 16.0, grid, *params[2:], contrast, sigma_ex
@@ -582,12 +601,15 @@ class TestStrainSignal:
             assert np.all(np.abs(single - complex_signal) <= bound)
 
     @pytest.mark.parametrize("log_value", [-300.0, 300.0])
-    @pytest.mark.parametrize("points", [(2866.0, 2905.0, 781), (2845.0, 2895.0, 501)])
+    @pytest.mark.parametrize(
+        "points",
+        [(2866.0, 2905.0, 781), (2845.0, 2895.0, 501), (2866.0, 2905.0, 2 * STRAIN_SLICE + 1)],
+    )
     def test_clipped_parameters_stay_finite_and_silent(self, log_value, points):
         # fit clips each positive parameter to [e^-300, e^300].  At e^-300
         # |det|^2 underflows to zero at 2893.5 MHz, where both detunings
-        # vanish (a point of both grids); at e^300 it overflows.  Such a row
-        # is dressed_signal's.
+        # vanish (a point of every grid, in the second slice of the third);
+        # at e^300 it overflows.  Such a row is dressed_signal's.
         v = np.exp(log_value)
         args = (2885.5, 8.0, 16.0, np.linspace(*points), v, v, v, v, 0.05, v)
         with warnings.catch_warnings():
@@ -689,7 +711,7 @@ class TestWorkspace:
 class TestKeptTerms:
     """A Jacobian at the point of the last sigma_ex value reuses its terms, bit for bit."""
 
-    GRID = np.linspace(2866.0, 2905.0, 781)  # the fig2 grid: 21 nodes in blocks of 10, 10, 1
+    GRID = np.linspace(2866.0, 2905.0, 781)  # the fig2 grid: all 21 nodes in one block
 
     @pytest.fixture
     def terms_calls(self, monkeypatch):
@@ -740,6 +762,7 @@ class TestKeptTerms:
         [
             "another point", "another grid of equal length", "another omega_rf",
             "a fallback row", "a multi-row stack", "a consuming hit", "a point above the cap",
+            "a sliced point",
         ],
     )
     def test_a_jacobian_after_these_is_cold(self, case, terms_calls):
@@ -748,6 +771,8 @@ class TestKeptTerms:
         clipped = np.exp(-300.0)  # |det|^2 underflows at 2893.5 MHz: dressed_signal's row
         if case == "a fallback row":
             point = (2885.5, 8.0, 16.0, self.GRID, *[clipped] * 4, 0.05, clipped)
+        if case == "a sliced point":  # its value keeps only its last slice's terms
+            point = self._replace(point, grid=np.linspace(2866.0, 2905.0, STRAIN_SLICE + 1))
         values = {
             "another point": [self._replace(point, d=point[0] + 1e-9)],
             "another grid of equal length": [self._replace(point, grid=self.GRID + 0.5)],
@@ -763,6 +788,7 @@ class TestKeptTerms:
             "a point above the cap": [
                 point, self._replace(point, grid=np.linspace(2866.0, 2905.0, PEAK_REFINE * 781 + 1))
             ],
+            "a sliced point": [point],
         }[case]
         cold = self._cold(point, terms_calls)
         for args in values:
@@ -771,23 +797,25 @@ class TestKeptTerms:
             dressed_jacobian(*point)
         assert np.array_equal(self._cold(point, terms_calls), cold, equal_nan=True)
 
-    def test_a_point_above_the_cap_allocates_nothing(self):
-        # 21 nodes x 6,249 points (a fitted curve's FWHM search) exceed 4 BLOCK_POINTS.
+    def test_a_point_above_the_cap_takes_slices_of_it(self):
+        # 21 nodes x 6,249 points (a fitted curve's FWHM search) exceed
+        # 4 BLOCK_POINTS: the store holds one slice's eight arrays and no point.
         sizes = []
 
         def work():
             kept = lineshape._workspace
             args = self._replace(self._point(2), grid=np.linspace(2866.0, 2905.0, 6249))
             dressed_strain_signal(*args)
-            sizes.append((kept.terms.size, kept.point))
+            sizes.append((kept.strain.size, kept.point))
             dressed_strain_signal(*self._point(2))
-            sizes.append((kept.terms.size, kept.point is not None))
+            sizes.append((kept.strain.size, kept.point is not None))
 
         thread = threading.Thread(target=work)
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive()
-        assert sizes == [(0, None), (6 * DEFAULT_QUADRATURE_NODES * 2 * 781, True)]
+        block = 8 * DEFAULT_QUADRATURE_NODES * 2 * STRAIN_SLICE
+        assert sizes == [(block, None), (block, True)]
 
     def test_interleaving_threads_get_cold_results(self):
         points = [self._point(seed) for seed in (3, 4, 5, 6)]
@@ -817,7 +845,7 @@ class TestKeptTerms:
 
     def test_every_jacobian_of_a_fit_reuses_its_value_terms(self, terms_calls, monkeypatch):
         # A fit takes each Jacobian, the covariance's included, where it has
-        # just taken the value: only value rows compute terms.
+        # just taken the value: only value rows compute terms, one block each.
         rows = []
         strain_row = lineshape._strain_row
         monkeypatch.setattr(
@@ -829,7 +857,7 @@ class TestKeptTerms:
         noisy = synthesize_measurement(clean, 1e8, 0.01, 5)
         result = fit(noisy, DressedDip(omega_rf=16.0, fit_sigma_ex=True))
         assert result.covariance.shape == (7, 7)
-        assert result.iterations > 3 and len(terms_calls) == 3 * len(rows)
+        assert result.iterations > 3 and len(terms_calls) == len(rows)
 
 
 class TestRowThreads:
@@ -932,6 +960,21 @@ class TestSynthesizeMeasurement:
         a = synthesize_measurement(clean, 1e6, 1.0, seed=42)
         b = synthesize_measurement(clean, 1e6, 1.0, seed=42)
         np.testing.assert_array_equal(a.signal, b.signal)
+
+    @pytest.mark.parametrize("seed", [5, np.int64(5), np.uint8(5)])
+    def test_an_integral_seed_is_written_as_an_int(self, seed):
+        # A numpy integer draws what the int draws, and the metadata (and so
+        # the strict JSON of a spectrum) names it as that int.
+        clean = self._clean(50)
+        noisy = synthesize_measurement(clean, 1e6, 1.0, seed)
+        assert type(noisy.metadata["seed"]) is int and noisy.metadata["seed"] == 5
+        assert json.loads(noisy.to_json())["metadata"]["seed"] == 5
+        same = synthesize_measurement(clean, 1e6, 1.0, 5)
+        np.testing.assert_array_equal(noisy.signal, same.signal)
+
+    def test_other_seeds_are_written_as_their_repr(self):
+        clean = self._clean(50)
+        assert synthesize_measurement(clean, 1e6, 1.0, [7, 1]).metadata["seed"] == "[7, 1]"
 
     def test_different_seeds_differ(self):
         clean = self._clean(500)
