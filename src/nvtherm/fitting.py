@@ -102,9 +102,10 @@ class DressedDip:
     fitted jointly and the contrast stays at ``fixed_contrast``.  With
     sigma_ex fitted, ``evaluate`` is ``lineshape.dressed_strain_signal`` and
     ``jacobian`` gives its exact derivatives (``lineshape.dressed_jacobian``),
-    one real-arithmetic formula; the generators stay on ``dressed_signal``,
-    which it equals to about 1e-13.  Without sigma_ex, ``evaluate`` is
-    ``dressed_signal``, bit for bit.
+    one real-arithmetic formula; the generators stay on the node sum of
+    ``dressed_signal`` rows (``lineshape._strain_average``), which it equals
+    to about 1e-13.  Without sigma_ex, ``evaluate`` is ``dressed_signal``,
+    the one rows path, so it gives a sigma_ex = 0 generator's bits.
     """
 
     omega_rf: float

@@ -3,17 +3,19 @@
 The central quantity is the population left in |0> under continuous MW and
 RF drive, evaluated from the bright/dark two-mode response in complex
 arithmetic (``p0``).  Spectra map that population to a normalized
-photoluminescence signal through a single optical contrast factor.  A fit
-of the strain spread evaluates the same depletion in real arithmetic,
+photoluminescence signal through a single optical contrast factor, one
+row per E_x (``dressed_signal``); the generators' strain average is a node
+sum over its rows (``_strain_average``).  A fit of the strain spread
+evaluates the same depletion in real arithmetic,
 lambda^2 (|zd|^2 + J^2) / |det|^2 (``dressed_strain_signal``), the formula
-its exact Jacobian differentiates (``dressed_jacobian``).  Both take all
-quadrature nodes of a point in one block and each node sum as one einsum,
-and a Jacobian at the point of the last value reuses that value's terms.
+its exact Jacobian differentiates (``dressed_jacobian``): all quadrature
+nodes of a point in one block, each node sum one einsum, and a Jacobian at
+the point of the last value reuses that value's terms.  Both averages take
+one cached rule (``_strain_rule``).
 """
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import threading
@@ -37,7 +39,7 @@ DEFAULT_GAMMA_D = 0.1
 DEFAULT_QUADRATURE_NODES = 21
 # hermgauss weights sum to 0.0 at 371 nodes and overflow from 373 (numpy 2.4).
 MAX_QUADRATURE_NODES = 369
-# Nodes x grid points per dressed_depletion call; a sigma_ex block of
+# Rows x grid points per dressed_depletion call; a sigma_ex block of
 # dressed_strain_signal holds up to 4 times as many.  Blocks share each call's
 # fixed cost and reuse _Workspace's arrays, so no block-sized temporary is made
 # and freed per call.  At 8192 a fig5 Jacobian's 12 rows of 501 points take
@@ -164,16 +166,18 @@ class _Workspace(threading.local):
     """The dressed kernel's work arrays, kept between blocks and calls.
 
     ``take`` returns a view of a flat buffer (``p0``'s four work arrays, a
-    block's node signals, a Jacobian's columns and moment sums), made on
-    first use for the largest block (two branches of ``BLOCK_POINTS`` nodes x
-    points) and never freed, so a fit's blocks write into the same pages:
-    glibc gives a free heap top above its trim threshold (128 KiB by
-    default) back to the kernel, so arrays made and freed per block would
-    fault on every block.  A larger request gets a new array, so a long
-    direct call holds no memory after it.  Each thread has its own buffers.
-    No view leaves this module: the public functions return arrays that
-    their caller owns.  ``strain`` holds a sigma_ex block (``strain_block``),
-    one flat buffer that only grows, to the 4 BLOCK_POINTS nodes x points of
+    Jacobian's columns and moment sums), made on first use for the largest
+    block (two branches of ``BLOCK_POINTS`` rows x points) and never freed,
+    so a fit's blocks write into the same pages: glibc gives a free heap top
+    above its trim threshold (128 KiB by default) back to the kernel, so
+    arrays made and freed per block would fault on every block.  A larger
+    request gets a new array, so a long direct call holds no memory after
+    it.  Each thread has its own buffers.  No view leaves this module: the
+    public functions return arrays that their caller owns, and
+    ``dressed_signal``'s rows path (the strain average's nodes included)
+    writes each block straight into its result.  ``strain`` holds a sigma_ex
+    block (``strain_block``), one flat buffer that only grows, to the
+    4 BLOCK_POINTS nodes x points of
     ``_strain_slices``; ``point`` names the arguments of the terms it keeps
     from the last sigma_ex value, for a Jacobian there to reuse: a fit takes
     each Jacobian where it has just taken the value.
@@ -206,42 +210,6 @@ class _Workspace(threading.local):
 
 
 _workspace = _Workspace()
-
-
-class _Worker:
-    """``fn()`` on one new thread, started here and joined by ``join`` or ``result``.
-
-    The thread runs in a copy of the caller's context (numpy's error state
-    included).  numpy releases the GIL in its loops and in LAPACK, so the
-    thread runs beside its caller.  ``fn`` may call no name that
-    ``benchmarks/tracing.py`` wraps: its span stack is not thread-safe.
-    One caller starts it: a Lindblad sweep's solve of the next point
-    (``sensitivity._LindbladAhead``).
-    """
-
-    def __init__(self, fn, name: str):
-        self._result = []
-
-        def work():
-            try:
-                self._result.append(fn())
-            except BaseException as exc:  # re-raised on the calling thread
-                self._result.append(exc)
-
-        self._thread = threading.Thread(
-            target=contextvars.copy_context().run, args=(work,), name=name
-        )
-        self._thread.start()
-
-    def join(self) -> None:
-        self._thread.join()
-
-    def result(self):
-        """Join, then return ``fn()``'s value or raise its error."""
-        self._thread.join()
-        if isinstance(self._result[0], BaseException):
-            raise self._result.pop()
-        return self._result[0]
 
 
 def _square(x):
@@ -341,97 +309,70 @@ def dressed_depletion(
 
 
 def _blocks(points: int) -> tuple:
-    """Rows or nodes per block of at most ``BLOCK_POINTS``, and grid points per block.
+    """Rows per block of at most ``BLOCK_POINTS`` rows x points, and grid points per block.
 
-    As many whole rows (or one row's nodes) over the grid as fit; a grid
-    longer than a block takes one at a time over slices of it.
+    As many whole rows over the grid as fit; a grid longer than a block
+    takes one row at a time over slices of it.
     """
     per_block = max(BLOCK_POINTS // max(points, 1), 1)
     return per_block, BLOCK_POINTS // per_block
 
 
-@lru_cache(maxsize=32)
-def _hermite_nodes(nodes: int) -> tuple:
-    """Read-only Gauss-Hermite abscissae and a column of unit-Gaussian weights."""
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    w = (w / np.sqrt(np.pi))[:, None]
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+def dressed_signal(d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast):
+    """Normalized PL signal 1 - contrast * depletion (branch plus mirror), one row per E_x.
 
-
-def dressed_signal(
-    d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast,
-    sigma_ex=0.0, nodes: int = DEFAULT_QUADRATURE_NODES,
-) -> np.ndarray:
-    """Normalized PL signal 1 - contrast * depletion (branch plus mirror).
-
-    The depletion (``dressed_depletion``) is averaged over
-    E_x ~ Normal(ex, sigma_ex) on ``nodes`` Gauss-Hermite nodes, summed in
-    node order; a zero spread or one node gives the signal at ``ex``.  The
-    generators (and through them the CLI's curves) and the sigma_ex = 0
-    ``DressedDip`` model call it; a sigma_ex model evaluates the same average
-    in real arithmetic (``dressed_strain_signal``), equal to about 1e-13.
-
-    Each parameter but ``omega_rf``, ``contrast`` and ``nodes`` is a float or
-    a ``(rows,)`` array; the result is ``(len(grid),)`` or ``(rows,
-    len(grid))``, each row equal to its scalar call bit for bit.
-    ``sigma_ex`` is zero in every row or in none.  One ``dressed_depletion``
-    call takes a block of at most ``BLOCK_POINTS`` nodes x points over the
-    whole grid, or over a slice of it when the grid is longer: without a
-    spread as many whole rows as fit; with one, one row with its scalar
-    parameters and as many of its nodes as fit, each node's weighted signal
-    added to the row in node order.
+    The one rows path into ``p0``: the generators (through
+    ``_strain_average``) and the sigma_ex = 0 ``DressedDip`` model call it.
+    Each parameter but ``omega_rf`` and ``contrast`` is a float or a
+    ``(rows,)`` array; the result is ``(len(grid),)`` or
+    ``(rows, len(grid))``, each row equal to its scalar call bit for bit.
+    One ``dressed_depletion`` call writes a block of ``_blocks`` into the
+    result: as many whole rows as fit, or one row over a slice of the grid.
     """
-    params = (d, rabi_rf, rabi_mw, gamma_b, gamma_d)
-    rows = [p for p in (ex, sigma_ex, *params) if isinstance(p, np.ndarray) and p.ndim]
-    shape = np.broadcast(*rows).shape if rows else ()
-    averaged = sigma_ex != 0.0
-    if isinstance(averaged, np.ndarray):
-        if averaged.any() != averaged.all():
-            raise ValueError("sigma_ex must be zero in every row or in none")
-        averaged = averaged.all()
+    params = (ex, d, rabi_rf, rabi_mw, gamma_b, gamma_d)
+    shape = np.broadcast(*params).shape
     out = np.empty(shape + (len(grid),))
     per_block, step = _blocks(len(grid))
-    if not averaged:
-        blocks = [slice(r, r + per_block) for r in range(0, shape[0], per_block)] if shape else [...]
-        for at in blocks:  # a scalar call's floats stay floats
-            ex_r, d_r, *drive = [
-                p[at] if isinstance(p, np.ndarray) and p.ndim else p for p in (ex, *params)
-            ]
-            for lo in range(0, len(grid), step):
-                block = out[at][..., lo : lo + step]
-                dressed_depletion(d_r, ex_r, omega_rf, grid[lo : lo + step], *drive, out=block)
-                np.subtract(1.0, np.multiply(contrast, block, out=block), out=block)
-        return out
-    x, w = _hermite_nodes(nodes)
-    ex = np.asarray(ex)[..., None] + np.sqrt(2.0) * np.asarray(sigma_ex)[..., None] * x
-    ex = np.broadcast_to(ex, shape + x.shape)
-    # One row at a time, with scalar parameters as in its own call: numpy runs
-    # an operand broadcast along the grid at a half to a third of a scalar's speed.
-    for r in np.ndindex(shape):
-        ex_r, d_r, *drive = [
-            p[r] if isinstance(p, np.ndarray) and p.ndim else p for p in (ex, *params)
-        ]
+    blocks = [slice(r, r + per_block) for r in range(0, shape[0], per_block)] if shape else [...]
+    for at in blocks:  # a scalar call's floats stay floats
+        ex_r, d_r, *drive = [p[at] if np.ndim(p) else p for p in params]
         for lo in range(0, len(grid), step):
-            acc = out[r][lo : lo + step]
-            for k in range(0, nodes, per_block):
-                ex_k = ex_r[k : k + per_block]
-                sig = _workspace.take("signal", ex_k.shape + acc.shape)
-                dressed_depletion(d_r, ex_k, omega_rf, grid[lo : lo + step], *drive, out=sig)
-                np.subtract(1.0, np.multiply(contrast, sig, out=sig), out=sig)
-                np.multiply(w[k : k + per_block], sig, out=sig)
-                for i, s in enumerate(sig, k):  # node order; np.sum would add pairwise
-                    if i:
-                        np.add(acc, s, out=acc)
-                    else:
-                        acc[...] = s
+            block = out[at][..., lo : lo + step]
+            dressed_depletion(d_r, ex_r, omega_rf, grid[lo : lo + step], *drive, out=block)
+            np.subtract(1.0, np.multiply(contrast, block, out=block), out=block)
+    return out
+
+
+def _strain_average(
+    d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast, sigma_ex,
+    nodes: int = DEFAULT_QUADRATURE_NODES,
+) -> np.ndarray:
+    """``dressed_signal`` averaged over E_x ~ Normal(ex, sigma_ex) on ``nodes`` Gauss-Hermite nodes.
+
+    Every parameter is a float, and a zero spread gives the signal at
+    ``ex``.  The nodes ex + sqrt(2) sigma_ex x_k go to ``dressed_signal`` as
+    rows, one block of ``_blocks`` per call, so memory stays bounded; each
+    row is weighted by w_k and added to the sum in node order, the first
+    assigned.  The generators call it, and ``dressed_strain_signal`` for a
+    row that it cannot evaluate exactly, equal to it to about 1e-13.
+    """
+    args = (omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast)
+    if sigma_ex == 0.0:
+        return dressed_signal(d, ex, *args)
+    x, w, _ = _strain_rule(nodes)
+    ex_nodes = ex + np.sqrt(2.0) * sigma_ex * x
+    out, per_block = None, _blocks(len(grid))[0]
+    for k in range(0, nodes, per_block):
+        sig = dressed_signal(d, ex_nodes[k : k + per_block], *args)
+        for s in np.multiply(w[k : k + per_block, None], sig, out=sig):
+            out = s.copy() if out is None else np.add(out, s, out=out)  # np.sum adds pairwise
     return out
 
 
 def dressed_jacobian(
     d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast, sigma_ex
 ) -> np.ndarray:
-    """Derivatives of ``dressed_signal`` at one parameter vector, shape (len(grid), 7).
+    """Derivatives of ``dressed_strain_signal`` at one parameter vector, shape (len(grid), 7).
 
     The columns are d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d and sigma_ex;
     every parameter is a float, and the nodes are the default ones, as the
@@ -462,13 +403,14 @@ def dressed_jacobian(
     return np.multiply(cols.T, np.multiply(-contrast, scale), out=np.empty((len(grid), 7)))
 
 
-@lru_cache(maxsize=1)
-def _strain_rule() -> tuple:
-    """The default nodes x_k, their weights w_k, and the weight columns (w_k, x_k w_k)."""
-    x, w = _hermite_nodes(DEFAULT_QUADRATURE_NODES)
-    moments = np.concatenate((w, x[:, None] * w), axis=1)
-    moments.flags.writeable = False
-    return x, w[:, 0], moments
+@lru_cache(maxsize=32)
+def _strain_rule(nodes: int = DEFAULT_QUADRATURE_NODES) -> tuple:
+    """Read-only Gauss-Hermite nodes x_k, unit-Gaussian weights w_k and columns (w_k, x_k w_k)."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    w = w / np.sqrt(np.pi)
+    moments = np.stack((w, x * w), axis=1)
+    x.flags.writeable = w.flags.writeable = moments.flags.writeable = False
+    return x, w, moments
 
 
 def _strain_slices(nodes: int, points: int) -> list:
@@ -516,21 +458,21 @@ def _point(d, ex, omega_rf, grid, j, gamma_b, gamma_d, sigma_ex) -> bytes:
 def dressed_strain_signal(
     d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast, sigma_ex
 ) -> np.ndarray:
-    """``dressed_signal`` on the default nodes in the real arithmetic of ``dressed_jacobian``.
+    """``_strain_average`` on the default nodes in the real arithmetic of ``dressed_jacobian``.
 
     The signal 1 - contrast lambda^2 (R_upper + R_mirror) (``_dressed_terms``)
     averaged over the nodes ex + sqrt(2) sigma_ex x_k with the weights w_k
-    of ``dressed_signal``: the value whose derivatives ``dressed_jacobian``
+    of ``_strain_rule``: the value whose derivatives ``dressed_jacobian``
     gives, without ``p0``'s complex divisions.  One block holds every node
     over the whole grid, or over a slice of it when the point has more than
     4 BLOCK_POINTS nodes x points (``_strain_slices``), and its node sum is
-    one einsum.  It agrees with ``dressed_signal`` to about 1e-13 relative.
+    one einsum.  It agrees with ``_strain_average`` to about 1e-13 relative.
     Each parameter but ``omega_rf`` and ``contrast`` is a float or a
     ``(rows,)`` array; the result is ``(len(grid),)`` or
     ``(rows, len(grid))``, one row at a time with its scalar parameters, so
     each row equals its scalar call bit for bit.  A row where some |det|^2
     leaves the normal range of floats, or whose signal is not finite, is
-    ``dressed_signal``'s row instead, so the result is finite and silent
+    ``_strain_average``'s row instead, so the result is finite and silent
     wherever that is.
     """
     params = (d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, sigma_ex)
@@ -541,7 +483,7 @@ def dressed_strain_signal(
         row = [p[r] if isinstance(p, np.ndarray) and p.ndim else p for p in params]
         if not _strain_row(out[r], omega_rf, grid, contrast, *row):
             d_r, ex_r, *drive, sigma_r = row
-            out[r] = dressed_signal(d_r, ex_r, omega_rf, grid, *drive, contrast, sigma_r)
+            out[r] = _strain_average(d_r, ex_r, omega_rf, grid, *drive, contrast, sigma_r)
     return out
 
 
@@ -626,7 +568,7 @@ def ensemble_spectrum(
     contrast: float = DEFAULT_CONTRAST,
     strain: StrainDistribution | None = None,
 ) -> Spectrum:
-    """Spectrum averaged over a Gaussian strain ensemble (``dressed_signal``).
+    """Spectrum averaged over a Gaussian strain ensemble (``_strain_average``).
 
     A zero spread or a single node reduces exactly to the homogeneous
     spectrum at ``strain.mean_ex``; no ``strain`` means no spread at env.ex.
@@ -638,7 +580,7 @@ def ensemble_spectrum(
     grid = np.asarray(grid, dtype=float)
     check_grid(grid)
     d = zero_field_splitting(env)
-    sig = dressed_signal(
+    sig = _strain_average(
         d, strain.mean_ex, drive.omega_rf, grid, drive.rabi_rf, drive.rabi_mw,
         gamma_b, gamma_d, contrast, strain.sigma_ex, strain.nodes,
     )

@@ -9,10 +9,12 @@ per-point seeding.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import io
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -370,6 +372,41 @@ def sweep(config: SweepConfig, budget: NoiseBudget) -> SweepTable:
     return SweepTable(columns=columns, rows=rows)
 
 
+class _Worker:
+    """``fn()`` on one new thread, started here and joined by ``join`` or ``result``.
+
+    The thread runs in a copy of the caller's context (numpy's error state
+    included).  numpy releases the GIL in its loops and in LAPACK, so the
+    thread runs beside its caller.  ``fn`` may call no name that
+    ``benchmarks/tracing.py`` wraps: its span stack is not thread-safe.
+    One caller starts it: a Lindblad sweep's solve of the next point
+    (``_LindbladAhead``).
+    """
+
+    def __init__(self, fn, name: str):
+        self._result = []
+
+        def work():
+            try:
+                self._result.append(fn())
+            except BaseException as exc:  # re-raised on the calling thread
+                self._result.append(exc)
+
+        run = contextvars.copy_context().run
+        self._thread = threading.Thread(target=run, args=(work,), name=name)
+        self._thread.start()
+
+    def join(self) -> None:
+        self._thread.join()
+
+    def result(self):
+        """Join, then return ``fn()``'s value or raise its error."""
+        self._thread.join()
+        if isinstance(self._result[0], BaseException):
+            raise self._result.pop()
+        return self._result[0]
+
+
 class _LindbladAhead:
     """A Lindblad sweep's clean spectra, each solved while the point before it is fitted.
 
@@ -412,7 +449,7 @@ class _LindbladAhead:
         except Exception as exc:  # raised by the point's own call
             self.pending = (index, None, exc)
             return
-        worker = lineshape._Worker(solve, "lindblad-ahead")
+        worker = _Worker(solve, "lindblad-ahead")
         self.pending = (index, worker, None)
 
     def close(self) -> None:

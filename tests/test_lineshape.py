@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -335,8 +336,8 @@ def _per_node_signal(
 ):
     """The strain-averaged signal from one ``p0`` call per node and branch.
 
-    The same operations in the same order as the blocked ``dressed_signal``,
-    node by node: the reference it must equal bit for bit.
+    The same operations in the same order as ``_strain_average``'s node
+    blocks, node by node: the reference it must equal bit for bit.
     """
     x, w = np.polynomial.hermite.hermgauss(nodes)
     rule = zip(x, w / np.sqrt(np.pi)) if sigma_ex != 0.0 else [(0.0, 1.0)]
@@ -353,6 +354,8 @@ def _per_node_signal(
 
 
 class TestBlockedSignal:
+    """The generators' strain average (``_strain_average``) against one call per node."""
+
     @pytest.mark.parametrize("nodes", [1, 3, 21, 369])
     @pytest.mark.parametrize("sigma_ex", [0.0, 0.3, 2.0, 5.0])
     def test_bit_identical_to_per_node_loop(self, sigma_ex, nodes):
@@ -370,15 +373,30 @@ class TestBlockedSignal:
                 rng.uniform(0.5, 8.0), rng.uniform(0.05, 1.0), rng.uniform(0.2, 2.0),
                 rng.uniform(0.01, 0.5), rng.uniform(0.01, 0.3), sigma_ex, nodes,
             )
-            assert np.array_equal(dressed_signal(*args), _per_node_signal(*args))
+            assert np.array_equal(lineshape._strain_average(*args), _per_node_signal(*args))
 
     def test_one_point_takes_one_depletion_call(self, monkeypatch):
         real, calls = lineshape.dressed_depletion, []
         monkeypatch.setattr(
             lineshape, "dressed_depletion", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
-        dressed_signal(2870.0, 8.0, 16.0, np.array([2878.0]), 5.0, 0.5, 1.0, 0.1, 0.05, 2.0, 21)
+        grid = np.array([2878.0])
+        lineshape._strain_average(2870.0, 8.0, 16.0, grid, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0, 21)
         assert len(calls) == 1
+
+    def test_a_wide_average_takes_a_few_blocks_of_memory(self):
+        # 369 nodes x 20,001 points in one array would take 59 MB; the
+        # average holds one node over a grid this long, plus the workspace.
+        grid = np.linspace(2840.0, 2900.0, 20001)
+        strain = StrainDistribution(mean_ex=8.0, sigma_ex=2.0, nodes=MAX_QUADRATURE_NODES)
+        tracemalloc.start()
+        try:
+            spectrum = ensemble_spectrum(ENV, DRIVE, grid, strain=strain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(spectrum.signal)) and spectrum.signal.min() < 1.0
+        assert peak < 4e6
 
 
 def _dressed_rows(rng, rows):
@@ -396,30 +414,25 @@ class TestStackedRows:
     @given(
         seed=st.integers(0, 2**32 - 1),
         rows=st.integers(1, 16),
-        sigma=st.sampled_from([0.0, 0.3, 2.0]),
-        nodes=st.sampled_from([1, 3, 21]),
         points=st.sampled_from(
             [1, 2] + [BLOCK_POINTS // k + e for k in (16, 4, 2) for e in (-1, 0, 1)] + [BLOCK_POINTS + 1]
         ),
     )
-    def test_dressed_signal_rows(self, seed, rows, sigma, nodes, points):
+    def test_dressed_signal_rows(self, seed, rows, points):
         # The grid lengths put one row on either side of each block edge: 16,
         # 4, 2 or 1 whole rows per block, or one row split over blocks.
         rng = np.random.default_rng(seed)
         grid = np.sort(rng.uniform(2840.0, 2900.0, points))
         params = _dressed_rows(rng, rows)
         contrast = rng.uniform(0.01, 0.3)
-        sigmas = np.full(rows, sigma) * rng.uniform(0.5, 1.5, rows)
-        stacked = dressed_signal(
-            params[0], params[1], 16.0, grid, *params[2:], contrast, sigmas, nodes
-        )
+        stacked = dressed_signal(params[0], params[1], 16.0, grid, *params[2:], contrast)
         assert stacked.shape == (rows, points)
         for r in range(rows):
             # A float, or the np.float64 that DressedDip.evaluate passes for one vector.
             scalar = float if r % 2 else np.float64
             single = dressed_signal(
                 scalar(params[0][r]), scalar(params[1][r]), 16.0, grid,
-                *(scalar(p[r]) for p in params[2:]), contrast, scalar(sigmas[r]), nodes,
+                *(scalar(p[r]) for p in params[2:]), contrast,
             )
             assert np.array_equal(stacked[r], single)
 
@@ -428,25 +441,20 @@ class TestStackedRows:
         rng = np.random.default_rng(3)
         grid = np.linspace(2850.0, 2890.0, 301)
         d = 2870.0 + rng.normal(size=5)
-        for sigma in (0.0, 2.0, np.float64(0.0), np.float64(2.0)):
-            mixed = dressed_signal(d, 8.0, 16.0, grid, 5.0, 0.5, 1.0, 0.1, 0.05, sigma)
+        for rabi_rf in (5.0, np.float64(5.0)):
+            mixed = dressed_signal(d, 8.0, 16.0, grid, rabi_rf, 0.5, 1.0, 0.1, 0.05)
             ex, *rest = (np.full(5, v) for v in (8.0, 5.0, 0.5, 1.0, 0.1))
-            full = dressed_signal(d, ex, 16.0, grid, *rest, 0.05, np.full(5, sigma))
+            full = dressed_signal(d, ex, 16.0, grid, *rest, 0.05)
             assert np.array_equal(mixed, full)
             for r in range(5):
                 assert np.array_equal(
-                    mixed[r], dressed_signal(d[r], 8.0, 16.0, grid, 5.0, 0.5, 1.0, 0.1, 0.05, sigma)
+                    mixed[r], dressed_signal(d[r], 8.0, 16.0, grid, rabi_rf, 0.5, 1.0, 0.1, 0.05)
                 )
 
-    def test_sigma_zero_in_every_row_or_none(self):
-        grid = np.linspace(2850.0, 2890.0, 11)
-        with pytest.raises(ValueError, match="sigma_ex"):
-            dressed_signal(2870.0, 8.0, 16.0, grid, 5.0, 0.5, 1.0, 0.1, 0.05, np.array([0.0, 1.0]))
-
     def test_rows_share_depletion_calls(self, monkeypatch):
-        # 12 rows of 501 points take 1 block of whole rows; one row of
+        # 12 rows of 501 points take 1 block of whole rows; the average of
         # 781 points x 21 nodes takes 3 blocks of at most 10 nodes over the
-        # whole grid, as a scalar call does, each with that row's scalars.
+        # whole grid, each with the point's scalars.
         real, calls = lineshape.dressed_depletion, []
         monkeypatch.setattr(
             lineshape, "dressed_depletion", lambda *a, **k: calls.append(a) or real(*a, **k)
@@ -456,27 +464,33 @@ class TestStackedRows:
         dressed_signal(params[0], params[1], 16.0, grid, *params[2:], 0.05)
         assert len(calls) == 1
         calls.clear()
-        dressed_signal(
-            params[0][:2], params[1][:2], 16.0, np.linspace(2866.0, 2905.0, 781),
-            *(p[:2] for p in params[2:]), 0.05, np.full(2, 2.0), 21,
+        lineshape._strain_average(
+            *(float(p[0]) for p in params[:2]), 16.0, np.linspace(2866.0, 2905.0, 781),
+            *(float(p[0]) for p in params[2:]), 0.05, 2.0, 21,
         )
-        assert len(calls) == 2 * 3
-        assert all(np.ndim(a[0]) == 0 for a in calls)  # d, a row's scalar
+        assert len(calls) == 3
+        assert all(np.ndim(a[0]) == 0 for a in calls)  # d, the point's scalar
         assert all(len(a[3]) == 781 and len(a[1]) <= 10 for a in calls)  # grid, nodes
 
     @pytest.mark.parametrize("rows", [2, 3, 15])
     def test_each_row_equals_its_scalar_call(self, rows):
-        # sigma_ex stacks on the fig2 grid: each row in 3 blocks of nodes.
+        # sigma_ex stacks of the fit's kernel on the fig2 grid, every other
+        # row clipped to e^-300 so that it falls back to the p0 average.
         rng = np.random.default_rng(rows)
         *params, sigma_ex = _dressed_rows(rng, rows) + [rng.uniform(1.0, 3.0, rows)]
+        for p in params[2:] + [sigma_ex]:
+            p[::2] = np.exp(-300.0)
+        params[0][::2] = 2885.5  # both fig2 detunings vanish at 2893.5 MHz
+        params[1][::2] = 8.0
         grid = np.linspace(2866.0, 2905.0, 781)
-        stacked = dressed_signal(params[0], params[1], 16.0, grid, *params[2:], 0.05, sigma_ex)
+        stacked = dressed_strain_signal(*params[:2], 16.0, grid, *params[2:], 0.05, sigma_ex)
         for r in range(rows):
-            single = dressed_signal(
-                float(params[0][r]), float(params[1][r]), 16.0, grid,
-                *(float(p[r]) for p in params[2:]), 0.05, float(sigma_ex[r]),
-            )
+            row = [float(p[r]) for p in params + [sigma_ex]]
+            single = dressed_strain_signal(*row[:2], 16.0, grid, *row[2:6], 0.05, row[6])
             assert np.array_equal(stacked[r], single)
+            if r % 2 == 0:
+                fallback = lineshape._strain_average(*row[:2], 16.0, grid, *row[2:6], 0.05, row[6])
+                assert np.array_equal(single, fallback)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16), nodes=st.sampled_from([1, 21]))
@@ -549,7 +563,7 @@ STRAIN_SLICE = 4 * BLOCK_POINTS // DEFAULT_QUADRATURE_NODES
 
 
 class TestStrainSignal:
-    """The sigma_ex fit's real-arithmetic signal against ``dressed_signal``'s complex one."""
+    """The sigma_ex fit's real-arithmetic signal against the generators' complex average."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -577,7 +591,7 @@ class TestStrainSignal:
 
     @staticmethod
     def _check_rows(rng, rows, equal_rates, points, sigma_ex):
-        """Each row of a stack equals its scalar call and ``dressed_signal`` within 1e-12."""
+        """Each row of a stack equals its scalar call and ``_strain_average`` within 1e-12."""
         grid = np.sort(rng.uniform(2840.0, 2900.0, points))
         params = _dressed_rows(rng, rows)
         if equal_rates:
@@ -594,8 +608,9 @@ class TestStrainSignal:
                 row[0], row[1], 16.0, grid, *row[2:], contrast, scalar(sigma_ex[r])
             )
             assert np.array_equal(stacked[r], single)
-            complex_signal = dressed_signal(
-                row[0], row[1], 16.0, grid, *row[2:], contrast, scalar(sigma_ex[r])
+            complex_signal = lineshape._strain_average(
+                row[0], row[1], 16.0, grid, *row[2:], contrast, scalar(sigma_ex[r]),
+                DEFAULT_QUADRATURE_NODES,
             )
             bound = 1e-12 * np.maximum(1.0, np.abs(complex_signal))
             assert np.all(np.abs(single - complex_signal) <= bound)
@@ -609,14 +624,15 @@ class TestStrainSignal:
         # fit clips each positive parameter to [e^-300, e^300].  At e^-300
         # |det|^2 underflows to zero at 2893.5 MHz, where both detunings
         # vanish (a point of every grid, in the second slice of the third);
-        # at e^300 it overflows.  Such a row is dressed_signal's.
+        # at e^300 it overflows.  Such a row is the p0 average's.
         v = np.exp(log_value)
         args = (2885.5, 8.0, 16.0, np.linspace(*points), v, v, v, v, 0.05, v)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             signal = dressed_strain_signal(*args)
             assert np.all(np.isfinite(signal))
-            assert np.array_equal(signal, dressed_signal(*args))
+            average = lineshape._strain_average(*args, DEFAULT_QUADRATURE_NODES)
+            assert np.array_equal(signal, average)
 
 
 class TestWorkspace:
@@ -629,10 +645,10 @@ class TestWorkspace:
         ob, od = rng.normal(0.0, 10.0, (2, 3, 2, 97))
         slope_grid = np.linspace(2845.0, 2895.0, SLOPE_POINTS)
         strain_grid = np.linspace(2866.0, 2905.0, 781)
-        stack = _dressed_rows(rng, 14)  # a central-difference sigma_ex Jacobian
+        strain = StrainDistribution(mean_ex=8.0, sigma_ex=2.0)
         return {
-            "sigma_ex row": lambda: dressed_signal(
-                2885.5, 8.0, 16.0, strain_grid, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0
+            "strain average": lambda: lineshape._strain_average(
+                2885.5, 8.0, 16.0, strain_grid, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0, 21
             ),
             "sigma_ex value": lambda: dressed_strain_signal(
                 2885.5, 8.0, 16.0, strain_grid, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0
@@ -640,14 +656,14 @@ class TestWorkspace:
             "sigma_ex jacobian": lambda: dressed_jacobian(
                 2885.5, 8.0, 16.0, strain_grid, 5.0, 0.5, 1.0, 0.1, 0.05, 2.0
             ),
-            "sigma_ex stack": lambda: dressed_signal(
-                stack[0], stack[1], 16.0, strain_grid, *stack[2:], 0.05, np.full(14, 2.0)
-            ),
+            "ensemble spectrum": lambda: ensemble_spectrum(
+                ENV, DRIVE, strain_grid, strain=strain
+            ).signal,
             "jacobian block": lambda: dressed_signal(
                 params[0], params[1], 16.0, np.linspace(2845.0, 2895.0, 501), *params[2:], 0.05
             ),
-            "slope curve": lambda: dressed_signal(
-                2870.0, 8.0, 16.0, slope_grid, 6.0, 0.6, 1.0, 1.0, 0.05, 0.3
+            "slope curve": lambda: lineshape._strain_average(
+                2870.0, 8.0, 16.0, slope_grid, 6.0, 0.6, 1.0, 1.0, 0.05, 0.3, 21
             ),
             "p0": lambda: p0(ob, od, 2.5, 0.25, 1.0, 0.1),
         }
@@ -659,8 +675,8 @@ class TestWorkspace:
         first = {name: call() for name, call in calls.items()}
         results = [(name, value, value.copy()) for name, value in first.items()]
         names = [
-            "p0", "jacobian block", "sigma_ex stack", "sigma_ex jacobian", "sigma_ex value",
-            "sigma_ex row", "slope curve",
+            "p0", "jacobian block", "ensemble spectrum", "sigma_ex jacobian", "sigma_ex value",
+            "strain average", "slope curve",
         ]
         for name in names * 2:
             value = calls[name]()
@@ -683,7 +699,7 @@ class TestWorkspace:
         threads = [
             threading.Thread(target=work, args=(names,))
             for names in (
-                ["jacobian block", "p0"], ["sigma_ex row", "sigma_ex stack"],
+                ["jacobian block", "p0"], ["strain average", "ensemble spectrum"],
                 ["slope curve", "sigma_ex jacobian", "sigma_ex value"],
             ) * 2
         ]
@@ -768,7 +784,7 @@ class TestKeptTerms:
     def test_a_jacobian_after_these_is_cold(self, case, terms_calls):
         # Each case makes its value calls, then takes the Jacobian at ``point``.
         point = self._point(1)
-        clipped = np.exp(-300.0)  # |det|^2 underflows at 2893.5 MHz: dressed_signal's row
+        clipped = np.exp(-300.0)  # |det|^2 underflows at 2893.5 MHz: the p0 average's row
         if case == "a fallback row":
             point = (2885.5, 8.0, 16.0, self.GRID, *[clipped] * 4, 0.05, clipped)
         if case == "a sliced point":  # its value keeps only its last slice's terms
@@ -861,7 +877,11 @@ class TestKeptTerms:
 
 
 class TestRowThreads:
-    """A sigma_ex stack's rows run on the calling thread and share nothing between callers."""
+    """A sigma_ex stack's rows run on the calling thread and share nothing between callers.
+
+    The stacks are the fit kernel's; every other row is clipped to e^-300,
+    so that it falls back to the generators' p0 average.
+    """
 
     GRID = np.linspace(2866.0, 2905.0, 781)
 
@@ -869,11 +889,15 @@ class TestRowThreads:
     def _stack(rows):
         """Parameter rows (d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d, sigma_ex)."""
         rng = np.random.default_rng(rows)
-        return _dressed_rows(rng, rows) + [rng.uniform(1.0, 3.0, rows)]
+        params = _dressed_rows(rng, rows) + [rng.uniform(1.0, 3.0, rows)]
+        params[0][::2], params[1][::2] = 2885.5, 8.0  # both detunings vanish at 2893.5 MHz
+        for p in params[2:]:
+            p[::2] = np.exp(-300.0)
+        return params
 
     def _signal(self, params):
         *rows, sigma_ex = params
-        return dressed_signal(rows[0], rows[1], 16.0, self.GRID, *rows[2:], 0.05, sigma_ex)
+        return dressed_strain_signal(rows[0], rows[1], 16.0, self.GRID, *rows[2:], 0.05, sigma_ex)
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
         def no_thread(*args, **kwargs):

@@ -628,13 +628,13 @@ class TestLindbladPipeline:
 
     def _workers(self, monkeypatch):
         started = []
-        worker = lineshape._Worker
+        worker = sensitivity._Worker
 
         def record(fn, name):
             started.append(worker(fn, name))
             return started[-1]
 
-        monkeypatch.setattr(lineshape, "_Worker", record)
+        monkeypatch.setattr(sensitivity, "_Worker", record)
         return started
 
     def test_equal_to_direct_solves_cell_for_cell(self, monkeypatch):
