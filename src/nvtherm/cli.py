@@ -115,7 +115,7 @@ def validate_config(doc: dict) -> list[str]:
         elif top[key] is dict:
             found = _check_section(key, value)
         else:
-            found = _check_type(key, top[key], value)
+            found = _check_type(key, top[key], value) or _check_value(key, value)
         if found:
             diags += found
             bad.add(key)
@@ -134,8 +134,14 @@ def validate_config(doc: dict) -> list[str]:
                 diags.append(f"mode {mode!r} requires {'key' if key else 'section'} {path!r}")
                 bad.add(section)
     doc = {k: v for k, v in doc.items() if k not in bad}
+    b_parallel = doc.get("environment", {}).get("b_parallel", 0.0)
+    if mode == "oracle-check" and b_parallel != 0.0:  # the oracle models dressed states only
+        diags.append(
+            "mode 'oracle-check' requires a transverse-mode environment, "
+            f"got b_parallel = {b_parallel}"
+        )
     try:
-        _build(doc, doc.get("seed", 0))
+        _build(doc)
     except ConfigError as exc:
         diags += exc.diagnostics
     return diags
@@ -180,9 +186,11 @@ def _check_section(section: str, value) -> list[str]:
 
 
 def _check_value(name: str, value) -> list[str]:
-    """Sweep-axis shape, and the value rules of sections no library type holds."""
+    """Sweep-axis shape, the seed, and the value rules of sections no library type holds."""
     if name in _POSITIVE and value <= 0:
         return [f"{name} must be > 0, got {value}"]
+    if name == "seed" and value < 0:  # numpy seeds only from non-negative integers
+        return [f"seed must be >= 0, got {value}"]
     if name == "fit.model" and value not in ("dressed", "lorentzian"):
         return [f"fit.model must be 'dressed' or 'lorentzian', got {value!r}"]
     if name == "sweep.axes":
@@ -217,7 +225,7 @@ class _Run(types.SimpleNamespace):
         return None
 
 
-def _build(doc: dict, seed: int) -> _Run:
+def _build(doc: dict) -> _Run:
     """Every object a run uses, built once from a document of valid shape.
 
     Each present section is built whatever the mode, and a ``ConfigError``
@@ -257,7 +265,7 @@ def _build(doc: dict, seed: int) -> _Run:
     h0 = rotating_hamiltonian_from_params(0.0, 0.0, 0.0, 0.0)
     lindblad = {"hamiltonian": h0, "pump_rate": 2.0, **doc.get("oracle", {})}
     run = _Run(
-        seed=seed,
+        seed=doc.get("seed", 0),
         env=env,
         drive=drive,
         strain=strain,
@@ -273,7 +281,7 @@ def _build(doc: dict, seed: int) -> _Run:
         sd = doc["sweep"]
         axes = tuple((a["name"], tuple(a["values"])) for a in sd.get("axes", []))
         config = dict(sd, axes=axes, environment=env, drive=drive, grid=run.grid, strain=strain)
-        config = dict(config, seed=seed, **run.rates)
+        config = dict(config, seed=run.seed, **run.rates)
         run.sweep = judge("sweep", sensitivity.SweepConfig, config, {"grid": "grid.points"})
     # Each axis value is judged as a sweep point builds it (a drive amplitude
     # by DriveConfig, a laser power by the budget); one problem per axis.  A
@@ -493,6 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.seed is not None:  # one seed: --seed overrides the config key
+        args.overrides.append(f"seed={args.seed}")
     if args.command == "validate":
         try:
             load_config(args.config, args.overrides)
@@ -509,8 +519,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 [f"config mode {mode!r} does not match subcommand {args.command!r}"]
             )
-        seed = args.seed if args.seed is not None else doc.get("seed", 0)
-        print(_RUNNERS[mode](_build(doc, seed), doc, args))
+        print(_RUNNERS[mode](_build(doc), doc, args))
         return 0
     except ConfigError as exc:
         for d in exc.diagnostics:

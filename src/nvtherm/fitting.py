@@ -445,8 +445,10 @@ def _check_guess(spec: Spectrum, model, guess: np.ndarray):
     names = model.param_names
     if len(guess) != len(names):
         raise FitError(f"guess has {len(guess)} entries, model needs {len(names)}")
-    pos = model.positive
-    bad = [n for n, g, p in zip(names, guess, pos) if p and g <= 0]
+    bad = [n for n, g in zip(names, guess) if not math.isfinite(g)]
+    if bad:
+        raise FitError(f"parameters must start finite: {', '.join(bad)}")
+    bad = [n for n, g, p in zip(names, guess, model.positive) if p and g <= 0]
     if bad:
         raise FitError(f"positive parameters must start > 0: {', '.join(bad)}")
     lo, hi = spec.frequencies[0], spec.frequencies[-1]

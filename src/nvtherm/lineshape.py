@@ -1,8 +1,9 @@
 """Closed-form CW-ODMR lineshape, spectrum assembly, and noise synthesis.
 
 The central quantity is the population left in |0> under continuous MW and
-RF drive, evaluated from the bright/dark two-mode response in complex
-arithmetic (``p0``).  Spectra map that population to a normalized
+RF drive, the bright/dark two-mode response in complex arithmetic: ``p0``
+is its closed form, which ``dressed_depletion`` evaluates in place, bit for
+bit.  Spectra map that population to a normalized
 photoluminescence signal through a single optical contrast factor, one
 row per E_x (``dressed_signal``); the generators' strain average is a node
 sum over its rows (``_strain_average``).  A fit of the strain spread
@@ -165,7 +166,7 @@ class Spectrum:
 class _Workspace(threading.local):
     """The dressed kernel's work arrays, kept between blocks and calls.
 
-    ``take`` returns a view of a flat buffer (``p0``'s four work arrays, a
+    ``take`` returns a view of a flat buffer (``dressed_depletion``'s four work arrays, a
     Jacobian's columns and moment sums), made on first use for the largest
     block (two branches of ``BLOCK_POINTS`` rows x points) and never freed,
     so a fit's blocks write into the same pages: glibc gives a free heap top
@@ -227,63 +228,22 @@ def _square(x):
 def p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d):
     """Steady-state |0> population of the two-mode response, all MHz.
 
-    Vectorised: the detunings ``omega_b`` and ``omega_d`` may be arrays, and
-    the other four may be arrays that broadcast against them, giving each
-    element the bits that its scalar parameters give.  Evaluates
     1 - |amp_b|^2 - |amp_d|^2 with amp_b = -lambda_b*zd/det,
-    amp_d = lambda_b*j/det and det = zb*zd - j^2, operation for operation
-    (see ``_p0``).  A scalar call returns a float64, an array call a new
-    array.
-
-    A lone point is evaluated twice over: numpy multiplies a one-element
-    complex array on its scalar path, which rounds otherwise than the vector
-    loop, so without this a point's bits would depend on the length of the
-    array it came in.
+    amp_d = lambda_b*j/det, det = zb*zd - j^2 and z = omega - i*gamma, the
+    reference that ``dressed_depletion`` evaluates in place, operation for
+    operation.  The six parameters broadcast together; a scalar call returns
+    a float64, whose last bit may differ from the same point's in an array
+    (numpy rounds a lone complex product otherwise than its vector loop).
     """
-    shape = np.broadcast(omega_b, omega_d).shape
-    work = shape
-    if math.prod(shape) == 1:
-        omega_b, omega_d, j, lambda_b, gamma_b, gamma_d = [
-            np.ravel(p) if isinstance(p, np.ndarray) else p
-            for p in (omega_b, omega_d, j, lambda_b, gamma_b, gamma_d)
-        ]
-        work = (2,)
-    zb, zd = _detunings(work)
-    zb.real[...], zd.real[...] = omega_b, omega_d
-    pop = _p0(zb, zd, j, lambda_b, gamma_b, gamma_d)
-    return pop.reshape(-1)[: math.prod(shape)].reshape(shape).copy()[()]
-
-
-def _detunings(shape: tuple) -> tuple:
-    """``_p0``'s two complex work arrays: the detunings go in their real parts."""
-    return _workspace.take("zb", shape, complex), _workspace.take("zd", shape, complex)
-
-
-def _p0(zb, zd, j, lambda_b, gamma_b, gamma_d):
-    """``p0`` of the detunings in the real parts of ``_detunings``' arrays.
-
-    Sets their imaginary parts to -gamma, which gives the bits of
-    omega - 1j * gamma, then works in them and two real work arrays of the
-    workspace; returns a workspace view.
-    """
-    np.subtract(0.0, gamma_b, out=zb.imag)
-    np.subtract(0.0, gamma_d, out=zd.imag)
-    det = np.multiply(zb, zd, out=zb)
-    np.subtract(det, _square(j), out=det)
-    amp_b = np.divide(np.multiply(-lambda_b, zd, out=zd), det, out=zd)
-    amp_d = np.divide(lambda_b * j, det, out=det)
-    lost_b = np.abs(amp_b, out=_workspace.take("lost_b", zb.shape))
-    lost_d = np.abs(amp_d, out=_workspace.take("lost_d", zb.shape))
-    np.square(lost_b, out=lost_b)
-    np.square(lost_d, out=lost_d)
-    pop = np.subtract(1.0, lost_b, out=lost_b)
-    return np.subtract(pop, lost_d, out=pop)
+    zb, zd = omega_b - 1j * gamma_b, omega_d - 1j * gamma_d
+    det = zb * zd - _square(j)
+    return 1.0 - np.abs(-lambda_b * zd / det) ** 2 - np.abs(lambda_b * j / det) ** 2
 
 
 def dressed_depletion(
     d, ex, omega_rf: float, grid: np.ndarray, rabi_rf, rabi_mw, gamma_b, gamma_d, *, out=None,
 ) -> np.ndarray:
-    """Total |0>-depletion 1 - p0 over the MW grid: the one way into ``p0``.
+    """Total |0>-depletion 1 - p0 over the MW grid: the kernel's one evaluation of ``p0``.
 
     The closed-form response covers one RF sideband; the experimental
     spectrum shows its mirror as well, obtained here by adding the
@@ -291,8 +251,10 @@ def dressed_depletion(
     lambda_b = rabi_mw/2.  All parameters but ``omega_rf`` broadcast
     together, and the result has their shape followed by the grid's: floats
     give one row over ``grid``, ``(rows,)`` arrays one row per entry, each
-    equal to its scalar call, all from one ``p0`` call.  ``out`` may give
-    the array to write the result into.
+    equal to its scalar call.  ``out`` may give the array to write the
+    result into.  ``p0``'s operations run in order, bit for bit, in four
+    ``_workspace`` arrays: the detunings go into the real parts of two
+    complex ones and -gamma into their imaginary parts (omega - 1j * gamma).
     """
     params = (d, rabi_rf, rabi_mw, gamma_b, gamma_d)
     rows = [p for p in (ex, *params) if isinstance(p, np.ndarray)]
@@ -301,9 +263,21 @@ def dressed_depletion(
         d, rabi_rf, rabi_mw, gamma_b, gamma_d = [np.asarray(p)[..., None, None] for p in params]
     if isinstance(ex, np.ndarray):
         ex = ex[..., None]  # branch_detunings puts the branch axis after it
-    zb, zd = _detunings(shape)
+    zb, zd = _workspace.take("zb", shape, complex), _workspace.take("zd", shape, complex)
     branch_detunings(d, ex, omega_rf, grid, out=(zb.real, zd.real))
-    dep = _p0(zb, zd, rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d)
+    np.subtract(0.0, gamma_b, out=zb.imag)
+    np.subtract(0.0, gamma_d, out=zd.imag)
+    j, lambda_b = rabi_rf / 2.0, rabi_mw / 2.0
+    det = np.multiply(zb, zd, out=zb)
+    np.subtract(det, _square(j), out=det)
+    amp_b = np.divide(np.multiply(-lambda_b, zd, out=zd), det, out=zd)
+    amp_d = np.divide(lambda_b * j, det, out=det)
+    lost_b = np.abs(amp_b, out=_workspace.take("lost_b", shape))
+    lost_d = np.abs(amp_d, out=_workspace.take("lost_d", shape))
+    np.square(lost_b, out=lost_b)
+    np.square(lost_d, out=lost_d)
+    dep = np.subtract(1.0, lost_b, out=lost_b)  # p0, then the depletion 1 - p0
+    np.subtract(dep, lost_d, out=dep)
     np.subtract(1.0, dep, out=dep)
     return np.add(dep[..., 0, :], dep[..., 1, :], out=out)
 
@@ -321,7 +295,7 @@ def _blocks(points: int) -> tuple:
 def dressed_signal(d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, contrast):
     """Normalized PL signal 1 - contrast * depletion (branch plus mirror), one row per E_x.
 
-    The one rows path into ``p0``: the generators (through
+    The one rows path into ``dressed_depletion``: the generators (through
     ``_strain_average``) and the sigma_ex = 0 ``DressedDip`` model call it.
     Each parameter but ``omega_rf`` and ``contrast`` is a float or a
     ``(rows,)`` array; the result is ``(len(grid),)`` or

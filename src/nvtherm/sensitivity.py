@@ -312,7 +312,7 @@ class SweepConfig:
             if self.fit_model == "lorentzian":  # a Lorentzian sweep generates Lorentzian spectra
                 problems.append("generator 'lindblad' requires fit_model 'dressed'")
         positive = ("gamma_b", "gamma_d", "dwell", "lorentzian_peaks", "lorentzian_fwhm")
-        check_fields(self, positive=positive, problems=problems)
+        check_fields(self, positive=positive, nonnegative=("seed",), problems=problems)
 
 
 @dataclass

@@ -270,6 +270,38 @@ class TestValidation:
         assert main(["sweep", *argv]) == 1
         assert "environment.dd_dt must be nonzero" in capsys.readouterr().err
 
+    def test_negative_seed_judged_once(self, tmp_path, capsys):
+        # numpy seeds only from non-negative integers: a sweep would fail
+        # every row and a simulation at run time.  The config key and --seed
+        # are one seed, named once.
+        fig5, fig2 = (str(PRESET_DIR / f"{name}.json") for name in ("fig5_narrowing", "fig2_dressed"))
+        # --seed is applied after every --set.
+        for override in (["--set", "seed=-3"], ["--seed", "-3"], ["--seed", "-3", "--set", "seed=2"]):
+            assert main(["validate", "--config", fig5, *override]) == 1
+            assert capsys.readouterr().out == "invalid: seed must be >= 0, got -3\n"
+        for mode, preset in (("sweep", fig5), ("simulate", fig2)):
+            out = tmp_path / f"{mode}.csv"
+            assert main([mode, "--config", preset, "--seed", "-1", "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: config: seed must be >= 0, got -1\n"
+            assert not out.exists()
+        noisy, seeds = {}, {"flag": ["--seed", "5"], "key": ["--set", "seed=5"], "other": ["--seed", "6"]}
+        for name, seed in seeds.items():
+            out = tmp_path / f"{name}.csv"
+            assert main(["simulate", "--config", fig2, *seed, "--out", str(out)]) == 0
+            noisy[name] = out.read_text()
+        assert noisy["flag"] == noisy["key"] != noisy["other"]
+
+    def test_oracle_check_in_parallel_mode_judged_by_validate(self, tmp_path, capsys):
+        # The oracle models the dressed states only and would fail at run time.
+        preset = str(PRESET_DIR / "oracle_weak_drive.json")
+        argv = ["--config", preset]
+        argv += ["--set", "environment.b_transverse=0", "--set", "environment.b_parallel=100"]
+        message = "mode 'oracle-check' requires a transverse-mode environment, got b_parallel = 100"
+        assert main(["validate", *argv]) == 1
+        assert capsys.readouterr().out == f"invalid: {message}\n"
+        assert main(["oracle-check", *argv, "--out", str(tmp_path / "oracle.json")]) == 1
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+
     def test_sweep_grid_too_short_to_fit(self, capsys):
         # Every sweep point is fitted, and a fit needs 10 samples: a shorter
         # grid would fail every row.  A simulation on it is still valid.

@@ -164,6 +164,18 @@ class TestFit:
                 guess=np.array([1.0, 2000.0, 5.0, 0.05]),
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_guess_rejected_by_name(self, bad):
+        # A nan width ran one iteration and ended at the damping bound; an
+        # infinite one also warned in the numerical Jacobian.
+        grid = np.linspace(2840.0, 2900.0, 601)
+        spec = lorentzian_spectrum([2860.0, 2880.0], [4.0, 4.0], [0.05, 0.05], grid)
+        guess = np.array([1.0, 2860.0, bad, 0.05, 2880.0, 4.0, 0.05])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match=r"^parameters must start finite: width_1$"):
+                fit(spec, MultiLorentzian(2), guess=guess)
+
     def test_covariance_symmetric_psd(self):
         noisy = synthesize_measurement(_lorentz_clean(), 1e6, 1.0, seed=9)
         res = fit(noisy, MultiLorentzian(1))

@@ -121,28 +121,20 @@ class TestP0:
         strong = p0(0.3, -0.2, 1.0, 0.02, 1.0, 0.1)
         assert (1.0 - strong) == pytest.approx(4.0 * (1.0 - weak))
 
-    def test_equals_plain_expression_bit_for_bit(self):
-        # The work arrays change where p0's values are stored, not how they
-        # are computed.
-        rng = np.random.default_rng(3)
-        ob, od = rng.normal(0.0, 10.0, (2, 21, 2, 97))
-        for j, lam, gb, gd in rng.uniform(0.01, 5.0, (20, 4)):
-            zb, zd = ob - 1j * gb, od - 1j * gd
-            det = zb * zd - j**2
-            plain = 1.0 - np.abs(-lam * zd / det) ** 2 - np.abs(lam * j / det) ** 2
-            assert np.array_equal(p0(ob, od, j, lam, gb, gd), plain)
-
-    def test_lone_point_has_the_bits_of_a_longer_array(self):
-        # numpy multiplies a one-element complex array on its scalar path,
-        # which rounds otherwise than the vector loop (for 177 of these 20,000
-        # points), so p0 evaluates a lone point twice over.
-        rng = np.random.default_rng(0)
-        ob, od = rng.normal(0.0, 10.0, (2, 20000))
-        full = p0(ob, od, 2.5, 0.25, 1.0, 0.1)
-        lone = [p0(ob[i : i + 1], od[i : i + 1], 2.5, 0.25, 1.0, 0.1)[0] for i in range(len(ob))]
-        scalar = [p0(a, b, 2.5, 0.25, 1.0, 0.1) for a, b in zip(ob.tolist(), od.tolist())]
-        assert np.count_nonzero(full != lone) == 0
-        assert np.count_nonzero(full != scalar) == 0
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16), points=st.integers(1, 300))
+    def test_depletion_rows_are_p0_bit_for_bit(self, seed, rows, points):
+        # dressed_depletion evaluates p0 in its work arrays: each row is the
+        # two branches' 1 - p0 at branch_detunings, added (test_half_factors).
+        rng = np.random.default_rng(seed)
+        grid = np.sort(rng.uniform(2840.0, 2900.0, points))
+        omega_rf = rng.uniform(4.0, 30.0)
+        d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d = _dressed_rows(rng, rows)
+        dep = dressed_depletion(d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d)
+        ob, od = branch_detunings(d[:, None, None], ex[:, None], omega_rf, grid)
+        params = (p[:, None, None] for p in (rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d))
+        pop = p0(ob, od, *params)
+        assert dep.tobytes() == ((1.0 - pop[:, 0]) + (1.0 - pop[:, 1])).tobytes()
 
     def test_scalars_in_scalar_out(self):
         value = p0(0.3, -0.2, 1.0, 0.1, 1.0, 0.1)
@@ -513,7 +505,7 @@ class TestStackedRows:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_fused_detunings_match_the_float_path(self, seed):
-        # dressed_depletion writes the detunings into the real parts of p0's
+        # dressed_depletion writes the detunings into the real parts of its
         # complex work arrays; this is the path through float detunings, a
         # complex cast and z = omega - 1j * gamma, operation for operation.
         rng = np.random.default_rng(seed)
@@ -642,7 +634,6 @@ class TestWorkspace:
     def _calls():
         rng = np.random.default_rng(6)
         params = _dressed_rows(rng, 12)
-        ob, od = rng.normal(0.0, 10.0, (2, 3, 2, 97))
         slope_grid = np.linspace(2845.0, 2895.0, SLOPE_POINTS)
         strain_grid = np.linspace(2866.0, 2905.0, 781)
         strain = StrainDistribution(mean_ex=8.0, sigma_ex=2.0)
@@ -665,7 +656,9 @@ class TestWorkspace:
             "slope curve": lambda: lineshape._strain_average(
                 2870.0, 8.0, 16.0, slope_grid, 6.0, 0.6, 1.0, 1.0, 0.05, 0.3, 21
             ),
-            "p0": lambda: p0(ob, od, 2.5, 0.25, 1.0, 0.1),
+            "depletion": lambda: dressed_depletion(
+                params[0], params[1], 16.0, np.linspace(2850.0, 2890.0, 97), *params[2:]
+            ),
         }
 
     def test_interleaved_calls_alias_nothing(self):
@@ -675,7 +668,7 @@ class TestWorkspace:
         first = {name: call() for name, call in calls.items()}
         results = [(name, value, value.copy()) for name, value in first.items()]
         names = [
-            "p0", "jacobian block", "ensemble spectrum", "sigma_ex jacobian", "sigma_ex value",
+            "depletion", "jacobian block", "ensemble spectrum", "sigma_ex jacobian", "sigma_ex value",
             "strain average", "slope curve",
         ]
         for name in names * 2:
@@ -699,7 +692,7 @@ class TestWorkspace:
         threads = [
             threading.Thread(target=work, args=(names,))
             for names in (
-                ["jacobian block", "p0"], ["strain average", "ensemble spectrum"],
+                ["jacobian block", "depletion"], ["strain average", "ensemble spectrum"],
                 ["slope curve", "sigma_ex jacobian", "sigma_ex value"],
             ) * 2
         ]
@@ -717,10 +710,15 @@ class TestWorkspace:
 
     def test_calls_past_a_block_take_new_arrays(self):
         # A direct call larger than any block leaves the buffers at their size.
-        p0(np.zeros(2), 1.0, 2.5, 0.25, 1.0, 0.1)
-        large = p0(np.zeros(4 * BLOCK_POINTS), 1.0, 2.5, 0.25, 1.0, 0.1)
+        def depletion(points):
+            grid = np.linspace(2860.0, 2880.0, points)
+            return dressed_depletion(2870.0, 8.0, 16.0, grid, 5.0, 0.5, 1.0, 0.1)
+
+        depletion(2)
+        large = depletion(2 * BLOCK_POINTS)  # two branches of 2 BLOCK_POINTS points
         buffers = lineshape._workspace.buffers
-        assert buffers and all(b.size == 2 * BLOCK_POINTS for b in buffers.values())
+        assert {"zb", "zd", "lost_b", "lost_d"} <= buffers.keys()
+        assert all(b.size == 2 * BLOCK_POINTS for b in buffers.values())
         assert not any(np.shares_memory(large, b) for b in buffers.values())
 
 

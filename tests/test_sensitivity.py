@@ -402,6 +402,13 @@ class TestSweepConfig:
             self._config(generator="lindblad", fit_model="lorentzian")
         assert caught.value.diagnostics == ["generator 'lindblad' requires fit_model 'dressed'"]
 
+    def test_rejects_negative_seed(self):
+        # numpy's SeedSequence refuses it, so every point would fail.
+        with pytest.raises(ConfigError) as caught:
+            self._config(seed=-1)
+        assert caught.value.diagnostics == ["seed must be >= 0, got -1"]
+        assert self._config(seed=0).seed == 0
+
     def test_rejects_repeated_axis(self):
         # The later axis would overwrite the earlier in every point, and the
         # CSV would label rows run at 12 as 3 and 6.
