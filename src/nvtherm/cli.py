@@ -140,6 +140,9 @@ def validate_config(doc: dict) -> list[str]:
             "mode 'oracle-check' requires a transverse-mode environment, "
             f"got b_parallel = {b_parallel}"
         )
+    rabi_mw = doc["drive"].get("rabi_mw", 0.0) if "drive" in doc else None
+    if mode == "oracle-check" and rabi_mw == 0:  # no dip: the relative deviation is 0/0
+        diags.append(f"mode 'oracle-check' requires drive.rabi_mw > 0, got {rabi_mw}")
     try:
         _build(doc)
     except ConfigError as exc:

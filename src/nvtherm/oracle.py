@@ -168,8 +168,8 @@ def _branch_depletion(
     Builds the branch's own Hamiltonian and generator stacks from the
     undetuned ``h0`` and ``liouv0``.  The detunings enter only the
     generator's diagonal, so each point replays those 9 entries.  Calls
-    only untraced internals: it runs on a Lindblad sweep's worker thread
-    (``_lindblad_solver``).
+    only untraced internals and writes only its own stacks, so either
+    thread of a Lindblad sweep's branch queue may run it, to the same bits.
     """
     n = len(grid)
     h = np.repeat(h0[None], n, axis=0)
@@ -206,7 +206,10 @@ def oracle_spectrum(
     is solved first, so its error wins when both fail.
     """
     require_dressed_mode(env)
-    return _lindblad_solver(env, drive, grid, pump_rate, dephase_b, dephase_d, contrast)()
+    (upper, mirror), spectrum = _lindblad_solver(
+        env, drive, grid, pump_rate, dephase_b, dephase_d, contrast
+    )
+    return spectrum(upper(), mirror())
 
 
 def _lindblad_solver(
@@ -218,14 +221,13 @@ def _lindblad_solver(
     dephase_d: float,
     contrast: float,
 ):
-    """``oracle_spectrum``'s checks and inputs, and a no-argument solve for the rest.
+    """``oracle_spectrum``'s checks and inputs, its two branch solves and their sum.
 
     Run on the calling thread: it checks the grid and the rates and builds
-    the shared Hamiltonian (``oracle_spectrum`` checks the mode first, and a
-    Lindblad sweep does so for each point).  The returned solve calls only
-    untraced internals, so any one thread may run it: a Lindblad sweep runs
-    it on a worker for each point after the first, while the point before
-    it is fitted.
+    the shared Hamiltonian and generator (``oracle_spectrum`` checks the
+    mode first, and a Lindblad sweep does so for each point).  Returns the
+    two no-argument branch solves ``(upper, mirror)`` and ``spectrum``, and
+    ``spectrum(upper(), mirror())`` is 1 - contrast * (upper + mirror).
     """
     grid = np.asarray(grid, dtype=float)
     check_grid(grid)
@@ -238,6 +240,7 @@ def _lindblad_solver(
         0.0, 0.0, drive.rabi_rf / 2.0, drive.rabi_mw / 2.0
     )
     base = LindbladModel(h0, pump_rate, dephase_b, dephase_d)
+    shared = (h0, _liouvillians(h0, base), base)
     meta = {
         "model": "lindblad_oracle",
         "pump_rate": pump_rate,
@@ -249,11 +252,10 @@ def _lindblad_solver(
         "rabi_mw": drive.rabi_mw,
     }
 
-    def solve() -> Spectrum:
-        shared = (h0, _liouvillians(h0, base), base)
-        upper = _branch_depletion(*shared, upper_b, upper_d, "upper", grid)
-        mirror = _branch_depletion(*shared, mirror_b, mirror_d, "mirror", grid)
-        sig = 1.0 - contrast * (upper + mirror)
-        return Spectrum(grid, sig, np.zeros_like(grid), meta)
+    def branch(omega_b, omega_d, name):
+        return lambda: _branch_depletion(*shared, omega_b, omega_d, name, grid)
 
-    return solve
+    def spectrum(upper: np.ndarray, mirror: np.ndarray) -> Spectrum:
+        return Spectrum(grid, 1.0 - contrast * (upper + mirror), np.zeros_like(grid), meta)
+
+    return (branch(upper_b, upper_d, "upper"), branch(mirror_b, mirror_d, "mirror")), spectrum

@@ -40,6 +40,9 @@ SWEEP_SCORES = ("fwhm_mhz", "contrast", "eta_slope_k_per_rthz", "eta_linewidth_k
 # 32 KiB of work stays below glibc's 128 KiB mmap threshold, so no scan maps memory.
 SLOPE_POINTS = 20001
 SCAN_CHUNK = 4096
+# Points of a Lindblad sweep whose branch solves may be queued at once, the
+# point being scored included: the worker solves at most 5 points ahead.
+BRANCH_WINDOW = 6
 
 
 @dataclass(frozen=True)
@@ -345,118 +348,113 @@ def sweep(config: SweepConfig, budget: NoiseBudget) -> SweepTable:
     The budget sets the photon rate and the contrast.  Per-point seeds derive
     deterministically from (seed, point index); rows appear in grid order.
     Failed fits are recorded with a reason, never dropped.  A Lindblad
-    sweep solves point k+1's spectrum on one worker thread while
-    point k is fitted (``_LindbladAhead``); the worker is joined before this
-    returns or raises, and every row keeps the bits of a serial sweep.
+    sweep queues each point's two branch solves (``_BranchQueue``) for one
+    worker thread and the calling thread, up to ``BRANCH_WINDOW`` points
+    ahead of the one being scored; the worker is joined before this returns
+    or raises, and every row keeps the bits of a serial sweep.  (Roadmap
+    item 14's direct solve would make the queue pay for nothing.)
     """
     axis_names = [name for name, _ in config.axes]
     axis_values = [np.asarray(vals, dtype=float) for _, vals in config.axes]
     columns = axis_names + [*SWEEP_SCORES, "converged", "status"]
     points = [dict(zip(axis_names, combo)) for combo in itertools.product(*axis_values)]
-    ahead = None
-    if config.generator == "lindblad":
-        ahead = _LindbladAhead(config, budget, points)
+    branches = _BranchQueue(config, budget, points) if config.generator == "lindblad" else None
     rows = []
     try:
         for index, point in enumerate(points):
             row = {name: float(v) for name, v in point.items()}
             try:
-                row.update(_sweep_point(config, budget, point, index, ahead))
+                row.update(_sweep_point(config, budget, point, index, branches))
             except (fitting.FitError, ValueError, RuntimeError) as exc:
                 row.update(dict.fromkeys(SWEEP_SCORES, float("nan")))
                 row.update(converged=False, status=f"error: {exc}")
             rows.append(row)
     finally:
-        if ahead is not None:
-            ahead.close()
+        if branches is not None:
+            branches.close()
     return SweepTable(columns=columns, rows=rows)
 
 
-class _Worker:
-    """``fn()`` on one new thread, started here and joined by ``join`` or ``result``.
+class _BranchQueue:
+    """A Lindblad sweep's branch solves in one queue, taken in order by a worker and the caller.
 
-    The thread runs in a copy of the caller's context (numpy's error state
-    included).  numpy releases the GIL in its loops and in LAPACK, so the
-    thread runs beside its caller.  ``fn`` may call no name that
-    ``benchmarks/tracing.py`` wraps: its span stack is not thread-safe.
-    One caller starts it: a Lindblad sweep's solve of the next point
-    (``_LindbladAhead``).
-    """
-
-    def __init__(self, fn, name: str):
-        self._result = []
-
-        def work():
-            try:
-                self._result.append(fn())
-            except BaseException as exc:  # re-raised on the calling thread
-                self._result.append(exc)
-
-        run = contextvars.copy_context().run
-        self._thread = threading.Thread(target=run, args=(work,), name=name)
-        self._thread.start()
-
-    def join(self) -> None:
-        self._thread.join()
-
-    def result(self):
-        """Join, then return ``fn()``'s value or raise its error."""
-        self._thread.join()
-        if isinstance(self._result[0], BaseException):
-            raise self._result.pop()
-        return self._result[0]
-
-
-class _LindbladAhead:
-    """A Lindblad sweep's clean spectra, each solved while the point before it is fitted.
-
-    ``clean(index, args)`` returns point ``index``'s spectrum: the worker's
-    solve when one was started for it, else ``oracle.oracle_spectrum(*args)``
-    on the calling thread (the first point).  Before it returns or raises,
-    it checks and builds point index+1's inputs on the calling thread and
-    starts one worker thread that solves them; so at most one solve is in
-    flight, and an error of point index+1 is raised by that point's own
-    call.
+    The queue holds (point k, upper) and then (point k, mirror), in point
+    order.  One worker thread, started here in a copy of the caller's
+    context (numpy's error state included), takes the next solve while any
+    is queued.  ``spectrum(k)`` solves on the calling thread each branch of
+    point k that no thread has taken yet, and waits only for one in flight.
+    The calling thread builds each point's inputs (``oracle._lindblad_solver``,
+    with its traced Hamiltonian and ``RegimeWarning``) lazily, up to
+    ``BRANCH_WINDOW`` points from the one being scored, which is where the
+    worker stops.  numpy releases the GIL in LAPACK, so the two threads
+    solve side by side; a branch calls no name that ``benchmarks/tracing.py``
+    wraps, as its span stack is not thread-safe.
     """
 
     def __init__(self, config: SweepConfig, budget: NoiseBudget, points: list):
         self.config, self.budget, self.points = config, budget, points
-        self.pending = None  # (index, worker, error of its checks)
+        self.inputs, self.tasks, self.results = [], [], {}  # per point, queued, by task
+        self.taken, self.closed = 0, False
+        self.ready = threading.Condition()
+        run = contextvars.copy_context().run
+        self.worker = threading.Thread(target=run, args=(self._serve,), name="lindblad-branches")
+        self.worker.start()
 
-    def clean(self, index: int, args: tuple) -> lineshape.Spectrum:
-        try:
-            if self.pending is None or self.pending[0] != index:
-                self.close()  # left by a point that failed before it needed its spectrum
-                return oracle.oracle_spectrum(*args)
-            _, worker, error = self.pending
-            self.pending = None
-            if error is not None:
-                raise error
-            return worker.result()
-        finally:
-            self._start(index + 1)
+    def spectrum(self, index: int) -> lineshape.Spectrum:
+        """Point ``index``'s spectrum; the upper branch's error wins over the mirror's."""
+        while len(self.inputs) < min(index + BRANCH_WINDOW, len(self.points)):
+            try:
+                drive, _, contrast, gamma_b, gamma_d = _point_inputs(
+                    self.config, self.budget, self.points[len(self.inputs)]
+                )
+                args = _lindblad_args(self.config, drive, gamma_b, gamma_d, contrast)
+                require_dressed_mode(args[0])
+                solves, combine = oracle._lindblad_solver(*args)
+            except Exception as exc:  # raised by the point's own call
+                self.inputs.append(exc)
+                continue
+            with self.ready:
+                self.inputs.append((len(self.tasks), combine))
+                self.tasks += solves
+                self.ready.notify_all()
+        if isinstance(self.inputs[index], Exception):
+            raise self.inputs[index]
+        first, combine = self.inputs[index]
+        self._serve(first + 1)
+        with self.ready:
+            self.ready.wait_for(lambda: first in self.results and first + 1 in self.results)
+            upper, mirror = self.results.pop(first), self.results.pop(first + 1)
+        for value in (upper, mirror):
+            if isinstance(value, BaseException):
+                raise value
+        return combine(upper, mirror)
 
-    def _start(self, index: int) -> None:
-        if index >= len(self.points):
-            return
-        try:
-            drive, _, contrast, gamma_b, gamma_d = _point_inputs(
-                self.config, self.budget, self.points[index]
-            )
-            args = _lindblad_args(self.config, drive, gamma_b, gamma_d, contrast)
-            require_dressed_mode(args[0])
-            solve = oracle._lindblad_solver(*args)
-        except Exception as exc:  # raised by the point's own call
-            self.pending = (index, None, exc)
-            return
-        worker = _Worker(solve, "lindblad-ahead")
-        self.pending = (index, worker, None)
+    def _serve(self, last: int | None = None) -> None:
+        """Solve untaken tasks in order: the worker's loop, or the caller's through ``last``."""
+        while True:
+            with self.ready:
+                if last is None:
+                    self.ready.wait_for(lambda: self.closed or self.taken < len(self.tasks))
+                    if self.closed:
+                        return
+                elif self.taken > last:
+                    return
+                j, solve = self.taken, self.tasks[self.taken]
+                self.tasks[j], self.taken = None, j + 1
+            try:
+                value = solve()
+            except BaseException as exc:  # raised by the point's own call
+                value = exc
+            with self.ready:
+                self.results[j] = value
+                self.ready.notify_all()
 
     def close(self) -> None:
-        """Join the worker, if one is running."""
-        if self.pending is not None and self.pending[1] is not None:
-            self.pending[1].join()
-        self.pending = None
+        """Let the worker finish the solve it holds, take no other, and join it."""
+        with self.ready:
+            self.closed = True
+            self.ready.notify_all()
+        self.worker.join()
 
 
 def _point_inputs(config: SweepConfig, budget: NoiseBudget, point: dict):
@@ -488,12 +486,14 @@ def _sweep_point(
     budget: NoiseBudget,
     point: dict,
     index: int,
-    ahead: _LindbladAhead | None = None,
+    branches: _BranchQueue | None = None,
 ):
     """One sweep row's scores: generate, add noise, fit and score point ``index``.
 
-    A Lindblad point takes its clean spectrum from ``ahead`` when given,
-    waiting here for its solve, so a call's time covers its own spectrum.
+    A Lindblad point takes its clean spectrum from ``branches`` when given:
+    here the calling thread queues the points of the window ahead, solves
+    each branch of point ``index`` that the worker has not taken and waits
+    for one in flight, so a call's time covers its own spectrum.
     """
     env = config.environment
     drive, rate, contrast, gamma_b, gamma_d = _point_inputs(config, budget, point)
@@ -501,8 +501,11 @@ def _sweep_point(
 
     if config.fit_model == "dressed":
         if config.generator == "lindblad":
-            args = _lindblad_args(config, drive, gamma_b, gamma_d, contrast)
-            clean = oracle.oracle_spectrum(*args) if ahead is None else ahead.clean(index, args)
+            if branches is None:
+                args = _lindblad_args(config, drive, gamma_b, gamma_d, contrast)
+                clean = oracle.oracle_spectrum(*args)
+            else:
+                clean = branches.spectrum(index)
         else:
             clean = lineshape.ensemble_spectrum(
                 env, drive, config.grid, gamma_b, gamma_d, contrast, config.strain

@@ -302,6 +302,34 @@ class TestValidation:
         assert main(["oracle-check", *argv, "--out", str(tmp_path / "oracle.json")]) == 1
         assert capsys.readouterr().err == f"error: config: {message}\n"
 
+    def test_oracle_check_without_mw_drive_judged_by_validate(self, tmp_path, capsys):
+        # With no MW drive neither spectrum has a dip, and the relative
+        # deviation would be 0/0: NaN, two RuntimeWarnings and exit 0.
+        preset = str(PRESET_DIR / "oracle_weak_drive.json")
+        out = tmp_path / "oracle.json"
+        for value, shown in (("0", "0"), ("0.0", "0.0")):
+            argv = ["--config", preset, "--set", f"drive.rabi_mw={value}"]
+            message = f"mode 'oracle-check' requires drive.rabi_mw > 0, got {shown}"
+            assert main(["validate", *argv]) == 1
+            assert capsys.readouterr().out == f"invalid: {message}\n"
+            assert main(["oracle-check", *argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: config: {message}\n"
+            assert not out.exists()
+        # A drive section without the key takes DriveConfig's 0.0; a bad
+        # value is reported by its own rule alone.
+        doc = json.loads((PRESET_DIR / "oracle_weak_drive.json").read_text())
+        del doc["drive"]["rabi_mw"]
+        config = tmp_path / "no_mw.json"
+        config.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(config)]) == 1
+        message = "mode 'oracle-check' requires drive.rabi_mw > 0, got 0.0"
+        assert capsys.readouterr().out == f"invalid: {message}\n"
+        assert main(["validate", "--config", preset, "--set", "drive.rabi_mw=-1"]) == 1
+        assert "requires drive.rabi_mw" not in capsys.readouterr().out
+        # Other modes still simulate an undriven spectrum.
+        fig2 = ["--config", str(PRESET_DIR / "fig2_dressed.json"), "--set", "drive.rabi_mw=0"]
+        assert main(["validate", *fig2]) == 0
+
     def test_sweep_grid_too_short_to_fit(self, capsys):
         # Every sweep point is fitted, and a fit needs 10 samples: a shorter
         # grid would fail every row.  A simulation on it is still valid.

@@ -122,19 +122,32 @@ class TestP0:
         assert (1.0 - strong) == pytest.approx(4.0 * (1.0 - weak))
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16), points=st.integers(1, 300))
-    def test_depletion_rows_are_p0_bit_for_bit(self, seed, rows, points):
+    @given(
+        seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16), points=st.integers(1, 300),
+        floats=st.booleans(),
+    )
+    def test_depletion_rows_are_p0_bit_for_bit(self, seed, rows, points, floats):
         # dressed_depletion evaluates p0 in its work arrays: each row is the
         # two branches' 1 - p0 at branch_detunings, added (test_half_factors).
+        # With ``floats`` both take one row of Python floats instead: the
+        # detunings go into the work arrays' real parts, and p0 takes them as
+        # floats cast to complex.
         rng = np.random.default_rng(seed)
         grid = np.sort(rng.uniform(2840.0, 2900.0, points))
         omega_rf = rng.uniform(4.0, 30.0)
-        d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d = _dressed_rows(rng, rows)
+        params = _dressed_rows(rng, rows)
+        if floats:
+            params = [p[0].item() for p in params]
+        d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d = params
         dep = dressed_depletion(d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d)
-        ob, od = branch_detunings(d[:, None, None], ex[:, None], omega_rf, grid)
-        params = (p[:, None, None] for p in (rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d))
-        pop = p0(ob, od, *params)
-        assert dep.tobytes() == ((1.0 - pop[:, 0]) + (1.0 - pop[:, 1])).tobytes()
+        if floats:
+            ob, od = branch_detunings(d, ex, omega_rf, grid)
+            pop = p0(ob, od, rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d)
+        else:
+            ob, od = branch_detunings(d[:, None, None], ex[:, None], omega_rf, grid)
+            params = (p[:, None, None] for p in (rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d))
+            pop = p0(ob, od, *params)
+        assert dep.tobytes() == ((1.0 - pop[..., 0, :]) + (1.0 - pop[..., 1, :])).tobytes()
 
     def test_scalars_in_scalar_out(self):
         value = p0(0.3, -0.2, 1.0, 0.1, 1.0, 0.1)
@@ -501,24 +514,6 @@ class TestStackedRows:
                 d[r], ex[r], 16.0, grid, rabi_rf[r], rabi_mw[r], gamma_b[r], gamma_d[r]
             )
             assert np.array_equal(stacked[r], single)
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_fused_detunings_match_the_float_path(self, seed):
-        # dressed_depletion writes the detunings into the real parts of its
-        # complex work arrays; this is the path through float detunings, a
-        # complex cast and z = omega - 1j * gamma, operation for operation.
-        rng = np.random.default_rng(seed)
-        grid = np.sort(rng.uniform(2840.0, 2900.0, 97))
-        d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d = (p.item() for p in _dressed_rows(rng, 1))
-        omega_b, omega_d = branch_detunings(d, ex, 16.0, grid)
-        zb = omega_b.astype(complex) - 1j * gamma_b
-        zd = omega_d.astype(complex) - 1j * gamma_d
-        j, lam = rabi_rf / 2.0, rabi_mw / 2.0
-        det = zb * zd - j**2
-        dep = 1.0 - (1.0 - np.abs(-lam * zd / det) ** 2 - np.abs(lam * j / det) ** 2)
-        fused = dressed_depletion(d, ex, 16.0, grid, rabi_rf, rabi_mw, gamma_b, gamma_d)
-        assert fused.tobytes() == (dep[0] + dep[1]).tobytes()
 
     def test_p0_parameter_rows(self):
         # An array's x**2 is x*x rounded, which differs from the scalar's

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nvtherm import lineshape, oracle, sensitivity
+from nvtherm import lineshape, oracle
 from nvtherm.lineshape import ensemble_spectrum
 from nvtherm.oracle import (
     DegenerateSteadyStateError,
@@ -354,7 +354,6 @@ class TestOracleThreads:
         def no_worker(*args, **kwargs):
             raise AssertionError("oracle_spectrum started a worker")
 
-        monkeypatch.setattr(sensitivity, "_Worker", no_worker)
         monkeypatch.setattr(lineshape.threading, "Thread", no_worker)
         drive, grid = self.POINT_9
         before = threading.active_count()

@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import math
+import sys
 import threading
 import time
 
@@ -598,7 +599,10 @@ class TestSweep:
 
 
 class TestLindbladPipeline:
-    """A Lindblad sweep solves point k+1 on a worker while point k is fitted."""
+    """A Lindblad sweep queues its branch solves for one worker and its caller.
+
+    No test here depends on which thread takes a branch.
+    """
 
     BUDGET = NoiseBudget(4e6, contrast=0.05, rate_per_mw=1e6, pump_per_mw=0.5, gamma_sat=0.1)
 
@@ -633,17 +637,6 @@ class TestLindbladPipeline:
             rows.append(row)
         return SweepTable(names + [*sensitivity.SWEEP_SCORES, "converged", "status"], rows)
 
-    def _workers(self, monkeypatch):
-        started = []
-        worker = sensitivity._Worker
-
-        def record(fn, name):
-            started.append(worker(fn, name))
-            return started[-1]
-
-        monkeypatch.setattr(sensitivity, "_Worker", record)
-        return started
-
     def test_equal_to_direct_solves_cell_for_cell(self, monkeypatch):
         config = self._config()
         serial = self._serial(config, BUDGET).to_csv()
@@ -654,19 +647,15 @@ class TestLindbladPipeline:
             return solve(*args)
 
         monkeypatch.setattr(oracle, "oracle_spectrum", counted)
-        started = self._workers(monkeypatch)
         table = sweep(config, BUDGET)
         assert table.to_csv() == serial
         assert [r["status"] for r in table.rows] == ["ok"] * 4
-        # The first point is solved directly on the calling thread, the
-        # other three ahead, one worker each, and no other worker starts.
-        assert len(direct) == 1
-        assert [w._thread.name for w in started] == ["lindblad-ahead"] * 3
+        assert direct == []  # every point's branches go through the queue
 
     def test_errors_land_in_their_own_rows(self):
         # A pump of 5e-14 MHz leaves the steady state degenerate at point 1;
-        # point 3's laser power fails before its spectrum is needed, so
-        # point 4 is solved directly.
+        # point 3's laser power fails before its spectrum is needed, and
+        # point 4's spectrum comes after it.
         config = self._config(axes=(("laser_power_mw", (4.0, 1e-13, 4.0, -1.0, 2.0)),))
         table = sweep(config, self.BUDGET)
         status = [r["status"] for r in table.rows]
@@ -678,6 +667,23 @@ class TestLindbladPipeline:
         assert status[0] == status[2] == status[4] == "ok"
         assert table.to_csv() == self._serial(config, self.BUDGET).to_csv()
 
+    def test_the_upper_branchs_error_wins(self, monkeypatch):
+        # Both branches of point 2 (rabi_rf 4, rabi_mw 0.8: J = 2, lambda =
+        # 0.4) fail; the upper one fails last, whichever thread solves it,
+        # and its error still names the row.
+        depletion = oracle._branch_depletion
+
+        def fail_point_2(h0, liouv0, model, omega_b, omega_d, branch, grid):
+            if (h0[1, 2], h0[0, 1]) == (2.0, 0.4):
+                if branch == "upper":
+                    time.sleep(0.2)
+                raise RuntimeError(f"{branch} failed")
+            return depletion(h0, liouv0, model, omega_b, omega_d, branch, grid)
+
+        monkeypatch.setattr(oracle, "_branch_depletion", fail_point_2)
+        table = sweep(self._config(), BUDGET)
+        assert [r["status"] for r in table.rows] == ["ok", "ok", "error: upper failed", "ok"]
+
     def test_no_thread_outlives_a_sweep(self, monkeypatch):
         config = self._config()
         before = threading.active_count()
@@ -686,37 +692,111 @@ class TestLindbladPipeline:
 
         # A slow solve is still running when the second point's scoring
         # raises an error that the sweep does not record.
-        depletion, scores, calls = oracle._branch_depletion, sensitivity.slope_sensitivity, []
+        depletion, scores = oracle._branch_depletion, sensitivity.slope_sensitivity
+        running, calls = [], []
 
         def slow(*args):
-            time.sleep(0.1)
-            return depletion(*args)
+            running.append(1)
+            time.sleep(0.2)
+            try:
+                return depletion(*args)
+            finally:
+                running.pop()
 
         def fail_second(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
+                deadline = time.monotonic() + 10.0
+                while not running and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert running, "no solve in flight"
                 raise KeyError("scoring failed")
             return scores(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "_branch_depletion", slow)
         monkeypatch.setattr(sensitivity, "slope_sensitivity", fail_second)
-        started = self._workers(monkeypatch)
         with pytest.raises(KeyError, match="scoring failed"):
             sweep(config, BUDGET)
         assert threading.active_count() == before
-        assert [w._thread.name for w in started].count("lindblad-ahead") == 2
+        assert running == []
 
     def test_worker_runs_in_the_callers_error_state(self, monkeypatch):
+        # Every branch solve, on either thread, sees the error state.
         seen = []
         depletion = oracle._branch_depletion
 
         def record(*args):
-            seen.append((threading.current_thread().name, np.geterr()["over"], np.geterr()["under"]))
+            seen.append((np.geterr()["over"], np.geterr()["under"]))
             return depletion(*args)
 
         monkeypatch.setattr(oracle, "_branch_depletion", record)
         with np.errstate(over="raise", under="warn"):
             sweep(self._config(), BUDGET)
-        ahead = [s for s in seen if s[0] == "lindblad-ahead"]
-        assert len(ahead) == 6  # two branches of each of three points
-        assert set(ahead) == {("lindblad-ahead", "raise", "warn")}
+        assert seen == [("raise", "warn")] * 8  # two branches of each of four points
+
+    def test_concurrent_sweeps_keep_their_bits(self):
+        # 3 sweeps on 2 cores, 6 threads, with a short switch interval: a
+        # queue that lost a result or handed one to the wrong point would
+        # change a row.
+        config = self._config()
+        serial = self._serial(config, BUDGET).to_csv()
+        tables = [None] * 3
+
+        def call(i):
+            tables[i] = sweep(config, BUDGET).to_csv()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert tables == [serial] * 3
+
+    def test_a_slow_worker_leaves_branches_to_the_caller(self, monkeypatch):
+        config = self._config()
+        serial = self._serial(config, BUDGET).to_csv()
+        depletion, caller = oracle._branch_depletion, threading.current_thread()
+        solved_here = []
+
+        def slow_worker(*args):
+            if threading.current_thread() is caller:
+                solved_here.append(args[5])
+            else:
+                time.sleep(0.2)
+            return depletion(*args)
+
+        monkeypatch.setattr(oracle, "_branch_depletion", slow_worker)
+        assert sweep(config, BUDGET).to_csv() == serial
+        assert solved_here  # the caller took a branch instead of waiting for it
+
+    def test_a_slow_caller_lets_the_worker_reach_the_window_edge_only(self, monkeypatch):
+        window = sensitivity.BRANCH_WINDOW
+        config = self._config(axes=(("rabi_mw", tuple(np.linspace(0.8, 1.6, window + 2))),))
+        serial = self._serial(config, BUDGET).to_csv()
+        depletion, fit_once = oracle._branch_depletion, fitting.fit
+        started, queued = [], []
+
+        def count(*args):
+            started.append(1)
+            return depletion(*args)
+
+        def slow_fit(*args, **kwargs):
+            # Point k's spectrum queued every point before k + window.
+            edge = 2 * min(len(queued) + window, window + 2)
+            queued.append(edge)
+            time.sleep(0.15)
+            assert len(started) == edge  # the worker reached the edge
+            time.sleep(0.05)
+            assert len(started) == edge  # and did not pass it
+            return fit_once(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_branch_depletion", count)
+        monkeypatch.setattr(fitting, "fit", slow_fit)
+        assert sweep(config, BUDGET).to_csv() == serial
+        assert len(queued) == window + 2
