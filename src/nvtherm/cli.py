@@ -143,6 +143,10 @@ def validate_config(doc: dict) -> list[str]:
     rabi_mw = doc["drive"].get("rabi_mw", 0.0) if "drive" in doc else None
     if mode == "oracle-check" and rabi_mw == 0:  # no dip: the relative deviation is 0/0
         diags.append(f"mode 'oracle-check' requires drive.rabi_mw > 0, got {rabi_mw}")
+    # Without a pump the steady state is not unique, or with dephasing the flat I/3.
+    pump_rate = doc.get("oracle", {}).get("pump_rate")
+    if mode == "oracle-check" and pump_rate == 0:
+        diags.append(f"mode 'oracle-check' requires oracle.pump_rate > 0, got {pump_rate}")
     try:
         _build(doc)
     except ConfigError as exc:
@@ -528,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
         for d in exc.diagnostics:
             print(f"error: config: {d}", file=sys.stderr)
         return 1
-    except (fitting.FitError, ValueError, OSError) as exc:
+    except (fitting.FitError, oracle.DegenerateSteadyStateError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

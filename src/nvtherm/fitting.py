@@ -466,15 +466,37 @@ def _to_internal(p, pos):
 
 
 def _to_external(x, pos):
-    """External parameters of an internal vector, or of each row of a stack."""
+    """External parameters of an internal vector, or of each row of a stack.
+
+    ``pos`` selects the coordinates fitted in log space: an index array, a
+    mask, or a slice where they are a run (``_log_coordinates``).
+    """
     p = np.array(x, dtype=float)
     # Clip so a wild trial step cannot overflow; such steps get rejected anyway.
     p[..., pos] = np.exp(p[..., pos].clip(-300.0, 300.0))
     return p
 
 
+def _log_coordinates(model):
+    """The coordinates of ``model`` fitted in log space: a slice if they are a run.
+
+    A slice takes them as a view, not a copy (a ``DressedDip``'s rates and
+    amplitudes are one run); ``MultiLorentzian``'s take an index array.
+    """
+    logs = np.flatnonzero(model.positive)
+    if len(logs) and logs[-1] - logs[0] == len(logs) - 1:
+        return slice(int(logs[0]), int(logs[-1]) + 1)
+    return logs
+
+
 def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
     """Weighted damped least squares of ``model`` against ``spec``.
+
+    ``model`` is a ``MultiLorentzian`` or a ``DressedDip``: its ``evaluate``
+    takes one parameter vector or a stack of them and returns a new array,
+    which the residuals overwrite in place.  ``guess`` is None (then
+    ``initial_guess``) or one finite entry per ``model.param_names``, each
+    positive parameter > 0 and each center on the grid.
 
     Converges when the relative cost change drops below 1e-10 or the step
     norm below 1e-12, within 500 iterations.  Rejected steps raise the
@@ -495,10 +517,12 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
     weighted = bool(np.all(spec.sigma > 0))
     w = 1.0 / spec.sigma if weighted else np.ones_like(data)
 
-    logs = np.flatnonzero(model.positive)  # coordinates fitted in log space
+    logs = _log_coordinates(model)
 
     def residuals(x):  # of one internal vector, or of each row of a stack
-        return w * (model.evaluate(_to_external(x, logs), grid) - data)
+        r = model.evaluate(_to_external(x, logs), grid)  # an array the call owns
+        np.subtract(r, data, out=r)
+        return np.multiply(w, r, out=r)
 
     def jacobian(x):  # of the residuals at one internal vector
         if not model.exact_jacobian:
@@ -514,6 +538,12 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
         jac[:, np.abs(jac).max(axis=0) * h < 2.0**-53] = 0.0
         return np.multiply(jac, w[:, None], out=jac)
 
+    # A wild step may overflow in the model or the cost; it is rejected.
+    @np.errstate(over="ignore")
+    def trial(dx):  # the residuals and the cost at x + dx
+        r = residuals(x + dx)
+        return r, 0.5 * float(r @ r)
+
     x = _to_internal(guess, logs)
     r = residuals(x)
     cost = 0.5 * float(r @ r)
@@ -527,19 +557,18 @@ def fit(spec: Spectrum, model, guess: np.ndarray | None = None) -> FitResult:
         jtr = jac.T @ r
         diag = jtj.diagonal().copy()
         diag[diag <= 0] = max(diag.max(), 1e-12)
+        # Each trial damps the same diagonal against the same gradient.
+        damping, descent = np.diag(diag), -jtr
         while mu <= MAX_DAMPING:
             try:
-                dx = np.linalg.solve(jtj + mu * np.diag(diag), -jtr)
+                dx = np.linalg.solve(jtj + mu * damping, descent)
             except np.linalg.LinAlgError:
                 mu *= 10.0
                 continue
             if math.sqrt(dx.dot(dx)) < STEP_ATOL:  # np.linalg.norm(dx)
                 converged = True
                 break
-            # A wild step may overflow in the model or the cost; it is rejected.
-            with np.errstate(over="ignore"):
-                r_new = residuals(x + dx)
-                cost_new = 0.5 * float(r_new @ r_new)
+            r_new, cost_new = trial(dx)
             if math.isfinite(cost_new) and cost_new < cost:
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)
                 x = x + dx

@@ -218,10 +218,12 @@ def _square(x):
 
     An array's ``x**2`` is x*x rounded, which differs from pow(x, 2) in the
     last bit for about one value in a thousand; a row of parameters must give
-    the bits its scalar call gives.
+    the bits its scalar call gives.  A scalar goes through ``np.float64``,
+    whose pow has a Python float's bits but overflows to inf with a
+    RuntimeWarning, not an ``OverflowError``.
     """
-    if not isinstance(x, np.ndarray):
-        return x**2
+    if type(x) is not np.ndarray:
+        return np.float64(x) ** 2
     return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
 
 
@@ -240,6 +242,19 @@ def p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d):
     return 1.0 - np.abs(-lambda_b * zd / det) ** 2 - np.abs(lambda_b * j / det) ** 2
 
 
+def _row_count(*params) -> int:
+    """The length of the ``(rows,)`` arrays among ``params``; 0 if all are scalars."""
+    for p in params:
+        if type(p) is np.ndarray:
+            return len(p)
+    return 0
+
+
+def _lift(p):
+    """A ``(rows,)`` parameter before the branch and grid axes; a scalar as it is."""
+    return p[:, None, None] if type(p) is np.ndarray else p
+
+
 def dressed_depletion(
     d, ex, omega_rf: float, grid: np.ndarray, rabi_rf, rabi_mw, gamma_b, gamma_d, *, out=None,
 ) -> np.ndarray:
@@ -248,21 +263,20 @@ def dressed_depletion(
     The closed-form response covers one RF sideband; the experimental
     spectrum shows its mirror as well, obtained here by adding the
     mirrored response (see ``spin.branch_detunings``).  J = rabi_rf/2 and
-    lambda_b = rabi_mw/2.  All parameters but ``omega_rf`` broadcast
-    together, and the result has their shape followed by the grid's: floats
-    give one row over ``grid``, ``(rows,)`` arrays one row per entry, each
-    equal to its scalar call.  ``out`` may give the array to write the
-    result into.  ``p0``'s operations run in order, bit for bit, in four
-    ``_workspace`` arrays: the detunings go into the real parts of two
-    complex ones and -gamma into their imaginary parts (omega - 1j * gamma).
+    lambda_b = rabi_mw/2.  Each parameter but ``omega_rf`` is a float, a
+    numpy float64 or a ``(rows,)`` array, all arrays of one length: scalars
+    give one row over ``grid``, arrays one row per entry, each equal to its
+    scalar call.  ``out`` may give the array to write the result into.
+    ``p0``'s operations run in order, bit for bit, in four ``_workspace``
+    arrays: the detunings go into the real parts of two complex ones and
+    -gamma into their imaginary parts (omega - 1j * gamma).
     """
-    params = (d, rabi_rf, rabi_mw, gamma_b, gamma_d)
-    rows = [p for p in (ex, *params) if isinstance(p, np.ndarray)]
-    shape = (np.broadcast(*rows).shape if rows else ()) + (2, len(grid))
-    if np.ndarray in map(type, params):  # rows go before the branch and grid axes
-        d, rabi_rf, rabi_mw, gamma_b, gamma_d = [np.asarray(p)[..., None, None] for p in params]
-    if isinstance(ex, np.ndarray):
-        ex = ex[..., None]  # branch_detunings puts the branch axis after it
+    rows = _row_count(d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d)
+    shape = (rows, 2, len(grid)) if rows else (2, len(grid))
+    if rows:  # rows go before the branch and grid axes, ex's before the branch axis only
+        d, rabi_rf, rabi_mw = _lift(d), _lift(rabi_rf), _lift(rabi_mw)
+        gamma_b, gamma_d = _lift(gamma_b), _lift(gamma_d)
+        ex = ex[:, None] if type(ex) is np.ndarray else ex
     zb, zd = _workspace.take("zb", shape, complex), _workspace.take("zd", shape, complex)
     branch_detunings(d, ex, omega_rf, grid, out=(zb.real, zd.real))
     np.subtract(0.0, gamma_b, out=zb.imag)
@@ -297,24 +311,36 @@ def dressed_signal(d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, co
 
     The one rows path into ``dressed_depletion``: the generators (through
     ``_strain_average``) and the sigma_ex = 0 ``DressedDip`` model call it.
-    Each parameter but ``omega_rf`` and ``contrast`` is a float or a
-    ``(rows,)`` array; the result is ``(len(grid),)`` or
-    ``(rows, len(grid))``, each row equal to its scalar call bit for bit.
-    One ``dressed_depletion`` call writes a block of ``_blocks`` into the
-    result: as many whole rows as fit, or one row over a slice of the grid.
+    Each parameter but ``omega_rf`` and ``contrast`` is a float, a numpy
+    float64 or a ``(rows,)`` array, all arrays of one length; the result is
+    ``(len(grid),)`` or ``(rows, len(grid))``, each row equal to its scalar
+    call bit for bit.  A result of at most ``BLOCK_POINTS`` rows x points
+    (every fit value, Jacobian stack and root-finding step) is one block,
+    written by one ``dressed_depletion`` call; a larger one is written a
+    block of ``_blocks`` at a time: as many whole rows as fit, or one row
+    over a slice of the grid.
     """
-    params = (ex, d, rabi_rf, rabi_mw, gamma_b, gamma_d)
-    shape = np.broadcast(*params).shape
-    out = np.empty(shape + (len(grid),))
-    per_block, step = _blocks(len(grid))
-    blocks = [slice(r, r + per_block) for r in range(0, shape[0], per_block)] if shape else [...]
-    for at in blocks:  # a scalar call's floats stay floats
-        ex_r, d_r, *drive = [p[at] if np.ndim(p) else p for p in params]
-        for lo in range(0, len(grid), step):
-            block = out[at][..., lo : lo + step]
-            dressed_depletion(d_r, ex_r, omega_rf, grid[lo : lo + step], *drive, out=block)
-            np.subtract(1.0, np.multiply(contrast, block, out=block), out=block)
+    params = (d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d)
+    rows = _row_count(*params)
+    points = len(grid)
+    out = np.empty((rows, points) if rows else points)
+    if max(rows, 1) * points <= BLOCK_POINTS:
+        _signal_block(out, omega_rf, grid, contrast, *params)
+        return out
+    per_block, step = _blocks(points)
+    for r in range(0, max(rows, 1), per_block):
+        block_params = [p[r : r + per_block] if type(p) is np.ndarray else p for p in params]
+        block_rows = out[r : r + per_block] if rows else out
+        for lo in range(0, points, step):
+            block = block_rows[..., lo : lo + step]
+            _signal_block(block, omega_rf, grid[lo : lo + step], contrast, *block_params)
     return out
+
+
+def _signal_block(out, omega_rf, grid, contrast, d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d):
+    """Write one block of ``dressed_signal`` into ``out``."""
+    dressed_depletion(d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d, out=out)
+    np.subtract(1.0, np.multiply(contrast, out, out=out), out=out)
 
 
 def _strain_average(
@@ -580,18 +606,21 @@ def lorentzian_dips(baseline, centers, widths, depths, grid) -> np.ndarray:
     The one Lorentzian signal: the conventional generators and the
     ``MultiLorentzian`` fit model both call it.  ``centers``, ``widths``
     and ``depths`` hold one entry per dip; the baseline and each entry are
-    a float or a ``(rows,)`` array, and the result is ``(len(grid),)`` or
-    ``(rows, len(grid))``, each row equal to its scalar call bit for bit.
+    a float, a numpy float64 or a ``(rows,)`` array, all arrays of one
+    length, and the result is ``(len(grid),)`` or ``(rows, len(grid))``,
+    each row equal to its scalar call bit for bit.
     """
-
-    def row(p):  # a (rows,) parameter before the grid's axis
-        return p if np.ndim(p) == 0 else np.asarray(p)[..., None]
-
-    sig = np.full(np.shape(baseline) + np.shape(grid), row(baseline), dtype=float)
+    shape = (len(baseline), len(grid)) if type(baseline) is np.ndarray else len(grid)
+    sig = np.full(shape, _column(baseline), dtype=float)
     for c, w, a in zip(centers, widths, depths):
-        half2 = _square(row(w) / 2.0)
-        sig = sig - row(a) * half2 / ((grid - row(c)) ** 2 + half2)
+        half2 = _square(_column(w) / 2.0)
+        sig = sig - _column(a) * half2 / ((grid - _column(c)) ** 2 + half2)
     return sig
+
+
+def _column(p):
+    """A ``(rows,)`` parameter before the grid's axis; a scalar as it is."""
+    return p[:, None] if type(p) is np.ndarray else p
 
 
 def lorentzian_spectrum(

@@ -30,6 +30,10 @@ class ConfigError(ValueError):
         super().__init__("; ".join(diagnostics))
 
 
+# The closed form squares lambda_b = rabi_mw / 2 and J = rabi_rf / 2: below
+# this bound on a Rabi amplitude the square is finite.
+MAX_RABI = 2.0**513
+
 # The exact depletion of |0> by each branch is below 1, so a contrast of at
 # most 1/2 keeps the two-branch signal 1 - contrast * (depletion + mirror) > 0.
 MAX_CONTRAST = 0.5
@@ -130,7 +134,12 @@ class DriveConfig:
     rabi_rf: float = 0.0
 
     def __post_init__(self):
-        check_fields(self, nonnegative=("rabi_mw", "omega_rf", "rabi_rf"))
+        problems = [
+            f"{name} must be < {MAX_RABI:g}, got {value}"
+            for name, value in (("rabi_mw", self.rabi_mw), ("rabi_rf", self.rabi_rf))
+            if math.isfinite(value) and value >= MAX_RABI
+        ]
+        check_fields(self, nonnegative=("rabi_mw", "omega_rf", "rabi_rf"), problems=problems)
 
 
 def zero_field_splitting(env: PhysicalEnvironment) -> float:

@@ -302,6 +302,20 @@ class TestValidation:
         assert main(["oracle-check", *argv, "--out", str(tmp_path / "oracle.json")]) == 1
         assert capsys.readouterr().err == f"error: config: {message}\n"
 
+    def test_oracle_check_without_pump_judged_by_validate(self, tmp_path, capsys):
+        # Without a pump the dephased steady state is the flat I/3: no dip,
+        # and a relative deviation of 5e4 that the run reported as ok.
+        preset = str(PRESET_DIR / "oracle_weak_drive.json")
+        out = tmp_path / "oracle.json"
+        argv = ["--config", preset, "--set", "oracle.pump_rate=0"]
+        argv += ["--set", "oracle.dephase_b=1", "--set", "oracle.dephase_d=1"]
+        message = "mode 'oracle-check' requires oracle.pump_rate > 0, got 0"
+        assert main(["validate", *argv]) == 1
+        assert capsys.readouterr().out == f"invalid: {message}\n"
+        assert main(["oracle-check", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not out.exists()
+
     def test_oracle_check_without_mw_drive_judged_by_validate(self, tmp_path, capsys):
         # With no MW drive neither spectrum has a dip, and the relative
         # deviation would be 0/0: NaN, two RuntimeWarnings and exit 0.
@@ -521,6 +535,19 @@ class TestSimulate:
             assert main(argv) == 0
         assert len(caught) == 2
 
+    def test_overflowing_drive_is_one_error_line(self, tmp_path, capsys):
+        # (rabi_rf / 2)**2 overflows: refused by name, not an OverflowError's
+        # traceback from the kernel.
+        out = tmp_path / "spectrum.csv"
+        argv = ["--config", str(PRESET_DIR / "fig2_dressed.json"), "--set", "drive.rabi_rf=1e300"]
+        message = "drive.rabi_rf must be < 2.68156e+154, got 1e+300"
+        assert main(["simulate", *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: config: {message}\n")
+        assert not out.exists()
+        assert main(["validate", *argv]) == 1
+        assert capsys.readouterr().out == f"invalid: {message}\n"
+
     def test_mode_subcommand_mismatch(self, tmp_path, capsys):
         code = main(["sweep", "--config", str(PRESET_DIR / "fig2_dressed.json")])
         assert code == 1
@@ -674,6 +701,22 @@ class TestOracleCheck:
         doc = json.loads(out.read_text())
         assert doc["relative_rms_deviation"] < 0.01
         assert len(doc["dressed_resonances_mhz"]) == 4
+
+
+    def test_degenerate_steady_state_is_one_error_line(self, tmp_path, capsys):
+        # A pump of 1e-30 passes validation, but no branch has a unique
+        # steady state: the run names the first one, without a traceback.
+        out = tmp_path / "check.json"
+        argv = ["--config", str(PRESET_DIR / "oracle_weak_drive.json"), "--out", str(out)]
+        argv += ["--set", "oracle.pump_rate=1e-30", "--set", "grid.points=41"]
+        assert main(["oracle-check", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: DegenerateSteadyStateError: steady state is not unique on the upper "
+            "branch at 2855.0 MHz: zero-eigenvalue multiplicity 3\n"
+        )
+        assert not out.exists()
 
 
 def _avx512():

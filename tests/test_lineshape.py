@@ -67,6 +67,27 @@ def _fwhm_of_deepest_dip(grid, signal):
     return right - left
 
 
+def _dressed_rows(rng, rows):
+    """Random dressed parameter rows (d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d)."""
+    return [
+        2870.0 + rng.normal(size=rows), rng.uniform(2.0, 12.0, rows), rng.uniform(0.5, 8.0, rows),
+        rng.uniform(0.05, 1.0, rows), rng.uniform(0.2, 2.0, rows), rng.uniform(0.01, 0.5, rows),
+    ]
+
+
+# The forms in which the dressed kernel takes a parameter.
+PARAMETER_FORMS = ("rows", "float", "float64")
+# Grid lengths of one block, exactly BLOCK_POINTS and several blocks.
+BLOCK_LENGTHS = (BLOCK_POINTS // 16, BLOCK_POINTS, 2 * BLOCK_POINTS + 1)
+
+
+def _in_form(row, form):
+    """A parameter row as ``form``: the (rows,) array, or row 0's value as a scalar."""
+    if form == "rows":
+        return row
+    return row[0].item() if form == "float" else np.float64(row[0])
+
+
 class TestMapDriveToModel:
     """How drive settings map onto the six two-mode parameters."""
 
@@ -123,30 +144,29 @@ class TestP0:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16), points=st.integers(1, 300),
-        floats=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 16),
+        points=st.one_of(st.integers(1, 300), st.sampled_from(BLOCK_LENGTHS)),
+        forms=st.lists(st.sampled_from(PARAMETER_FORMS), min_size=6, max_size=6),
     )
-    def test_depletion_rows_are_p0_bit_for_bit(self, seed, rows, points, floats):
+    def test_depletion_rows_are_p0_bit_for_bit(self, seed, rows, points, forms):
         # dressed_depletion evaluates p0 in its work arrays: each row is the
         # two branches' 1 - p0 at branch_detunings, added (test_half_factors).
-        # With ``floats`` both take one row of Python floats instead: the
-        # detunings go into the work arrays' real parts, and p0 takes them as
-        # floats cast to complex.
+        # Each parameter is a (rows,) array, or row 0's value as a Python
+        # float or a numpy float64, which every row shares: the detunings go
+        # into the work arrays' real parts, and p0 takes them as floats cast
+        # to complex.  The grids go up to several blocks of BLOCK_POINTS.
         rng = np.random.default_rng(seed)
         grid = np.sort(rng.uniform(2840.0, 2900.0, points))
         omega_rf = rng.uniform(4.0, 30.0)
-        params = _dressed_rows(rng, rows)
-        if floats:
-            params = [p[0].item() for p in params]
+        params = [_in_form(p, form) for p, form in zip(_dressed_rows(rng, rows), forms)]
         d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d = params
         dep = dressed_depletion(d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d)
-        if floats:
-            ob, od = branch_detunings(d, ex, omega_rf, grid)
-            pop = p0(ob, od, rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d)
-        else:
-            ob, od = branch_detunings(d[:, None, None], ex[:, None], omega_rf, grid)
-            params = (p[:, None, None] for p in (rabi_rf / 2.0, rabi_mw / 2.0, gamma_b, gamma_d))
-            pop = p0(ob, od, *params)
+        assert dep.shape == ((rows,) if "rows" in forms else ()) + grid.shape
+        lift = [p[:, None, None] if isinstance(p, np.ndarray) else p for p in params]
+        ex_lift = ex[:, None] if isinstance(ex, np.ndarray) else ex
+        ob, od = branch_detunings(lift[0], ex_lift, omega_rf, grid)
+        pop = p0(ob, od, lift[2] / 2.0, lift[3] / 2.0, *lift[4:])
         assert dep.tobytes() == ((1.0 - pop[..., 0, :]) + (1.0 - pop[..., 1, :])).tobytes()
 
     def test_scalars_in_scalar_out(self):
@@ -404,14 +424,6 @@ class TestBlockedSignal:
         assert peak < 4e6
 
 
-def _dressed_rows(rng, rows):
-    """Random dressed parameter rows (d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d)."""
-    return [
-        2870.0 + rng.normal(size=rows), rng.uniform(2.0, 12.0, rows), rng.uniform(0.5, 8.0, rows),
-        rng.uniform(0.05, 1.0, rows), rng.uniform(0.2, 2.0, rows), rng.uniform(0.01, 0.5, rows),
-    ]
-
-
 class TestStackedRows:
     """A stack of parameter rows gives each row the bits of its own scalar call."""
 
@@ -420,25 +432,30 @@ class TestStackedRows:
         seed=st.integers(0, 2**32 - 1),
         rows=st.integers(1, 16),
         points=st.sampled_from(
-            [1, 2] + [BLOCK_POINTS // k + e for k in (16, 4, 2) for e in (-1, 0, 1)] + [BLOCK_POINTS + 1]
+            [1, 2]
+            + [BLOCK_POINTS // k + e for k in (16, 4, 2) for e in (-1, 0, 1)]
+            + [BLOCK_POINTS, BLOCK_POINTS + 1, 2 * BLOCK_POINTS + 1]
         ),
+        forms=st.lists(st.sampled_from(PARAMETER_FORMS), min_size=6, max_size=6),
     )
-    def test_dressed_signal_rows(self, seed, rows, points):
+    def test_dressed_signal_rows(self, seed, rows, points, forms):
         # The grid lengths put one row on either side of each block edge: 16,
-        # 4, 2 or 1 whole rows per block, or one row split over blocks.
+        # 4, 2 or 1 whole rows per block, or one row split over two or three
+        # blocks.  A parameter is a (rows,) array or, shared by every row, a
+        # Python float or a numpy float64 (``_in_form``).
         rng = np.random.default_rng(seed)
         grid = np.sort(rng.uniform(2840.0, 2900.0, points))
-        params = _dressed_rows(rng, rows)
+        params = [_in_form(p, form) for p, form in zip(_dressed_rows(rng, rows), forms)]
         contrast = rng.uniform(0.01, 0.3)
         stacked = dressed_signal(params[0], params[1], 16.0, grid, *params[2:], contrast)
+        if "rows" not in forms:
+            stacked, rows = stacked[None], 1
         assert stacked.shape == (rows, points)
         for r in range(rows):
             # A float, or the np.float64 that DressedDip.evaluate passes for one vector.
             scalar = float if r % 2 else np.float64
-            single = dressed_signal(
-                scalar(params[0][r]), scalar(params[1][r]), 16.0, grid,
-                *(scalar(p[r]) for p in params[2:]), contrast,
-            )
+            row = [scalar(p[r]) if isinstance(p, np.ndarray) else scalar(p) for p in params]
+            single = dressed_signal(row[0], row[1], 16.0, grid, *row[2:], contrast)
             assert np.array_equal(stacked[r], single)
 
     def test_dressed_rows_beside_scalars(self):
@@ -498,17 +515,13 @@ class TestStackedRows:
                 assert np.array_equal(single, fallback)
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16), nodes=st.sampled_from([1, 21]))
-    def test_dressed_depletion_rows(self, seed, rows, nodes):
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16))
+    def test_dressed_depletion_rows(self, seed, rows):
         rng = np.random.default_rng(seed)
         grid = np.sort(rng.uniform(2840.0, 2900.0, 97))
         d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d = _dressed_rows(rng, rows)
-        ex = ex[:, None] + rng.normal(size=nodes) if nodes > 1 else ex
-        lift = (lambda p: p[:, None]) if nodes > 1 else (lambda p: p)
-        stacked = dressed_depletion(
-            lift(d), ex, 16.0, grid, lift(rabi_rf), lift(rabi_mw), lift(gamma_b), lift(gamma_d)
-        )
-        assert stacked.shape == ex.shape + grid.shape
+        stacked = dressed_depletion(d, ex, 16.0, grid, rabi_rf, rabi_mw, gamma_b, gamma_d)
+        assert stacked.shape == (rows, len(grid))
         for r in range(rows):
             single = dressed_depletion(
                 d[r], ex[r], 16.0, grid, rabi_rf[r], rabi_mw[r], gamma_b[r], gamma_d[r]

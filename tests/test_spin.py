@@ -1,5 +1,6 @@
 """Tests for the spin-physics module: Hamiltonians, resonances, broadening."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from nvtherm.lineshape import ensemble_spectrum
 from nvtherm.oracle import oracle_spectrum
 from nvtherm.spin import (
+    MAX_RABI,
     DriveConfig,
     PhysicalEnvironment,
     RegimeWarning,
@@ -74,6 +76,18 @@ class TestDriveConfig:
             DriveConfig(rabi_rf=-0.1)
         with pytest.raises(ValueError):
             DriveConfig(omega_rf=-5.0)
+
+    def test_rejects_amplitudes_whose_half_squares_overflow(self):
+        # The closed form squares lambda_b = rabi_mw / 2 and J = rabi_rf / 2.
+        largest = math.nextafter(MAX_RABI, 0.0)
+        drive = DriveConfig(rabi_mw=largest, rabi_rf=largest)
+        assert math.isfinite((drive.rabi_rf / 2.0) ** 2)  # a Python float's pow raises on overflow
+        with pytest.raises(OverflowError):
+            (MAX_RABI / 2.0) ** 2
+        with pytest.raises(ValueError, match=r"^rabi_mw must be < 2.68156e\+154, got 2.68"):
+            DriveConfig(rabi_mw=MAX_RABI)
+        with pytest.raises(ValueError, match=r"^rabi_rf must be < 2.68156e\+154, got 1e\+300$"):
+            DriveConfig(rabi_rf=1e300)
 
 
 class TestZeroFieldSplitting:
