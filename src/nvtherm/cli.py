@@ -27,6 +27,7 @@ import numpy as np
 from . import fitting, lineshape, oracle, sensitivity
 from .lineshape import Spectrum, StrainDistribution
 from .spin import (
+    MAX_RABI,
     ConfigError,
     DriveConfig,
     PhysicalEnvironment,
@@ -143,10 +144,6 @@ def validate_config(doc: dict) -> list[str]:
     rabi_mw = doc["drive"].get("rabi_mw", 0.0) if "drive" in doc else None
     if mode == "oracle-check" and rabi_mw == 0:  # no dip: the relative deviation is 0/0
         diags.append(f"mode 'oracle-check' requires drive.rabi_mw > 0, got {rabi_mw}")
-    # Without a pump the steady state is not unique, or with dephasing the flat I/3.
-    pump_rate = doc.get("oracle", {}).get("pump_rate")
-    if mode == "oracle-check" and pump_rate == 0:
-        diags.append(f"mode 'oracle-check' requires oracle.pump_rate > 0, got {pump_rate}")
     try:
         _build(doc)
     except ConfigError as exc:
@@ -196,6 +193,8 @@ def _check_value(name: str, value) -> list[str]:
     """Sweep-axis shape, the seed, and the value rules of sections no library type holds."""
     if name in _POSITIVE and value <= 0:
         return [f"{name} must be > 0, got {value}"]
+    if name == "lorentzian.fwhm" and value >= MAX_RABI:
+        return [f"{name} must be < {MAX_RABI:g}, got {value}"]
     if name == "seed" and value < 0:  # numpy seeds only from non-negative integers
         return [f"seed must be >= 0, got {value}"]
     if name == "fit.model" and value not in ("dressed", "lorentzian"):

@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .spin import (
+    MAX_RABI,
     DriveConfig,
     PhysicalEnvironment,
     branch_detunings,
@@ -218,13 +219,16 @@ def _square(x):
 
     An array's ``x**2`` is x*x rounded, which differs from pow(x, 2) in the
     last bit for about one value in a thousand; a row of parameters must give
-    the bits its scalar call gives.  A scalar goes through ``np.float64``,
-    whose pow has a Python float's bits but overflows to inf with a
-    RuntimeWarning, not an ``OverflowError``.
+    the bits its scalar call gives.  A scalar, and an array that overflows,
+    go through ``np.float64``, whose pow has a Python float's bits but
+    overflows to inf with a RuntimeWarning, not an ``OverflowError``.
     """
     if type(x) is not np.ndarray:
         return np.float64(x) ** 2
-    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
+    try:
+        return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
+    except OverflowError:
+        return np.array([v**2 for v in x.ravel()]).reshape(x.shape)
 
 
 def p0(omega_b, omega_d, j, lambda_b, gamma_b, gamma_d):
@@ -635,8 +639,8 @@ def lorentzian_spectrum(
     depths = np.atleast_1d(np.asarray(depths, dtype=float))
     if not (len(centers) == len(widths) == len(depths)):
         raise ValueError("centers, widths, depths must have equal length")
-    if np.any(widths <= 0):
-        raise ValueError("widths must be > 0")
+    if np.any(widths <= 0) or np.any(widths >= MAX_RABI):  # (w/2)^2 overflows from MAX_RABI on
+        raise ValueError(f"widths must be > 0 and < {MAX_RABI:g}, got {widths.tolist()}")
     grid = np.asarray(grid, dtype=float)
     sig = lorentzian_dips(1.0, centers, widths, depths, grid)
     meta = {

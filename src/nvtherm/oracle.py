@@ -34,7 +34,7 @@ _VEC_DIAG = np.arange(9)
 
 
 class DegenerateSteadyStateError(RuntimeError):
-    """The Liouvillian has more than one steady state.
+    """The SVD cannot resolve a pumped generator's unique steady state (pump ~1e-30 MHz).
 
     ``index`` is the first degenerate generator's flat index in its stack.
     From ``oracle_spectrum`` the error also names the dressed ``branch``
@@ -60,7 +60,10 @@ class DegenerateSteadyStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """A 3x3 rotating-frame Hamiltonian in {|0>, |B>, |D>} plus dissipation rates (MHz)."""
+    """A 3x3 rotating-frame Hamiltonian in {|0>, |B>, |D>} plus dissipation rates (MHz).
+
+    A pump > 0 leaves one steady state for any drive and dephasing (Baumgartner & Narnhofer 2008).
+    """
 
     hamiltonian: np.ndarray
     pump_rate: float
@@ -68,22 +71,17 @@ class LindbladModel:
     dephase_d: float = 0.0
 
     def __post_init__(self):
-        rates = ("pump_rate", "dephase_b", "dephase_d")
-        idle = not any(getattr(self, n) for n in rates)
-        problems = ["pump_rate: at least one dissipative channel must be > 0"] if idle else []
-        check_fields(self, nonnegative=rates, problems=problems)
+        check_fields(self, positive=("pump_rate",), nonnegative=("dephase_b", "dephase_d"))
 
     def collapse_operators(self) -> list[np.ndarray]:
+        """sqrt(rate) |row><col| per channel: |B>, |D> repolarize into |0>, then dephase."""
+        channels = [(0, 1, self.pump_rate), (0, 2, self.pump_rate)]
+        channels += [(1, 1, 2.0 * self.dephase_b), (2, 2, 2.0 * self.dephase_d)]
         ops = []
-        if self.pump_rate > 0:
-            for level in (1, 2):  # |B>, |D> repolarize into |0>
-                c = np.zeros((3, 3), dtype=complex)
-                c[0, level] = np.sqrt(self.pump_rate)
-                ops.append(c)
-        for level, rate in ((1, self.dephase_b), (2, self.dephase_d)):
+        for row, col, rate in channels:
             if rate > 0:
                 c = np.zeros((3, 3), dtype=complex)
-                c[level, level] = np.sqrt(2.0 * rate)
+                c[row, col] = np.sqrt(rate)
                 ops.append(c)
         return ops
 

@@ -314,8 +314,9 @@ class SweepConfig:
                 )
             if self.fit_model == "lorentzian":  # a Lorentzian sweep generates Lorentzian spectra
                 problems.append("generator 'lindblad' requires fit_model 'dressed'")
-        positive = ("gamma_b", "gamma_d", "dwell", "lorentzian_peaks", "lorentzian_fwhm")
-        check_fields(self, positive=positive, nonnegative=("seed",), problems=problems)
+        fwhm = ("lorentzian_fwhm",)  # (fwhm / 2)^2 must be finite
+        positive = ("gamma_b", "gamma_d", "dwell", "lorentzian_peaks", *fwhm)
+        check_fields(self, positive, nonnegative=("seed",), squared=fwhm, problems=problems)
 
 
 @dataclass

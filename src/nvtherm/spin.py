@@ -30,8 +30,8 @@ class ConfigError(ValueError):
         super().__init__("; ".join(diagnostics))
 
 
-# The closed form squares lambda_b = rabi_mw / 2 and J = rabi_rf / 2: below
-# this bound on a Rabi amplitude the square is finite.
+# The closed form squares lambda_b = rabi_mw / 2 and J = rabi_rf / 2, a Lorentzian
+# fwhm / 2: below this bound on a Rabi amplitude or a width the square is finite.
 MAX_RABI = 2.0**513
 
 # The exact depletion of |0> by each branch is below 1, so a contrast of at
@@ -46,13 +46,13 @@ def contrast_problems(name: str, value: float) -> list[str]:
     return [f"{name} must be in (0, {MAX_CONTRAST}], got {value}"]
 
 
-def check_fields(obj, positive=(), nonnegative=(), contrasts=(), problems=()) -> None:
+def check_fields(obj, positive=(), nonnegative=(), contrasts=(), squared=(), problems=()) -> None:
     """Raise one ``ConfigError`` naming every bad field of dataclass ``obj``.
 
     Numeric fields must be finite, those in ``positive`` > 0, those in
-    ``nonnegative`` >= 0 and those in ``contrasts`` in (0, MAX_CONTRAST];
-    ``problems`` are the caller's own findings.  Each message starts with
-    its field name.
+    ``nonnegative`` >= 0, those in ``contrasts`` in (0, MAX_CONTRAST] and
+    those in ``squared`` < MAX_RABI; ``problems`` are the caller's own
+    findings.  Each message starts with its field name.
     """
     found = []
     for f in fields(obj):
@@ -65,6 +65,8 @@ def check_fields(obj, positive=(), nonnegative=(), contrasts=(), problems=()) ->
             found.append(f"{f.name} must be >= 0, got {value}")
         elif f.name in contrasts:
             found += contrast_problems(f.name, value)
+        elif f.name in squared and value >= MAX_RABI:
+            found.append(f"{f.name} must be < {MAX_RABI:g}, got {value}")
     found += problems
     if found:
         raise ConfigError(found)
@@ -134,12 +136,8 @@ class DriveConfig:
     rabi_rf: float = 0.0
 
     def __post_init__(self):
-        problems = [
-            f"{name} must be < {MAX_RABI:g}, got {value}"
-            for name, value in (("rabi_mw", self.rabi_mw), ("rabi_rf", self.rabi_rf))
-            if math.isfinite(value) and value >= MAX_RABI
-        ]
-        check_fields(self, nonnegative=("rabi_mw", "omega_rf", "rabi_rf"), problems=problems)
+        rabi = ("rabi_mw", "rabi_rf")
+        check_fields(self, nonnegative=("omega_rf", *rabi), squared=rabi)
 
 
 def zero_field_splitting(env: PhysicalEnvironment) -> float:

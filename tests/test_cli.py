@@ -96,6 +96,9 @@ class TestValidation:
             ("strain.sigma_ex=1.0", "sigma_ex"),
             ("sweep.lorentzian_peaks=0", "sweep.lorentzian_peaks must be > 0"),
             ("sweep.lorentzian_fwhm=-1", "sweep.lorentzian_fwhm must be > 0"),
+            # (fwhm / 2)^2 overflows: a NaN spectrum and a failed row per point.
+            ("sweep.lorentzian_fwhm=1e300", "sweep.lorentzian_fwhm must be < 2.68156e+154, got 1e+300"),
+            ("lorentzian.fwhm=1e200", "lorentzian.fwhm must be < 2.68156e+154, got 1e+200"),
             (
                 'mode="fit" fit.input=measured.csv fit.model="lorentzian" fit.peaks=0',
                 "fit.peaks must be > 0, got 0",
@@ -131,8 +134,9 @@ class TestValidation:
         ],
     )
     def test_library_rules_judged_by_validate(self, override, field, capsys):
-        # Each of these builds no sweep or no fit model, whatever the mode,
-        # and names the config key; validate must not call it valid.
+        # Each of these builds no sweep, fit model or Lorentzian spectrum,
+        # whatever the mode, and names the config key; validate must not
+        # call it valid.
         argv = ["validate", "--config", str(PRESET_DIR / "sensitivity_map.json")]
         for item in override.split():
             argv += ["--set", item]
@@ -251,8 +255,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "override, message",
         [
-            ("oracle.pump_rate=-1", "oracle.pump_rate must be >= 0, got -1"),
-            ("oracle.pump_rate=0", "oracle.pump_rate: at least one dissipative"),
+            ("oracle.pump_rate=-1", "oracle.pump_rate must be > 0, got -1"),
+            ("oracle.pump_rate=0", "oracle.pump_rate must be > 0, got 0"),
         ],
     )
     def test_oracle_rates_judged_by_validate(self, override, message, capsys):
@@ -304,17 +308,21 @@ class TestValidation:
 
     def test_oracle_check_without_pump_judged_by_validate(self, tmp_path, capsys):
         # Without a pump the dephased steady state is the flat I/3: no dip,
-        # and a relative deviation of 5e4 that the run reported as ok.
+        # and a relative deviation of 5e4 that the run reported as ok.  The
+        # Lindblad model refuses the rate, in any mode.
         preset = str(PRESET_DIR / "oracle_weak_drive.json")
         out = tmp_path / "oracle.json"
         argv = ["--config", preset, "--set", "oracle.pump_rate=0"]
         argv += ["--set", "oracle.dephase_b=1", "--set", "oracle.dephase_d=1"]
-        message = "mode 'oracle-check' requires oracle.pump_rate > 0, got 0"
+        message = "oracle.pump_rate must be > 0, got 0"
         assert main(["validate", *argv]) == 1
         assert capsys.readouterr().out == f"invalid: {message}\n"
         assert main(["oracle-check", *argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: config: {message}\n"
         assert not out.exists()
+        fig2 = ["--config", str(PRESET_DIR / "fig2_dressed.json"), "--set", "oracle.pump_rate=0"]
+        assert main(["validate", *fig2]) == 1
+        assert capsys.readouterr().out == f"invalid: {message}\n"
 
     def test_oracle_check_without_mw_drive_judged_by_validate(self, tmp_path, capsys):
         # With no MW drive neither spectrum has a dip, and the relative

@@ -36,6 +36,7 @@ from nvtherm.lineshape import (
 from nvtherm.fitting import PEAK_REFINE, DressedDip, fit
 from nvtherm.sensitivity import SLOPE_POINTS
 from nvtherm.spin import (
+    MAX_RABI,
     DriveConfig,
     PhysicalEnvironment,
     branch_detunings,
@@ -463,15 +464,16 @@ class TestStackedRows:
         rng = np.random.default_rng(3)
         grid = np.linspace(2850.0, 2890.0, 301)
         d = 2870.0 + rng.normal(size=5)
-        for rabi_rf in (5.0, np.float64(5.0)):
-            mixed = dressed_signal(d, 8.0, 16.0, grid, rabi_rf, 0.5, 1.0, 0.1, 0.05)
-            ex, *rest = (np.full(5, v) for v in (8.0, 5.0, 0.5, 1.0, 0.1))
-            full = dressed_signal(d, ex, 16.0, grid, *rest, 0.05)
-            assert np.array_equal(mixed, full)
-            for r in range(5):
-                assert np.array_equal(
-                    mixed[r], dressed_signal(d[r], 8.0, 16.0, grid, rabi_rf, 0.5, 1.0, 0.1, 0.05)
-                )
+        # (1e300 / 2)^2 is inf with numpy's warning, as a row and alone.
+        with np.errstate(over="ignore"):
+            for rabi_rf in (5.0, np.float64(5.0), 1e300):
+                mixed = dressed_signal(d, 8.0, 16.0, grid, rabi_rf, 0.5, 1.0, 0.1, 0.05)
+                ex, *rest = (np.full(5, v) for v in (8.0, rabi_rf, 0.5, 1.0, 0.1))
+                full = dressed_signal(d, ex, 16.0, grid, *rest, 0.05)
+                assert np.array_equal(mixed, full)
+                for r in range(5):
+                    single = dressed_signal(d[r], 8.0, 16.0, grid, rabi_rf, 0.5, 1.0, 0.1, 0.05)
+                    assert np.array_equal(mixed[r], single)
 
     def test_rows_share_depletion_calls(self, monkeypatch):
         # 12 rows of 501 points take 1 block of whole rows; the average of
@@ -543,18 +545,26 @@ class TestStackedRows:
             assert np.array_equal(stacked[r], single)
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16), peaks=st.integers(0, 3))
-    def test_lorentzian_dips_rows(self, seed, rows, peaks):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 16),
+        peaks=st.integers(0, 3),
+        overflow=st.booleans(),
+    )
+    def test_lorentzian_dips_rows(self, seed, rows, peaks, overflow):
         rng = np.random.default_rng(seed)
         grid = np.linspace(2700.0, 3040.0, 721)
         baseline = rng.uniform(0.9, 1.1, rows)
         centers = rng.uniform(2700.0, 3040.0, (peaks, rows))
         widths, depths = rng.uniform(0.5, 20.0, (peaks, rows)), rng.uniform(0.01, 0.1, (peaks, rows))
-        stacked = lorentzian_dips(baseline, centers, widths, depths, grid)
-        assert stacked.shape == (rows, len(grid))
-        for r in range(rows):
-            single = lorentzian_dips(baseline[r], centers[:, r], widths[:, r], depths[:, r], grid)
-            assert np.array_equal(stacked[r], single)
+        if overflow:  # (w/2)^2 is inf with numpy's warning, as a row and alone: a NaN dip
+            widths[:, 0] = 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = lorentzian_dips(baseline, centers, widths, depths, grid)
+            assert stacked.shape == (rows, len(grid))
+            for r in range(rows):
+                single = lorentzian_dips(baseline[r], centers[:, r], widths[:, r], depths[:, r], grid)
+                assert np.array_equal(stacked[r], single, equal_nan=True)
 
 
 # Grid points in one sigma_ex block: every node over at most 4 BLOCK_POINTS
@@ -960,6 +970,12 @@ class TestLorentzianSpectrum:
             lorentzian_spectrum([1.0], [1.0, 2.0], [0.1], grid)
         with pytest.raises(ValueError, match="widths"):
             lorentzian_spectrum([1.0], [0.0], [0.1], grid)
+        # (w/2)^2 overflows from the Rabi bound on: refused, not a NaN spectrum.
+        message = r"^widths must be > 0 and < 2.68156e\+154, got \[1e\+200, 2.0\]$"
+        with pytest.raises(ValueError, match=message):
+            lorentzian_spectrum([1.0, 5.0], [1e200, 2.0], [0.1, 0.1], grid)
+        largest = np.nextafter(MAX_RABI, 0.0)
+        assert np.all(np.isfinite(lorentzian_spectrum([1.0], [largest], [0.1], grid).signal))
 
 
 class TestConventionalSpectrum:

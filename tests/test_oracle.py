@@ -19,6 +19,7 @@ from nvtherm.oracle import (
     steady_state,
 )
 from nvtherm.spin import (
+    ConfigError,
     DriveConfig,
     PhysicalEnvironment,
     branch_detunings,
@@ -68,18 +69,21 @@ def _reference_spectrum(drive, grid, pump, db=0.0, dd=0.0, contrast=0.05):
 class TestLindbladModel:
     def test_rejects_negative_rates(self):
         h = rotating_hamiltonian_from_params(0.0, 0.0, 1.0, 0.1)
-        with pytest.raises(ValueError, match="pump_rate must be >= 0, got -1.0"):
+        with pytest.raises(ValueError, match="pump_rate must be > 0, got -1.0"):
             LindbladModel(h, -1.0)
+        with pytest.raises(ValueError, match="dephase_d must be >= 0, got -0.5"):
+            LindbladModel(h, 1.0, dephase_d=-0.5)
         # A NaN rate passed every sign check and surfaced as a "steady
         # state is not unique" error from the solver.
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"dephase_b must be finite, got {bad}"):
                 LindbladModel(h, 1.0, dephase_b=bad)
 
-    def test_requires_some_dissipation(self):
+    def test_requires_a_pump(self):
+        # Dephasing alone conserves every population: no unique steady state.
         h = rotating_hamiltonian_from_params(0.0, 0.0, 1.0, 0.1)
-        with pytest.raises(ValueError, match="dissipative"):
-            LindbladModel(h, 0.0, 0.0, 0.0)
+        with pytest.raises(ConfigError, match=r"^pump_rate must be > 0, got 0.0$"):
+            LindbladModel(h, 0.0, 1.0, 1.0)
 
 
 class TestLiouvillian:
@@ -109,7 +113,7 @@ class TestLiouvillian:
         np.testing.assert_array_equal(build_liouvillian(m), _reference_liouvillian(m))
 
     @pytest.mark.parametrize(
-        "pump, db, dd", [(2.0, 0.0, 0.0), (0.2, 0.9, 0.0), (0.0, 0.3, 1.1), (1.3, 0.11, 0.05)]
+        "pump, db, dd", [(2.0, 0.0, 0.0), (0.2, 0.9, 0.0), (0.05, 0.3, 1.1), (1.3, 0.11, 0.05)]
     )
     def test_detunings_enter_only_the_diagonal(self, pump, db, dd):
         # oracle_spectrum replays the diagonal on the undetuned generator.
@@ -145,10 +149,11 @@ class TestSteadyState:
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
 
     def test_degenerate_case_reported(self):
-        # Pure dephasing without pumping conserves every population:
-        # the steady state is not unique and the multiplicity is named.
+        # A 1e-30 pump against unit dephasing: the SVD cannot resolve the
+        # unique state from the populations that dephasing alone conserves,
+        # and the multiplicity is named.
         h0 = rotating_hamiltonian_from_params(0.0, 0.0, 0.0, 0.0)
-        model = LindbladModel(h0, 0.0, 1.0, 1.0)
+        model = LindbladModel(h0, 1e-30, 1.0, 1.0)
         with pytest.raises(DegenerateSteadyStateError) as err:
             steady_state(model)
         assert err.value.multiplicity > 1
@@ -208,12 +213,12 @@ class TestOracleSpectrum:
         )
 
     def test_degenerate_point_raises(self):
-        # Without MW drive and pumping, |0> decouples from the dephased
-        # B/D pair: two stationary states, on both branches at every point;
-        # the upper branch's error wins.
+        # Without MW drive and with a 1e-30 pump, |0> decouples from the
+        # dephased B/D pair to the SVD's cutoff: two stationary states, on
+        # both branches at every point; the upper branch's error wins.
         drive = DriveConfig(rabi_mw=0.0, omega_rf=16.0, rabi_rf=4.0)
         with pytest.raises(DegenerateSteadyStateError) as err:
-            oracle_spectrum(ENV, drive, self.GRID[:5], 0.0, 1.0, 1.0)
+            oracle_spectrum(ENV, drive, self.GRID[:5], 1e-30, 1.0, 1.0)
         assert err.value.multiplicity == 2
         assert (err.value.branch, err.value.frequency) == ("upper", 2855.0)
         assert "on the upper branch at 2855.0 MHz: zero-eigenvalue multiplicity 2" in str(err.value)
@@ -224,9 +229,9 @@ class TestOracleSpectrum:
         branches' stacks only; return its multiplicity."""
         real = oracle._steady_states
         (upper_b, mirror_b), _ = branch_detunings(2870.0, ENV.ex, drive.omega_rf, grid)
-        # Pump-free dephasing without drive: |0> and the B/D populations
-        # are all stationary.
-        stuck = build_liouvillian(LindbladModel(np.zeros((3, 3), dtype=complex), 0.0, 1.0, 1.0))
+        # Dephasing without drive and with a 1e-30 pump: to the SVD's cutoff
+        # |0> and the B/D populations are all stationary.
+        stuck = build_liouvillian(LindbladModel(np.zeros((3, 3), dtype=complex), 1e-30, 1.0, 1.0))
 
         def steady_states(liouv, block=3):
             # Entry (0, 1) of rho turns at the bright detuning, so the
@@ -360,7 +365,7 @@ class TestOracleThreads:
         oracle_spectrum(ENV, drive, grid, 0.2, dephase_b=0.9)
         stuck = DriveConfig(rabi_mw=0.0, omega_rf=16.0, rabi_rf=4.0)
         with pytest.raises(DegenerateSteadyStateError):
-            oracle_spectrum(ENV, stuck, grid[:5], 0.0, 1.0, 1.0)
+            oracle_spectrum(ENV, stuck, grid[:5], 1e-30, 1.0, 1.0)
         assert threading.active_count() == before
 
     def test_concurrent_callers_get_a_lone_calls_bits(self):
