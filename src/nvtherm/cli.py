@@ -27,6 +27,7 @@ import numpy as np
 from . import fitting, lineshape, oracle, sensitivity
 from .lineshape import Spectrum, StrainDistribution
 from .spin import (
+    MAX_FREQUENCY,
     MAX_RABI,
     ConfigError,
     DriveConfig,
@@ -195,6 +196,8 @@ def _check_value(name: str, value) -> list[str]:
         return [f"{name} must be > 0, got {value}"]
     if name == "lorentzian.fwhm" and value >= MAX_RABI:
         return [f"{name} must be < {MAX_RABI:g}, got {value}"]
+    if name in ("grid.start_mhz", "grid.stop_mhz") and not abs(value) < MAX_FREQUENCY:
+        return [f"{name} must be below {MAX_FREQUENCY:g} in magnitude, got {value}"]
     if name == "seed" and value < 0:  # numpy seeds only from non-negative integers
         return [f"seed must be >= 0, got {value}"]
     if name == "fit.model" and value not in ("dressed", "lorentzian"):

@@ -113,7 +113,7 @@ class DressedDip:
     fixed_contrast: float = lineshape.DEFAULT_CONTRAST
 
     def __post_init__(self):
-        check_fields(self, contrasts=("fixed_contrast",))
+        check_fields(self, contrasts=("fixed_contrast",), frequencies=("omega_rf",))
 
     @property
     def param_names(self) -> tuple[str, ...]:

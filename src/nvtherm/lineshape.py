@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .spin import (
+    MAX_FREQUENCY,
     MAX_RABI,
     DriveConfig,
     PhysicalEnvironment,
@@ -48,6 +49,8 @@ MAX_QUADRATURE_NODES = 369
 # one call, and the fig2 sigma_ex point (21 nodes x 781 points) one block.
 BLOCK_POINTS = 8192
 DEFAULT_FWHM = 8.0  # MHz, the conventional generator's Lorentzian width
+# Fewest expected counts N per noisy point: a sample is <= 0 with odds Phi(-sqrt(N)), 2.9e-7.
+MIN_COUNTS = 25.0
 
 CSV_HEADER = "frequency_mhz,signal,sigma"
 SCHEMA_VERSION = 1
@@ -82,7 +85,8 @@ class StrainDistribution:
             problems.append(
                 f"nodes must be odd and in [1, {MAX_QUADRATURE_NODES}], got {self.nodes}"
             )
-        check_fields(self, nonnegative=("sigma_ex",), problems=problems)
+        frequencies = ("mean_ex", "sigma_ex")
+        check_fields(self, nonnegative=("sigma_ex",), frequencies=frequencies, problems=problems)
 
 
 def _require_finite(name: str, values: np.ndarray) -> None:
@@ -92,10 +96,12 @@ def _require_finite(name: str, values: np.ndarray) -> None:
 
 
 def check_grid(frequencies: np.ndarray) -> None:
-    """Refuse a frequency grid that is not finite and strictly ascending."""
+    """Refuse a grid that is not finite, strictly ascending and below MAX_FREQUENCY in magnitude."""
     _require_finite("frequencies", frequencies)
     if len(frequencies) > 1 and not np.all(np.diff(frequencies) > 0):
         raise ValueError("frequencies must be strictly ascending")
+    if len(frequencies) and not (top := np.abs(frequencies).max()) < MAX_FREQUENCY:
+        raise ValueError(f"frequencies must be below {MAX_FREQUENCY:g} in magnitude, got {top:g}")
 
 
 @dataclass
@@ -272,8 +278,9 @@ def dressed_depletion(
     give one row over ``grid``, arrays one row per entry, each equal to its
     scalar call.  ``out`` may give the array to write the result into.
     ``p0``'s operations run in order, bit for bit, in four ``_workspace``
-    arrays: the detunings go into the real parts of two complex ones and
-    -gamma into their imaginary parts (omega - 1j * gamma).
+    arrays: the detunings go into two complex ones' real parts, 0 - gamma is
+    copied into their imaginary parts, and J^2, -lambda_b and lambda_b J
+    enter as complex arrays, so no complex ufunc casts an operand.
     """
     rows = _row_count(d, ex, rabi_rf, rabi_mw, gamma_b, gamma_d)
     shape = (rows, 2, len(grid)) if rows else (2, len(grid))
@@ -283,13 +290,13 @@ def dressed_depletion(
         ex = ex[:, None] if type(ex) is np.ndarray else ex
     zb, zd = _workspace.take("zb", shape, complex), _workspace.take("zd", shape, complex)
     branch_detunings(d, ex, omega_rf, grid, out=(zb.real, zd.real))
-    np.subtract(0.0, gamma_b, out=zb.imag)
-    np.subtract(0.0, gamma_d, out=zd.imag)
+    np.copyto(zb.imag, 0.0 - gamma_b)
+    np.copyto(zd.imag, 0.0 - gamma_d)
     j, lambda_b = rabi_rf / 2.0, rabi_mw / 2.0
     det = np.multiply(zb, zd, out=zb)
-    np.subtract(det, _square(j), out=det)
-    amp_b = np.divide(np.multiply(-lambda_b, zd, out=zd), det, out=zd)
-    amp_d = np.divide(lambda_b * j, det, out=det)
+    np.subtract(det, np.asarray(_square(j), complex), out=det)
+    amp_b = np.divide(np.multiply(np.asarray(-lambda_b, complex), zd, out=zd), det, out=zd)
+    amp_d = np.divide(np.asarray(lambda_b * j, complex), det, out=det)
     lost_b = np.abs(amp_b, out=_workspace.take("lost_b", shape))
     lost_d = np.abs(amp_d, out=_workspace.take("lost_d", shape))
     np.square(lost_b, out=lost_b)
@@ -678,14 +685,16 @@ def synthesize_measurement(clean: Spectrum, photon_rate: float, dwell: float, se
     """Add a Gaussian approximation of photon shot noise to a clean spectrum.
 
     Per-point standard deviation is signal/sqrt(rate*dwell*signal), the
-    relative shot noise of N = rate*dwell*signal detected counts.
-    Deterministic under a fixed seed; the metadata holds an integral seed as
-    an int and any other seed as its repr.
+    relative shot noise of N = rate*dwell*signal >= MIN_COUNTS detected
+    counts.  Deterministic under a fixed seed; the metadata holds an
+    integral seed as an int and any other seed as its repr.
     """
     if not (photon_rate > 0 and dwell > 0):
         raise ValueError("photon_rate and dwell must be > 0")
     if not np.all(clean.signal > 0):
         raise ValueError(f"clean signal must be > 0 for shot noise, got {clean.signal.min()}")
+    if not (counts := photon_rate * dwell * clean.signal.min()) >= MIN_COUNTS:
+        raise ValueError(f"expected counts per point must be >= {MIN_COUNTS:g}, got {counts:g}")
     rng = np.random.default_rng(seed)
     sigma = clean.signal / np.sqrt(photon_rate * dwell * clean.signal)
     noisy = clean.signal + rng.normal(0.0, 1.0, size=len(clean)) * sigma

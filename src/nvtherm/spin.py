@@ -34,6 +34,10 @@ class ConfigError(ValueError):
 # fwhm / 2: below this bound on a Rabi amplitude or a width the square is finite.
 MAX_RABI = 2.0**513
 
+# A detuning sums d, a strain node (|mean_ex| + 39 sigma_ex at most), the grid
+# and omega_rf: each below this keeps it below 2^506, so its square is finite.
+MAX_FREQUENCY = 2.0**500
+
 # The exact depletion of |0> by each branch is below 1, so a contrast of at
 # most 1/2 keeps the two-branch signal 1 - contrast * (depletion + mirror) > 0.
 MAX_CONTRAST = 0.5
@@ -46,13 +50,15 @@ def contrast_problems(name: str, value: float) -> list[str]:
     return [f"{name} must be in (0, {MAX_CONTRAST}], got {value}"]
 
 
-def check_fields(obj, positive=(), nonnegative=(), contrasts=(), squared=(), problems=()) -> None:
+def check_fields(
+    obj, positive=(), nonnegative=(), contrasts=(), squared=(), frequencies=(), problems=()
+) -> None:
     """Raise one ``ConfigError`` naming every bad field of dataclass ``obj``.
 
-    Numeric fields must be finite, those in ``positive`` > 0, those in
-    ``nonnegative`` >= 0, those in ``contrasts`` in (0, MAX_CONTRAST] and
-    those in ``squared`` < MAX_RABI; ``problems`` are the caller's own
-    findings.  Each message starts with its field name.
+    Numeric fields must be finite, those in ``positive`` > 0, ``nonnegative``
+    >= 0, ``contrasts`` in (0, MAX_CONTRAST], ``squared`` < MAX_RABI and
+    ``frequencies`` below MAX_FREQUENCY in magnitude; ``problems`` are the
+    caller's own findings.  Each message starts with its field name.
     """
     found = []
     for f in fields(obj):
@@ -67,6 +73,8 @@ def check_fields(obj, positive=(), nonnegative=(), contrasts=(), squared=(), pro
             found += contrast_problems(f.name, value)
         elif f.name in squared and value >= MAX_RABI:
             found.append(f"{f.name} must be < {MAX_RABI:g}, got {value}")
+        elif f.name in frequencies and not abs(value) < MAX_FREQUENCY:
+            found.append(f"{f.name} must be below {MAX_FREQUENCY:g} in magnitude, got {value}")
     found += problems
     if found:
         raise ConfigError(found)
@@ -100,7 +108,10 @@ class PhysicalEnvironment:
             )
         if self.dd_dt == 0:  # no temperature reading comes from a flat splitting
             problems.append(f"dd_dt must be nonzero, got {self.dd_dt}")
-        check_fields(self, positive=("d0",), problems=problems)
+        check_fields(self, positive=("d0",), frequencies=("ex", "b_parallel"), problems=problems)
+        if not abs(d := zero_field_splitting(self)) < MAX_FREQUENCY:  # its fields are sound
+            rule = "d0 + dd_dt * (temperature - t0) must be below"
+            raise ConfigError([f"d0: {rule} {MAX_FREQUENCY:g} in magnitude, got {d}"])
 
     @property
     def is_transverse_mode(self) -> bool:
@@ -136,8 +147,8 @@ class DriveConfig:
     rabi_rf: float = 0.0
 
     def __post_init__(self):
-        rabi = ("rabi_mw", "rabi_rf")
-        check_fields(self, nonnegative=("omega_rf", *rabi), squared=rabi)
+        rf, rabi = ("omega_rf",), ("rabi_mw", "rabi_rf")
+        check_fields(self, nonnegative=(*rf, *rabi), squared=rabi, frequencies=rf)
 
 
 def zero_field_splitting(env: PhysicalEnvironment) -> float:
@@ -155,12 +166,14 @@ def branch_detunings(
     RF sideband itself), then its mirror (ex -> -ex, omega_rf -> -omega_rf),
     with ``ex``'s own axes before it and ``omega_mw``'s after.  The dark
     level sits at D - E_x, so its detuning carries the opposite strain sign
-    from the bright one.  ``out`` may give the two arrays to write into.
+    from the bright one: omega_b = [P, Q] = (d +/- ex) - omega_mw, and
+    omega_d = [Q, P] + [omega_rf, -omega_rf] takes its swapped halves, the
+    bits of (d -/+ ex) - omega_mw +/- omega_rf (IEEE a + (-b) is a - b).
+    ``out`` may give the two arrays to write into.
     """
     exb = np.asarray(ex)[..., None] * _BRANCH_SIGN
     omega_b = np.subtract(d + exb, omega_mw, out=out[0])
-    omega_d = np.subtract(d - exb, omega_mw, out=out[1])
-    return omega_b, np.add(omega_d, omega_rf * _BRANCH_SIGN, out=omega_d)
+    return omega_b, np.add(omega_b[..., ::-1, :], omega_rf * _BRANCH_SIGN, out=out[1])
 
 
 def require_dressed_mode(env: PhysicalEnvironment) -> None:

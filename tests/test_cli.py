@@ -31,6 +31,11 @@ def _write_config(tmp_path, doc):
     return str(path)
 
 
+# spin.MAX_FREQUENCY's rule, as a frequency and as the splitting d
+_BELOW = "must be below 3.27339e+150 in magnitude, got"
+_SPLITTING = f"d0 + dd_dt * (temperature - t0) {_BELOW}"
+
+
 class TestValidation:
     @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)
     def test_shipped_presets_are_valid(self, preset, capsys):
@@ -181,6 +186,48 @@ class TestValidation:
             "invalid: budget.photon_rate must be > 0, got -1\n"
             "invalid: sweep.axes[0] rabi_rf: rabi_rf must be >= 0, got -1.0\n"
         )
+
+    @pytest.mark.parametrize(
+        "preset, override, message",
+        [
+            # d = 1e200 MHz: zb * zd overflowed in the kernel, with a
+            # RuntimeWarning, and simulate wrote a flat spectrum.
+            ("fig2_dressed", "environment.d0=1e200", f"environment.d0: {_SPLITTING} 1e+200"),
+            (
+                "fig2_dressed",
+                "environment.dd_dt=1e300 environment.temperature=1e10",
+                f"environment.d0: {_SPLITTING} inf",
+            ),
+            ("fig2_dressed", "environment.ex=-1e200", f"environment.ex {_BELOW} -1e+200"),
+            ("fig2_dressed", "strain.mean_ex=1e200", f"strain.mean_ex {_BELOW} 1e+200"),
+            ("fig2_dressed", "strain.sigma_ex=1e200", f"strain.sigma_ex {_BELOW} 1e+200"),
+            ("fig2_dressed", "drive.omega_rf=1e200", f"drive.omega_rf {_BELOW} 1e+200"),
+            ("fig2_dressed", "fit.omega_rf=1e200", f"fit.omega_rf {_BELOW} 1e+200"),
+            ("fig2_dressed", "grid.stop_mhz=1e200", f"grid.stop_mhz {_BELOW} 1e+200"),
+            ("fig2_dressed", "grid.start_mhz=-1e200", f"grid.start_mhz {_BELOW} -1e+200"),
+            ("fig4_parallel", "environment.b_parallel=1e200", f"environment.b_parallel {_BELOW} 1e+200"),
+        ],
+    )
+    def test_overflowing_detunings_judged_by_validate(
+        self, preset, override, message, tmp_path, capsys
+    ):
+        # Each frequency that a detuning sums is bounded so that the
+        # detuning's square is finite: one line under the key that holds it.
+        argv = ["--config", str(PRESET_DIR / f"{preset}.json")]
+        for item in override.split():
+            argv += ["--set", item]
+        assert main(["validate", *argv]) == 1
+        assert capsys.readouterr().out == f"invalid: {message}\n"
+        out = tmp_path / "spectrum.csv"
+        assert main(["simulate", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not out.exists()
+
+    def test_largest_frequencies_are_valid(self, capsys):
+        argv = ["validate", "--config", str(PRESET_DIR / "fig2_dressed.json")]
+        for key in ("environment.d0", "drive.omega_rf", "grid.stop_mhz", "strain.sigma_ex"):
+            argv += ["--set", f"{key}=3.2733e150"]
+        assert main(argv) == 0
 
     def test_quadrature_node_cap_judged_by_validate(self, capsys):
         # Past the cap the Gauss-Hermite weights sum to 0 (371) or overflow
@@ -556,6 +603,18 @@ class TestSimulate:
         assert main(["validate", *argv]) == 1
         assert capsys.readouterr().out == f"invalid: {message}\n"
 
+    def test_too_few_photons_is_one_error_line(self, tmp_path, capsys):
+        # A Gaussian sample of 1e-300 counts wrote a signal of -3.5e150.
+        out = tmp_path / "spectrum.csv"
+        argv = ["simulate", "--config", str(PRESET_DIR / "fig2_dressed.json")]
+        argv += ["--set", "noise.photon_rate=1e-300", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ValueError: expected counts per point must be >= 25")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_mode_subcommand_mismatch(self, tmp_path, capsys):
         code = main(["sweep", "--config", str(PRESET_DIR / "fig2_dressed.json")])
         assert code == 1
@@ -599,6 +658,18 @@ class TestSimulateThenFit:
         assert "converged=True" in text
         doc = json.loads(fit_out.read_text())
         assert doc["model"] == "DressedDip"
+
+    def test_missing_input_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # The fit input is read at run time, after the config is valid.
+        monkeypatch.chdir(tmp_path)
+        argv = ["fit", "--config", str(PRESET_DIR / "fig2_dressed.json")]
+        argv += ["--set", 'mode="fit"', "--set", "fit.input=missing.csv"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: FileNotFoundError: ")
+        assert captured.err.count("\n") == 1
+        assert "missing.csv" in captured.err
 
 
 class TestSweep:

@@ -20,6 +20,7 @@ from nvtherm.lineshape import (
     CSV_HEADER,
     DEFAULT_QUADRATURE_NODES,
     MAX_QUADRATURE_NODES,
+    MIN_COUNTS,
     Spectrum,
     StrainDistribution,
     conventional_spectrum,
@@ -174,6 +175,114 @@ class TestP0:
         value = p0(0.3, -0.2, 1.0, 0.1, 1.0, 0.1)
         assert isinstance(value, np.float64)
         assert p0(np.full((3, 1), 0.3), np.full(4, -0.2), 1.0, 0.1, 1.0, 0.1).shape == (3, 4)
+
+
+_SIGN = np.array([[1.0], [-1.0]])
+
+
+def _three_pass_detunings(d, ex, omega_rf, omega_mw, out=(None, None)):
+    """``branch_detunings`` as three passes: (d + s ex) - nu, (d - s ex) - nu, then + s omega_rf."""
+    exb = np.asarray(ex)[..., None] * _SIGN
+    omega_b = np.subtract(d + exb, omega_mw, out=out[0])
+    omega_d = np.subtract(d - exb, omega_mw, out=out[1])
+    return omega_b, np.add(omega_d, omega_rf * _SIGN, out=omega_d)
+
+
+def _float_operand_depletion(d, ex, omega_rf, grid, rabi_rf, rabi_mw, gamma_b, gamma_d):
+    """``dressed_depletion``'s operations on lifted parameters, with float row constants.
+
+    The three-pass detunings go into the real parts, ``0 - gamma`` is
+    subtracted into the imaginary parts, and J^2, -lambda and lambda J enter
+    their complex ufuncs as floats, which numpy casts to complex.
+    """
+    rates = (d, rabi_rf, rabi_mw, gamma_b, gamma_d)
+    shape = np.broadcast_shapes(np.shape(ex) + (1,), *map(np.shape, rates), (2, len(grid)))
+    zb, zd = np.empty(shape, complex), np.empty(shape, complex)
+    _three_pass_detunings(d, ex, omega_rf, grid, out=(zb.real, zd.real))
+    np.subtract(0.0, gamma_b, out=zb.imag)
+    np.subtract(0.0, gamma_d, out=zd.imag)
+    j, lambda_b = rabi_rf / 2.0, rabi_mw / 2.0
+    det = np.multiply(zb, zd, out=zb)
+    np.subtract(det, lineshape._square(j), out=det)
+    amp_b = np.divide(np.multiply(-lambda_b, zd, out=zd), det, out=zd)
+    amp_d = np.divide(lambda_b * j, det, out=det)
+    dep = 1.0 - np.abs(amp_b) ** 2 - np.abs(amp_d) ** 2
+    dep = np.subtract(1.0, dep, out=dep)
+    return dep[..., 0, :] + dep[..., 1, :]
+
+
+# Every float, with the edge values drawn often: signed zeros, infinities,
+# NaN, 1e308 (whose sums overflow) and subnormals.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308, 5e-324, -2e-310]),
+    st.floats(-3000.0, 3000.0),
+    st.floats(),
+)
+
+
+def _floats(draw, n):
+    return np.array(draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n)))
+
+
+def _nan_as_one(x):
+    """``x``'s bytes with every NaN one NaN: which of two NaNs an addition returns is numpy's loop's choice."""
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+class TestKernelBits:
+    """The kernel's two-pass detunings and complex operands keep every bit of the older sequence."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), layout=st.sampled_from(["scalars", "rows", "nodes"]), strided=st.booleans())
+    def test_branch_detunings_match_three_passes(self, data, layout, strided):
+        # The three ways the kernel calls it: scalars over a grid, a (rows,)
+        # stack lifted as dressed_depletion lifts it, and quadrature nodes at
+        # zero frequency as _dressed_terms passes them.  The output is fresh
+        # or the real parts of complex arrays, as dressed_depletion's is.
+        # The three-pass form itself returns one NaN into a fresh array and
+        # another into a complex array's real parts where two NaNs meet, so
+        # NaNs are compared as NaNs and every other value by its bytes.
+        draw = data.draw
+        rows = draw(st.integers(1, 13))
+        omega_rf = draw(EDGE_FLOATS)
+        if layout == "scalars":
+            d, ex = draw(st.sampled_from([float, np.float64]))(draw(EDGE_FLOATS)), draw(EDGE_FLOATS)
+        elif layout == "rows":
+            d, ex = _floats(draw, rows)[:, None, None], _floats(draw, rows)[:, None]
+        else:
+            d, ex = draw(EDGE_FLOATS), _floats(draw, rows)[:, None]
+        omega_mw = 0.0 if layout == "nodes" else _floats(draw, draw(st.integers(1, 40)))
+        with np.errstate(all="ignore"):
+            ref = _three_pass_detunings(d, ex, omega_rf, omega_mw)
+            if strided:
+                new_out, old_out = (np.empty((2,) + ref[0].shape, complex) for _ in range(2))
+                got = branch_detunings(d, ex, omega_rf, omega_mw, out=tuple(new_out.real))
+                ref = _three_pass_detunings(d, ex, omega_rf, omega_mw, out=tuple(old_out.real))
+            else:
+                got = branch_detunings(d, ex, omega_rf, omega_mw)
+        for new, old in zip(got, ref):
+            assert new.shape == old.shape
+            assert _nan_as_one(new) == _nan_as_one(old)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.integers(1, 13),
+        forms=st.lists(st.sampled_from(PARAMETER_FORMS), min_size=6, max_size=6),
+    )
+    def test_dressed_depletion_matches_float_operands(self, data, rows, forms):
+        # A scalar call (every form a float or a float64) or a (rows,) stack,
+        # each parameter and the grid drawn from every float.
+        draw = data.draw
+        params = [_in_form(_floats(draw, rows), form) for form in forms]
+        grid, omega_rf = _floats(draw, draw(st.integers(1, 40))), draw(EDGE_FLOATS)
+        lifted = [p[:, None, None] if isinstance(p, np.ndarray) else p for p in params]
+        lifted[1] = params[1][:, None] if isinstance(params[1], np.ndarray) else params[1]
+        with np.errstate(all="ignore"):
+            got = dressed_depletion(params[0], params[1], omega_rf, grid, *params[2:])
+            ref = _float_operand_depletion(lifted[0], lifted[1], omega_rf, grid, *lifted[2:])
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 _WARM_FITS = """
@@ -1047,6 +1156,16 @@ class TestSynthesizeMeasurement:
             synthesize_measurement(clean, 0.0, 1.0, seed=0)
         with pytest.raises(ValueError):
             synthesize_measurement(clean, 1e6, 0.0, seed=0)
+
+    def test_rejects_fewer_than_min_counts(self):
+        # At N expected counts a Gaussian sample is <= 0 with probability
+        # Phi(-sqrt(N)); 1e-300 photons per second gave a signal of -3.5e150.
+        clean = Spectrum(np.linspace(2800.0, 2900.0, 20), np.full(20, 0.5), np.zeros(20))
+        rate = 2.0 * MIN_COUNTS
+        assert np.isfinite(synthesize_measurement(clean, rate, 1.0, seed=0).signal).all()
+        for low in (np.nextafter(rate, 0.0), 1e-300):
+            with pytest.raises(ValueError, match="expected counts per point must be >= 25"):
+                synthesize_measurement(clean, low, 1.0, seed=0)
 
     def test_rejects_nonpositive_clean_signal(self):
         # Linear response does not saturate: a strong drive and a large

@@ -272,8 +272,10 @@ class TestOracleSpectrum:
             ({1: np.inf}, "frequencies must be finite, got inf at index 1"),
             ({3: -np.inf}, "frequencies must be finite, got -inf at index 3"),
             ({2: 2855.0}, "frequencies must be strictly ascending"),
+            # Its detunings' squares would overflow (spin.MAX_FREQUENCY).
+            ({5: 1e200}, "frequencies must be below 3.27339e+150 in magnitude, got 1e+200"),
         ],
-        ids=["nan", "inf", "-inf", "not_ascending"],
+        ids=["nan", "inf", "-inf", "not_ascending", "too_far"],
     )
     def test_bad_grid_refused_before_any_solve(self, monkeypatch, bad, message):
         # Refused as Spectrum refuses it, with the closed form's message;
