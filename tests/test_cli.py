@@ -2,9 +2,6 @@
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -136,6 +133,7 @@ class TestValidation:
                 "sweep.axes[1] 'rabi_rf' repeats axes[0]",
             ),
             ('sweep.fit_model="lorentzian"', "sweep.generator 'lindblad' requires fit_model 'dressed'"),
+            ("budget.gamma_sat=-1", "budget.gamma_sat must be >= 0, got -1"),
         ],
     )
     def test_library_rules_judged_by_validate(self, override, field, capsys):
@@ -465,8 +463,8 @@ class TestValidation:
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe\x00{")
         assert main(["validate", "--config", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert out.startswith(f"invalid: cannot read config {path}: 'utf-8' codec can't decode")
+        reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert capsys.readouterr().out == f"invalid: cannot read config {path}: {reason}\n"
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(str(path))
 
@@ -496,26 +494,21 @@ print(scipy_modules())
 """
 
 
-def test_cli_import_leaves_scipy_signal_out(tmp_path):
+def test_cli_import_leaves_scipy_signal_out(tmp_path, run_python):
     # scipy.signal (and the scipy.stats it imports) was most of the start-up,
     # and scipy.optimize most of the rest: no run loads any scipy module.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    argv = [sys.executable, "-c", _SCIPY_FREE_RUN, str(PRESET_DIR / "fig5_narrowing.json"), str(tmp_path / "one.csv")]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-    lines = out.stdout.splitlines()
+    out = run_python("-c", _SCIPY_FREE_RUN, str(PRESET_DIR / "fig5_narrowing.json"), str(tmp_path / "one.csv"))
+    lines = out.splitlines()
     assert lines[0] == lines[-1] == "[]"
     assert lines[1].startswith("sweep ok: points=1 fitted=1")
 
 
-def test_cli_import_leaves_pools_and_logging_out():
-    # The oracle starts one plain thread per spectrum; importing an executor
-    # or a process pool (or the logging they bring) would be paid at start-up.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+def test_cli_import_leaves_pools_and_logging_out(run_python):
+    # Only a Lindblad sweep starts a thread, one plain worker
+    # (sensitivity._BranchQueue); importing an executor or a process pool (or
+    # the logging they bring) would be paid at start-up.
     probe = "import sys, nvtherm.cli; print(sorted({'concurrent.futures', 'multiprocessing', 'logging'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert run_python("-c", probe).strip() == "[]"
 
 
 class TestOverrides:
@@ -704,14 +697,6 @@ class TestSweep:
         plain, overridden, reference = tables
         assert overridden == reference
         assert overridden != plain
-
-    def test_sensitivity_map_preset_validates(self):
-        # The full map is expensive; strict validation still covers it.
-        assert (
-            main(["validate", "--config", str(PRESET_DIR / "sensitivity_map.json")])
-            == 0
-        )
-
 
     def test_sensitivity_map_preset_runs(self, tmp_path, capsys):
         out = tmp_path / "map.csv"

@@ -1,13 +1,10 @@
 """Tests for the closed-form lineshape, spectra, strain averaging, and noise."""
 
 import json
-import os
-import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,7 +326,7 @@ print(any(m.startswith("scipy") for m in sys.modules))
 """
 
 
-def test_warm_strain_fits_take_no_page_faults():
+def test_warm_strain_fits_take_no_page_faults(run_python):
     # glibc gives the free top of its heap back to the kernel once it exceeds
     # the trim threshold.  Importing scipy raises that threshold as a side
     # effect; a numpy-only process keeps the one its start-up left, which
@@ -347,16 +344,9 @@ def test_warm_strain_fits_take_no_page_faults():
     # and the curve on it (160 KB each): 80 faults per call at 128 KiB, where
     # temporaries of the grid's size made it 280.
     pytest.importorskip("resource")
-    src = str(Path(__file__).resolve().parents[1] / "src")
     for trim_threshold in (128 * 1024, 512 * 1024):
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-            "MALLOC_TRIM_THRESHOLD_": str(trim_threshold),
-        }
-        argv = [sys.executable, "-c", _WARM_FITS]
-        out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-        strain_faults, fig5_faults, slope_faults, scipy_loaded = out.stdout.split()
+        out = run_python("-c", _WARM_FITS, env={"MALLOC_TRIM_THRESHOLD_": str(trim_threshold)})
+        strain_faults, fig5_faults, slope_faults, scipy_loaded = out.split()
         assert scipy_loaded == "False"
         assert float(fig5_faults) < 5000
         assert float(strain_faults) < 5000
