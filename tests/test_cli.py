@@ -698,6 +698,13 @@ class TestSweep:
         assert overridden == reference
         assert overridden != plain
 
+    def test_sensitivity_map_preset_validates(self):
+        # The full map is expensive; strict validation still covers it.
+        assert (
+            main(["validate", "--config", str(PRESET_DIR / "sensitivity_map.json")])
+            == 0
+        )
+
     def test_sensitivity_map_preset_runs(self, tmp_path, capsys):
         out = tmp_path / "map.csv"
         preset = str(PRESET_DIR / "sensitivity_map.json")
