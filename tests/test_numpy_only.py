@@ -10,6 +10,7 @@ import json
 import os
 from importlib.resources import files
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -26,17 +27,29 @@ _ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n
 # glibc's default trim threshold.  Importing scipy raises it as a side effect.
 _TRIM = {"MALLOC_TRIM_THRESHOLD_": "131072"}
 _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
+_STRICT = ("-W", "error::RuntimeWarning")
+
+
+class Run(NamedTuple):
+    argv: list  # the CLI's arguments, without --out
+    env: dict  # added to the child's environment
+    flags: tuple  # the interpreter's own options
 
 
 def _cli(command, preset, *overrides):
     argv = [command, "--config", str(PRESETS / f"{preset}.json")]
     for item in overrides:
         argv += ["--set", item]
-    return argv
+    return Run(argv, {}, ())
 
 
 def _fit(spectrum, *overrides, preset="fig2_dressed"):
     return _cli("fit", preset, 'mode="fit"', f"fit.input={spectrum}", *overrides)
+
+
+def _trimmed(run, *flags):
+    """``run`` at _TRIM, with ``flags`` given to the interpreter."""
+    return run._replace(env=_TRIM, flags=flags)
 
 
 # Every runner once, each in a fresh interpreter and in this order: a fit
@@ -62,28 +75,30 @@ RUNS = {
 # or over slices of it past BLOCK_POINTS nodes x points (2001 points), and
 # sums them with np.einsum: no BLAS and no thread.
 SIGMA_EX_RUNS = {
-    "strain.csv": _cli("simulate", "fig2_dressed", "strain.sigma_ex=2"),
+    "strain.csv": _trimmed(_cli("simulate", "fig2_dressed", "strain.sigma_ex=2")),
     # A 369-node average takes 37 blocks of at most 10 nodes over the grid.
-    "strain_369.csv": _cli("simulate", "fig2_dressed", "strain.sigma_ex=2", "strain.nodes=369"),
-    "fit_strain.json": _fit("strain.csv", "fit.fit_sigma_ex=true"),
-    "strain_2001.csv": _cli("simulate", "fig2_dressed", "strain.sigma_ex=2", "grid.points=2001"),
-    "fit_2001.json": _fit("strain_2001.csv", "fit.fit_sigma_ex=true"),
-    "strain_401.csv": _cli("simulate", "fig2_dressed", "strain.sigma_ex=1.5", "grid.points=401"),
-    "fit_strain_401.json": _fit("strain_401.csv", "fit.fit_sigma_ex=true"),
+    "strain_369.csv": _trimmed(_cli("simulate", "fig2_dressed", "strain.sigma_ex=2", "strain.nodes=369")),
+    "fit_strain.json": _trimmed(_fit("strain.csv", "fit.fit_sigma_ex=true"), *_STRICT),
+    "strain_2001.csv": _trimmed(_cli("simulate", "fig2_dressed", "strain.sigma_ex=2", "grid.points=2001")),
+    "fit_2001.json": _trimmed(_fit("strain_2001.csv", "fit.fit_sigma_ex=true"), *_STRICT),
+    "strain_401.csv": _trimmed(_cli("simulate", "fig2_dressed", "strain.sigma_ex=1.5", "grid.points=401")),
+    "fit_strain_401.json": _trimmed(_fit("strain_401.csv", "fit.fit_sigma_ex=true"), *_STRICT),
 }
 ALL_RUNS = {**RUNS, **SIGMA_EX_RUNS}
 
 
 def _nvtherm(run_python, runs, name, kind=".", *, env=None, one_cpu=False):
-    """Run ``ALL_RUNS[name]`` with scipy blocked into ``runs/kind/name``; return its bytes."""
-    argv = ALL_RUNS[name]
-    if name in SIGMA_EX_RUNS:
-        env = {**_TRIM, **(env or {})}
-    warnings = ["-W", "error::RuntimeWarning"] if "fit.fit_sigma_ex=true" in argv else []
+    """Run ``ALL_RUNS[name]`` with scipy blocked into ``runs/kind/name``; return its bytes.
+
+    A run that is compared with the fresh one keeps its environment and flags
+    and changes one thing: ``env`` added, or one CPU.
+    """
+    run = ALL_RUNS[name]
     code = (_ONE_CPU if one_cpu else "") + _CLI
     (runs / kind).mkdir(exist_ok=True)
-    run_python(*warnings, "-c", code, *argv, "--out", f"{kind}/{name}", env=env, cwd=runs)
-    return (runs / kind / name).read_bytes()
+    out = f"{kind}/{name}"
+    run_python(*run.flags, "-c", code, *run.argv, "--out", out, env={**run.env, **(env or {})}, cwd=runs)
+    return (runs / out).read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +119,25 @@ def test_multistart_fit_writes_strict_json(runs):
     json.loads((runs / "fit_multistart.json").read_text(), parse_constant=pytest.fail)
 
 
+# A run that fails prints its one error line, not an ImportError or a traceback.
+@pytest.mark.parametrize(
+    "run, line",
+    [
+        (
+            _cli("oracle-check", "oracle_weak_drive", "oracle.pump_rate=1e-30", "grid.points=41"),
+            "DegenerateSteadyStateError: steady state is not unique on the upper branch at 2855.0 MHz: "
+            "zero-eigenvalue multiplicity 3",
+        ),
+        (_fit("missing.csv"), "FileNotFoundError: [Errno 2] No such file or directory: 'missing.csv'"),
+    ],
+    ids=["degenerate", "missing"],
+)
+def test_failed_run_prints_one_line(run, line, tmp_path, run_python):
+    code = "import sys\nsys.stderr = sys.stdout\n" + _CLI
+    out = run_python("-c", code, *run.argv, "--out", "out", cwd=tmp_path, status=1)
+    assert out == f"error: {line}\n"
+
+
 @pytest.mark.parametrize("name", ["oracle.json", "map.csv", "map9.csv", "fit_strain.json", "fit_2001.json"])
 def test_one_blas_thread_moves_no_bit(name, runs, run_python):
     # The oracle solves on the calling thread and the sweep each branch on
@@ -115,7 +149,7 @@ def test_one_blas_thread_moves_no_bit(name, runs, run_python):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="CPU affinity is set through sched_setaffinity")
 @pytest.mark.parametrize("name", ["oracle.json", "map9.csv", "fit_strain.json", "fit_2001.json"])
 def test_one_cpu_moves_no_bit(name, runs, run_python):
-    assert _nvtherm(run_python, runs, name, "one_cpu", env=_TRIM, one_cpu=True) == (runs / name).read_bytes()
+    assert _nvtherm(run_python, runs, name, "one_cpu", one_cpu=True) == (runs / name).read_bytes()
 
 
 _SHARED = """
@@ -144,7 +178,8 @@ def test_one_interpreter_writes_what_fresh_ones_write(runs, run_python):
     ]
     (runs / "shared").mkdir()
     outs = [f"shared/{i}_{name}" for i, name in enumerate(sequence)]
-    argvs = [[*ALL_RUNS[name], "--out", out] for name, out in zip(sequence, outs)]
+    argvs = [[*ALL_RUNS[name].argv, "--out", out] for name, out in zip(sequence, outs)]
+    # One interpreter has one environment: that of its sigma_ex runs.
     run_python("-c", _SHARED, json.dumps(argvs), env=_TRIM, cwd=runs)
     changed = [name for name, out in zip(sequence, outs) if (runs / out).read_bytes() != (runs / name).read_bytes()]
     assert changed == []
